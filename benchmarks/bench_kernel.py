@@ -14,15 +14,13 @@ measurement to ``BENCH_kernel.json`` for CI regression tracking:
   a :class:`repro.sim.telemetry.PhaseProfiler`, so the engine still
   takes its fastest drain tiers) breaks the slot loop into ``inject``
   (append_cells), the forwarding sub-phases ``drain`` / ``commit`` /
-  ``repair`` (``forward`` keeps the residual glue), and ``stats``
-  (ledger folds), reported as ms/slot each — a regression names the
-  guilty kernel, not just "forwarding got slower".
+  ``repair`` (``forward`` keeps the residual glue and the delivery
+  ledger fold), and ``stats`` (occupancy and max-VOQ bookkeeping),
+  reported as ms/slot each — a regression names the guilty kernel, not
+  just "forwarding got slower".
 - **batch sweep**: the vectorized engine re-timed with the slot-batched
   driver collapsed (``slot_batch=1``) next to the default (``"auto"``),
   stamping what driver batching alone is worth at each N.
-- **numba**: when numba is installed, ``SimConfig(kernels="numba")`` is
-  timed and reported separately (never gated — CI images may lack it);
-  its report must equal the numpy-path report bit-for-bit.
 
 On top of the absolute gate, every non-smoke speedup is compared against
 the checked-in ``benchmarks/kernel_baseline.json``: a >20% drop fails
@@ -45,7 +43,6 @@ from conftest import bench_environment
 from repro.routing import SornRouter
 from repro.schedules import build_sorn_schedule
 from repro.sim import SimConfig, SlotSimulator, TelemetryHub
-from repro.sim.kernels import HAVE_NUMBA
 from repro.sim.telemetry import PhaseProfiler
 from repro.topology import CliqueLayout
 from repro.traffic import WEB_SEARCH, Workload, uniform_matrix
@@ -113,7 +110,7 @@ def _phase_breakdown(schedule, router, flows, slots):
 
 
 def test_kernel_throughput(report, smoke):
-    """Reference vs fused-numpy (vs numba, when present) at each N."""
+    """Reference vs fused engine at each N."""
     scales = SMOKE_SCALE if smoke else FULL_SCALE
     baselines = json.loads(BASELINE_JSON.read_text())["speedup"]
     results = []
@@ -138,17 +135,6 @@ def test_kernel_throughput(report, smoke):
             slots,
         )
         assert unbatched_report == ref_report, "unbatched driver diverged"
-        numba_s = numba_speedup = None
-        if HAVE_NUMBA:
-            numba_s, numba_report = _timed_run(
-                schedule,
-                router,
-                SimConfig(engine="vectorized", kernels="numba"),
-                flows,
-                slots,
-            )
-            assert numba_report == ref_report, "numba kernels diverged"
-            numba_speedup = round(ref_s / numba_s, 2)
         phases = _phase_breakdown(schedule, router, flows, slots)
         results.append(
             {
@@ -160,8 +146,6 @@ def test_kernel_throughput(report, smoke):
                 "reference_slots_per_s": round(slots / ref_s, 1),
                 "vectorized_slots_per_s": round(slots / vec_s, 1),
                 "speedup": round(speedup, 2),
-                "numba_seconds": round(numba_s, 4) if numba_s else None,
-                "numba_speedup": numba_speedup,
                 "phase_ms_per_slot": phases,
                 "batch_sweep": {
                     "auto_slots_per_s": round(slots / vec_s, 1),
@@ -176,7 +160,6 @@ def test_kernel_throughput(report, smoke):
             f"fused {slots / vec_s:>8.1f} slots/s   "
             f"speedup {speedup:>6.2f}x"
             + (f" (gate >= {gate:.0f}x)" if gate else "")
-            + (f"   numba {numba_speedup:.2f}x" if numba_speedup else "")
             + f"   batching {unbatched_s / vec_s:.2f}x"
         )
 

@@ -31,29 +31,21 @@ def bench_environment():
     """Host metadata stamped into every ``BENCH_*.json`` payload.
 
     CI compares measurements across runners; without the python/numpy
-    versions, core count, and numba availability recorded alongside the
-    numbers, a cross-runner delta is uninterpretable.
+    versions and core count recorded alongside the numbers, a
+    cross-runner delta is uninterpretable.
     """
     import numpy
 
-    from repro.sim.kernels import HAVE_NUMBA
-
     from repro.exp.shm import posting_seen
 
-    env = {
+    return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "cpu_count": os.cpu_count(),
         "cpu_count_physical": _physical_cpu_count(),
         "platform": platform.platform(),
-        "numba": None,
         "shm_posting": posting_seen(),
     }
-    if HAVE_NUMBA:
-        import numba
-
-        env["numba"] = numba.__version__
-    return env
 
 
 def _physical_cpu_count():

@@ -24,7 +24,6 @@ identically — bit-for-bit — by both engines.
 
 from .flows import Cell, FlowState
 from .network import (
-    ArrayVoqState,
     LinkedVoqState,
     SimNetwork,
     clear_cube_pool,
@@ -78,7 +77,6 @@ __all__ = [
     "Cell",
     "FlowState",
     "SimNetwork",
-    "ArrayVoqState",
     "clear_cube_pool",
     "LinkedVoqState",
     "SlotSimulator",

@@ -6,7 +6,7 @@ evolution explicit::
 
     {
       "magic":  "sorn-checkpoint",
-      "schema": 1,
+      "schema": 2,
       "sha256": "<hex digest of the canonical payload JSON>",
       "payload": { ... }
     }
@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = "sorn-checkpoint"
-CHECKPOINT_SCHEMA = 1
+CHECKPOINT_SCHEMA = 2
 
 
 # -- array codec ---------------------------------------------------------------

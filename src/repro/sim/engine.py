@@ -376,15 +376,6 @@ class SimConfig:
         (:class:`repro.sim.vectorized.VectorizedEngine`), which produces
         identical results slot-for-slot (same RNG draws, same FIFO/lane
         order) at a fraction of the wall-clock cost.
-    kernels:
-        Kernel backend of the vectorized engine (ignored by the
-        reference engine).  ``"numpy"`` (default) runs the fused array
-        kernels in :mod:`repro.sim.kernels`; ``"numba"`` runs the
-        njit-compiled sequential drain kernel instead — and falls back
-        cleanly to the numpy path when numba is not installed
-        (:data:`repro.sim.kernels.HAVE_NUMBA`).  Both backends are
-        bit-exact against the reference engine; the differential fuzz
-        harness randomizes this axis.
     telemetry:
         Optional :class:`repro.sim.telemetry.TelemetryHub`.  Both
         engines feed the hub's collectors through the same event seam
@@ -433,7 +424,6 @@ class SimConfig:
     short_flow_threshold_cells: Optional[int] = None
     classify_fct_threshold_cells: Optional[int] = None
     engine: str = "reference"
-    kernels: str = "numpy"
     check_invariants: bool = False
     telemetry: Optional["TelemetryHub"] = None
     presample_chunk_cells: int = 65536
@@ -443,10 +433,6 @@ class SimConfig:
         if self.engine not in ("reference", "vectorized"):
             raise SimulationError(
                 f"engine must be 'reference' or 'vectorized', got {self.engine!r}"
-            )
-        if self.kernels not in ("numpy", "numba"):
-            raise SimulationError(
-                f"kernels must be 'numpy' or 'numba', got {self.kernels!r}"
             )
         if self.telemetry is not None and not isinstance(self.telemetry, TelemetryHub):
             raise SimulationError(

@@ -40,7 +40,7 @@ import numpy as np
 
 from ..errors import InvariantViolation
 from ..schedules.schedule import CircuitSchedule
-from .network import ArrayVoqState, LinkedVoqState, SimNetwork
+from .network import LinkedVoqState, SimNetwork
 
 __all__ = ["InvariantChecker"]
 
@@ -251,7 +251,7 @@ class InvariantChecker:
                 f"{injected_total}, delivered {delivered_total}, but "
                 f"{occupancy} cells in flight"
             )
-        if isinstance(network, (ArrayVoqState, LinkedVoqState)):
+        if isinstance(network, LinkedVoqState):
             qlen = network.qlen
             if qlen.size and int(qlen.min()) < 0:
                 self._fail(f"slot {slot}: negative VOQ counter (min {qlen.min()})")

@@ -25,12 +25,11 @@ kernels over :class:`repro.sim.network.LinkedVoqState`:
 - :func:`commit_pops` applies a validated walk: heads scatter to the
   post-walk cursors, emptied lanes reset their tails, and the drained
   counts leave ``qlen`` — again via unique-pair indexing.
-- :func:`drain_plane_seq` is the exact sequential fallback (and the
-  optional numba path): the reference drain semantics — circuits in
-  source order, lane priority, immediate forwarding, same-plane
-  cascades — expressed over the flat int32 tables only, so the very
-  same function body compiles under ``numba.njit`` when numba is
-  installed and runs as plain Python when it is not.
+- :func:`drain_plane_seq` is the exact sequential fallback: the
+  reference drain semantics — circuits in source order, lane priority,
+  immediate forwarding, same-plane cascades — expressed over the flat
+  int32 tables only, for cascade slots the optimistic walk cannot
+  commit.
 
 All kernels are allocation-conscious: scratch buffers (candidate
 matrices, pop/delivery staging) are preallocated once per session and
@@ -48,12 +47,6 @@ big per-lane ``(L, N, N)`` cursor cubes come from ``np.zeros`` (calloc —
 no page is touched until first use) instead of an eagerly written
 ``np.full(-1)``, which at N=4096 removes over a second of cold-start
 page-fault cost from every session construction.
-
-``SimConfig(kernels="numba")`` selects the njit-compiled sequential
-kernel for every plane; when numba is absent the engine falls back
-cleanly to the fused numpy path (``HAVE_NUMBA`` is the gate), producing
-identical results either way — the differential fuzz harness randomizes
-the ``kernels`` axis to enforce this.
 """
 
 from __future__ import annotations
@@ -63,25 +56,11 @@ from typing import Tuple
 import numpy as np
 
 __all__ = [
-    "HAVE_NUMBA",
     "append_cells",
     "walk_candidates",
     "commit_pops",
     "drain_plane_seq",
-    "drain_slots_batch",
-    "get_seq_kernel",
-    "get_batch_kernel",
 ]
-
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba
-    from numba import prange
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - the common case in CI images
-    numba = None
-    prange = range  # the plain-Python build walks the same loops serially
-    HAVE_NUMBA = False
 
 _EMPTY32 = np.empty(0, dtype=np.int32)
 
@@ -237,10 +216,6 @@ def drain_plane_seq(
     the same-slot multi-hop cascade).  Records every popped cell id in
     pop order (``out_cids``), whether it delivered (``out_del``) and the
     per-circuit counts (``out_got``); returns the number popped.
-
-    Written against numba's nopython subset (flat arrays, scalar loops)
-    so the identical body is the njit kernel when numba is available and
-    the cascade fallback when it is not.
     """
     pos = 0
     num_circuits = srcs.shape[0]
@@ -285,178 +260,3 @@ def drain_plane_seq(
                 break
         out_got[i] = got
     return pos
-
-
-def drain_slots_batch(
-    head,
-    tail,
-    nxt,
-    qlen,
-    routes,
-    rowlen,
-    ridx,
-    rhop,
-    rfid,
-    fwd_lane,
-    dest_block,
-    blk_cid,
-    blk_u,
-    blk_v,
-    blk_lane,
-    ends,
-    cur0,
-    budget,
-    out_cids,
-    out_slotidx,
-    inj_counts,
-    del_counts,
-    slot_max,
-    touched_u,
-    touched_v,
-):
-    """Advance a whole batch of slots over the flat tables.
-
-    One call runs ``B = dest_block.shape[0]`` consecutive slots of the
-    block-mode slot loop — presampled arrivals (``blk_*`` chunk arrays,
-    per-slot end offsets ``ends``, chunk-local cursor ``cur0``) followed
-    by every plane's exact sequential drain against its dense
-    destination row ``dest_block[b, p]`` — entirely inside one kernel,
-    so the per-slot Python driver cost is paid once per batch instead
-    of once per slot.  Reference semantics are verbatim per slot:
-    arrivals append in input order, planes drain in order, circuits in
-    source order with strict lane priority and immediate forwarding
-    (same-slot cascades included).
-
-    The caller guarantees the batch is *clean*: no failure edge, chunk
-    boundary, segment stop or arrival-horizon crossing inside it, and
-    no per-slot observers attached (the driver collapses the batch span
-    otherwise).
-
-    Records delivered cell ids in delivery order (``out_cids``) with
-    their batch-slot index (``out_slotidx``), per-slot injected and
-    delivered counts, and the end-of-slot max VOQ length over the pairs
-    touched this slot (``slot_max``, using the ``touched_u/v`` scratch;
-    the max scan is a ``prange`` reduction under the parallel numba
-    build).  Returns ``(new chunk-local cursor, delivered total)``.
-
-    Written against numba's nopython subset so the identical body
-    compiles under ``numba.njit(parallel=True)`` and runs as plain
-    Python when numba is absent — the batched fuzz/equivalence tests
-    exercise the plain build, the weekly numba CI lane the compiled
-    one.
-    """
-    nslots = dest_block.shape[0]
-    num_planes = dest_block.shape[1]
-    num_nodes = dest_block.shape[2]
-    num_lanes = head.shape[0]
-    cur = cur0
-    pos = 0
-    for b in range(nslots):
-        tcount = 0
-        # -- presampled arrivals of this slot (block-mode append) -----
-        end = ends[b]
-        inj_counts[b] = end - cur
-        while cur < end:
-            cid = blk_cid[cur]
-            lane = blk_lane[cur]
-            u = blk_u[cur]
-            v = blk_v[cur]
-            told = tail[lane, u, v]
-            nxt[cid] = 0
-            if told == 0:
-                head[lane, u, v] = cid
-            else:
-                nxt[told] = cid
-            tail[lane, u, v] = cid
-            qlen[u, v] += 1
-            touched_u[tcount] = u
-            touched_v[tcount] = v
-            tcount += 1
-            cur += 1
-        # -- per-plane exact sequential drains ------------------------
-        del0 = pos
-        for p in range(num_planes):
-            for s in range(num_nodes):
-                d = dest_block[b, p, s]
-                if d < 0:
-                    continue
-                got = 0
-                for lane in range(num_lanes):
-                    while got < budget:
-                        cid = head[lane, s, d]
-                        if cid == 0:
-                            break
-                        nx = nxt[cid]
-                        head[lane, s, d] = nx
-                        if nx == 0:
-                            tail[lane, s, d] = 0
-                        qlen[s, d] -= 1
-                        got += 1
-                        r = ridx[cid]
-                        h = rhop[cid]
-                        if h == rowlen[r] - 2:
-                            out_cids[pos] = cid
-                            out_slotidx[pos] = b
-                            pos += 1
-                        else:
-                            h += 1
-                            rhop[cid] = h
-                            u = routes[r, h]
-                            v = routes[r, h + 1]
-                            fl = fwd_lane[rfid[cid]]
-                            told = tail[fl, u, v]
-                            nxt[cid] = 0
-                            if told == 0:
-                                head[fl, u, v] = cid
-                            else:
-                                nxt[told] = cid
-                            tail[fl, u, v] = cid
-                            qlen[u, v] += 1
-                            touched_u[tcount] = u
-                            touched_v[tcount] = v
-                            tcount += 1
-                    if got >= budget:
-                        break
-        del_counts[b] = pos - del0
-        # -- end-of-slot stats: max VOQ over this slot's touched pairs
-        m = 0
-        for t in prange(tcount):
-            q = qlen[touched_u[t], touched_v[t]]
-            m = max(m, q)
-        slot_max[b] = m
-    return cur, pos
-
-
-_seq_jit = None
-_batch_jit = None
-
-
-def get_batch_kernel(use_numba: bool):
-    """The batched slot driver kernel for the requested mode.
-
-    ``use_numba=True`` returns (and lazily compiles, once per process)
-    the parallel njit build of :func:`drain_slots_batch`; anything else
-    returns the plain Python function, which is semantically identical.
-    """
-    global _batch_jit
-    if use_numba and HAVE_NUMBA:  # pragma: no cover - needs numba
-        if _batch_jit is None:
-            _batch_jit = numba.njit(cache=True, parallel=True)(drain_slots_batch)
-        return _batch_jit
-    return drain_slots_batch
-
-
-def get_seq_kernel(use_numba: bool):
-    """The sequential drain kernel for the requested mode.
-
-    ``use_numba=True`` returns (and lazily compiles, once per process)
-    the njit build of :func:`drain_plane_seq`; anything else — including
-    ``kernels="numba"`` on a machine without numba — returns the plain
-    Python function, which is semantically identical.
-    """
-    global _seq_jit
-    if use_numba and HAVE_NUMBA:  # pragma: no cover - needs numba
-        if _seq_jit is None:
-            _seq_jit = numba.njit(cache=True)(drain_plane_seq)
-        return _seq_jit
-    return drain_plane_seq

@@ -31,7 +31,6 @@ from .flows import Cell
 
 __all__ = [
     "SimNetwork",
-    "ArrayVoqState",
     "LinkedVoqState",
     "clear_cube_pool",
     "transit_priority_lane",
@@ -199,89 +198,6 @@ class SimNetwork:
         self._occupancy += 1
 
 
-class ArrayVoqState:
-    """Array-backed VOQ bookkeeping for the vectorized engine.
-
-    Queue *contents* (integer cell ids into the engine's cell tables)
-    live in per-(node, neighbor) strict-priority lane deques, exactly
-    mirroring :class:`SimNetwork`'s FIFO/lane discipline; all *counters*
-    — the dense ``(N, N)`` per-VOQ occupancy matrix and the fabric total
-    — are NumPy state updated in per-slot batches.  Per-slot statistics
-    (max VOQ length, total occupancy) become O(N^2) array reductions
-    instead of fabric-wide Python scans over every deque, which is one
-    of the two hot spots of the reference engine at scale.
-
-    Exposes the same statistics accessors as :class:`SimNetwork`
-    (``total_occupancy``, ``max_voq_length``, ``queue_length``,
-    ``node_backlog``, ``backlogs``) so :class:`repro.sim.tracing.
-    TraceRecorder` works with either engine unchanged.
-    """
-
-    def __init__(self, num_nodes: int, num_lanes: int = 2):
-        if num_nodes < 2:
-            raise SimulationError("need at least 2 nodes")
-        if num_lanes < 1:
-            raise SimulationError("need at least one lane")
-        self.num_nodes = int(num_nodes)
-        self.num_lanes = int(num_lanes)
-        #: Dense (node, neighbor) grid of lane-deque lists, created lazily
-        #: (None until first use) so the hot loops index two plain lists
-        #: instead of hashing dict keys.
-        self.voqs: List[List[Optional[List[Deque[int]]]]] = [
-            [None] * self.num_nodes for _ in range(self.num_nodes)
-        ]
-        #: Dense per-(node, neighbor) queue lengths, all lanes summed.
-        self.qlen = np.zeros((self.num_nodes, self.num_nodes), dtype=np.int64)
-        self._occupancy = 0
-
-    def lanes(self, node: int, neighbor: int) -> List[Deque[int]]:
-        """The lane deques of VOQ (node -> neighbor), created on demand."""
-        row = self.voqs[node]
-        voq = row[neighbor]
-        if voq is None:
-            voq = row[neighbor] = [deque() for _ in range(self.num_lanes)]
-        return voq
-
-    def add_cells(self, nodes, neighbors) -> None:
-        """Counter-account a batch of enqueued cells.
-
-        The caller appends the cell ids to the lane deques itself (order
-        matters there); this records the same batch against the dense
-        occupancy matrix and the fabric total in one scatter update.
-        *nodes* / *neighbors* are index-aligned sequences or arrays.
-        """
-        np.add.at(self.qlen, (nodes, neighbors), 1)
-        self._occupancy += len(nodes)
-
-    def drain_circuits(self, srcs, dsts, counts: np.ndarray) -> None:
-        """Counter-account one slot's circuit transmissions: ``counts[i]``
-        cells left VOQ (srcs[i], dsts[i]).  The caller pops the deques
-        itself during the (order-sensitive) drain; counters batch here."""
-        np.add.at(self.qlen, (srcs, dsts), np.negative(counts))
-        self._occupancy -= int(counts.sum())
-
-    def queue_length(self, node: int, neighbor: int) -> int:
-        """Cells queued at *node* toward *neighbor* (all lanes)."""
-        return int(self.qlen[node, neighbor])
-
-    def node_backlog(self, node: int) -> int:
-        """Total cells queued at *node* across all VOQs."""
-        return int(self.qlen[node].sum())
-
-    @property
-    def total_occupancy(self) -> int:
-        """Cells in flight anywhere in the fabric."""
-        return self._occupancy
-
-    def max_voq_length(self) -> int:
-        """Longest single VOQ in the fabric (burst/buffering metric)."""
-        return int(self.qlen.max())
-
-    def backlogs(self) -> List[int]:
-        """Per-node total backlogs."""
-        return [int(v) for v in self.qlen.sum(axis=1)]
-
-
 # Recycled (head, tail, qlen) cube triples, keyed by (num_lanes,
 # num_nodes), at most one triple per key.  At N=4096 the two (L, N, N)
 # cursor cubes span ~268 MiB each; allocating them fresh per session
@@ -333,14 +249,14 @@ class LinkedVoqState:
     :mod:`repro.sim.kernels` for the kernels that operate on this state).
 
     FIFO-per-lane and strict lane priority are preserved exactly:
-    ``head → nxt → ... → tail`` *is* the deque order
-    :class:`ArrayVoqState` keeps, so the fused engine inherits the
+    ``head → nxt → ... → tail`` *is* the per-lane deque order
+    :class:`SimNetwork` keeps, so the fused engine inherits the
     reference engine's service discipline unchanged.
 
-    Exposes the same statistics accessors as :class:`SimNetwork` /
-    :class:`ArrayVoqState` (``total_occupancy``, ``max_voq_length``,
-    ``queue_length``, ``node_backlog``, ``backlogs``) so tracers,
-    telemetry collectors and the invariant checker observe it unchanged.
+    Exposes the same statistics accessors as :class:`SimNetwork`
+    (``total_occupancy``, ``max_voq_length``, ``queue_length``,
+    ``node_backlog``, ``backlogs``) so tracers, telemetry collectors and
+    the invariant checker observe it unchanged.
     """
 
     def __init__(self, num_nodes: int, num_lanes: int = 2):

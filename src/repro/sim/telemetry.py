@@ -16,7 +16,7 @@ same narrow seam the :class:`repro.sim.invariants.InvariantChecker` and
   the engine's fabric-state view (``total_occupancy``, ``backlogs()``,
   ``max_voq_length()`` — the accessor set both
   :class:`repro.sim.network.SimNetwork` and
-  :class:`repro.sim.network.ArrayVoqState` provide).
+  :class:`repro.sim.network.LinkedVoqState` provide).
 
 A :class:`TelemetryHub` fans these events out to registered
 :class:`TelemetryCollector` instances.  Because both engines emit the

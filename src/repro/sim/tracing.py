@@ -9,7 +9,7 @@ measurement window opens, and to detect queue blow-up under overload.
 The recorder is engine-agnostic: it reads fabric state only through the
 ``total_occupancy`` property and ``max_voq_length()`` method, which both
 :class:`repro.sim.network.SimNetwork` (reference engine) and
-:class:`repro.sim.network.ArrayVoqState` (vectorized engine) provide, so
+:class:`repro.sim.network.LinkedVoqState` (vectorized engine) provide, so
 identical runs under either engine produce identical traces.
 
 The same state-access seam now also powers the pluggable telemetry layer

@@ -42,8 +42,7 @@ overwhelming majority — commit entirely in array code; cascade planes
 are either repaired in place (single-cell circuits with no event
 consumers: a tiny Python pass over exactly the affected circuits) or
 replayed through the exact sequential kernel
-(:func:`repro.sim.kernels.drain_plane_seq`, also the optional
-``SimConfig(kernels="numba")`` njit path).  All paths are bit-exact.
+(:func:`repro.sim.kernels.drain_plane_seq`).  All paths are bit-exact.
 
 **Exactness contract.**  Given the same (schedule, router, config, rng
 seed, workload), the vectorized engine reproduces the reference engine's
@@ -78,12 +77,10 @@ from ..traffic.workload import FlowSpec
 from ..util import check_positive_int, ensure_rng
 from .engine import SimSession
 from .kernels import (
-    HAVE_NUMBA,
     _EMPTY32,
     append_cells,
     commit_pops,
-    get_batch_kernel,
-    get_seq_kernel,
+    drain_plane_seq,
     walk_candidates,
 )
 from .metrics import SimReport
@@ -165,8 +162,7 @@ class VectorizedSession(SimSession):
     few-element Python pass over exactly the affected circuits) or
     replays the whole plane through the exact sequential kernel
     (:func:`repro.sim.kernels.drain_plane_seq`).  All three paths are
-    bit-exact; ``SimConfig(kernels="numba")`` forces the sequential
-    kernel (njit-compiled when numba is installed) for every plane.
+    bit-exact.
     """
 
     _engine_name = "vectorized"
@@ -274,8 +270,6 @@ class VectorizedSession(SimSession):
             or self._rec_tx is not None
             or self._rec_del is not None
         )
-        self._force_seq = config.kernels == "numba" and HAVE_NUMBA
-        self._seq_kernel = get_seq_kernel(config.kernels == "numba")
 
         self.network = LinkedVoqState(num_nodes, num_lanes=num_lanes)
         self._install_schedule(engine.schedule)
@@ -377,10 +371,10 @@ class VectorizedSession(SimSession):
         self._out_got = np.zeros(num_nodes, dtype=np.int64)
 
         # --- Slot batching ---------------------------------------------
-        # The driver advances up to _batch_cap slots per outer iteration
-        # when no per-slot observer is attached (telemetry hub incl.
-        # profiler, tracer, invariant checker) and injection is block
-        # mode; _batch_span further collapses each batch at segment
+        # The driver advances spans of up to _batch_cap slots per outer
+        # iteration when no per-slot observer is attached (telemetry hub
+        # incl. profiler, tracer, invariant checker) and injection is
+        # block mode; _batch_span further shortens each span at segment
         # stops, failure edges, the arrival horizon and chunk
         # boundaries.  Results are bit-identical at every cap.
         sb = config.slot_batch
@@ -393,10 +387,6 @@ class VectorizedSession(SimSession):
         ):
             cap = 1
         self._batch_cap = cap
-        # kernels="numba" drives whole batches through the fused
-        # nopython driver kernel; the numpy mode keeps the vectorized
-        # per-plane walk and batches only the Python driver around it.
-        self._batch_kernel = get_batch_kernel(True) if self._force_seq else None
 
     def _install_schedule(self, new_schedule: CircuitSchedule) -> None:
         # Everything slot-periodic is derived from the schedule and must
@@ -711,20 +701,14 @@ class VectorizedSession(SimSession):
         self._prof_attr += dt
         return now
 
-    def _drain_seq(
-        self, slot: int, plane: int, srcs, dsts, phase: str = "drain"
-    ) -> np.ndarray:
-        """Exact sequential drain of one plane (fallback / numba path).
-
-        *phase* names the profiler sub-phase this pass bills to:
-        ``"drain"`` when the sequential kernel is the chosen path
-        (``kernels="numba"``), ``"repair"`` when it replays a cascade
-        slot the vectorized walk had to abandon.
-        """
+    def _drain_seq(self, slot: int, plane: int, srcs, dsts) -> np.ndarray:
+        """Exact sequential replay of one plane: the cascade slots the
+        vectorized walk had to abandon.  Billed to the profiler's
+        ``"repair"`` sub-phase."""
         prof = self._prof
         t0 = perf_counter() if prof is not None else 0.0
         state = self.network
-        npop = self._seq_kernel(
+        npop = drain_plane_seq(
             state.head,
             state.tail,
             self._nxt,
@@ -744,7 +728,7 @@ class VectorizedSession(SimSession):
         )
         if npop == 0:
             if prof is not None:
-                self._prof_add(phase, t0)
+                self._prof_add("repair", t0)
             return _EMPTY32
         popped = self._out_cids[:npop]
         delm = self._out_del[:npop].astype(bool)
@@ -760,29 +744,26 @@ class VectorizedSession(SimSession):
                 (self._routes[rows, hops], self._routes[rows, hops + 1])
             )
         if prof is not None:
-            self._prof_add(phase, t0)
+            self._prof_add("repair", t0)
         return popped[delm]
 
     def _drain_plane(self, slot: int, plane: int, srcs, dsts, dst_row) -> np.ndarray:
         """Drain one plane's active circuits; returns the delivered cell
         ids in exact delivery (circuit-major pop) order.
 
-        Dispatch layer: the sequential kernel when forced, otherwise the
-        vectorized walk over only the circuits whose VOQ pair is
-        nonempty — a paper-scale plane matches N circuits but usually
-        only a few dozen have queued cells, and every per-circuit
-        gather/scatter in the walk and commit scales with the circuit
-        count.  Filtering cannot change cascade-free semantics (a
-        circuit with an empty pair pops nothing and commits nothing);
-        cascade detection still checks forwards against the *full*
-        matching row, and any hit re-runs the full circuit set — a
-        forwarded cell may land on, and be drained by, a circuit whose
+        Dispatch layer: the vectorized walk over only the circuits whose
+        VOQ pair is nonempty — a paper-scale plane matches N circuits
+        but usually only a few dozen have queued cells, and every
+        per-circuit gather/scatter in the walk and commit scales with
+        the circuit count.  Filtering cannot change cascade-free
+        semantics (a circuit with an empty pair pops nothing and commits
+        nothing); cascade detection still checks forwards against the
+        *full* matching row, and any hit re-runs the full circuit set —
+        a forwarded cell may land on, and be drained by, a circuit whose
         pair started the slot empty.
         """
         if srcs.shape[0] == 0:
             return _EMPTY32
-        if self._force_seq:
-            return self._drain_seq(slot, plane, srcs, dsts)
         live = self.network.qlen[srcs, dsts] > 0
         if live.all():
             return self._drain_vec(slot, plane, srcs, dsts, dst_row, srcs, dsts)
@@ -842,9 +823,7 @@ class VectorizedSession(SimSession):
                 if budget != 1 or self._emit:
                     if prof is not None:
                         self._prof_add("drain", t)
-                    return self._drain_seq(
-                        slot, plane, full_srcs, full_dsts, phase="repair"
-                    )
+                    return self._drain_seq(slot, plane, full_srcs, full_dsts)
                 # With budget == 1 the flat pop positions are circuit
                 # indices, so position comparisons are source-id
                 # comparisons and work identically on a filtered subset:
@@ -1133,15 +1112,14 @@ class VectorizedSession(SimSession):
                 rec_tx(slot, plane, src_l[i], dst_l[i], count)
 
     def _account_deliveries_batch(self, cids: np.ndarray, slots: np.ndarray) -> None:
-        """Fold a whole batch's deliveries into the per-flow ledgers.
+        """Fold a span's deliveries into the per-flow ledgers.
 
-        Equivalent to calling :meth:`_account_deliveries` once per
-        (slot, plane) with that drain's deliveries: counts and hop
-        totals are additive, and a flow's completion slot is the slot
-        of the delivery that made its count reach its size — located
-        here as the k-th of the flow's in-batch deliveries (the stable
-        sort by flow preserves delivery order, which is
-        slot-ascending).
+        *cids* are the span's delivered cell ids in delivery order and
+        *slots* the slot of each delivery.  Counts and hop totals are
+        additive, and a flow's completion slot is the slot of the
+        delivery that made its count reach its size — located here as
+        the k-th of the flow's in-span deliveries (the stable sort by
+        flow preserves delivery order, which is slot-ascending).
         """
         fids = self._rfid[cids]
         hops = self._rowlen[self._ridx[cids]].astype(np.int64) - 1
@@ -1159,12 +1137,12 @@ class VectorizedSession(SimSession):
             self._fcompletion[uniq[compm]] = slots[order][starts + kth]
 
     def _batch_span(self, slot: int, stop: Optional[int]) -> int:
-        """Largest clean batch span starting at *slot*: bounded by the
-        batch cap, the segment stop, the arrival horizon, the next
-        failure edge, and the presampled chunk's remaining arrivals —
-        so every boundary-sensitive slot (checkpoint, schedule swap,
-        failure mask, chunk refill, drain phase) is handled by the
-        exact per-slot path."""
+        """Largest clean span starting at *slot*: bounded by the batch
+        cap, the segment stop, the arrival horizon, the next failure
+        edge, and the presampled chunk's remaining arrivals — so spans
+        end at every segment stop (checkpoint, schedule swap) and at the
+        horizon, and fault-masked and chunk-refill slots run as spans of
+        one.  Returns 0 on a slot under an active fault."""
         hi = slot + self._batch_cap
         if hi > self.duration_slots:
             hi = self.duration_slots
@@ -1177,25 +1155,24 @@ class VectorizedSession(SimSession):
                 hi = edge
         if hi - slot < 2:
             return hi - slot
-        # Every arrival in the span must already be presampled; the
-        # per-slot path handles the chunk-refill crossing.
+        # Every arrival in the span must already be presampled; a slot
+        # that crosses into the next chunk starts a span of its own.
         hi = bisect_right(self._slot_end, self._blk_hi, slot, hi)
         return hi - slot
-
-    def _account_deliveries(self, slot: int, deliv_cids: np.ndarray) -> None:
-        """Fold one plane's deliveries into the per-flow ledgers."""
-        fids = self._rfid[deliv_cids]
-        hops = self._rowlen[self._ridx[deliv_cids]].astype(np.int64) - 1
-        uniq, inverse = np.unique(fids, return_inverse=True)
-        self._fdcount[uniq] += np.bincount(inverse)
-        self._fhoptot[uniq] += np.bincount(inverse, weights=hops).astype(np.int64)
-        completed = uniq[self._fdcount[uniq] == self._fsizes[uniq]]
-        if completed.size:
-            self._fcompletion[completed] = slot
 
     # -- the slot loop ---------------------------------------------------------
 
     def _advance(self, stop: Optional[int]) -> None:
+        """Run until slot *stop* (``None``: the end of the run).
+
+        One loop over spans.  Each iteration takes a span of ``B``
+        slots — ``B`` from :meth:`_batch_span` while batching is on and
+        the arrival horizon lies ahead, else 1 — runs the one slot body
+        ``B`` times, then folds the span's deliveries into the flow
+        ledgers and makes the horizon/drain decision once.  An
+        unbatched run is a sequence of spans of one through the same
+        body, so every batch setting executes the same state machine.
+        """
         if self._done:
             return
         config = self.config
@@ -1203,8 +1180,6 @@ class VectorizedSession(SimSession):
         checker = self._checker
         rec_sample = self._rec_sample
         prof = self._prof
-        if prof is not None:
-            from time import perf_counter
         tracer = self._tracer
         duration_slots = self.duration_slots
         measure_from = self.measure_from
@@ -1212,14 +1187,16 @@ class VectorizedSession(SimSession):
         inj = self._inj
         network = self.network
         qlen = network.qlen
+        num_nodes = self.num_nodes
         window = self._window
-        num_planes = self.schedule.num_planes
-        period = self.schedule.period
-        dest_table = self._dest_table
         schedule = self.schedule
+        num_planes = schedule.num_planes
+        period = schedule.period
+        dest_table = self._dest_table
         slot_end = self._slot_end
         arrivals = self._arrivals
         slot_pairs = self._slot_pairs
+        batch_cap = self._batch_cap
         occupancy_sum = self._occupancy_sum
         max_voq = self._max_voq
         window_delivered = self._window_delivered
@@ -1229,330 +1206,170 @@ class VectorizedSession(SimSession):
         cursor = self._cursor
         slot = self.slot
 
-        batch_cap = self._batch_cap
-        batch_kernel = self._batch_kernel
-        num_nodes = self.num_nodes
-        budget = self._budget
-
-        while True:
-            if stop is not None and slot >= stop:
-                break
-
-            # -- batched fast path ------------------------------------
-            # Advance a whole clean span of slots per driver iteration;
-            # _batch_span collapses to <2 wherever a boundary-sensitive
-            # slot needs the exact per-slot body below.
+        while stop is None or slot < stop:
             if batch_cap > 1 and slot < duration_slots:
-                B = self._batch_span(slot, stop)
-                if B > 1 and batch_kernel is not None:
-                    # Whole batch inside the fused nopython driver
-                    # kernel (kernels="numba"): arrivals + every
-                    # plane's exact sequential drain for B slots in
-                    # one call.
-                    rows = np.arange(slot, slot + B) % period
-                    dest_block = np.ascontiguousarray(dest_table[rows])
-                    blk_base = self._blk_base
-                    ends = (
-                        np.asarray(slot_end[slot : slot + B], dtype=np.int64)
-                        - blk_base
-                    )
-                    cur0 = cursor - blk_base
-                    diffs = np.diff(np.concatenate(([cur0], ends)))
-                    plane_cap = num_planes * num_nodes * budget
-                    touch_cap = int(diffs.max(initial=0)) + plane_cap
-                    del_cap = B * plane_cap
-                    out_cids = np.empty(del_cap, dtype=np.int32)
-                    out_slotidx = np.empty(del_cap, dtype=np.int32)
-                    inj_counts = np.zeros(B, dtype=np.int64)
-                    del_counts = np.zeros(B, dtype=np.int64)
-                    slot_max = np.zeros(B, dtype=np.int32)
-                    touched_u = np.empty(touch_cap, dtype=np.int32)
-                    touched_v = np.empty(touch_cap, dtype=np.int32)
-                    occ0 = network.total_occupancy
-                    newcur, ndel = batch_kernel(
-                        network.head,
-                        network.tail,
-                        self._nxt,
-                        qlen,
-                        self._routes,
-                        self._rowlen,
-                        self._ridx,
-                        self._rhop,
-                        self._rfid,
-                        self._fwd_lane,
-                        dest_block,
-                        self._blk_cid,
-                        self._blk_u,
-                        self._blk_v,
-                        self._blk_lane,
-                        ends,
-                        cur0,
-                        budget,
-                        out_cids,
-                        out_slotidx,
-                        inj_counts,
-                        del_counts,
-                        slot_max,
-                        touched_u,
-                        touched_v,
-                    )
-                    ndel = int(ndel)
-                    cursor = int(newcur) + blk_base
-                    ninj = int(inj_counts.sum())
-                    network.credit(ninj)
-                    network.debit(ndel)
-                    injected_running += ninj
-                    delivered_running += ndel
-                    occupancy_sum += int(
-                        (occ0 + np.cumsum(inj_counts - del_counts)).sum()
-                    )
-                    mv = int(slot_max.max())
-                    if mv > max_voq:
-                        max_voq = mv
-                    first_meas = max(slot, measure_from)
-                    if first_meas < slot + B:
-                        window_delivered += int(
-                            del_counts[first_meas - slot :].sum()
-                        )
-                    if ndel:
-                        self._account_deliveries_batch(
-                            out_cids[:ndel],
-                            slot + out_slotidx[:ndel].astype(np.int64),
-                        )
-                    slot += B
-                    if slot >= duration_slots:
-                        # Same termination decision the per-slot body
-                        # makes at the horizon (a batch never spans
-                        # past duration_slots, so the max-drain bound
-                        # cannot trigger here).
-                        pending = (
-                            network.total_occupancy > 0 or partial_flows > 0
-                        )
-                        if not (config.drain and pending):
-                            self.horizon = slot
-                            self._done = True
-                            break
-                    continue
-                if B > 1:
-                    # Lean Python batch (numpy mode): the per-plane
-                    # vectorized drains stay per (slot, plane) — the
-                    # state dependency between slots is real — but the
-                    # driver glue (observer checks, timeline probes,
-                    # horizon checks, delivery folding) is paid once
-                    # per batch.
-                    dchunks: List = []  # (slot, delivered cids)
-                    for s in range(slot, slot + B):
+                span_end = slot + max(1, self._batch_span(slot, stop))
+            else:
+                span_end = slot + 1
+            # Each delivering drain's slot and cell ids, in delivery order.
+            dslots: List[int] = []
+            dcids: List[np.ndarray] = []
+            forward_s = 0.0
+            for s in range(slot, span_end):
+                if prof is not None:
+                    lap = perf_counter()
+                if s < duration_slots:
+                    if slot_end is not None:
+                        # Block mode: the arrival batch IS the next
+                        # block slice (ledger preset during
+                        # presampling).  A slot whose batch crosses a
+                        # chunk boundary appends in pieces — FIFO
+                        # order, credits and scatter pairs are
+                        # unaffected by the split.
                         end = slot_end[s]
-                        if end > cursor:
-                            count = end - cursor
-                            b0 = cursor - self._blk_base
-                            e0 = end - self._blk_base
+                        while end > cursor:
+                            if cursor >= self._blk_hi:
+                                self._refill_block_chunk()
+                            stop_at = min(end, self._blk_hi)
+                            b = cursor - self._blk_base
+                            e = stop_at - self._blk_base
                             pu, pv = append_cells(
                                 network.head,
                                 network.tail,
                                 self._nxt,
                                 qlen,
-                                self._blk_cid[b0:e0],
-                                self._blk_u[b0:e0],
-                                self._blk_v[b0:e0],
-                                self._blk_lane[b0:e0],
+                                self._blk_cid[b:e],
+                                self._blk_u[b:e],
+                                self._blk_v[b:e],
+                                self._blk_lane[b:e],
                                 network.num_lanes,
                                 num_nodes,
                             )
                             slot_pairs.append((pu, pv))
-                            network.credit(count)
-                            injected_running += count
-                            cursor = end
-                        row = s % period
-                        for plane in range(num_planes):
-                            srcs, dsts = schedule.active_circuits(row, plane)
-                            deliv = self._drain_plane(
-                                s, plane, srcs, dsts, dest_table[row, plane]
-                            )
-                            if deliv.size:
-                                network.debit(deliv.size)
-                                delivered_running += deliv.size
-                                if s >= measure_from:
-                                    window_delivered += deliv.size
-                                dchunks.append((s, deliv))
-                        occupancy_sum += network.total_occupancy
-                        if slot_pairs:
-                            if len(slot_pairs) == 1:
-                                gu, gv = slot_pairs[0]
-                            else:
-                                gu = np.concatenate([p[0] for p in slot_pairs])
-                                gv = np.concatenate([p[1] for p in slot_pairs])
-                            if gu.size:
-                                voq_now = int(qlen[gu, gv].max())
-                                if voq_now > max_voq:
-                                    max_voq = voq_now
-                            slot_pairs.clear()
-                    if dchunks:
-                        if len(dchunks) == 1:
-                            s0, c0 = dchunks[0]
-                            cids = c0
-                            slots_arr = np.full(c0.size, s0, dtype=np.int64)
-                        else:
-                            cids = np.concatenate([c for _, c in dchunks])
-                            slots_arr = np.repeat(
-                                np.asarray(
-                                    [s for s, _ in dchunks], dtype=np.int64
-                                ),
-                                [c.size for _, c in dchunks],
-                            )
-                        self._account_deliveries_batch(cids, slots_arr)
-                    slot += B
-                    if slot >= duration_slots:
-                        # Same termination decision the per-slot body
-                        # makes at the horizon (a batch never spans
-                        # past duration_slots, so the max-drain bound
-                        # cannot trigger here).
-                        pending = (
-                            network.total_occupancy > 0 or partial_flows > 0
+                            network.credit(stop_at - cursor)
+                            injected_running += stop_at - cursor
+                            cursor = stop_at
+                    else:
+                        batch: List[int] = []
+                        for f in arrivals.get(s, ()):  # new arrivals
+                            sz = sizes_l[f]
+                            quota = min(window, sz)
+                            inj[f] = quota
+                            if quota < sz:
+                                partial_flows += 1
+                            batch.extend([f] * quota)
+                        if batch:
+                            injected_running += self._inject_batch(batch, s)
+                if prof is not None:
+                    lap = prof.lap("inject", lap)
+
+                # One matching per plane; the kernels preserve
+                # source-order drain with immediate forwarding (module
+                # docstring), so same-plane cascades behave exactly as
+                # in the reference engine.
+                row = s % period
+                faulted = timeline is not None and timeline.affects(s)
+                deliv_fids: List[np.ndarray] = []  # windowed refill input
+                for plane in range(num_planes):
+                    if faulted:
+                        # Masked slots bypass the periodic table row:
+                        # mask the dense destination row for this
+                        # absolute slot exactly as the reference engine
+                        # masks its Matching.
+                        dst_row = timeline.mask_dst_row(
+                            dest_table[row, plane], s, plane
                         )
-                        if not (config.drain and pending):
-                            self.horizon = slot
-                            self._done = True
-                            break
-                    continue
+                        srcs = np.flatnonzero(dst_row >= 0)
+                        dsts = dst_row[srcs]
+                    else:
+                        srcs, dsts = schedule.active_circuits(row, plane)
+                        dst_row = dest_table[row, plane]
+                    deliv = self._drain_plane(s, plane, srcs, dsts, dst_row)
+                    if deliv.size:
+                        network.debit(deliv.size)
+                        delivered_running += deliv.size
+                        if s >= measure_from:
+                            window_delivered += deliv.size
+                        dslots.append(s)
+                        dcids.append(deliv)
+                        if window is not None:
+                            deliv_fids.append(self._rfid[deliv])
+                if prof is not None:
+                    now = perf_counter()
+                    forward_s += (now - lap) - self._prof_attr
+                    self._prof_attr = 0.0
+                    lap = now
+
+                # Windowed flows refill as their cells deliver.
+                if deliv_fids:
+                    delivered_fids = (
+                        deliv_fids[0]
+                        if len(deliv_fids) == 1
+                        else np.concatenate(deliv_fids)
+                    )
+                    refill: List[int] = []
+                    for f in delivered_fids.tolist():
+                        x = inj[f]
+                        if x < sizes_l[f]:
+                            x += 1
+                            inj[f] = x
+                            if x == sizes_l[f]:
+                                partial_flows -= 1
+                            refill.append(f)
+                    if refill:
+                        injected_running += self._inject_batch(refill, s)
+
+                if checker is not None:
+                    checker.end_slot(s, network, injected_running, delivered_running)
+                occupancy_sum += network.total_occupancy
+                if slot_pairs:
+                    # Only VOQs that received cells this slot can set a
+                    # new max; gather those instead of scanning the
+                    # (N, N) grid.
+                    if len(slot_pairs) == 1:
+                        gu, gv = slot_pairs[0]
+                    else:
+                        gu = np.concatenate([p[0] for p in slot_pairs])
+                        gv = np.concatenate([p[1] for p in slot_pairs])
+                    if gu.size:
+                        voq_now = int(qlen[gu, gv].max())
+                        if voq_now > max_voq:
+                            max_voq = voq_now
+                    slot_pairs.clear()
+                if tracer is not None:
+                    tracer.record(s, network, delivered_running)
+                if rec_sample is not None:
+                    rec_sample(s, network, delivered_running)
+                if prof is not None:
+                    prof.lap("stats", lap)
 
             if prof is not None:
                 lap = perf_counter()
-            if slot < duration_slots:
-                if slot_end is not None:
-                    # Block mode: the arrival batch IS the next block
-                    # slice (ledger preset during presampling).  A slot
-                    # whose batch crosses a chunk boundary appends in
-                    # pieces — FIFO order, credits and scatter pairs are
-                    # unaffected by the split.
-                    end = slot_end[slot]
-                    while end > cursor:
-                        if cursor >= self._blk_hi:
-                            self._refill_block_chunk()
-                        stop_at = min(end, self._blk_hi)
-                        count = stop_at - cursor
-                        b = cursor - self._blk_base
-                        e = stop_at - self._blk_base
-                        state = network
-                        pu, pv = append_cells(
-                            state.head,
-                            state.tail,
-                            self._nxt,
-                            state.qlen,
-                            self._blk_cid[b:e],
-                            self._blk_u[b:e],
-                            self._blk_v[b:e],
-                            self._blk_lane[b:e],
-                            state.num_lanes,
-                            self.num_nodes,
-                        )
-                        slot_pairs.append((pu, pv))
-                        state.credit(count)
-                        injected_running += count
-                        cursor = stop_at
+            if dcids:
+                if len(dcids) == 1:
+                    cids = dcids[0]
+                    slots_arr = np.full(cids.size, dslots[0], dtype=np.int64)
                 else:
-                    batch: List[int] = []
-                    for f in arrivals.get(slot, ()):  # new arrivals
-                        sz = sizes_l[f]
-                        quota = min(window, sz)
-                        inj[f] = quota
-                        if quota < sz:
-                            partial_flows += 1
-                        batch.extend([f] * quota)
-                    if batch:
-                        injected_running += self._inject_batch(batch, slot)
-            if prof is not None:
-                lap = prof.lap("inject", lap)
-
-            # One matching per plane; the kernels preserve source-order
-            # drain with immediate forwarding (module docstring), so
-            # same-plane cascades behave exactly as in the reference
-            # engine.
-            faulted_slot = timeline is not None and timeline.affects(slot)
-            deliv_chunks: List[np.ndarray] = []
-            for plane in range(num_planes):
-                if faulted_slot:
-                    # Masked slots bypass the periodic table row: mask
-                    # the dense destination row for this absolute slot
-                    # exactly as the reference engine masks its Matching.
-                    dst_row = timeline.mask_dst_row(
-                        dest_table[slot % period, plane], slot, plane
+                    cids = np.concatenate(dcids)
+                    slots_arr = np.repeat(
+                        np.asarray(dslots, dtype=np.int64),
+                        [c.size for c in dcids],
                     )
-                    srcs = np.flatnonzero(dst_row >= 0)
-                    dsts = dst_row[srcs]
-                else:
-                    srcs, dsts = schedule.active_circuits(slot % period, plane)
-                    dst_row = dest_table[slot % period, plane]
-                deliv = self._drain_plane(slot, plane, srcs, dsts, dst_row)
-                if deliv.size:
-                    network.debit(deliv.size)
-                    delivered_running += deliv.size
-                    if slot >= measure_from:
-                        window_delivered += deliv.size
-                    self._account_deliveries(slot, deliv)
-                    if window is not None:
-                        deliv_chunks.append(self._rfid[deliv])
-
+                self._account_deliveries_batch(cids, slots_arr)
             if prof is not None:
                 # The drain paths bill themselves to the drain/commit/
                 # repair sub-phases; "forward" keeps the residual
                 # (matching lookup, delivery accounting, loop glue) so
-                # the summary still covers the whole slot.
-                now = perf_counter()
-                prof.add("forward", (now - lap) - self._prof_attr)
-                self._prof_attr = 0.0
-                lap = now
+                # the summary still covers the whole span.
+                prof.add("forward", forward_s + (perf_counter() - lap))
 
-            # Windowed flows refill as their cells deliver.
-            if window is not None and deliv_chunks:
-                delivered_fids = (
-                    deliv_chunks[0]
-                    if len(deliv_chunks) == 1
-                    else np.concatenate(deliv_chunks)
-                )
-                refill: List[int] = []
-                for f in delivered_fids.tolist():
-                    x = inj[f]
-                    if x < sizes_l[f]:
-                        x += 1
-                        inj[f] = x
-                        if x == sizes_l[f]:
-                            partial_flows -= 1
-                        refill.append(f)
-                if refill:
-                    injected_running += self._inject_batch(refill, slot)
-
-            if checker is not None:
-                checker.end_slot(slot, network, injected_running, delivered_running)
-            occupancy_sum += network.total_occupancy
-            if slot_pairs:
-                # Only VOQs that received cells this slot can set a new
-                # max; gather those instead of scanning the (N, N) grid.
-                if len(slot_pairs) == 1:
-                    gu, gv = slot_pairs[0]
-                else:
-                    gu = np.concatenate([p[0] for p in slot_pairs])
-                    gv = np.concatenate([p[1] for p in slot_pairs])
-                if gu.size:
-                    voq_now = int(qlen[gu, gv].max())
-                    if voq_now > max_voq:
-                        max_voq = voq_now
-                slot_pairs.clear()
-            if tracer is not None:
-                tracer.record(slot, network, delivered_running)
-            if rec_sample is not None:
-                rec_sample(slot, network, delivered_running)
-            if prof is not None:
-                prof.lap("stats", lap)
-
-            slot += 1
+            slot = span_end
             if slot >= duration_slots:
                 pending = network.total_occupancy > 0 or partial_flows > 0
-                if not (config.drain and pending):
-                    self.horizon = slot
-                    self._done = True
-                    break
-                if slot >= duration_slots + config.max_drain_slots:
+                if (
+                    not (config.drain and pending)
+                    or slot >= duration_slots + config.max_drain_slots
+                ):
                     self.horizon = slot
                     self._done = True
                     break

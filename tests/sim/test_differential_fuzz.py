@@ -4,18 +4,13 @@ Randomizes the full configuration space the engines support — all six
 schedule/routing families (round-robin+VLB, SORN, Opera expander,
 beyond-VLB, BvN demand-aware, Cerberus-style mixed pool), fabric size,
 router (optionally wrapped in the failure-aware fallback), simulator
-knobs (including the ``kernels="numpy"/"numba"``
-axis of the fused vectorized engine), failure timelines, and workloads —
-and asserts the reference and vectorized engines produce *identical*
-reports and traces.
+knobs, failure timelines, and workloads — and asserts the reference and
+vectorized engines produce *identical* reports and traces.
 
 The ``slot_batch`` axis randomizes the vectorized driver's batch span
 (including ``"auto"``); lean examples sometimes drop the tracer too, so
-the batched fast path — which only engages with no per-slot observers —
-actually executes, and ``kernels="numba"`` examples sometimes force the
-sequential/batched kernel tier even where numba is absent (the plain
-Python build of the same kernel bodies), covering the batched driver
-kernel on every CI image.
+multi-slot spans — which only engage with no per-slot observers —
+actually execute.
 
 Each example also draws a ``lean`` bit.  Instrumented examples carry the
 :class:`repro.sim.invariants.InvariantChecker` plus the full shipped
@@ -239,30 +234,22 @@ def scenarios(draw):
         max_drain_slots=draw(st.sampled_from([50, 150, 300])),
         short_flow_threshold_cells=draw(st.one_of(st.none(), st.just(2))),
         check_invariants=not lean,
-        kernels=draw(st.sampled_from(["numpy", "numba"])),
         slot_batch=draw(st.sampled_from([1, 2, 3, 7, 64, "auto"])),
     )
     # A tracer is a per-slot observer, so traced runs collapse the batch
-    # span to 1; lean examples sometimes drop it to let the batched fast
-    # path execute.  kernels="numba" examples sometimes force the
-    # sequential/batched kernel tier even without numba installed (the
-    # plain Python build of the identical kernel bodies).
+    # span to 1; lean examples sometimes drop it to let multi-slot spans
+    # execute.
     traced = True if not lean else draw(st.booleans())
-    force_kernels = config["kernels"] == "numba" and draw(st.booleans())
     duration = draw(st.integers(40, 120))
     seed = draw(st.integers(0, 2**16))
     return (
-        schedule, router, timeline, flows, config, duration, seed, lean,
-        traced, force_kernels,
+        schedule, router, timeline, flows, config, duration, seed, lean, traced,
     )
 
 
 def _run(
-    engine, schedule, router, timeline, flows, config, duration, seed, lean,
-    traced, force_kernels,
+    engine, schedule, router, timeline, flows, config, duration, seed, lean, traced,
 ):
-    import repro.sim.vectorized as vectorized_mod
-
     hub = (
         None
         if lean
@@ -271,20 +258,14 @@ def _run(
     sim = SlotSimulator(
         schedule,
         router,
-        # The reference engine ignores ``kernels``; the axis varies how
-        # the vectorized engine computes the same run.
+        # The reference engine ignores ``slot_batch``; the axis varies
+        # how the vectorized engine drives the same run.
         SimConfig(engine=engine, telemetry=hub, **config),
         rng=np.random.default_rng(seed),
         timeline=timeline,
     )
     tracer = TraceRecorder(stride=7) if traced else None
-    saved = vectorized_mod.HAVE_NUMBA
-    if force_kernels and engine == "vectorized":
-        vectorized_mod.HAVE_NUMBA = True
-    try:
-        report = sim.run(flows, duration, tracer=tracer)
-    finally:
-        vectorized_mod.HAVE_NUMBA = saved
+    report = sim.run(flows, duration, tracer=tracer)
     return report, tracer, hub
 
 
@@ -296,16 +277,15 @@ class TestDifferentialFuzz:
         reports, traces, and telemetry streams from both engines, with
         every slot passing the invariant checker."""
         (
-            schedule, router, timeline, flows, config, duration, seed, lean,
-            traced, force_kernels,
+            schedule, router, timeline, flows, config, duration, seed, lean, traced,
         ) = scenario
         ref_report, ref_trace, ref_hub = _run(
             "reference", schedule, router, timeline, flows, config, duration,
-            seed, lean, traced, force_kernels,
+            seed, lean, traced,
         )
         vec_report, vec_trace, vec_hub = _run(
             "vectorized", schedule, router, timeline, flows, config, duration,
-            seed, lean, traced, force_kernels,
+            seed, lean, traced,
         )
         assert vec_report == ref_report
         if traced:

@@ -138,12 +138,23 @@ class TestSaturation:
 
 class TestDrain:
     def test_drain_bounded_by_max_drain_slots(self):
-        sim = rr_sim(drain=True, max_drain_slots=5)
+        """The run ends exactly at the drain bound, with the same report,
+        in both engines and at every batch setting."""
         # Overwhelm so 5 drain slots cannot finish.
         flows = [FlowSpec(i, 0, 5, 100, 0) for i in range(5)]
-        report = sim.run(flows, 3)
-        assert report.duration_slots <= 3 + 5
-        assert report.delivered_cells < 500
+        ref = rr_sim(drain=True, max_drain_slots=5).run(flows, 3)
+        assert ref.duration_slots == 3 + 5
+        assert ref.delivered_cells < 500
+        for engine in ("reference", "vectorized"):
+            for slot_batch in (1, "auto"):
+                report = rr_sim(
+                    drain=True,
+                    max_drain_slots=5,
+                    engine=engine,
+                    slot_batch=slot_batch,
+                ).run(flows, 3)
+                assert report.duration_slots == 8, (engine, slot_batch)
+                assert report == ref, (engine, slot_batch)
 
 
 class _PathCountingVlb(VlbRouter):

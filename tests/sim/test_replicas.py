@@ -23,7 +23,6 @@ from repro.sim import (
     run_replicas,
     standard_collectors,
 )
-from repro.sim.kernels import HAVE_NUMBA
 from repro.topology import CliqueLayout
 from repro.traffic import (
     FlowSizeDistribution,
@@ -80,23 +79,12 @@ def _solo_reports(schedule, router, config, flows, seeds, hubs=None, timeline=No
     return reports
 
 
-KERNEL_MODES = [
-    "numpy",
-    pytest.param(
-        "numba", marks=pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    ),
-]
-
-
 @pytest.mark.parametrize("axis", sorted(CONFIG_AXES))
-@pytest.mark.parametrize("kernels", KERNEL_MODES)
-def test_replicas_match_independent_runs(axis, kernels):
-    """Batched reports equal R independent vectorized runs, per axis and
-    per kernel mode (the solo runs exercise the fused/numba kernels; the
-    batched path ignores the flag)."""
+def test_replicas_match_independent_runs(axis):
+    """Batched reports equal R independent vectorized runs, per axis."""
     schedule, router, layout = _sorn_systems()
     flows = _flows(clustered_matrix(layout, 0.7))
-    config = SimConfig(engine="vectorized", kernels=kernels, **CONFIG_AXES[axis])
+    config = SimConfig(engine="vectorized", **CONFIG_AXES[axis])
     batched = run_replicas(
         schedule, router, config, flows, SLOTS, SEEDS, measure_from=SLOTS // 2
     )

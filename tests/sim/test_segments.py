@@ -14,16 +14,9 @@ from repro.errors import SimulationError
 from repro.routing import SornRouter
 from repro.schedules import RoundRobinSchedule, build_sorn_schedule
 from repro.sim import SegmentCheckpoint, SimConfig, SlotSimulator
-from repro.sim.kernels import HAVE_NUMBA
 from repro.traffic import FlowSpec
 
 ENGINES = ("reference", "vectorized")
-KERNEL_MODES = [
-    "numpy",
-    pytest.param(
-        "numba", marks=pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    ),
-]
 
 
 def make_fabric(n=12, cliques=3, q=1):
@@ -97,21 +90,6 @@ class TestSegmentedEquivalence:
             snaps = [s.demand_snapshot() for s in sessions]
             np.testing.assert_array_equal(snaps[0], snaps[1])
         assert sessions[0].finish() == sessions[1].finish()
-
-    @pytest.mark.parametrize("kernels", KERNEL_MODES)
-    def test_cross_engine_checkpoints_identical_per_kernel_mode(self, kernels):
-        """Every kernel mode of the fused engine honors the checkpoint
-        contract against the reference engine: equal checkpoints and
-        demand snapshots at every boundary, equal final reports."""
-        flows = make_flows()
-        ref = make_sim("reference").start(flows, 150)
-        vec = make_sim("vectorized", {"kernels": kernels}).start(flows, 150)
-        while not ref.main_phase_done:
-            assert ref.run_segment(9) == vec.run_segment(9)
-            np.testing.assert_array_equal(
-                ref.demand_snapshot(), vec.demand_snapshot()
-            )
-        assert ref.finish() == vec.finish()
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_run_is_start_finish(self, engine):

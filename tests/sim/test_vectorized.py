@@ -11,18 +11,9 @@ from repro.analysis import optimal_q
 from repro.errors import SimulationError
 from repro.routing import SornRouter, VlbRouter
 from repro.schedules import RoundRobinSchedule, build_sorn_schedule
-from repro.sim import ArrayVoqState, SimConfig, SlotSimulator, TraceRecorder
-from repro.sim.kernels import HAVE_NUMBA
+from repro.sim import SimConfig, SlotSimulator, TraceRecorder
 from repro.topology import CliqueLayout
 from repro.traffic import WEB_SEARCH, Workload, clustered_matrix, uniform_matrix
-
-KERNEL_MODES = [
-    "numpy",
-    pytest.param(
-        "numba", marks=pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    ),
-]
-
 
 def _uniform_flows(num_nodes, seed, duration=250, load=0.4):
     workload = Workload(uniform_matrix(num_nodes), WEB_SEARCH, load=load, cell_bytes=4096.0)
@@ -77,13 +68,13 @@ COMBOS = {
 }
 
 
-def _run(combo, engine, seed, duration=250, measure_from=80, kernels="numpy", **overrides):
+def _run(combo, engine, seed, duration=250, measure_from=80, **overrides):
     schedule, router, cfg, n = combo()
     flows = _uniform_flows(n, seed, duration=duration)
     sim = SlotSimulator(
         schedule,
         router,
-        SimConfig(engine=engine, kernels=kernels, **cfg, **overrides),
+        SimConfig(engine=engine, **cfg, **overrides),
         rng=np.random.default_rng(seed + 1),
     )
     tracer = TraceRecorder(stride=5)
@@ -94,13 +85,12 @@ def _run(combo, engine, seed, duration=250, measure_from=80, kernels="numpy", **
 class TestDifferentialEquality:
     @pytest.mark.parametrize("combo", sorted(COMBOS), ids=sorted(COMBOS))
     @pytest.mark.parametrize("seed", [7, 42])
-    @pytest.mark.parametrize("kernels", KERNEL_MODES)
-    def test_reports_and_traces_identical(self, combo, seed, kernels):
+    def test_reports_and_traces_identical(self, combo, seed):
         """Same seed, same workload: the two engines must agree on the
         full report (delivered counts, FCT lists, occupancy statistics)
-        and on every sampled trace point — in every kernel mode."""
+        and on every sampled trace point."""
         ref_report, ref_trace = _run(COMBOS[combo], "reference", seed)
-        vec_report, vec_trace = _run(COMBOS[combo], "vectorized", seed, kernels=kernels)
+        vec_report, vec_trace = _run(COMBOS[combo], "vectorized", seed)
         assert vec_report == ref_report
         assert vec_trace.points == ref_trace.points
         # Sanity: the runs actually exercised the fabric.
@@ -135,41 +125,6 @@ class TestEngineSelection:
 
     def test_default_is_reference(self):
         assert SimConfig().engine == "reference"
-
-    def test_unknown_kernels_rejected(self):
-        with pytest.raises(SimulationError):
-            SimConfig(kernels="fortran")
-
-    def test_default_kernels_is_numpy(self):
-        assert SimConfig().kernels == "numpy"
-
-
-class TestArrayVoqState:
-    def test_counters_track_enqueues_and_deltas(self):
-        state = ArrayVoqState(4, num_lanes=2)
-        for cell, node, neighbor in [(0, 0, 1), (1, 0, 1), (2, 1, 2)]:
-            state.lanes(node, neighbor)[1].append(cell)
-        state.add_cells([0, 0, 1], [1, 1, 2])
-        assert state.total_occupancy == 3
-        assert state.queue_length(0, 1) == 2
-        assert state.queue_length(1, 2) == 1
-        assert state.max_voq_length() == 2
-        assert state.node_backlog(0) == 2
-        assert state.backlogs() == [2, 1, 0, 0]
-        # Drain one cell from (0, 1), forward it to (1, 2).
-        cell = state.lanes(0, 1)[1].popleft()
-        state.lanes(1, 2)[0].append(cell)
-        state.drain_circuits([0], [1], np.asarray([1]))
-        state.add_cells([1], [2])
-        assert state.total_occupancy == 3
-        assert state.queue_length(0, 1) == 1
-        assert state.queue_length(1, 2) == 2
-
-    def test_validation(self):
-        with pytest.raises(SimulationError):
-            ArrayVoqState(1)
-        with pytest.raises(SimulationError):
-            ArrayVoqState(4, num_lanes=0)
 
 
 class TestLinkedVoqState:
