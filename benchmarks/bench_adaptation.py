@@ -34,7 +34,7 @@ def run_scenario():
         decision = loop.step(matrix)
         record = None
         if decision.applied:
-            record = campaign.try_update(epoch, loop.deployment.schedule)
+            record = campaign.maybe_apply(epoch, loop.deployment.schedule)
         records.append((epoch, decision, record))
     return loop, campaign, records, shuffled
 

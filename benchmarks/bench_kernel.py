@@ -11,16 +11,15 @@ measurement to ``BENCH_kernel.json`` for CI regression tracking:
   ratio without gating) — the headroom ROADMAP item 5 needs for the
   paper's N=4096 scale.
 - **per-kernel**: a profiled vectorized run (telemetry hub carrying only
-  a :class:`repro.sim.telemetry.PhaseProfiler`, so the engine still
-  takes its fastest drain tiers) breaks the slot loop into ``inject``
-  (append_cells), the forwarding sub-phases ``drain`` / ``commit`` /
-  ``repair`` (``forward`` keeps the residual glue and the delivery
-  ledger fold), and ``stats`` (occupancy and max-VOQ bookkeeping),
-  reported as ms/slot each — a regression names the guilty kernel, not
-  just "forwarding got slower".
-- **batch sweep**: the vectorized engine re-timed with the slot-batched
-  driver collapsed (``slot_batch=1``) next to the default (``"auto"``),
-  stamping what driver batching alone is worth at each N.
+  a :class:`repro.sim.telemetry.PhaseProfiler`) breaks the slot loop
+  into ``inject`` (append_cells), the forwarding sub-phases ``drain`` /
+  ``commit`` / ``repair`` (``forward`` keeps the residual glue and the
+  delivery ledger fold), and ``stats`` (occupancy and max-VOQ
+  bookkeeping), reported as ms/slot each — a regression names the
+  guilty kernel, not just "forwarding got slower".  A hub changes
+  neither the drain tiers nor the slot spans, so the profiled run
+  takes the same code path as the timed one: the per-phase ms/slot and
+  the slots/s figure describe one path.
 
 On top of the absolute gate, every non-smoke speedup is compared against
 the checked-in ``benchmarks/kernel_baseline.json``: a >20% drop fails
@@ -93,8 +92,8 @@ def _timed_run(schedule, router, config, flows, slots, repeats=2):
 
 
 def _phase_breakdown(schedule, router, flows, slots):
-    """Per-phase ms/slot of the fused engine (profiler-only hub, so the
-    engine still runs its fastest drain tiers)."""
+    """Per-phase ms/slot of the fused engine, profiled on the timed path
+    (a profiler-only hub keeps the drain tiers and the slot spans)."""
     profiler = PhaseProfiler()
     sim = SlotSimulator(
         schedule,
@@ -126,15 +125,6 @@ def test_kernel_throughput(report, smoke):
         )
         assert vec_report == ref_report, "fused engine diverged from reference"
         speedup = ref_s / vec_s
-        # Batch sweep: the same engine with the slot-batched driver off.
-        unbatched_s, unbatched_report = _timed_run(
-            schedule,
-            router,
-            SimConfig(engine="vectorized", slot_batch=1),
-            flows,
-            slots,
-        )
-        assert unbatched_report == ref_report, "unbatched driver diverged"
         phases = _phase_breakdown(schedule, router, flows, slots)
         results.append(
             {
@@ -147,11 +137,6 @@ def test_kernel_throughput(report, smoke):
                 "vectorized_slots_per_s": round(slots / vec_s, 1),
                 "speedup": round(speedup, 2),
                 "phase_ms_per_slot": phases,
-                "batch_sweep": {
-                    "auto_slots_per_s": round(slots / vec_s, 1),
-                    "slot_batch_1_slots_per_s": round(slots / unbatched_s, 1),
-                    "batching_gain": round(unbatched_s / vec_s, 2),
-                },
             }
         )
         gate = None if smoke or num_nodes < 512 else SPEEDUP_FLOOR
@@ -160,7 +145,6 @@ def test_kernel_throughput(report, smoke):
             f"fused {slots / vec_s:>8.1f} slots/s   "
             f"speedup {speedup:>6.2f}x"
             + (f" (gate >= {gate:.0f}x)" if gate else "")
-            + f"   batching {unbatched_s / vec_s:.2f}x"
         )
 
     payload = {

@@ -52,7 +52,7 @@ def main():
         decision = loop.step(matrix)
         stranded = "-"
         if decision.applied:
-            record = campaign.try_update(epoch, loop.deployment.schedule)
+            record = campaign.maybe_apply(epoch, loop.deployment.schedule)
             if record is not None:
                 stranded = str(record.stranded_cells)
         print(f"{epoch:>5} {regime:<15} {decision.estimated_locality:>6.2f} "

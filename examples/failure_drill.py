@@ -20,6 +20,7 @@ from repro.sim import (
     FailedNodeSchedule,
     SimConfig,
     SlotSimulator,
+    TelemetryHub,
     TraceRecorder,
     split_casualties,
 )
@@ -49,15 +50,16 @@ def main():
     print(f"\nInjecting failure of node {FAILED}: {len(casualties)} endpoint "
           f"casualties excluded, {len(bystanders)} bystander flows simulated.")
 
-    config = SimConfig(drain=True, max_drain_slots=300)
     for name, schedule, router in [
         ("flat VLB", RoundRobinSchedule(N), VlbRouter(N)),
         ("SORN", build_sorn_schedule(N, NC, q=2, layout=layout), SornRouter(layout)),
     ]:
         tracer = TraceRecorder(stride=20)
+        config = SimConfig(drain=True, max_drain_slots=300,
+                           telemetry=TelemetryHub([tracer]))
         sim = SlotSimulator(FailedNodeSchedule(schedule, [FAILED]), router,
                             config, rng=5)
-        report = sim.run(bystanders, 600, tracer=tracer)
+        report = sim.run(bystanders, 600)
         stuck = report.total_flows - report.completed_flows
         print(f"  {name:<9} bystander completion {report.completion_ratio:6.1%} "
               f"({stuck} flows stuck behind the failure), "

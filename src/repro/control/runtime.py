@@ -451,7 +451,6 @@ class AdaptiveSimulation:
         )
         state = ControllerState.HEALTHY
         current_q: Optional[float] = self.initial_q
-        last_good_q = self.initial_q
         consecutive_failures = 0
         recovery_streak = 0
         fallback_engagements = 0
@@ -525,7 +524,6 @@ class AdaptiveSimulation:
                         session.swap_schedule(candidate)
                         state = ControllerState.HEALTHY
                         current_q = candidate_q
-                        last_good_q = candidate_q
                         recovery_streak = 0
                         recoveries += 1
                         action = "recovered"
@@ -546,7 +544,6 @@ class AdaptiveSimulation:
                     )
                     if applied_q is not None:
                         current_q = applied_q
-                        last_good_q = applied_q
 
             epochs.append(
                 EpochReport(

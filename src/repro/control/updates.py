@@ -190,12 +190,6 @@ class UpdateCampaign:
             return None
         return self._apply(epoch, new_schedule)
 
-    def try_update(
-        self, epoch: int, new_schedule: CircuitSchedule
-    ) -> Optional[CampaignRecord]:
-        """Historical name for :meth:`maybe_apply`."""
-        return self.maybe_apply(epoch, new_schedule)
-
     def force_update(self, epoch: int, new_schedule: CircuitSchedule) -> CampaignRecord:
         """Apply an update at *epoch* regardless of the dwell window.
 

@@ -6,7 +6,7 @@ evolution explicit::
 
     {
       "magic":  "sorn-checkpoint",
-      "schema": 2,
+      "schema": 3,
       "sha256": "<hex digest of the canonical payload JSON>",
       "payload": { ... }
     }
@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = "sorn-checkpoint"
-CHECKPOINT_SCHEMA = 2
+CHECKPOINT_SCHEMA = 3
 
 
 # -- array codec ---------------------------------------------------------------
@@ -207,15 +207,13 @@ def config_digest(config) -> str:
 
     The telemetry hub is excluded — it is an observer object, not a
     result-relevant knob, and its collector set is verified separately
-    when the hub state is restored.  ``slot_batch`` is excluded too:
-    driver batching is bit-exact at every setting, so a checkpoint
-    written at one batch span must restore under any other.
+    when the hub state is restored.
     """
     import dataclasses
 
     fields = {}
     for field in dataclasses.fields(config):
-        if field.name in ("telemetry", "slot_batch"):
+        if field.name == "telemetry":
             continue
         fields[field.name] = getattr(config, field.name)
     return hashlib.sha256(

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import CheckpointError, SimulationError
 from ..routing.base import Router
@@ -252,9 +252,6 @@ class SimSession:
             },
             "state": self._state_payload(),
             "telemetry": self._hub.state_dict() if self._hub is not None else None,
-            "tracer": (
-                self._tracer.state_dict() if self._tracer is not None else None
-            ),
             "checker": (
                 self._checker.state_dict() if self._checker is not None else None
             ),
@@ -325,19 +322,6 @@ class SimSession:
                 f"the resuming config has a TelemetryHub but checkpoint "
                 f"{path!r} carries no telemetry state"
             )
-        saved_trace = payload.get("tracer")
-        if saved_trace is not None:
-            if self._tracer is None:
-                raise CheckpointError(
-                    f"checkpoint {path!r} carries trace state but no tracer "
-                    f"was passed to resume()"
-                )
-            self._tracer.load_state(saved_trace)
-        elif self._tracer is not None:
-            raise CheckpointError(
-                f"a tracer was passed to resume() but checkpoint {path!r} "
-                f"carries no trace state"
-            )
         saved_checker = payload.get("checker")
         if saved_checker is not None and self._checker is not None:
             self._checker.load_state(saved_checker)
@@ -377,13 +361,16 @@ class SimConfig:
         identical results slot-for-slot (same RNG draws, same FIFO/lane
         order) at a fraction of the wall-clock cost.
     telemetry:
-        Optional :class:`repro.sim.telemetry.TelemetryHub`.  Both
-        engines feed the hub's collectors through the same event seam
-        (circuit transmissions, cell deliveries, stride-sampled fabric
-        state), so identical seeded runs emit bit-identical telemetry
-        regardless of the engine.  Strictly read-only — cannot change
-        results.  ``None`` (the default) and empty hubs cost nothing in
-        the slot loop.
+        Optional :class:`repro.sim.telemetry.TelemetryHub` — the one
+        observer seam of both engines.  The engines feed the hub's
+        collectors (a :class:`repro.sim.tracing.TraceRecorder` and the
+        :class:`repro.sim.telemetry.PhaseProfiler` included) through
+        the same events (circuit transmissions, cell deliveries,
+        stride-sampled fabric state), so identical seeded runs emit
+        bit-identical telemetry regardless of the engine.  Strictly
+        read-only — cannot change results, nor the vectorized engine's
+        slot spans.  ``None`` (the default) and empty hubs cost nothing
+        in the slot loop.
     check_invariants:
         Run an :class:`repro.sim.invariants.InvariantChecker` inside the
         slot loop: cell conservation, VOQ non-negativity, circuit
@@ -400,20 +387,6 @@ class SimConfig:
         RNG draws and results are bit-identical for any chunk size).
         The default keeps refill overhead negligible; tests force tiny
         chunks to exercise boundary crossings.
-    slot_batch:
-        Vectorized-engine driver batching: advance up to this many slots
-        per Python-level driver iteration (``"auto"`` picks the default
-        span, an int pins it, ``1`` disables batching).  Purely a
-        performance knob — results, traces, telemetry and checkpoints
-        are bit-identical at every setting, and the batch span collapses
-        to one slot wherever per-slot observation is required (telemetry
-        hub, tracer, invariant checker, windowed injection) or a batch
-        would cross a segment stop, a ``FailureTimeline`` edge, the
-        arrival horizon, or a presampling chunk boundary — so
-        checkpoints, schedule swaps and failure masks still land on
-        exact slots.  Excluded from the checkpoint config digest (like
-        ``telemetry``): a checkpoint written at one setting restores
-        under any other.
     """
 
     cells_per_circuit: int = 1
@@ -427,7 +400,6 @@ class SimConfig:
     check_invariants: bool = False
     telemetry: Optional["TelemetryHub"] = None
     presample_chunk_cells: int = 65536
-    slot_batch: Union[int, str] = "auto"
 
     def __post_init__(self) -> None:
         if self.engine not in ("reference", "vectorized"):
@@ -452,8 +424,6 @@ class SimConfig:
                 self.classify_fct_threshold_cells, "classify_fct_threshold_cells"
             )
         check_positive_int(self.presample_chunk_cells, "presample_chunk_cells")
-        if self.slot_batch != "auto":
-            check_positive_int(self.slot_batch, "slot_batch")
 
     @property
     def report_threshold_cells(self) -> int:
@@ -480,9 +450,9 @@ def profiled_runs(profiler):
     accumulates across every run inside the context, so one sink
     captures a whole multi-point CLI invocation.  Results stay
     bit-identical — the profiler is excluded from telemetry snapshots
-    and report state; only the slot-batched driver collapses to
-    per-slot stepping, which is behavior-invariant by contract.
-    Contexts nest; each restores the previous sink on exit.
+    and report state — and the profiled run takes the same code path,
+    slot spans included, as an unprofiled one.  Contexts nest; each
+    restores the previous sink on exit.
     """
     global _PROFILE_SINK
     previous = _PROFILE_SINK
@@ -586,7 +556,6 @@ class SlotSimulator:
         flows: Sequence[FlowSpec],
         duration_slots: int,
         measure_from: int = 0,
-        tracer=None,
     ) -> SimSession:
         """Begin a resumable run; returns the engine's :class:`SimSession`.
 
@@ -608,14 +577,13 @@ class SlotSimulator:
                 self.rng,
                 timeline=self.timeline,
             )
-            return engine.start(flows, duration_slots, measure_from, tracer)
-        return ReferenceSession(self, flows, duration_slots, measure_from, tracer)
+            return engine.start(flows, duration_slots, measure_from)
+        return ReferenceSession(self, flows, duration_slots, measure_from)
 
     def resume(
         self,
         path: str,
         flows: Sequence[FlowSpec],
-        tracer=None,
     ) -> SimSession:
         """Rebuild a paused session from the durable checkpoint at *path*.
 
@@ -625,9 +593,10 @@ class SlotSimulator:
         identical workload; mismatches are rejected with a precise
         :class:`~repro.errors.CheckpointError`, as are missing,
         truncated, corrupt, or schema-incompatible files — a bad
-        checkpoint is never silently re-run from slot 0.  Pass a fresh
-        *tracer* iff the saving run had one; its recorded points are
-        restored from the checkpoint.  The construction-time RNG seed is
+        checkpoint is never silently re-run from slot 0.  Telemetry
+        collectors (a registered :class:`~repro.sim.tracing.TraceRecorder`
+        included) are restored into the config's hub, which must carry
+        the saving hub's collector set.  The construction-time RNG seed is
         irrelevant: the checkpointed RNG state (and every presampled
         route) is restored verbatim, so the resumed run finishes
         byte-identical to the uninterrupted one.
@@ -643,7 +612,7 @@ class SlotSimulator:
                 f"checkpoint {path!r} payload is missing its run geometry: "
                 f"{exc}"
             ) from exc
-        session = self.start(flows, duration_slots, measure_from, tracer)
+        session = self.start(flows, duration_slots, measure_from)
         session._restore(payload, path)
         return session
 
@@ -652,19 +621,19 @@ class SlotSimulator:
         flows: Sequence[FlowSpec],
         duration_slots: int,
         measure_from: int = 0,
-        tracer=None,
     ) -> SimReport:
         """Run the workload for *duration_slots* (plus optional drain).
 
         ``measure_from`` opens a measurement window: deliveries at slots
         >= measure_from are counted separately (see
         :attr:`SimReport.window_throughput`), excluding the warmup ramp.
-        ``tracer`` is an optional
-        :class:`repro.sim.tracing.TraceRecorder` sampled every slot.
+        To trace the run, register a
+        :class:`repro.sim.tracing.TraceRecorder` in the config's
+        telemetry hub.
 
         Exactly equivalent to ``start(...)`` followed by ``finish()``.
         """
-        return self.start(flows, duration_slots, measure_from, tracer).finish()
+        return self.start(flows, duration_slots, measure_from).finish()
 
     def measure_saturation_throughput(
         self,
@@ -702,7 +671,6 @@ class ReferenceSession(SimSession):
         flows: Sequence[FlowSpec],
         duration_slots: int,
         measure_from: int,
-        tracer,
     ):
         config = sim.config
         self._sim = sim
@@ -714,7 +682,6 @@ class ReferenceSession(SimSession):
         self.slot = 0
         self._done = False
         self._report: Optional[SimReport] = None
-        self._tracer = tracer
         self._timeline = sim.timeline
         checker = None
         if config.check_invariants:
@@ -874,7 +841,6 @@ class ReferenceSession(SimSession):
         prof = self._prof
         if prof is not None:
             from time import perf_counter
-        tracer = self._tracer
         inject_cells = self._sim._inject_cells
         duration_slots = self.duration_slots
         measure_from = self.measure_from
@@ -950,8 +916,6 @@ class ReferenceSession(SimSession):
                 voq = network.max_voq_length()
                 if voq > max_voq:
                     max_voq = voq
-                if tracer is not None:
-                    tracer.record(slot, network, delivered_running)
                 if rec_sample is not None:
                     rec_sample(slot, network, delivered_running)
                 if prof is not None:

@@ -297,21 +297,6 @@ class FailureTimeline:
             return False
         return any(e.active_at(slot) for e in self.events)
 
-    def next_affected(self, slot: int) -> Optional[int]:
-        """First slot at or after *slot* any fault is active (None if no
-        fault ever fires again).  Lets the batched driver size a slot
-        batch so every failure edge still lands on an exactly-handled
-        slot: a batch spans only slots this method places strictly
-        beyond."""
-        best: Optional[int] = None
-        for e in self.events:
-            if e.heal_slot is not None and slot >= e.heal_slot:
-                continue  # already healed
-            cand = slot if slot >= e.start_slot else e.start_slot
-            if best is None or cand < best:
-                best = cand
-        return best
-
     def active_events(self, slot: int) -> List[FailureEvent]:
         """All faults live at *slot*."""
         return [e for e in self.events if e.active_at(slot)]

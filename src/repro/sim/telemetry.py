@@ -4,9 +4,9 @@ The paper's headline claims are about *where* bandwidth goes (the
 q/(q+1) intra / 1/(q+1) inter split), *when* cells move (schedule-phase
 and hop structure), and *how long* queues get — none of which the
 end-of-run :class:`repro.sim.metrics.SimReport` aggregates can show.
-This module adds an observability layer both engines feed through the
-same narrow seam the :class:`repro.sim.invariants.InvariantChecker` and
-:class:`repro.sim.tracing.TraceRecorder` already use:
+This module adds the engines' one observer seam, fed through the same
+narrow events the :class:`repro.sim.invariants.InvariantChecker` uses
+(a :class:`repro.sim.tracing.TraceRecorder` is one of its collectors):
 
 - ``record_transmit(slot, plane, src, dst, count)`` — one call per
   circuit that moved cells this plane activation;
@@ -829,6 +829,8 @@ class PhaseProfiler(TelemetryCollector):
     ``repair`` (cascade repair or the sequential replay of a cascade
     slot), leaving ``forward`` as the residual glue — so the phases
     still sum to wall time and a regression names the guilty kernel.
+    The vectorized engine laps ``forward`` once per slot span, so its
+    lap count there is the number of spans.
     Timings answer "where does the wall clock go" for
     engine-optimization work; they are *excluded* from the
     deterministic snapshot/JSONL/CSV streams because they are real

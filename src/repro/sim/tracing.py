@@ -6,20 +6,19 @@ and the maximum single VOQ.  Used to visualize warmup/convergence (see
 ``examples``), to verify steady state is actually reached before a
 measurement window opens, and to detect queue blow-up under overload.
 
+The recorder is a telemetry collector: register it in a
+:class:`repro.sim.telemetry.TelemetryHub` (it consumes the ``sample``
+stream) and pass the hub as ``SimConfig(telemetry=hub)``, the engines'
+one observer seam.  The hub's stride gates samples first and the
+recorder's own stride applies on top, so a hub with the default
+``stride=1`` samples on the recorder's grid.  The hub also carries the
+recorded points through durable checkpoints (``hub.state_dict()``).
+
 The recorder is engine-agnostic: it reads fabric state only through the
 ``total_occupancy`` property and ``max_voq_length()`` method, which both
 :class:`repro.sim.network.SimNetwork` (reference engine) and
 :class:`repro.sim.network.LinkedVoqState` (vectorized engine) provide, so
 identical runs under either engine produce identical traces.
-
-The same state-access seam now also powers the pluggable telemetry layer
-(:mod:`repro.sim.telemetry`), and :class:`TraceRecorder` doubles as a
-telemetry collector: it can be registered in a
-:class:`repro.sim.telemetry.TelemetryHub` (it consumes the ``sample``
-stream) instead of being passed as ``tracer=``, which lets one
-``SimConfig(telemetry=hub)`` carry traces and telemetry together.  When
-registered in a hub, the hub's stride gates samples first and the
-recorder's own stride applies on top.
 """
 
 from __future__ import annotations
@@ -48,9 +47,8 @@ class TracePoint:
 class TraceRecorder:
     """Samples fabric state every *stride* slots during a simulation.
 
-    Pass as ``tracer=`` to :meth:`repro.sim.engine.SlotSimulator.run`,
-    or register in a :class:`repro.sim.telemetry.TelemetryHub` — the
-    class satisfies the :class:`repro.sim.telemetry.TelemetryCollector`
+    Register in a :class:`repro.sim.telemetry.TelemetryHub` — the class
+    satisfies the :class:`repro.sim.telemetry.TelemetryCollector`
     protocol (``consumes = {"sample"}``).
     """
 
@@ -62,8 +60,10 @@ class TraceRecorder:
         self.stride = check_positive_int(stride, "stride")
         self.points: List[TracePoint] = []
 
-    def record(self, slot: int, network, delivered_cumulative: int) -> None:
-        """Engine callback; samples on the stride grid.
+    # -- telemetry-collector protocol ---------------------------------------
+
+    def on_sample(self, slot: int, network, delivered_cumulative: int) -> None:
+        """Hub callback; samples on the stride grid.
 
         *network* is any fabric-state view exposing ``total_occupancy``
         and ``max_voq_length()`` (see the module docstring).
@@ -78,12 +78,6 @@ class TraceRecorder:
                 max_voq=network.max_voq_length(),
             )
         )
-
-    # -- telemetry-collector protocol ---------------------------------------
-
-    def on_sample(self, slot: int, network, delivered_cumulative: int) -> None:
-        """Hub-facing alias of :meth:`record`."""
-        self.record(slot, network, delivered_cumulative)
 
     def finalize(self, horizon_slots: int) -> None:
         """Nothing to close; the point list is complete as recorded."""

@@ -46,9 +46,9 @@ replayed through the exact sequential kernel
 
 **Exactness contract.**  Given the same (schedule, router, config, rng
 seed, workload), the vectorized engine reproduces the reference engine's
-:class:`repro.sim.metrics.SimReport`,
-:class:`repro.sim.tracing.TraceRecorder` series, and
-:class:`repro.sim.telemetry.TelemetryHub` streams *exactly* — same
+:class:`repro.sim.metrics.SimReport` and
+:class:`repro.sim.telemetry.TelemetryHub` streams (a hub-registered
+:class:`repro.sim.tracing.TraceRecorder` included) *exactly* — same
 delivered counts, same FCT multiset, same queue traces, bit-identical
 telemetry snapshots — because it preserves (a) the RNG draw order, (b)
 per-VOQ FIFO order within each strict-priority lane, and (c) the
@@ -64,7 +64,6 @@ remains the reference implementation and the default.
 from __future__ import annotations
 
 import dataclasses
-from bisect import bisect_right
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -87,6 +86,10 @@ from .metrics import SimReport
 from .network import LinkedVoqState
 
 __all__ = ["VectorizedEngine", "run_replicas"]
+
+#: Most slots one iteration of the span loop runs (see
+#: ``VectorizedSession._advance``).
+SPAN_CAP = 64
 
 
 class VectorizedEngine:
@@ -121,23 +124,21 @@ class VectorizedEngine:
         flows: Sequence[FlowSpec],
         duration_slots: int,
         measure_from: int = 0,
-        tracer=None,
     ) -> "VectorizedSession":
         """Begin a resumable run (see :meth:`repro.sim.engine.
         SlotSimulator.start`); the session's segmentation is exactly
         equivalent to one monolithic :meth:`run`."""
-        return VectorizedSession(self, flows, duration_slots, measure_from, tracer)
+        return VectorizedSession(self, flows, duration_slots, measure_from)
 
     def run(
         self,
         flows: Sequence[FlowSpec],
         duration_slots: int,
         measure_from: int = 0,
-        tracer=None,
     ) -> SimReport:
         """Run the workload; argument semantics match the reference
         :meth:`repro.sim.engine.SlotSimulator.run` exactly."""
-        return self.start(flows, duration_slots, measure_from, tracer).finish()
+        return self.start(flows, duration_slots, measure_from).finish()
 
 
 class VectorizedSession(SimSession):
@@ -173,7 +174,6 @@ class VectorizedSession(SimSession):
         flows: Sequence[FlowSpec],
         duration_slots: int,
         measure_from: int,
-        tracer,
     ):
         config = engine.config
         router = engine.router
@@ -189,7 +189,6 @@ class VectorizedSession(SimSession):
         self.slot = 0
         self._done = False
         self._report: Optional[SimReport] = None
-        self._tracer = tracer
         self._timeline = timeline
         checker = None
         if config.check_invariants:
@@ -369,24 +368,6 @@ class VectorizedSession(SimSession):
         self._out_cids = np.empty(num_nodes * budget, dtype=np.int32)
         self._out_del = np.empty(num_nodes * budget, dtype=np.uint8)
         self._out_got = np.zeros(num_nodes, dtype=np.int64)
-
-        # --- Slot batching ---------------------------------------------
-        # The driver advances spans of up to _batch_cap slots per outer
-        # iteration when no per-slot observer is attached (telemetry hub
-        # incl. profiler, tracer, invariant checker) and injection is
-        # block mode; _batch_span further shortens each span at segment
-        # stops, failure edges, the arrival horizon and chunk
-        # boundaries.  Results are bit-identical at every cap.
-        sb = config.slot_batch
-        cap = 64 if sb == "auto" else int(sb)
-        if (
-            hub is not None
-            or checker is not None
-            or tracer is not None
-            or window is not None
-        ):
-            cap = 1
-        self._batch_cap = cap
 
     def _install_schedule(self, new_schedule: CircuitSchedule) -> None:
         # Everything slot-periodic is derived from the schedule and must
@@ -1136,42 +1117,21 @@ class VectorizedSession(SimSession):
             kth = self._fsizes[uniq[compm]] - old[compm] - 1
             self._fcompletion[uniq[compm]] = slots[order][starts + kth]
 
-    def _batch_span(self, slot: int, stop: Optional[int]) -> int:
-        """Largest clean span starting at *slot*: bounded by the batch
-        cap, the segment stop, the arrival horizon, the next failure
-        edge, and the presampled chunk's remaining arrivals — so spans
-        end at every segment stop (checkpoint, schedule swap) and at the
-        horizon, and fault-masked and chunk-refill slots run as spans of
-        one.  Returns 0 on a slot under an active fault."""
-        hi = slot + self._batch_cap
-        if hi > self.duration_slots:
-            hi = self.duration_slots
-        if stop is not None and stop < hi:
-            hi = stop
-        timeline = self._timeline
-        if timeline is not None:
-            edge = timeline.next_affected(slot)
-            if edge is not None and edge < hi:
-                hi = edge
-        if hi - slot < 2:
-            return hi - slot
-        # Every arrival in the span must already be presampled; a slot
-        # that crosses into the next chunk starts a span of its own.
-        hi = bisect_right(self._slot_end, self._blk_hi, slot, hi)
-        return hi - slot
-
     # -- the slot loop ---------------------------------------------------------
 
     def _advance(self, stop: Optional[int]) -> None:
         """Run until slot *stop* (``None``: the end of the run).
 
-        One loop over spans.  Each iteration takes a span of ``B``
-        slots — ``B`` from :meth:`_batch_span` while batching is on and
-        the arrival horizon lies ahead, else 1 — runs the one slot body
-        ``B`` times, then folds the span's deliveries into the flow
-        ledgers and makes the horizon/drain decision once.  An
-        unbatched run is a sequence of spans of one through the same
-        body, so every batch setting executes the same state machine.
+        One loop over spans.  A span before the arrival horizon runs to
+        the nearest of ``slot + SPAN_CAP``, the horizon and *stop*; a
+        span past the horizon (the drain phase) is one slot, because
+        the drain decision is made per slot.  Each iteration runs the
+        one slot body over the span — injection, fault-masked or
+        periodic circuits per plane, windowed refills, the per-slot
+        observer hooks — then folds the span's deliveries into the flow
+        ledgers and makes the horizon/drain decision once.  Nothing
+        else ends a span: the body masks faults and refills presample
+        chunks per slot, and every observer reads per-slot state only.
         """
         if self._done:
             return
@@ -1180,7 +1140,6 @@ class VectorizedSession(SimSession):
         checker = self._checker
         rec_sample = self._rec_sample
         prof = self._prof
-        tracer = self._tracer
         duration_slots = self.duration_slots
         measure_from = self.measure_from
         sizes_l = self._sizes_l
@@ -1196,7 +1155,6 @@ class VectorizedSession(SimSession):
         slot_end = self._slot_end
         arrivals = self._arrivals
         slot_pairs = self._slot_pairs
-        batch_cap = self._batch_cap
         occupancy_sum = self._occupancy_sum
         max_voq = self._max_voq
         window_delivered = self._window_delivered
@@ -1207,8 +1165,10 @@ class VectorizedSession(SimSession):
         slot = self.slot
 
         while stop is None or slot < stop:
-            if batch_cap > 1 and slot < duration_slots:
-                span_end = slot + max(1, self._batch_span(slot, stop))
+            if slot < duration_slots:
+                span_end = min(slot + SPAN_CAP, duration_slots)
+                if stop is not None and stop < span_end:
+                    span_end = stop
             else:
                 span_end = slot + 1
             # Each delivering drain's slot and cell ids, in delivery order.
@@ -1336,8 +1296,6 @@ class VectorizedSession(SimSession):
                         if voq_now > max_voq:
                             max_voq = voq_now
                     slot_pairs.clear()
-                if tracer is not None:
-                    tracer.record(s, network, delivered_running)
                 if rec_sample is not None:
                     rec_sample(s, network, delivered_running)
                 if prof is not None:
@@ -1437,9 +1395,10 @@ def run_replicas(
     :func:`repro.util.ensure_rng` accepts) and *telemetry* (optional
     sequence of one :class:`~repro.sim.telemetry.TelemetryHub` or
     ``None`` per seed — ``config.telemetry`` must stay unset because the
-    shared config cannot carry R distinct hubs).  Invariant checking
-    and tracing are unsupported in batched mode; run seeds individually
-    for those.
+    shared config cannot carry R distinct hubs); a
+    :class:`~repro.sim.tracing.TraceRecorder` registered in a replica's
+    hub traces that replica.  Invariant checking is unsupported here;
+    run seeds individually for that.
     """
     num_replicas = len(seeds)
     duration_slots = check_positive_int(duration_slots, "duration_slots")

@@ -109,21 +109,21 @@ class TestMixedStateCollisions:
 class TestUpdateCampaign:
     def test_dwell_enforced(self):
         campaign = UpdateCampaign(build_sorn_schedule(8, 2, q=1), min_dwell_epochs=5)
-        assert campaign.try_update(0, build_sorn_schedule(8, 2, q=2)) is not None
-        assert campaign.try_update(3, build_sorn_schedule(8, 2, q=3)) is None
-        assert campaign.try_update(5, build_sorn_schedule(8, 2, q=3)) is not None
+        assert campaign.maybe_apply(0, build_sorn_schedule(8, 2, q=2)) is not None
+        assert campaign.maybe_apply(3, build_sorn_schedule(8, 2, q=3)) is None
+        assert campaign.maybe_apply(5, build_sorn_schedule(8, 2, q=3)) is not None
         assert campaign.updates_applied == 2
 
     def test_history_records_cleanliness(self):
         campaign = UpdateCampaign(build_sorn_schedule(8, 2, q=1))
-        record = campaign.try_update(0, build_sorn_schedule(8, 2, q=4))
+        record = campaign.maybe_apply(0, build_sorn_schedule(8, 2, q=4))
         assert record.was_clean
 
     def test_current_schedule_tracked(self):
         initial = build_sorn_schedule(8, 2, q=1)
         target = build_sorn_schedule(8, 2, q=4)
         campaign = UpdateCampaign(initial)
-        campaign.try_update(0, target)
+        campaign.maybe_apply(0, target)
         assert campaign.current_schedule is target
 
     def test_rejects_bad_dwell(self):
@@ -138,13 +138,6 @@ class TestMaybeApplyBoundaries:
         return UpdateCampaign(
             build_sorn_schedule(8, 2, q=1), min_dwell_epochs=dwell
         )
-
-    def test_try_update_is_maybe_apply(self):
-        campaign = self.make_campaign(3)
-        assert campaign.try_update(0, build_sorn_schedule(8, 2, q=2))
-        assert campaign.try_update(2, build_sorn_schedule(8, 2, q=3)) is None
-        with pytest.raises(ControlPlaneError):
-            campaign.try_update(-2, build_sorn_schedule(8, 2, q=3))
 
     def test_rejected_exactly_one_epoch_before_dwell(self):
         campaign = self.make_campaign(4)

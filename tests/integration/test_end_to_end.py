@@ -92,7 +92,7 @@ class TestControlToDataPlane:
         for epoch, x in enumerate([0.5, 0.8]):
             decision = loop.step(clustered_matrix(layout, x))
             if decision.applied:
-                record = campaign.try_update(epoch, loop.deployment.schedule)
+                record = campaign.maybe_apply(epoch, loop.deployment.schedule)
                 assert record is not None and record.was_clean
 
 

@@ -84,7 +84,9 @@ def make_sim(engine, config_kwargs=None, telemetry=None, rng=7):
 
 def fresh_hub():
     schedule, _ = make_fabric()
-    return TelemetryHub(standard_collectors(schedule, profile=False))
+    return TelemetryHub(
+        standard_collectors(schedule, profile=False) + [TraceRecorder(stride=5)]
+    )
 
 
 def trace_tuples(tracer):
@@ -133,29 +135,25 @@ class TestResumeBitExact:
     def test_telemetry_and_trace_survive_resume(self, engine, tmp_path):
         flows = make_flows()
         hub_whole = fresh_hub()
-        tr_whole = TraceRecorder(stride=5)
-        whole = make_sim(engine, telemetry=hub_whole).run(
-            flows, 150, tracer=tr_whole
-        )
+        whole = make_sim(engine, telemetry=hub_whole).run(flows, 150)
 
         hub_a = fresh_hub()
-        tr_a = TraceRecorder(stride=5)
-        session = make_sim(engine, telemetry=hub_a).start(flows, 150, tracer=tr_a)
+        session = make_sim(engine, telemetry=hub_a).start(flows, 150)
         session.run_segment(70)
         path = str(tmp_path / "run.ckpt")
         session.save(path)
         del session
 
         hub_b = fresh_hub()
-        tr_b = TraceRecorder(stride=5)
-        session = make_sim(engine, telemetry=hub_b, rng=999).resume(
-            path, flows, tracer=tr_b
-        )
+        session = make_sim(engine, telemetry=hub_b, rng=999).resume(path, flows)
         while not session.main_phase_done:
             session.run_segment(11)
         assert session.finish() == whole
         assert hub_b.dumps_jsonl() == hub_whole.dumps_jsonl()
-        assert trace_tuples(tr_b) == trace_tuples(tr_whole)
+        assert trace_tuples(hub_b.get("trace")) == trace_tuples(
+            hub_whole.get("trace")
+        )
+        assert len(hub_whole.get("trace")) == 30
 
     def test_resume_crosses_engines_is_rejected(self, tmp_path):
         """A checkpoint names its engine; the other engine refuses it

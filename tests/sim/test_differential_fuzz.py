@@ -7,10 +7,11 @@ router (optionally wrapped in the failure-aware fallback), simulator
 knobs, failure timelines, and workloads — and asserts the reference and
 vectorized engines produce *identical* reports and traces.
 
-The ``slot_batch`` axis randomizes the vectorized driver's batch span
-(including ``"auto"``); lean examples sometimes drop the tracer too, so
-multi-slot spans — which only engage with no per-slot observers —
-actually execute.
+Traces ride the telemetry hub: a :class:`repro.sim.tracing.TraceRecorder`
+is registered in every instrumented hub, and lean examples draw whether
+to carry a trace-only hub or no hub at all.  Observers never shorten
+the vectorized engine's slot spans, so every example runs multi-slot
+spans across its failure edges and windowed refills.
 
 Each example also draws a ``lean`` bit.  Instrumented examples carry the
 :class:`repro.sim.invariants.InvariantChecker` plus the full shipped
@@ -234,11 +235,9 @@ def scenarios(draw):
         max_drain_slots=draw(st.sampled_from([50, 150, 300])),
         short_flow_threshold_cells=draw(st.one_of(st.none(), st.just(2))),
         check_invariants=not lean,
-        slot_batch=draw(st.sampled_from([1, 2, 3, 7, 64, "auto"])),
     )
-    # A tracer is a per-slot observer, so traced runs collapse the batch
-    # span to 1; lean examples sometimes drop it to let multi-slot spans
-    # execute.
+    # Lean examples sometimes drop the trace-only hub, so the hub-free
+    # path runs too.
     traced = True if not lean else draw(st.booleans())
     duration = draw(st.integers(40, 120))
     seed = draw(st.integers(0, 2**16))
@@ -250,22 +249,21 @@ def scenarios(draw):
 def _run(
     engine, schedule, router, timeline, flows, config, duration, seed, lean, traced,
 ):
-    hub = (
-        None
-        if lean
-        else TelemetryHub(standard_collectors(schedule, bucket_slots=25), stride=3)
-    )
+    collectors = [] if lean else standard_collectors(schedule, bucket_slots=25)
+    tracer = TraceRecorder(stride=7) if traced else None
+    if tracer is not None:
+        collectors.append(tracer)
+    # A trace-only hub samples every slot; the instrumented hub's stride
+    # of 3 gates the recorder's own stride of 7 on top.
+    hub = TelemetryHub(collectors, stride=1 if lean else 3) if collectors else None
     sim = SlotSimulator(
         schedule,
         router,
-        # The reference engine ignores ``slot_batch``; the axis varies
-        # how the vectorized engine drives the same run.
         SimConfig(engine=engine, telemetry=hub, **config),
         rng=np.random.default_rng(seed),
         timeline=timeline,
     )
-    tracer = TraceRecorder(stride=7) if traced else None
-    report = sim.run(flows, duration, tracer=tracer)
+    report = sim.run(flows, duration)
     return report, tracer, hub
 
 

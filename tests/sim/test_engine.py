@@ -139,22 +139,17 @@ class TestSaturation:
 class TestDrain:
     def test_drain_bounded_by_max_drain_slots(self):
         """The run ends exactly at the drain bound, with the same report,
-        in both engines and at every batch setting."""
+        in both engines."""
         # Overwhelm so 5 drain slots cannot finish.
         flows = [FlowSpec(i, 0, 5, 100, 0) for i in range(5)]
         ref = rr_sim(drain=True, max_drain_slots=5).run(flows, 3)
         assert ref.duration_slots == 3 + 5
         assert ref.delivered_cells < 500
-        for engine in ("reference", "vectorized"):
-            for slot_batch in (1, "auto"):
-                report = rr_sim(
-                    drain=True,
-                    max_drain_slots=5,
-                    engine=engine,
-                    slot_batch=slot_batch,
-                ).run(flows, 3)
-                assert report.duration_slots == 8, (engine, slot_batch)
-                assert report == ref, (engine, slot_batch)
+        report = rr_sim(drain=True, max_drain_slots=5, engine="vectorized").run(
+            flows, 3
+        )
+        assert report.duration_slots == 8
+        assert report == ref
 
 
 class _PathCountingVlb(VlbRouter):

@@ -171,20 +171,27 @@ class TestCollectors:
         assert sum(row["share"] for row in summary.values()) == pytest.approx(1.0)
 
     def test_trace_recorder_registers_as_collector(self):
+        """The hub's stride gates samples first and the recorder's own
+        stride applies on top, without changing the sampled values."""
         schedule, flows, slots, seed = small_setup()
-        hub = TelemetryHub([TraceRecorder(stride=1)], stride=10)
-        tracer = TraceRecorder(stride=10)
-        sim = SlotSimulator(
-            schedule,
-            SornRouter(schedule.layout),
-            SimConfig(telemetry=hub),
-            rng=seed,
-        )
-        sim.run(flows, slots, tracer=tracer)
-        # Hub stride (10) gates the registered recorder; points match the
-        # standalone tracer= path exactly.
-        assert hub.get("trace").points == tracer.points
-        assert hub.snapshot()["trace"]["points"] == tracer.rows()
+
+        def traced(hub_stride, trace_stride):
+            recorder = TraceRecorder(stride=trace_stride)
+            hub = TelemetryHub([recorder], stride=hub_stride)
+            SlotSimulator(
+                schedule,
+                SornRouter(schedule.layout),
+                SimConfig(telemetry=hub),
+                rng=seed,
+            ).run(flows, slots)
+            return hub, recorder
+
+        hub, gated = traced(hub_stride=10, trace_stride=4)
+        _, every = traced(hub_stride=1, trace_stride=1)
+        assert [p.slot for p in gated.points] == list(range(0, slots, 20))
+        assert gated.points == [p for p in every.points if p.slot % 20 == 0]
+        assert hub.get("trace") is gated
+        assert hub.snapshot()["trace"]["points"] == gated.rows()
 
 
 class TestDeterminism:

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.routing import VlbRouter
 from repro.schedules import RoundRobinSchedule
-from repro.sim import SimConfig, SlotSimulator, TraceRecorder
+from repro.sim import SimConfig, SlotSimulator, TelemetryHub, TraceRecorder
 from repro.traffic import FlowSizeDistribution, Workload, uniform_matrix
 
 
@@ -14,8 +14,9 @@ def run_with_trace(load, slots=1200, stride=10):
     wl = Workload(uniform_matrix(n), FlowSizeDistribution.fixed(6000), load=load)
     flows = wl.generate(slots, rng=4)
     tracer = TraceRecorder(stride=stride)
-    sim = SlotSimulator(RoundRobinSchedule(n), VlbRouter(n), SimConfig(), rng=2)
-    report = sim.run(flows, slots, tracer=tracer)
+    config = SimConfig(telemetry=TelemetryHub([tracer]))
+    sim = SlotSimulator(RoundRobinSchedule(n), VlbRouter(n), config, rng=2)
+    report = sim.run(flows, slots)
     return report, tracer
 
 

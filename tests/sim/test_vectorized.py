@@ -11,7 +11,7 @@ from repro.analysis import optimal_q
 from repro.errors import SimulationError
 from repro.routing import SornRouter, VlbRouter
 from repro.schedules import RoundRobinSchedule, build_sorn_schedule
-from repro.sim import SimConfig, SlotSimulator, TraceRecorder
+from repro.sim import SimConfig, SlotSimulator, TelemetryHub, TraceRecorder
 from repro.topology import CliqueLayout
 from repro.traffic import WEB_SEARCH, Workload, clustered_matrix, uniform_matrix
 
@@ -71,14 +71,16 @@ COMBOS = {
 def _run(combo, engine, seed, duration=250, measure_from=80, **overrides):
     schedule, router, cfg, n = combo()
     flows = _uniform_flows(n, seed, duration=duration)
+    tracer = TraceRecorder(stride=5)
     sim = SlotSimulator(
         schedule,
         router,
-        SimConfig(engine=engine, **cfg, **overrides),
+        SimConfig(
+            engine=engine, telemetry=TelemetryHub([tracer]), **cfg, **overrides
+        ),
         rng=np.random.default_rng(seed + 1),
     )
-    tracer = TraceRecorder(stride=5)
-    report = sim.run(flows, duration, measure_from=measure_from, tracer=tracer)
+    report = sim.run(flows, duration, measure_from=measure_from)
     return report, tracer
 
 
