@@ -11,9 +11,10 @@ for CI regression tracking:
 - **cached-warm**: a second run against a freshly filled
   :class:`repro.exp.cache.ResultCache`, gated at >= 5x over serial on
   any host — a warm sweep is file reads, not simulations;
-- **replica batching**: ``run_batch`` carrying all seeds through one
-  :func:`repro.sim.vectorized.run_replicas` pass (recorded, the
-  bit-exactness is what the differential tests gate).
+- **seed batching**: ``run_batch`` building the config's layout,
+  schedule, router and flow population once and running every seed on
+  that shared setup (recorded, not gated; the bit-exactness is what the
+  differential tests gate).
 
 Every path must return bit-identical results to the serial baseline —
 that is asserted here on top of the dedicated differential tests, so a
@@ -67,7 +68,7 @@ def _timed(runner, points, repeats=2):
 
 
 def test_sweep_execution_speedup(report, smoke, tmp_path):
-    """Serial vs parallel vs cached-warm vs replica-batched, one sweep."""
+    """Serial vs parallel vs cached-warm vs seed-batched, one sweep."""
     if smoke:
         num_seeds, nodes, slots = 4, 16, 250
     else:
@@ -88,7 +89,7 @@ def test_sweep_execution_speedup(report, smoke, tmp_path):
     warm_s, warm = _timed(cold_runner, points)
 
     assert parallel == serial, "parallel run diverged from serial"
-    assert batched == serial, "replica-batched run diverged from serial"
+    assert batched == serial, "seed-batched run diverged from serial"
     assert cold == serial, "cache-cold run diverged from serial"
     assert warm == cold, "cache-warm run diverged from cold"
     assert cache.hits >= 2 * num_seeds and cache.invalidations == 0

@@ -36,15 +36,12 @@ def bench_environment():
     """
     import numpy
 
-    from repro.exp.shm import posting_seen
-
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "cpu_count": os.cpu_count(),
         "cpu_count_physical": _physical_cpu_count(),
         "platform": platform.platform(),
-        "shm_posting": posting_seen(),
     }
 
 

@@ -5,8 +5,8 @@ ad-hoc loop in every CLI subcommand and benchmark into one subsystem:
 
 - :mod:`families` — the registry of named sweep families; each maps
   ``(params, seed)`` to a JSON-safe result dict, optionally with a
-  batched multi-seed fast path riding
-  :func:`repro.sim.vectorized.run_replicas`.
+  ``run_batch`` that computes many seeds of one config on one shared
+  setup.
 - :mod:`cache` — canonical-JSON → SHA-256 content addressing and the
   on-disk :class:`ResultCache` (``.repro-cache/``), with hit/miss/
   store/invalidate counters surfaced through the telemetry ``sweep``

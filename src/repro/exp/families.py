@@ -19,8 +19,8 @@ their dict forms.
 The built-in families cover the CLI figure sweeps (``table1``,
 ``fig2f_point``, ``blast_radius``, ``fig_adaptive`` and its
 ``oblivious_baseline``), the generic ``sorn_sim`` benchmark family —
-which also implements the batched multi-seed fast path
-(:func:`repro.sim.vectorized.run_replicas`) via ``run_batch`` — and the
+whose ``run_batch`` builds one config's layout, schedule, router and
+flow population once and runs every seed on it — and the
 ``flowlevel`` analytic family (paper-scale FCT/slowdown points with no
 per-cell state).
 """
@@ -49,15 +49,12 @@ class Family:
     ``run(params, seed)`` computes a single point; the optional
     ``run_batch(params, seeds)`` computes many seeds of one config in a
     single pass and must return results bit-identical to ``run`` called
-    per seed (the replica-batching contract).  ``version`` feeds the
+    per seed (the seed-batching contract).  ``version`` feeds the
     content hash.
 
-    The optional ``shared_payload(params)`` returns the named NumPy
-    arrays (presampled flow populations, compiled schedule tables) the
-    runner may post to workers once per config through
-    :mod:`repro.exp.shm` instead of letting every worker recompute
-    them.  The zero-copy contract: ``run``/``run_batch`` must produce
-    bit-identical results whether the payload is posted or absent.
+    ``shared_payload`` is unused: nothing in the package reads it.  It
+    stays only because the benchmark harness re-registers every family
+    with ``shared_payload=family.shared_payload``.
     """
 
     name: str
@@ -84,6 +81,8 @@ def register_family(
     family used with a parallel runner must be registered at *import*
     time of its defining module (module top level), not inside a test
     body, unless the platform forks workers (Linux does).
+    *shared_payload* is stored on the family and otherwise unused (see
+    :class:`Family`).
     """
     family = Family(
         name=name,
@@ -145,11 +144,15 @@ def drifting_locality_flows(layout, phases, slots_per_phase, load, seed):
 
 
 def _parse_corruptions(spec: str) -> Dict[int, str]:
-    """Parse ``"4:nan,9:negative"`` into ``{4: "nan", 9: "negative"}``."""
+    """Parse ``"4:nan,9:negative"`` into ``{4: "nan", 9: "negative"}``.
+
+    Empty tokens are skipped, as the ``outages`` and ``planner_fail``
+    lists skip theirs, so a trailing comma is harmless.
+    """
     out: Dict[int, str] = {}
-    if not spec:
-        return out
     for token in spec.split(","):
+        if not token:
+            continue
         epoch, _, kind = token.partition(":")
         out[int(epoch)] = kind
     return out
@@ -316,82 +319,39 @@ def _run_oblivious_baseline(params: dict, seed) -> dict:
 
 
 def _sorn_sim_setup(params: dict):
-    """Shared construction for the ``sorn_sim`` family's two paths.
-
-    When the runner posted this config's payload through
-    :mod:`repro.exp.shm`, the presampled flow population and the
-    compiled destination table are adopted from shared memory instead
-    of being regenerated — bit-identical by the posting contract (the
-    parent built them with exactly this code).
-    """
+    """The per-config part of a ``sorn_sim`` point: layout, schedule,
+    router and flow population — everything but the seed."""
     from ..analysis import optimal_q
     from ..traffic import FlowSizeDistribution, Workload
-    from . import shm
 
     n, nc, x = params["nodes"], params["cliques"], params["locality"]
     lay = factory.layout(n, nc)
     schedule = factory.sorn_schedule(n, nc, optimal_q(x))
     router = factory.sorn_router(n, nc)
-    payload = shm.active_payload()
-    if payload is not None and "dest_table" in payload:
-        schedule.adopt_dest_table(payload["dest_table"])
-    if payload is not None and "flows.flow_id" in payload:
-        flows = shm.arrays_to_flows(payload)
-    else:
-        matrix = factory.clustered(n, nc, x)
-        workload = Workload(
-            matrix,
-            FlowSizeDistribution.fixed(params["size_cells"]),
-            load=params["load"],
-        )
-        flows = workload.generate(params["slots"], rng=params["flow_seed"])
-    return lay, schedule, router, flows
-
-
-def _sorn_sim_shared_payload(params: dict) -> dict:
-    """``sorn_sim``'s posting hook: the presampled flow population plus
-    the compiled destination table, built with the same code the worker
-    would otherwise run (the zero-copy bit-exactness contract)."""
-    from ..analysis import optimal_q
-    from ..traffic import FlowSizeDistribution, Workload
-    from . import shm
-
-    n, nc, x = params["nodes"], params["cliques"], params["locality"]
-    schedule = factory.sorn_schedule(n, nc, optimal_q(x))
     workload = Workload(
         factory.clustered(n, nc, x),
         FlowSizeDistribution.fixed(params["size_cells"]),
         load=params["load"],
     )
     flows = workload.generate(params["slots"], rng=params["flow_seed"])
-    arrays = shm.flows_to_arrays(flows)
-    arrays["dest_table"] = schedule.dest_table()
-    return arrays
+    return lay, schedule, router, flows
 
 
-def _sorn_sim_hub(params: dict, schedule, lay):
-    """A fresh standard-collector hub when the point asks for telemetry."""
-    from ..sim import TelemetryHub, standard_collectors
+def _run_sorn_sim_seed(params: dict, setup, seed) -> dict:
+    """One seed of a ``sorn_sim`` config on its prebuilt *setup*, run
+    on ``params["engine"]`` with a fresh standard-collector hub when the
+    point asks for telemetry."""
+    from ..sim import SimConfig, SlotSimulator, TelemetryHub, standard_collectors
 
-    return TelemetryHub(
-        standard_collectors(
-            schedule, layout=lay, bucket_slots=max(1, params["slots"] // 6)
-        )
-    )
-
-
-def _run_sorn_sim(params: dict, seed) -> dict:
-    """Family ``sorn_sim``: one seeded SORN run on a clustered workload.
-
-    The flow population is seeded separately (``flow_seed`` in params)
-    so a multi-seed sweep of the same config shares one workload — the
-    precondition for the batched replica fast path in ``run_batch``.
-    """
-    from ..sim import SimConfig, SlotSimulator
-
-    lay, schedule, router, flows = _sorn_sim_setup(params)
-    hub = _sorn_sim_hub(params, schedule, lay) if params["telemetry"] else None
+    lay, schedule, router, flows = setup
     slots = params["slots"]
+    hub = None
+    if params["telemetry"]:
+        hub = TelemetryHub(
+            standard_collectors(
+                schedule, layout=lay, bucket_slots=max(1, slots // 6)
+            )
+        )
     report = SlotSimulator(
         schedule,
         router,
@@ -404,33 +364,21 @@ def _run_sorn_sim(params: dict, seed) -> dict:
     return result
 
 
-def _run_sorn_sim_batch(params: dict, seeds: list) -> List[dict]:
-    """``sorn_sim`` batched over seeds via :func:`repro.sim.vectorized.
-    run_replicas` — bit-identical to :func:`_run_sorn_sim` per seed."""
-    from ..sim import SimConfig, run_replicas
+def _run_sorn_sim(params: dict, seed) -> dict:
+    """Family ``sorn_sim``: one seeded SORN run on a clustered workload.
 
-    lay, schedule, router, flows = _sorn_sim_setup(params)
-    hubs = None
-    if params["telemetry"]:
-        hubs = [_sorn_sim_hub(params, schedule, lay) for _ in seeds]
-    slots = params["slots"]
-    reports = run_replicas(
-        schedule,
-        router,
-        SimConfig(engine=params["engine"]),
-        flows,
-        slots,
-        seeds,
-        measure_from=slots // 2,
-        telemetry=hubs,
-    )
-    out = []
-    for i, report in enumerate(reports):
-        result = {"report": report.to_dict()}
-        if hubs is not None:
-            result["telemetry"] = hubs[i].snapshot()
-        out.append(result)
-    return out
+    The flow population is seeded separately (``flow_seed`` in params)
+    so a multi-seed sweep of the same config shares one workload — the
+    precondition for ``run_batch`` building it once.
+    """
+    return _run_sorn_sim_seed(params, _sorn_sim_setup(params), seed)
+
+
+def _run_sorn_sim_batch(params: dict, seeds: list) -> List[dict]:
+    """``sorn_sim`` over many seeds on one shared setup — bit-identical
+    to :func:`_run_sorn_sim` per seed."""
+    setup = _sorn_sim_setup(params)
+    return [_run_sorn_sim_seed(params, setup, seed) for seed in seeds]
 
 
 def _run_flowlevel(params: dict, seed) -> dict:
@@ -601,10 +549,5 @@ register_family("fig2f_point", _run_fig2f_point)
 register_family("blast_radius", _run_blast_radius)
 register_family("fig_adaptive", _run_fig_adaptive)
 register_family("oblivious_baseline", _run_oblivious_baseline)
-register_family(
-    "sorn_sim",
-    _run_sorn_sim,
-    run_batch=_run_sorn_sim_batch,
-    shared_payload=_sorn_sim_shared_payload,
-)
+register_family("sorn_sim", _run_sorn_sim, run_batch=_run_sorn_sim_batch)
 register_family("frontier_point", _run_frontier_point)

@@ -13,11 +13,11 @@ scheduled.  Execution composes three layers:
    them, a warm rerun is bit-identical to the cold run that filled the
    cache.
 2. **Seed batching.**  Misses of the *same* (family, params) whose
-   family implements ``run_batch`` are grouped into one task, letting
-   the batched multi-seed engine path
-   (:func:`repro.sim.vectorized.run_replicas`) amortize the config
-   across R seeds.  The batching contract — ``run_batch`` bit-identical
-   to per-seed ``run`` — keeps the merge equal to serial execution.
+   family implements ``run_batch`` are grouped into one task, so the
+   family builds its per-config setup (for ``sorn_sim``: layout,
+   schedule, router and flow population) once for all R seeds.  The
+   batching contract — ``run_batch`` bit-identical to per-seed ``run``
+   — keeps the merge equal to serial execution.
 3. **Process fan-out.**  With ``workers > 1``, tasks are sharded over a
    ``concurrent.futures.ProcessPoolExecutor``.  Ordinary exceptions
    inside a family are caught *inside* the worker and returned tagged,
@@ -51,7 +51,6 @@ import uuid
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SweepError, SweepTimeout, SweepWorkerCrash, SweepWorkerHang
-from . import shm
 from .cache import ResultCache, canonical_json, point_key
 from .families import get_family
 from .journal import RunJournal
@@ -104,11 +103,8 @@ def _execute_task(task: Tuple[str, dict, tuple, bool]):
     """Worker entry point: compute one task, never raise.
 
     *task* is ``(family, params, seeds, batched)``, optionally extended
-    with a fifth element ``(heartbeat_path, interval)`` (or ``None``)
-    that starts a daemon heartbeat thread for the duration of the task,
-    and a sixth element holding a :mod:`repro.exp.shm` descriptor (or
-    ``None``) whose posted arrays are attached and exposed to the family
-    through the active-payload slot for the duration.  Returns
+    with a fifth element ``(heartbeat_path, interval)`` that starts a
+    daemon heartbeat thread for the duration of the task.  Returns
     ``("ok", [result, ...])`` — one result per seed — or
     ``("err", exc_type_name, message)`` for ordinary exceptions, so a
     failing point degrades into a tagged value instead of breaking the
@@ -116,7 +112,7 @@ def _execute_task(task: Tuple[str, dict, tuple, bool]):
     """
     family_name, params, seeds, batched = task[:4]
     stop = None
-    if len(task) > 4 and task[4] is not None:
+    if len(task) > 4:
         hb_path, interval = task[4]
         _touch(hb_path)
         stop = threading.Event()
@@ -125,9 +121,6 @@ def _execute_task(task: Tuple[str, dict, tuple, bool]):
             args=(hb_path, interval, stop),
             daemon=True,
         ).start()
-    posted = len(task) > 5 and task[5] is not None
-    if posted:
-        shm.set_active_payload(shm.attach(task[5]))
     try:
         family = get_family(family_name)
         if batched:
@@ -143,8 +136,6 @@ def _execute_task(task: Tuple[str, dict, tuple, bool]):
     except Exception as exc:  # noqa: BLE001 - tagged and re-raised by the runner
         return ("err", type(exc).__name__, str(exc))
     finally:
-        if posted:
-            shm.clear_active_payload()
         if stop is not None:
             stop.set()
 
@@ -159,7 +150,6 @@ class _Task:
     batched: bool
     indices: list  # positions in the input point list
     keys: list  # content hashes, aligned with seeds/indices
-    shm: Optional[dict] = None  # posted-payload descriptor (parallel mode)
 
     def spec(self) -> Tuple[str, dict, tuple, bool]:
         """The picklable payload handed to :func:`_execute_task`."""
@@ -167,10 +157,10 @@ class _Task:
 
     def parallel_spec(self, heartbeat=None):
         """The payload for pool submission: spec plus the optional
-        heartbeat file and posted shared-memory descriptor."""
-        if heartbeat is None and self.shm is None:
+        heartbeat file."""
+        if heartbeat is None:
             return self.spec()
-        return self.spec() + (heartbeat, self.shm)
+        return self.spec() + (heartbeat,)
 
     def describe(self) -> str:
         """``family=... hash=...`` of the task's first point, for errors."""
@@ -216,23 +206,6 @@ class SweepRunner:
         lifecycle events (``heartbeat`` / ``hang`` / ``requeue``) are
         emitted on its ``sweep`` stream, keyed by the point's content
         hash, alongside the cache's own events.
-    schedule_cache:
-        Optional :class:`~repro.exp.schedcache.ScheduleCache`.  When
-        given, it is activated as the process-wide dest-table provider
-        for the duration of :meth:`run`, so every schedule any family
-        compiles — in this process and, on fork-start platforms
-        (Linux), in every worker process — is served from one on-disk
-        memory-mapped copy instead of being rebuilt per worker.
-    shm_post:
-        Post each config's heavyweight inputs (presampled flow arrays,
-        compiled schedule tables — whatever the family's
-        ``shared_payload`` hook returns) to workers through
-        :mod:`multiprocessing.shared_memory` instead of letting every
-        worker regenerate them.  Parallel mode only; families without
-        the hook, and serial runs, are unaffected.  Results are
-        bit-identical with posting on or off (the payload is built by
-        the same code the worker would have run), so the merge order
-        contract is untouched.
     """
 
     def __init__(
@@ -245,8 +218,6 @@ class SweepRunner:
         hang_timeout: Optional[float] = None,
         heartbeat_interval: float = 1.0,
         telemetry=None,
-        schedule_cache=None,
-        shm_post: bool = False,
     ):
         if workers < 0:
             raise SweepError(f"workers must be >= 0, got {workers}")
@@ -266,8 +237,6 @@ class SweepRunner:
         self.hang_timeout = None if hang_timeout is None else float(hang_timeout)
         self.heartbeat_interval = float(heartbeat_interval)
         self.telemetry = telemetry
-        self.schedule_cache = schedule_cache
-        self.shm_post = bool(shm_post)
         self._journal: Optional[RunJournal] = None
 
     def _emit(self, event: str, key: str) -> None:
@@ -364,30 +333,6 @@ class SweepRunner:
             f"sweep point {task.describe()} exceeded the "
             f"{self.timeout}s per-point timeout"
         )
-
-    def _post_payloads(self, tasks: List[_Task]) -> list:
-        """Build and post each config's shared payload, once per config.
-
-        Only families exposing ``shared_payload`` participate; tasks of
-        the same (family, params) share one posted segment.  Returns the
-        parent-side handles — the caller unlinks them once every task
-        has settled.
-        """
-        handles = []
-        by_config: Dict[Tuple[str, str], dict] = {}
-        for task in tasks:
-            builder = get_family(task.family).shared_payload
-            if builder is None:
-                continue
-            config = (task.family, canonical_json(task.params))
-            descriptor = by_config.get(config)
-            if descriptor is None:
-                handle = shm.SharedArrays.post(builder(task.params))
-                handles.append(handle)
-                descriptor = handle.descriptor
-                by_config[config] = descriptor
-            task.shm = descriptor
-        return handles
 
     def _run_parallel(self, tasks: List[_Task], out: list) -> None:
         """Shard *tasks* across a process pool; settle in task order."""
@@ -596,10 +541,6 @@ class SweepRunner:
             journal = RunJournal.open(run_id, points, keys)
         out: list = [None] * len(points)
         self._journal = journal
-        if self.schedule_cache is not None:
-            # Workers fork after activation (Linux pools), inheriting the
-            # provider hook — compiled tables mmap from one on-disk copy.
-            self.schedule_cache.activate()
         try:
             tasks = self._plan(points, out)
             if not tasks:
@@ -608,18 +549,9 @@ class SweepRunner:
                 for task in tasks:
                     self._settle(task, self._attempt_serially(task), out)
             else:
-                posted = (
-                    self._post_payloads(tasks) if self.shm_post else []
-                )
-                try:
-                    self._run_parallel(tasks, out)
-                finally:
-                    for handle in posted:
-                        handle.unlink()
+                self._run_parallel(tasks, out)
             return out
         finally:
-            if self.schedule_cache is not None:
-                self.schedule_cache.deactivate()
             self._journal = None
             if journal is not None:
                 journal.close()

@@ -223,29 +223,6 @@ class CircuitSchedule(abc.ABC):
         """
         return None
 
-    def adopt_dest_table(self, table: np.ndarray) -> None:
-        """Bind an externally compiled destination table.
-
-        The zero-copy entry point: a sweep parent that already compiled
-        (or memory-mapped) this schedule's table hands it to the worker's
-        schedule instance so :meth:`dest_table` never rebuilds it.
-        *table* must match the table this schedule would build — shape
-        ``(period, num_planes, num_nodes)``, dtype int32 — and is
-        rejected otherwise; a schedule that already bound a table keeps
-        it (the bound table is the same bytes by the callers' contract).
-        """
-        expected = (self._period, self._num_planes, self._num_nodes)
-        if table.shape != expected or table.dtype != np.int32:
-            raise ScheduleError(
-                f"adopted dest table has shape {table.shape} dtype "
-                f"{table.dtype}; this schedule builds {expected} int32"
-            )
-        if self._dest_table is None:
-            if table.flags.writeable:
-                table = table.copy()
-                table.setflags(write=False)
-            self._dest_table = table
-
     def _planes_are_offset_copies(self) -> bool:
         """Whether every plane is the base matching sequence shifted by
         :meth:`plane_offset` — true for the base class, overridden to

@@ -71,7 +71,7 @@ from .telemetry import (
     standard_collectors,
 )
 from .tracing import TracePoint, TraceRecorder
-from .vectorized import VectorizedEngine, run_replicas
+from .vectorized import VectorizedEngine
 
 __all__ = [
     "Cell",
@@ -89,7 +89,6 @@ __all__ = [
     "read_checkpoint",
     "write_checkpoint",
     "VectorizedEngine",
-    "run_replicas",
     "SimReport",
     "percentile",
     "FluidResult",

@@ -63,17 +63,15 @@ remains the reference implementation and the default.
 
 from __future__ import annotations
 
-import dataclasses
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import CheckpointError, SimulationError
+from ..errors import CheckpointError
 from ..routing.base import Router
 from ..schedules.schedule import CircuitSchedule
 from ..traffic.workload import FlowSpec
-from ..util import check_positive_int, ensure_rng
 from .engine import SimSession
 from .kernels import (
     _EMPTY32,
@@ -85,7 +83,7 @@ from .kernels import (
 from .metrics import SimReport
 from .network import LinkedVoqState
 
-__all__ = ["VectorizedEngine", "run_replicas"]
+__all__ = ["VectorizedEngine"]
 
 #: Most slots one iteration of the span loop runs (see
 #: ``VectorizedSession._advance``).
@@ -1359,89 +1357,3 @@ class VectorizedSession(SimSession):
             short_threshold_cells=self.config.report_threshold_cells,
         )
 
-
-def run_replicas(
-    schedule: CircuitSchedule,
-    router: Router,
-    config,
-    flows: Sequence[FlowSpec],
-    duration_slots: int,
-    seeds: Sequence,
-    measure_from: int = 0,
-    telemetry: Optional[Sequence] = None,
-    timeline=None,
-) -> List[SimReport]:
-    """Run R seeds of one (schedule, router, config, workload) batch.
-
-    One fused :class:`VectorizedEngine` session per seed, run to
-    completion in seed order.  Since PR 6 the solo vectorized session
-    *is* the fast path — allocation-free fused kernels over array
-    linked-list VOQs — so the earlier deque-based replica tensor
-    (``ReplicaVoqState``) no longer paid for itself: R solo sessions
-    share the schedule's memoized dense destination table and
-    active-circuit lists through the schedule instance, and the
-    per-replica state stays in the cache-friendly kernel layout instead
-    of Python deques.
-
-    **Exactness contract.**  For each ``seeds[r]`` the returned
-    ``reports[r]`` — and, when per-replica telemetry hubs are supplied,
-    replica ``r``'s snapshot — is bit-identical to a solo
-    ``SlotSimulator(schedule, router, config, seeds[r]).run(...)`` with
-    the same arguments (trivially so: it *is* that run).
-    ``tests/sim/test_replicas.py`` enforces this differentially.
-
-    Parameters mirror :meth:`repro.sim.engine.SlotSimulator.run` with
-    two additions: *seeds* (one replica per entry; anything
-    :func:`repro.util.ensure_rng` accepts) and *telemetry* (optional
-    sequence of one :class:`~repro.sim.telemetry.TelemetryHub` or
-    ``None`` per seed — ``config.telemetry`` must stay unset because the
-    shared config cannot carry R distinct hubs); a
-    :class:`~repro.sim.tracing.TraceRecorder` registered in a replica's
-    hub traces that replica.  Invariant checking is unsupported here;
-    run seeds individually for that.
-    """
-    num_replicas = len(seeds)
-    duration_slots = check_positive_int(duration_slots, "duration_slots")
-    if not 0 <= measure_from < duration_slots:
-        raise SimulationError("measure_from must be within the horizon")
-    if router.num_nodes != schedule.num_nodes:
-        raise SimulationError(
-            f"router covers {router.num_nodes} nodes, schedule "
-            f"{schedule.num_nodes}"
-        )
-    if config.check_invariants:
-        raise SimulationError(
-            "run_replicas does not support check_invariants; run seeds "
-            "individually for invariant-checked runs"
-        )
-    if config.telemetry is not None:
-        raise SimulationError(
-            "run_replicas takes per-replica hubs via the telemetry "
-            "argument; config.telemetry must be None"
-        )
-    if telemetry is not None and len(telemetry) != num_replicas:
-        raise SimulationError(
-            f"telemetry provides {len(telemetry)} hubs for "
-            f"{num_replicas} seeds"
-        )
-    if num_replicas == 0:
-        return []
-    if timeline is not None and len(timeline) == 0:
-        timeline = None
-    if timeline is not None:
-        timeline.bind(schedule)
-
-    rngs = [ensure_rng(seed) for seed in seeds]
-    reports: List[SimReport] = []
-    for r in range(num_replicas):
-        hub = telemetry[r] if telemetry is not None else None
-        replica_config = config
-        if hub is not None:
-            replica_config = dataclasses.replace(config, telemetry=hub)
-        engine = VectorizedEngine(
-            schedule, router, replica_config, rngs[r], timeline
-        )
-        reports.append(
-            engine.run(flows, duration_slots, measure_from=measure_from)
-        )
-    return reports

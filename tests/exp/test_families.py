@@ -64,8 +64,21 @@ def test_sorn_sim_telemetry_batching_contract():
     assert all("telemetry" in r and r["telemetry"] for r in batched)
 
 
-def test_sorn_sim_engines_agree():
+def test_sorn_sim_engines_agree(monkeypatch):
+    """A seed-batched ``engine="reference"`` sweep runs the reference
+    engine — the vectorized one raises if reached — and equals the
+    vectorized sweep."""
+    seeds = (0, 4, 9)
+    vec = SweepRunner().run(
+        [SweepPoint("sorn_sim", SORN_SIM_PARAMS, s) for s in seeds]
+    )
+
+    def no_vectorized(*args, **kwargs):
+        raise AssertionError("a reference-engine sweep built VectorizedEngine")
+
+    monkeypatch.setattr("repro.sim.vectorized.VectorizedEngine", no_vectorized)
     reference = dict(SORN_SIM_PARAMS, engine="reference")
-    [vec] = SweepRunner().run([SweepPoint("sorn_sim", SORN_SIM_PARAMS, 4)])
-    [ref] = SweepRunner().run([SweepPoint("sorn_sim", reference, 4)])
-    assert vec == ref
+    ref = SweepRunner(batch_seeds=True).run(
+        [SweepPoint("sorn_sim", reference, s) for s in seeds]
+    )
+    assert ref == vec

@@ -1,11 +1,15 @@
 """SimReport aggregation and percentile helpers."""
 
+import json
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import SimReport, percentile
+from repro.routing import SornRouter
+from repro.schedules import build_sorn_schedule
+from repro.sim import SimConfig, SimReport, SlotSimulator, percentile
 from repro.sim.flows import FlowState
-from repro.traffic import FlowSpec
+from repro.traffic import FlowSizeDistribution, FlowSpec, Workload, clustered_matrix
 
 
 class TestPercentile:
@@ -88,6 +92,28 @@ class TestSimReport:
     def test_summary_mentions_key_numbers(self):
         text = build_report().summary()
         assert "N=4" in text and "flows=2/3" in text
+
+    def test_dict_round_trip(self):
+        """``to_dict`` is plain JSON and ``from_dict`` rebuilds an equal
+        report, both for a flow-state report and for the vectorized
+        engine's array-built one."""
+        schedule = build_sorn_schedule(16, 4, q=3)
+        workload = Workload(
+            clustered_matrix(schedule.layout, 0.7),
+            FlowSizeDistribution.fixed(6),
+            load=0.8,
+        )
+        engine_report = SlotSimulator(
+            schedule,
+            SornRouter(schedule.layout),
+            SimConfig(engine="vectorized"),
+            rng=0,
+        ).run(workload.generate(140, rng=11), 140)
+        for report in (build_report(), engine_report):
+            data = json.loads(json.dumps(report.to_dict()))
+            assert SimReport.from_dict(data) == report
+            assert isinstance(report.mean_occupancy, float)
+            assert isinstance(report.max_voq, int)
 
 
 class TestEmptyReport:

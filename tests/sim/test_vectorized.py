@@ -1,7 +1,8 @@
 """Differential tests: the vectorized engine must reproduce the reference
 engine exactly — same reports, same per-slot traces — on every supported
 configuration axis (routers, per-flow paths, injection windows, priority
-lanes, drain), including a reduced-scale Fig 2f setup.
+lanes, drain, presample chunk sizes), including a reduced-scale Fig 2f
+setup.
 """
 
 import numpy as np
@@ -29,24 +30,19 @@ def _combo_rr_vlb():
     )
 
 
-def _combo_sorn_per_flow_window():
-    layout = CliqueLayout.equal(32, 4)
-    return (
-        build_sorn_schedule(32, 4, q=3, layout=layout),
-        SornRouter(layout),
-        dict(cells_per_circuit=1, per_flow_paths=True, injection_window=4, drain=True),
-        32,
-    )
+def _sorn_combo(**cfg):
+    """A 32-node, 4-clique SORN fabric (q=3) run with config *cfg*."""
 
+    def combo():
+        layout = CliqueLayout.equal(32, 4)
+        return (
+            build_sorn_schedule(32, 4, q=3, layout=layout),
+            SornRouter(layout),
+            cfg,
+            32,
+        )
 
-def _combo_sorn_short_priority():
-    layout = CliqueLayout.equal(32, 4)
-    return (
-        build_sorn_schedule(32, 4, q=3, layout=layout),
-        SornRouter(layout),
-        dict(cells_per_circuit=2, short_flow_threshold_cells=8, drain=True),
-        32,
-    )
+    return combo
 
 
 def _combo_rr_vlb_window():
@@ -63,8 +59,23 @@ def _combo_rr_vlb_window():
 COMBOS = {
     "rr-vlb-drain": _combo_rr_vlb,
     "rr-vlb-percell-window": _combo_rr_vlb_window,
-    "sorn-perflow-window": _combo_sorn_per_flow_window,
-    "sorn-short-priority": _combo_sorn_short_priority,
+    "sorn-default": _sorn_combo(),
+    "sorn-flow-paths": _sorn_combo(per_flow_paths=True),
+    "sorn-percell-window": _sorn_combo(
+        injection_window=3, drain=True, max_drain_slots=400
+    ),
+    "sorn-perflow-window": _sorn_combo(
+        cells_per_circuit=1, per_flow_paths=True, injection_window=4, drain=True
+    ),
+    "sorn-short-priority": _sorn_combo(
+        cells_per_circuit=2, short_flow_threshold_cells=8, drain=True
+    ),
+    "sorn-drain": _sorn_combo(drain=True, max_drain_slots=400),
+    # Presample chunks far smaller than the run: refills every few cells.
+    "sorn-chunk13": _sorn_combo(presample_chunk_cells=13),
+    "sorn-chunk5-perflow-drain": _sorn_combo(
+        per_flow_paths=True, presample_chunk_cells=5, drain=True, max_drain_slots=400
+    ),
 }
 
 

@@ -273,6 +273,18 @@ class TestSubcommands:
             outputs[engine] = capsys.readouterr().out.replace(engine, "ENGINE")
         assert outputs["reference"] == outputs["vectorized"]
 
+    def test_fig_adaptive_trailing_comma_in_corrupt(self, capsys):
+        """``--corrupt`` skips an empty token, as ``--outages`` does."""
+        outputs = []
+        for corrupt in ("1:nan", "1:nan,"):
+            assert main(
+                ["fig-adaptive", "--nodes", "12", "--cliques", "3",
+                 "--epochs", "4", "--epoch-slots", "20",
+                 "--outages", "1,", "--corrupt", corrupt]
+            ) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_fig_adaptive_fabric_timeline(self, capsys):
         assert main(
             ["fig-adaptive", "--nodes", "12", "--cliques", "3",
