@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Tuple
 
+import numpy as np
+
 from ..errors import ConfigurationError
 from ..routing.base import Router
 from ..routing.sorn_routing import SornRouter
@@ -38,19 +40,13 @@ def node_blast_radius(router: Router, failed_node: int) -> float:
     n = router.num_nodes
     if not 0 <= failed_node < n:
         raise ConfigurationError(f"failed_node {failed_node} out of range")
-    affected = 0
-    total = 0
-    for src in range(n):
-        if src == failed_node:
-            continue
-        for dst in range(n):
-            if dst in (src, failed_node):
-                continue
-            total += 1
-            for _, path in router.path_options(src, dst):
-                if failed_node in path.nodes[1:-1]:
-                    affected += 1
-                    break
+    live = np.ones((n, n), dtype=bool)
+    live[failed_node, :] = live[:, failed_node] = False
+    affected = total = 0
+    for _, dsts, pair, _, paths, _ in router.options_by_source(live):
+        total += dsts.size
+        # Endpoints are live, so the failed node can only be a relay.
+        affected += np.unique(pair[(paths == failed_node).any(axis=1)]).size
     return affected / total if total else 0.0
 
 
@@ -65,17 +61,10 @@ def link_blast_radius(router: Router, link: Tuple[int, int]) -> float:
     if not (0 <= u < n and 0 <= v < n) or u == v:
         raise ConfigurationError(f"invalid link {link}")
     affected = 0
-    total = 0
-    for src in range(n):
-        for dst in range(n):
-            if src == dst:
-                continue
-            total += 1
-            for _, path in router.path_options(src, dst):
-                if (u, v) in path.links():
-                    affected += 1
-                    break
-    return affected / total
+    for _, _, pair, _, paths, _ in router.options_by_source():
+        uses = ((paths[:, :-1] == u) & (paths[:, 1:] == v)).any(axis=1)
+        affected += np.unique(pair[uses]).size
+    return affected / (n * (n - 1))
 
 
 def sorn_sync_domain_size(router: SornRouter) -> int:

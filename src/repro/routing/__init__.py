@@ -6,7 +6,7 @@ oblivious design keeps this property — only the *schedule* adapts, on
 control-plane timescales (paper section 4, "Routing").
 """
 
-from .base import Path, Router
+from .base import DrawRouter, Path, Router
 from .failover import FailureAwareRouter
 from .vlb import VlbRouter
 from .sorn_routing import SornRouter
@@ -19,6 +19,7 @@ from .mixed_pool_routing import MixedPoolRouter
 from .paths import timed_vlb_route, timed_sorn_route, worst_case_intrinsic_latency
 
 __all__ = [
+    "DrawRouter",
     "Path",
     "Router",
     "FailureAwareRouter",

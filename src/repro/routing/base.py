@@ -1,17 +1,17 @@
-"""Router interface and the immutable Path value type."""
+"""Router interfaces and the immutable Path value type."""
 
 from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import RoutingError
 from ..util import ensure_rng, RngLike
 
-__all__ = ["Path", "Router"]
+__all__ = ["DrawRouter", "Path", "Router"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -58,11 +58,42 @@ class Path:
         return len(self.nodes)
 
 
+def pad_walks(rows: Sequence[Sequence[int]], width: int) -> np.ndarray:
+    """Node sequences as a ``(k, width)`` walk array: each row is padded by
+    repeating its last node, i.e. with skipped hops."""
+    walks = np.empty((len(rows), width), dtype=np.int64)
+    for i, nodes in enumerate(rows):
+        walks[i, : len(nodes)] = nodes
+        walks[i, len(nodes):] = nodes[-1]
+    return walks
+
+
+def _compact(walks: np.ndarray, width: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Drop the skipped hops of *walks* into ``(paths, lengths)``.
+
+    Works column by column: every row writes its next free slot, with
+    the walk's node if it differs from its predecessor and with the
+    ``-1`` padding if it repeats it (a skipped hop).
+    """
+    k, w = walks.shape
+    out = np.full((k, max(w, width)), -1, dtype=np.int64)
+    flat = out.reshape(-1)
+    out[:, 0] = walks[:, 0]
+    lengths = np.ones(k, dtype=np.int64)
+    start = np.arange(0, out.size, out.shape[1])
+    for j in range(1, w):
+        step = walks[:, j] != walks[:, j - 1]
+        flat[start + lengths] = np.where(step, walks[:, j], -1)
+        lengths += step
+    return out[:, :width], lengths
+
+
 class Router(abc.ABC):
     """An oblivious routing scheme: a fixed path distribution per pair.
 
     Implementations provide :meth:`path_options` — the exact distribution —
-    and inherit sampling (:meth:`path`) and worst-case hop accounting.
+    and inherit sampling (:meth:`path`, :meth:`paths_batch`), array
+    enumeration (:meth:`options_batch`) and hop accounting.
     """
 
     @property
@@ -78,8 +109,7 @@ class Router(abc.ABC):
     @abc.abstractmethod
     def path_options(self, src: int, dst: int) -> List[Tuple[float, Path]]:
         """The full path distribution for (src, dst): (probability, path)
-        pairs summing to 1.  Used by the fluid solver for exact expected
-        link loads; samplers draw from the same distribution.
+        pairs summing to 1.  Samplers draw from the same distribution.
         """
 
     def _check_pair(self, src: int, dst: int) -> None:
@@ -88,6 +118,21 @@ class Router(abc.ABC):
             raise RoutingError(f"pair ({src}, {dst}) out of range [0, {n})")
         if src == dst:
             raise RoutingError("src and dst must differ")
+
+    def _pair_arrays(self, srcs, dsts) -> Tuple[np.ndarray, np.ndarray]:
+        """*srcs* and *dsts* as int64 arrays, checked like :meth:`_check_pair`."""
+        srcs = np.asarray(srcs, dtype=np.int64)
+        dsts = np.asarray(dsts, dtype=np.int64)
+        if srcs.shape != dsts.shape or srcs.ndim != 1:
+            raise RoutingError("srcs and dsts must be 1-D arrays of equal length")
+        n = self.num_nodes
+        if srcs.size and (
+            min(srcs.min(), dsts.min()) < 0 or max(srcs.max(), dsts.max()) >= n
+        ):
+            raise RoutingError(f"pair batch references nodes outside [0, {n})")
+        if (srcs == dsts).any():
+            raise RoutingError("src and dst must differ")
+        return srcs, dsts
 
     def path(self, src: int, dst: int, rng: RngLike = None) -> Path:
         """Sample one path from the scheme's distribution."""
@@ -116,46 +161,50 @@ class Router(abc.ABC):
         exactly as ``k`` successive ``path(srcs[i], dsts[i], gen)`` calls
         would, and yields the identical paths.  This is what lets the
         vectorized simulator engine reproduce the reference engine's
-        behavior bit-for-bit (see :mod:`repro.sim.vectorized`).  The
-        base implementation simply loops :meth:`path`; subclasses
-        override with array-level samplers (NumPy draws a batched
+        behavior bit-for-bit (see :mod:`repro.sim.vectorized`).  This
+        implementation simply loops :meth:`path`; :class:`DrawRouter`
+        draws the whole batch in one call (NumPy draws a batched
         ``integers`` identically to repeated scalar draws).
         """
-        srcs = np.asarray(srcs, dtype=np.int64)
-        dsts = np.asarray(dsts, dtype=np.int64)
-        if srcs.shape != dsts.shape or srcs.ndim != 1:
-            raise RoutingError("srcs and dsts must be 1-D arrays of equal length")
-        k = srcs.size
-        width = self.max_hops + 1
-        paths = np.full((k, width), -1, dtype=np.int64)
-        lengths = np.empty(k, dtype=np.int64)
-        if k == 0:
-            return paths, lengths
+        srcs, dsts = self._pair_arrays(srcs, dsts)
         gen = ensure_rng(rng)
-        for i in range(k):
-            nodes = self.path(int(srcs[i]), int(dsts[i]), gen).nodes
-            paths[i, : len(nodes)] = nodes
-            lengths[i] = len(nodes)
-        return paths, lengths
+        rows = [self.path(s, d, gen).nodes for s, d in zip(srcs.tolist(), dsts.tolist())]
+        return _compact(pad_walks(rows, self.max_hops + 1), self.max_hops + 1)
 
-    def _check_pairs_batch(self, srcs: np.ndarray, dsts: np.ndarray) -> None:
-        """Vectorized :meth:`_check_pair` over pair arrays."""
+    def options_batch(self, srcs, dsts) -> Tuple[np.ndarray, ...]:
+        """Every path of every pair: ``(pair, prob, paths, lengths)``.
+
+        Row ``r`` is path ``paths[r, :lengths[r]]`` of pair ``pair[r]`` (an
+        index into *srcs*/*dsts*) with probability ``prob[r]``; rows are
+        pair-major.  This implementation packs :meth:`path_options`.
+        """
+        srcs, dsts = self._pair_arrays(srcs, dsts)
+        pair, prob, rows = [], [], []
+        for i, (src, dst) in enumerate(zip(srcs.tolist(), dsts.tolist())):
+            for p, path in self.path_options(src, dst):
+                pair.append(i)
+                prob.append(p)
+                rows.append(path.nodes)
+        paths = _compact(pad_walks(rows, self.max_hops + 1), self.max_hops + 1)
+        return (np.array(pair, dtype=np.int64), np.array(prob, dtype=float)) + paths
+
+    def options_by_source(self, mask: Optional[np.ndarray] = None) -> Iterator[tuple]:
+        """Yield ``(src, dsts, pair, prob, paths, lengths)`` for each source:
+        its destinations (every other node, or where ``mask[src]`` is true)
+        and their :meth:`options_batch`.  One source at a time keeps the
+        enumeration's memory at one row of pairs."""
         n = self.num_nodes
-        if srcs.size == 0:
-            return
-        if (
-            srcs.min() < 0
-            or dsts.min() < 0
-            or srcs.max() >= n
-            or dsts.max() >= n
-        ):
-            raise RoutingError(f"pair batch references nodes outside [0, {n})")
-        if (srcs == dsts).any():
-            raise RoutingError("src and dst must differ")
+        for src in range(n):
+            keep = np.ones(n, dtype=bool) if mask is None else np.array(mask[src], dtype=bool)
+            keep[src] = False
+            dsts = np.flatnonzero(keep)
+            if dsts.size:
+                yield (src, dsts) + self.options_batch(np.full(dsts.size, src), dsts)
 
     def expected_hops(self, src: int, dst: int) -> float:
         """Mean hop count for the pair under the path distribution."""
-        return sum(p * path.hops for p, path in self.path_options(src, dst))
+        _, prob, _, lengths = self.options_batch([src], [dst])
+        return float(prob @ (lengths - 1))
 
     def mean_hops_uniform(self) -> float:
         """Mean hop count under uniform all-to-all demand.
@@ -165,11 +214,10 @@ class Router(abc.ABC):
         throughput cannot exceed 1/H (paper's normalized bandwidth cost).
         """
         n = self.num_nodes
-        total = 0.0
-        for src in range(n):
-            for dst in range(n):
-                if src != dst:
-                    total += self.expected_hops(src, dst)
+        total = sum(
+            float(prob @ (lengths - 1))
+            for _, _, _, prob, _, lengths in self.options_by_source()
+        )
         return total / (n * (n - 1))
 
     def validate_distribution(self, src: int, dst: int, tol: float = 1e-9) -> None:
@@ -189,3 +237,84 @@ class Router(abc.ABC):
                 raise RoutingError(
                     f"path {path.nodes} exceeds max_hops={self.max_hops}"
                 )
+
+
+class DrawRouter(Router):
+    """A scheme that is a fixed function of a few uniform integer draws.
+
+    A subclass states it once, as an array kernel: :meth:`draw_bounds`
+    and :meth:`walks`.  Batched sampling, exact enumeration and
+    :meth:`path_options` derive from the kernel.  :meth:`path` stays a
+    scalar sampler making the same draws in the same order: the
+    reference engine calls it once per cell, where a one-row kernel
+    call costs ten times as much, and it is the kernel's test oracle.
+    """
+
+    #: Refuse to enumerate a pair with more draw combinations than this.
+    MAX_ENUMERATION = 65536
+
+    @abc.abstractmethod
+    def draw_bounds(self, srcs: np.ndarray, dsts: np.ndarray) -> np.ndarray:
+        """``(k, D)`` int64 bounds, each one uniform draw in ``[0, b)``.
+
+        :meth:`path` draws a pair's values in column order.  A bound of
+        1 has one outcome, for which NumPy consumes no randomness, so it
+        pads the rows of pairs that draw fewer values.
+        """
+
+    @abc.abstractmethod
+    def walks(self, srcs: np.ndarray, dsts: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """``(k, W)`` node walks from each src to its dst for the given
+        draws.  A node equal to its predecessor marks a skipped hop."""
+
+    @abc.abstractmethod
+    def path(self, src: int, dst: int, rng: RngLike = None) -> Path:
+        """Sample one path, drawing as :meth:`draw_bounds` states (never
+        :meth:`Router.path`, whose ``gen.choice`` draws differently)."""
+
+    def paths_batch(self, srcs, dsts, rng: RngLike = None):
+        """One ``integers`` call over the batch's draws, pair-major — the
+        stream ``k`` scalar :meth:`path` calls consume — then the kernel."""
+        srcs, dsts = self._pair_arrays(srcs, dsts)
+        draws = ensure_rng(rng).integers(0, self.draw_bounds(srcs, dsts))
+        return _compact(self.walks(srcs, dsts, draws), self.max_hops + 1)
+
+    def options_batch(self, srcs, dsts):
+        """Every draw combination of every pair, each with probability
+        ``1 / prod(bounds)``; within a pair the last draw varies fastest."""
+        srcs, dsts = self._pair_arrays(srcs, dsts)
+        sizes = self.draw_bounds(srcs, dsts)
+        counts = sizes.prod(axis=1)
+        if counts.size and counts.max() > self.MAX_ENUMERATION:
+            raise RoutingError(
+                f"exact enumeration of {counts.max()} paths refused; "
+                f"use path() sampling at this scale"
+            )
+        pair = np.repeat(np.arange(srcs.size), counts)
+        rank = np.arange(pair.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        draws = np.empty((pair.size, sizes.shape[1]), dtype=np.int64)
+        for col in range(sizes.shape[1] - 1, -1, -1):
+            size = sizes[pair, col]
+            draws[:, col] = rank % size
+            rank //= size
+        paths, lengths = _compact(
+            self.walks(srcs[pair], dsts[pair], draws), self.max_hops + 1
+        )
+        return pair, 1.0 / counts[pair], paths, lengths
+
+    def path_options(self, src: int, dst: int) -> List[Tuple[float, Path]]:
+        """The pair's :meth:`options_batch` merged by node sequence.
+
+        Shortest paths come first, then draw order.  The order is part
+        of the scheme wherever a list is sampled: ``OperaRouter`` merges
+        ``VlbRouter``'s list into its own and draws from it with
+        ``gen.choice``.
+        """
+        self._check_pair(src, dst)
+        _, prob, paths, lengths = self.options_batch([src], [dst])
+        merged = {}
+        for p, row, length in zip(prob.tolist(), paths.tolist(), lengths.tolist()):
+            nodes = tuple(row[:length])
+            merged[nodes] = merged.get(nodes, 0.0) + p
+        options = [(p, Path(nodes)) for nodes, p in merged.items()]
+        return sorted(options, key=lambda option: option[1].hops)

@@ -111,7 +111,3 @@ class FailureAwareRouter(Router):
             f"no live path for ({src}, {dst}) after {self.max_resamples} "
             f"resamples avoiding {sorted(self.failed)}"
         )
-
-    def expected_hops(self, src: int, dst: int) -> float:
-        """Mean hops under the renormalized live distribution."""
-        return sum(p * path.hops for p, path in self.path_options(src, dst))

@@ -14,26 +14,25 @@ exactly the paper's SORN routing (1 LB + 1 inter + 1 final).
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, List, Tuple
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import RoutingError
 from ..schedules.hierarchical import HierarchicalSornSchedule
 from ..util import ensure_rng
-from .base import Path, Router
+from .base import DrawRouter, Path, pad_walks
 
 __all__ = ["HierarchicalSornRouter"]
 
 
-class HierarchicalSornRouter(Router):
+class HierarchicalSornRouter(DrawRouter):
     """2h/(2+h)-hop oblivious routing over a hierarchical SORN schedule."""
-
-    #: Refuse exact enumeration beyond this many per-pair options.
-    MAX_ENUMERATION = 65536
 
     def __init__(self, schedule: HierarchicalSornSchedule):
         self.schedule = schedule
         self.layout = schedule.layout
+        self._clique_arr = self.layout.assignment()
 
     @property
     def num_nodes(self) -> int:
@@ -76,7 +75,7 @@ class HierarchicalSornRouter(Router):
             raise RoutingError("digit walk failed to reach destination position")
         return nodes
 
-    def _intra_path(self, src: int, dst: int, lb_digits) -> Path:
+    def _intra_path(self, src: int, dst: int, lb_digits: Sequence[int]) -> Tuple[int, ...]:
         clique = self.layout.clique_of(src)
         nodes = [src] + self._digit_walk(
             clique,
@@ -84,9 +83,9 @@ class HierarchicalSornRouter(Router):
             self.layout.position_of(dst),
             lb_digits,
         )
-        return Path(tuple(nodes))
+        return tuple(nodes)
 
-    def _inter_path(self, src: int, dst: int, lb_position: int) -> Path:
+    def _inter_path(self, src: int, dst: int, lb_position: int) -> Tuple[int, ...]:
         src_clique = self.layout.clique_of(src)
         dst_clique = self.layout.clique_of(dst)
         # LB digit walk inside the source clique to the random position.
@@ -98,31 +97,28 @@ class HierarchicalSornRouter(Router):
         nodes.extend(
             self._digit_walk(dst_clique, lb_position, self.layout.position_of(dst))
         )
-        return Path(tuple(nodes))
+        return tuple(nodes)
 
     # -- Router interface -----------------------------------------------------------
 
-    def path_options(self, src: int, dst: int) -> List[Tuple[float, Path]]:
-        self._check_pair(src, dst)
+    def draw_bounds(self, srcs: np.ndarray, dsts: np.ndarray) -> np.ndarray:
+        """Intra pairs draw one LB digit per dimension; inter pairs draw
+        one LB position in the source clique."""
         sched = self.schedule
-        merged: Dict[Tuple[int, ...], float] = {}
-        if self.layout.same_clique(src, dst):
-            combos = sched.radix ** sched.h
-            if combos > self.MAX_ENUMERATION:
-                raise RoutingError(
-                    f"exact enumeration of {combos} paths refused; use path()"
-                )
-            prob = 1.0 / combos
-            for lb in itertools.product(range(sched.radix), repeat=sched.h):
-                path = self._intra_path(src, dst, lb)
-                merged[path.nodes] = merged.get(path.nodes, 0.0) + prob
-        else:
-            size = self.layout.clique_size
-            prob = 1.0 / size
-            for lb_position in range(size):
-                path = self._inter_path(src, dst, lb_position)
-                merged[path.nodes] = merged.get(path.nodes, 0.0) + prob
-        return [(p, Path(nodes)) for nodes, p in merged.items()]
+        inter = self._clique_arr[srcs] != self._clique_arr[dsts]
+        bounds = np.full((srcs.size, sched.h), sched.radix, dtype=np.int64)
+        bounds[inter, 0] = self.layout.clique_size
+        bounds[inter, 1:] = 1
+        return bounds
+
+    def walks(self, srcs: np.ndarray, dsts: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        rows = []
+        for src, dst, lb in zip(srcs.tolist(), dsts.tolist(), draws.tolist()):
+            if self.layout.same_clique(src, dst):
+                rows.append(self._intra_path(src, dst, lb))
+            else:
+                rows.append(self._inter_path(src, dst, lb[0]))
+        return pad_walks(rows, self.max_hops + 1)
 
     def path(self, src: int, dst: int, rng=None) -> Path:
         """Direct sampling without enumeration."""
@@ -130,7 +126,7 @@ class HierarchicalSornRouter(Router):
         gen = ensure_rng(rng)
         sched = self.schedule
         if self.layout.same_clique(src, dst):
-            lb = tuple(int(gen.integers(sched.radix)) for _ in range(sched.h))
-            return self._intra_path(src, dst, lb)
+            lb = [int(gen.integers(sched.radix)) for _ in range(sched.h)]
+            return Path(self._intra_path(src, dst, lb))
         lb_position = int(gen.integers(self.layout.clique_size))
-        return self._inter_path(src, dst, lb_position)
+        return Path(self._inter_path(src, dst, lb_position))

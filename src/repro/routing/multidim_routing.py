@@ -9,26 +9,25 @@ with worst-case latency ``O(h * N**(1/h))``.
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, List, Tuple
+from typing import Sequence, Tuple
+
+import numpy as np
 
 from ..errors import RoutingError
 from ..schedules.multidim import MultiDimSchedule
-from .base import Path, Router
+from ..util import ensure_rng
+from .base import DrawRouter, Path, pad_walks
 
 __all__ = ["MultiDimRouter"]
 
 
-class MultiDimRouter(Router):
+class MultiDimRouter(DrawRouter):
     """Dimension-by-dimension VLB over a :class:`MultiDimSchedule`.
 
     The exact path distribution enumerates ``radix**h`` intermediate-digit
     combinations; fine at simulation scale (h = 2, radix <= 32).  For
     larger instances use sampling (:meth:`path`) rather than enumeration.
     """
-
-    #: Refuse exact enumeration beyond this many combinations.
-    MAX_ENUMERATION = 65536
 
     def __init__(self, schedule: MultiDimSchedule):
         self.schedule = schedule
@@ -41,8 +40,8 @@ class MultiDimRouter(Router):
     def max_hops(self) -> int:
         return 2 * self.schedule.h
 
-    def _walk(self, src: int, dst: int, lb_digits: Tuple[int, ...]) -> Path:
-        """Path for one fixed choice of per-dimension LB digits."""
+    def _walk(self, src: int, dst: int, lb_digits: Sequence[int]) -> Tuple[int, ...]:
+        """Nodes visited for one fixed choice of per-dimension LB digits."""
         sched = self.schedule
         nodes = [src]
         current = src
@@ -64,34 +63,27 @@ class MultiDimRouter(Router):
                 nodes.append(current)
         if current != dst:
             raise RoutingError("multidim walk failed to reach destination")
-        return Path(tuple(nodes))
+        return tuple(nodes)
 
-    def path_options(self, src: int, dst: int) -> List[Tuple[float, Path]]:
-        self._check_pair(src, dst)
-        sched = self.schedule
-        combos = sched.radix ** sched.h
-        if combos > self.MAX_ENUMERATION:
-            raise RoutingError(
-                f"exact enumeration of {combos} paths refused; "
-                f"use path() sampling at this scale"
-            )
-        prob = 1.0 / combos
-        merged: Dict[Tuple[int, ...], float] = {}
-        for lb_digits in itertools.product(range(sched.radix), repeat=sched.h):
-            path = self._walk(src, dst, lb_digits)
-            merged[path.nodes] = merged.get(path.nodes, 0.0) + prob
-        return [(p, Path(nodes)) for nodes, p in merged.items()]
+    def draw_bounds(self, srcs: np.ndarray, dsts: np.ndarray) -> np.ndarray:
+        """One LB digit per dimension."""
+        return np.full((srcs.size, self.schedule.h), self.schedule.radix, dtype=np.int64)
+
+    def walks(self, srcs: np.ndarray, dsts: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        return pad_walks(
+            [
+                self._walk(src, dst, lb_digits)
+                for src, dst, lb_digits in zip(srcs.tolist(), dsts.tolist(), draws.tolist())
+            ],
+            self.max_hops + 1,
+        )
 
     def path(self, src: int, dst: int, rng=None) -> Path:
         """Sample without enumerating: draw the h LB digits directly."""
-        from ..util import ensure_rng
-
         self._check_pair(src, dst)
         gen = ensure_rng(rng)
-        lb_digits = tuple(
-            int(gen.integers(self.schedule.radix)) for _ in range(self.schedule.h)
-        )
-        return self._walk(src, dst, lb_digits)
+        lb_digits = [int(gen.integers(self.schedule.radix)) for _ in range(self.schedule.h)]
+        return Path(self._walk(src, dst, lb_digits))
 
     def expected_hops_uniform_limit(self) -> float:
         """Large-N limit of mean hops under uniform demand: 2h - o(1).

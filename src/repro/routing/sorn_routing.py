@@ -19,19 +19,17 @@ the paths this router enumerates.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 import numpy as np
 
 from ..errors import RoutingError
 from ..topology.cliques import CliqueLayout
 from ..util import ensure_rng
-from .base import Path, Router
+from .base import DrawRouter, Path
 
 __all__ = ["SornRouter"]
 
 
-class SornRouter(Router):
+class SornRouter(DrawRouter):
     """Hierarchical 2/3-hop oblivious routing over a SORN clique layout.
 
     Parameters
@@ -45,7 +43,7 @@ class SornRouter(Router):
         if not layout.is_equal_sized:
             raise RoutingError("SornRouter requires equal-sized cliques")
         self.layout = layout
-        # Array mirrors of the layout for the batched sampler.
+        # Array mirrors of the layout for the kernel.
         self._clique_arr = layout.assignment()
         self._pos_arr = layout.positions()
         self._member_mat = layout.member_matrix()
@@ -64,38 +62,26 @@ class SornRouter(Router):
         endpoint toward that clique)."""
         return self.layout.node_at(clique, self.layout.position_of(node))
 
-    def _intra_options(self, src: int, dst: int) -> List[Tuple[float, Path]]:
+    def draw_bounds(self, srcs: np.ndarray, dsts: np.ndarray) -> np.ndarray:
+        """One draw: ``S - 1`` clique-mates other than src for intra
+        pairs, any of the ``S`` clique members for inter pairs."""
         size = self.layout.clique_size
-        if size < 2:
-            raise RoutingError("intra-clique pair in a singleton clique")
-        prob = 1.0 / (size - 1)
-        options: List[Tuple[float, Path]] = [(prob, Path((src, dst)))]
-        for mid in self.layout.members(self.layout.clique_of(src)):
-            if mid not in (src, dst):
-                options.append((prob, Path((src, mid, dst))))
-        return options
+        intra = self._clique_arr[srcs] == self._clique_arr[dsts]
+        return np.where(intra, size - 1, size)[:, None]
 
-    def _inter_options(self, src: int, dst: int) -> List[Tuple[float, Path]]:
-        dst_clique = self.layout.clique_of(dst)
-        size = self.layout.clique_size
-        prob = 1.0 / size
-        options: List[Tuple[float, Path]] = []
-        for mid in self.layout.members(self.layout.clique_of(src)):
-            entry = self.aligned_peer(mid, dst_clique)
-            nodes = [src]
-            if mid != src:
-                nodes.append(mid)
-            nodes.append(entry)
-            if entry != dst:
-                nodes.append(dst)
-            options.append((prob, Path(tuple(nodes))))
-        return options
-
-    def path_options(self, src: int, dst: int) -> List[Tuple[float, Path]]:
-        self._check_pair(src, dst)
-        if self.layout.same_clique(src, dst):
-            return self._intra_options(src, dst)
-        return self._inter_options(src, dst)
+    def walks(self, srcs: np.ndarray, dsts: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """``[src, mid, entry, dst]``.  Intra pairs enter at dst, so a
+        draw of dst is the direct path; inter pairs skip the LB hop when
+        the draw is src and the final hop when the entry is dst."""
+        members = self._member_mat
+        c_src = self._clique_arr[srcs]
+        c_dst = self._clique_arr[dsts]
+        intra = c_src == c_dst
+        draw = draws[:, 0]
+        # Intra draws index the clique-mates other than src, in member order.
+        mid = members[c_src, draw + (intra & (draw >= self._pos_arr[srcs]))]
+        entry = np.where(intra, dsts, members[c_dst, self._pos_arr[mid]])
+        return np.stack([srcs, mid, entry, dsts], axis=1)
 
     def path(self, src: int, dst: int, rng=None) -> Path:
         """Sample directly (no enumeration): draw the load-balancing
@@ -125,83 +111,3 @@ class SornRouter(Router):
         if entry != dst:
             nodes.append(dst)
         return Path(tuple(nodes))
-
-    def paths_batch(self, srcs, dsts, rng=None) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized sampler over mixed intra/inter pair batches.
-
-        One broadcast ``integers`` draw covers the whole batch (bound
-        ``S - 1`` for intra pairs, ``S`` for inter pairs), which NumPy
-        generates stream-identically to the per-pair scalar draws in
-        :meth:`path` — so batched and sequential sampling agree exactly,
-        not just in distribution.
-        """
-        srcs = np.asarray(srcs, dtype=np.int64)
-        dsts = np.asarray(dsts, dtype=np.int64)
-        self._check_pairs_batch(srcs, dsts)
-        k = srcs.size
-        width = self.max_hops + 1
-        if k == 0:
-            return np.full((k, width), -1, dtype=np.int64), np.empty(k, dtype=np.int64)
-        gen = ensure_rng(rng)
-        members = self._member_mat
-        size = members.shape[1]
-        c_src = self._clique_arr[srcs]
-        c_dst = self._clique_arr[dsts]
-        intra = c_src == c_dst
-        if size < 2 and intra.any():
-            raise RoutingError("intra-clique pair in a singleton clique")
-        draw = gen.integers(0, np.where(intra, max(size - 1, 1), size))
-        # Intra: uniform clique-mate != src, in member order (dst draw =>
-        # direct).  Inter: uniform clique-mate (src draw => skip LB hop).
-        adj = draw + (draw >= self._pos_arr[srcs])
-        mid = np.where(intra, members[c_src, np.minimum(adj, size - 1)],
-                       members[c_src, draw])
-        entry = members[c_dst, self._pos_arr[mid]]
-        rows = np.arange(k)
-        scratch = np.full((k, max(width, 4)), -1, dtype=np.int64)
-        scratch[:, 0] = srcs
-        lengths = np.empty(k, dtype=np.int64)
-        # Intra rows: [src, dst] or [src, mid, dst].
-        direct = mid == dsts
-        i_intra = rows[intra]
-        scratch[i_intra, 1] = np.where(direct[intra], dsts[intra], mid[intra])
-        i_three = rows[intra & ~direct]
-        scratch[i_three, 2] = dsts[i_three]
-        lengths[intra] = np.where(direct[intra], 2, 3)
-        # Inter rows: [src, mid?, entry, dst?] with the LB hop skipped when
-        # the draw hits src and the final hop skipped when entry == dst.
-        inter = ~intra
-        has_mid = inter & (mid != srcs)
-        has_dst = inter & (entry != dsts)
-        entry_col = 1 + has_mid.astype(np.int64)
-        scratch[rows[has_mid], 1] = mid[has_mid]
-        scratch[rows[inter], entry_col[inter]] = entry[inter]
-        i_dst = rows[has_dst]
-        scratch[i_dst, entry_col[has_dst] + 1] = dsts[has_dst]
-        lengths[inter] = 2 + has_mid[inter] + has_dst[inter]
-        return scratch[:, :width], lengths
-
-    def expected_hops(self, src: int, dst: int) -> float:
-        """Closed forms.
-
-        Intra: ``2 - 1/(S-1)``.  Inter: the LB hop is skipped with
-        probability 1/S (w = src) and the final hop is skipped when the
-        aligned entry node happens to be dst (w aligned with dst), so
-        ``3 - 2/S``.
-        """
-        self._check_pair(src, dst)
-        size = self.layout.clique_size
-        if self.layout.same_clique(src, dst):
-            return 2.0 - 1.0 / (size - 1)
-        return 3.0 - 2.0 / size
-
-    def mean_hops(self, intra_fraction: float) -> float:
-        """Mean hops for demand with intra-clique fraction *x*.
-
-        As S grows this tends to the paper's normalized bandwidth cost
-        ``3 - x`` (e.g. 2.44 average hops at x = 0.56).
-        """
-        size = self.layout.clique_size
-        intra = 2.0 - 1.0 / max(size - 1, 1)
-        inter = 3.0 - 2.0 / size
-        return intra_fraction * intra + (1.0 - intra_fraction) * inter

@@ -13,17 +13,15 @@ it coincides with the destination the packet takes the direct single hop.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 import numpy as np
 
 from ..util import check_positive_int, ensure_rng
-from .base import Path, Router
+from .base import DrawRouter, Path
 
 __all__ = ["VlbRouter"]
 
 
-class VlbRouter(Router):
+class VlbRouter(DrawRouter):
     """Uniform 2-hop VLB over ``num_nodes`` fully connected virtual nodes."""
 
     def __init__(self, num_nodes: int):
@@ -37,15 +35,14 @@ class VlbRouter(Router):
     def max_hops(self) -> int:
         return 2
 
-    def path_options(self, src: int, dst: int) -> List[Tuple[float, Path]]:
-        self._check_pair(src, dst)
-        n = self._num_nodes
-        prob = 1.0 / (n - 1)
-        options: List[Tuple[float, Path]] = [(prob, Path((src, dst)))]
-        for mid in range(n):
-            if mid not in (src, dst):
-                options.append((prob, Path((src, mid, dst))))
-        return options
+    def draw_bounds(self, srcs: np.ndarray, dsts: np.ndarray) -> np.ndarray:
+        """One draw over the ``N - 1`` nodes other than src."""
+        return np.full((srcs.size, 1), self._num_nodes - 1, dtype=np.int64)
+
+    def walks(self, srcs: np.ndarray, dsts: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """``[src, mid, dst]``; a draw of dst is the direct path."""
+        mid = draws[:, 0] + (draws[:, 0] >= srcs)
+        return np.stack([srcs, mid, dsts], axis=1)
 
     def path(self, src: int, dst: int, rng=None) -> Path:
         """Sample directly (no enumeration): draw the intermediate."""
@@ -57,29 +54,3 @@ class VlbRouter(Router):
         if mid == dst:
             return Path((src, dst))
         return Path((src, mid, dst))
-
-    def paths_batch(self, srcs, dsts, rng=None) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized sampler: one batched intermediate draw for the whole
-        pair list, stream-identical to repeated :meth:`path` calls."""
-        srcs = np.asarray(srcs, dtype=np.int64)
-        dsts = np.asarray(dsts, dtype=np.int64)
-        self._check_pairs_batch(srcs, dsts)
-        k = srcs.size
-        paths = np.full((k, 3), -1, dtype=np.int64)
-        lengths = np.empty(k, dtype=np.int64)
-        if k == 0:
-            return paths, lengths
-        gen = ensure_rng(rng)
-        mid = gen.integers(self._num_nodes - 1, size=k)
-        mid = np.where(mid >= srcs, mid + 1, mid)  # uniform over nodes != src
-        direct = mid == dsts
-        paths[:, 0] = srcs
-        paths[:, 1] = np.where(direct, dsts, mid)
-        paths[:, 2] = np.where(direct, -1, dsts)
-        lengths[:] = np.where(direct, 2, 3)
-        return paths, lengths
-
-    def expected_hops(self, src: int, dst: int) -> float:
-        """Closed form: 2 - 1/(N-1) (direct when the intermediate is dst)."""
-        self._check_pair(src, dst)
-        return 2.0 - 1.0 / (self._num_nodes - 1)

@@ -63,25 +63,22 @@ def link_loads(router: Router, matrix: TrafficMatrix) -> np.ndarray:
 
     Entry ``[u, v]`` is the traffic rate crossing the virtual link u -> v
     when the full *matrix* is offered.  Exact (enumerates the path
-    distribution), not sampled.
+    distribution, one source row at a time), not sampled.
     """
     n = matrix.num_nodes
     if router.num_nodes != n:
         raise TrafficError(
             f"router covers {router.num_nodes} nodes, matrix {n}"
         )
-    loads = np.zeros((n, n))
+    loads = np.zeros(n * n)
     rates = matrix.rates
-    for src in range(n):
-        for dst in range(n):
-            demand = rates[src, dst]
-            if demand == 0.0 or src == dst:
-                continue
-            for prob, path in router.path_options(src, dst):
-                weight = demand * prob
-                for u, v in path.links():
-                    loads[u, v] += weight
-    return loads
+    for src, dsts, pair, prob, paths, lengths in router.options_by_source(rates != 0):
+        hop = np.arange(paths.shape[1] - 1) < (lengths - 1)[:, None]
+        links = (paths[:, :-1] * n + paths[:, 1:])[hop]
+        # Unbuffered and in row order: each link sums its terms pair by
+        # pair, as a walk over the pairs would.
+        np.add.at(loads, links, np.repeat(rates[src, dsts[pair]] * prob, lengths - 1))
+    return loads.reshape(n, n)
 
 
 def _capacity_matrix(schedule: CircuitSchedule) -> np.ndarray:

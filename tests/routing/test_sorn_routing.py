@@ -3,9 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import Sorn
 from repro.errors import RoutingError
 from repro.routing import SornRouter
 from repro.topology import CliqueLayout
+from repro.traffic import clustered_matrix
 
 
 @pytest.fixture
@@ -77,13 +79,26 @@ class TestInterCliqueRouting:
 
 
 class TestMeanHops:
-    def test_mean_hops_at_locality(self):
-        router = SornRouter(CliqueLayout.equal(32, 4))
-        # Large-S limit is 3 - x; at S=8 corrections are small.
-        assert router.mean_hops(0.56) == pytest.approx(3 - 0.56, abs=0.35)
+    """Fluid mean hops of a clustered matrix with intra-clique fraction x:
+    ``x (2 - 1/(S-1)) + (1 - x)(3 - 2/S)``, which tends to the paper's
+    ``3 - x`` as S grows (2.44 hops at x = 0.56)."""
 
-    def test_mean_hops_monotone_in_locality(self, router8):
-        assert router8.mean_hops(0.9) < router8.mean_hops(0.1)
+    @staticmethod
+    def fluid_mean_hops(nodes, cliques, x):
+        sorn = Sorn.optimal(nodes, cliques, x)
+        return sorn.fluid_throughput(clustered_matrix(sorn.layout, x)).mean_hops
+
+    def test_mean_hops_at_locality(self):
+        for nodes, cliques, x in [(32, 4, 0.56), (64, 8, 0.3), (128, 8, 0.9)]:
+            size = nodes // cliques
+            expected = x * (2 - 1 / (size - 1)) + (1 - x) * (3 - 2 / size)
+            assert self.fluid_mean_hops(nodes, cliques, x) == pytest.approx(
+                expected, abs=1e-9
+            )
+
+    def test_mean_hops_monotone_in_locality(self):
+        hops = [self.fluid_mean_hops(8, 2, x) for x in (0.1, 0.5, 0.9)]
+        assert hops[0] > hops[1] > hops[2]
 
 
 class TestSampling:

@@ -3,13 +3,61 @@
 import numpy as np
 import pytest
 
+from repro import Sorn
 from repro.analysis import optimal_q, sorn_throughput, sorn_throughput_bounds
 from repro.errors import SimulationError
-from repro.routing import SornRouter, VlbRouter
-from repro.schedules import RoundRobinSchedule, build_sorn_schedule
+from repro.routing import (
+    BeyondVlbRouter,
+    DirectRouter,
+    FailureAwareRouter,
+    HierarchicalSornRouter,
+    MixedPoolRouter,
+    MultiDimRouter,
+    OperaRouter,
+    SornRouter,
+    VlbRouter,
+)
+from repro.schedules import (
+    ExpanderSchedule,
+    HierarchicalSornSchedule,
+    MixedPoolSchedule,
+    MultiDimSchedule,
+    RoundRobinSchedule,
+    build_sorn_schedule,
+)
 from repro.sim import link_loads, saturation_throughput
 from repro.topology import CliqueLayout
-from repro.traffic import clustered_matrix, permutation_matrix, uniform_matrix
+from repro.traffic import (
+    TrafficMatrix,
+    clustered_matrix,
+    permutation_matrix,
+    uniform_matrix,
+)
+
+#: The localities ``sorn-repro fig2f`` sweeps.
+FIG2F_LOCALITIES = [round(0.1 * i, 1) for i in range(10)]
+
+
+def walk_loads(router, matrix):
+    """Expected link loads by walking every pair's path_options in
+    Python: an oracle written apart from the solver's array code."""
+    n = matrix.num_nodes
+    loads = np.zeros((n, n))
+    for src in range(n):
+        for dst in range(n):
+            demand = matrix.rates[src, dst]
+            if demand == 0.0 or src == dst:
+                continue
+            for prob, path in router.path_options(src, dst):
+                for u, v in path.links():
+                    loads[u, v] += demand * prob
+    return loads
+
+
+def _dense_matrix(n, seed):
+    rates = np.random.default_rng(seed).random((n, n))
+    np.fill_diagonal(rates, 0.0)
+    return TrafficMatrix(rates)
 
 
 class TestLinkLoads:
@@ -29,6 +77,95 @@ class TestLinkLoads:
 
         with pytest.raises(TrafficError):
             link_loads(VlbRouter(8), uniform_matrix(9))
+
+    def test_enumerates_one_source_at_a_time(self, monkeypatch):
+        """One options_batch call per source row keeps the enumeration's
+        memory at one row of pairs, not N^2."""
+        router = VlbRouter(8)
+        calls = []
+        enumerate_pairs = router.options_batch
+
+        def spy(srcs, dsts):
+            calls.append((sorted(set(np.asarray(srcs).tolist())), len(dsts)))
+            return enumerate_pairs(srcs, dsts)
+
+        monkeypatch.setattr(router, "options_batch", spy)
+        link_loads(router, uniform_matrix(8))
+        assert calls == [([src], 7) for src in range(8)]
+
+
+class TestLinkLoadsOracle:
+    """link_loads against a pair-by-pair walk of path_options."""
+
+    def test_vlb_bit_identical(self):
+        router, matrix = VlbRouter(16), _dense_matrix(16, 3)
+        assert np.array_equal(link_loads(router, matrix), walk_loads(router, matrix))
+
+    @pytest.mark.parametrize("x", [0.0, 0.56, 0.9])
+    def test_sorn_bit_identical(self, x):
+        """Within one pair no SORN option crosses a link another option
+        crosses, so summing in pair order is the walk's sum, bit for bit."""
+        sorn = Sorn.optimal(64, 8, x)
+        matrix = clustered_matrix(sorn.layout, x)
+        loads = link_loads(sorn.router, matrix)
+        assert np.array_equal(loads, walk_loads(sorn.router, matrix))
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["multidim", "hierarchical", "opera", "mixed-pool", "beyond-vlb", "direct", "failover"],
+    )
+    def test_other_routers_agree(self, kind):
+        if kind == "multidim":
+            router, matrix = MultiDimRouter(MultiDimSchedule(16, 2)), _dense_matrix(16, 1)
+        elif kind == "hierarchical":
+            layout = CliqueLayout.equal(32, 2)
+            schedule = HierarchicalSornSchedule(layout, q=2, h=2)
+            router, matrix = HierarchicalSornRouter(schedule), clustered_matrix(layout, 0.4)
+        elif kind == "opera":
+            router, matrix = OperaRouter(ExpanderSchedule(16, 4, seed=1)), _dense_matrix(16, 2)
+        elif kind == "mixed-pool":
+            demand = _dense_matrix(12, 4).rates
+            schedule = MixedPoolSchedule(
+                12, static_planes=1, rotor_planes=1, demand_planes=1, demand=demand
+            )
+            router, matrix = MixedPoolRouter(schedule), TrafficMatrix(demand)
+        elif kind == "beyond-vlb":
+            router, matrix = BeyondVlbRouter(12, 0.3), _dense_matrix(12, 5)
+        elif kind == "direct":
+            router, matrix = DirectRouter(12), _dense_matrix(12, 6)
+        else:
+            layout = CliqueLayout.equal(16, 4)
+            router = FailureAwareRouter(SornRouter(layout), [5, 10])
+            matrix = clustered_matrix(layout, 0.5)
+        np.testing.assert_allclose(
+            link_loads(router, matrix), walk_loads(router, matrix), rtol=1e-12, atol=0
+        )
+
+
+class TestClosedForms:
+    """Fluid theta against the closed forms, to 1e-9."""
+
+    @pytest.mark.parametrize("x", FIG2F_LOCALITIES)
+    def test_sorn_at_optimal_q(self, x):
+        """Fig 2(f)'s curve r = 1/(3 - x) at the paper's N=128, Nc=8."""
+        sorn = Sorn.optimal(128, 8, x)
+        result = sorn.fluid_throughput(clustered_matrix(sorn.layout, x))
+        assert result.throughput == pytest.approx(1.0 / (3.0 - x), rel=1e-9)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_vlb_uniform(self, n):
+        result = saturation_throughput(RoundRobinSchedule(n), VlbRouter(n), uniform_matrix(n))
+        assert result.throughput == pytest.approx(1.0 / (2.0 - 1.0 / (n - 1)), rel=1e-9)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("beta", [0.25, 0.5])
+    def test_beyond_vlb_uniform(self, n, beta):
+        """Wilson et al.'s beyond-VLB: 1/(2 - beta - (1 - beta)/(n - 1))."""
+        result = saturation_throughput(
+            RoundRobinSchedule(n), BeyondVlbRouter(n, beta), uniform_matrix(n)
+        )
+        expected = 1.0 / (2.0 - beta - (1.0 - beta) / (n - 1))
+        assert result.throughput == pytest.approx(expected, rel=1e-9)
 
 
 class TestVlbThroughput:
