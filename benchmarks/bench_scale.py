@@ -6,20 +6,13 @@ the optimal q for x=0.56) — and writes the measurement to
 ``BENCH_scale.json`` for CI regression tracking:
 
 - **slots/s**: end-to-end wall clock of an untraced run (the schedule,
-  its dense destination table, the router and the workload are built
+  its compiled bank and index, the router and the workload are built
   outside the timed region, exactly like ``bench_kernel.py``).  Every
   rung gets one untimed warmup run first so the measurement is warm
   steady-state, not first-touch page faults; the paper-scale N=4096
   rung carries a hard slots/s floor on the warm number so a driver or
   kernel regression at the scale the paper actually ran cannot land
   silently.
-- **schedule cache**: at N=4096 the compiled-schedule cache
-  (:class:`repro.exp.ScheduleCache`) is timed cold (miss: dense-table
-  build + content-addressed store) vs warm (hit: read-only memory-map
-  of the stored table), gated on the warm path being at least
-  ``SCHED_CACHE_MIN_SPEEDUP`` x faster — the property every
-  segment/replica/sweep worker banks on when it maps the shared copy
-  instead of rebuilding the period-3843 tables.
 - **peak memory**: a second, identical run under ``tracemalloc`` (numpy
   registers its buffers with the tracer, so the dominant VOQ cubes,
   qlen counter and cell tables are all seen); ``reset_peak`` before
@@ -44,7 +37,6 @@ assert), so a memory measurement can never hide a correctness change.
 """
 
 import json
-import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -52,7 +44,6 @@ from pathlib import Path
 from conftest import bench_environment
 
 from repro.analysis import optimal_q
-from repro.exp import ScheduleCache
 from repro.routing import SornRouter
 from repro.schedules import build_sorn_schedule
 from repro.sim import SimConfig, SlotSimulator, clear_cube_pool
@@ -69,15 +60,11 @@ LOAD = 0.30
 #: Warm slots/s floor at the paper's N=4096 rung (~1.5x the pre-batched
 #: driver's ~210 slots/s; the batched driver measures ~360+ warm here).
 SCALE_FLOOR_SLOTS_PER_S = 315.0
-#: Minimum warm (mmap hit) over cold (build + store) speedup for the
-#: compiled-schedule cache at N=4096.
-SCHED_CACHE_MIN_SPEEDUP = 5.0
 
 #: (num_nodes, num_cliques, q, slots, peak-byte budget, slots/s floor).
-#: q is the optimal 2/(1-x) wherever the realized schedule period stays
-#: small; N=2048 has no such Nc (every option lands near a ~119k-slot
-#: period, a ~1 GiB destination table), so that rung uses q=2 — the
-#: memory ladder cares about N, not q.  Budgets are ~30% above the
+#: q is the optimal 2/(1-x) at N=1024 and N=4096.  The N=2048 rung has
+#: always run at q=2 and keeps it so its BENCH_scale.json history stays
+#: comparable — the memory ladder cares about N, not q.  Budgets are ~30% above the
 #: measured footprint of the int32 + chunked-presampling engine (N=4096
 #: measured ~334 MiB: 268 MiB head/tail cubes + 64 MiB qlen + cell
 #: tables).  Only the paper-scale rung carries a throughput floor:
@@ -97,7 +84,7 @@ FLOW_MODEL_FLOWS = 1_000_000
 
 def _fabric(num_nodes, num_cliques, q):
     schedule = build_sorn_schedule(num_nodes, num_cliques, q=q)
-    schedule.dest_table()  # warm the shared cache outside the measured region
+    schedule.compiled()  # compile outside the measured region
     return schedule, SornRouter(schedule.layout)
 
 
@@ -118,45 +105,11 @@ def _run(schedule, router, flows, slots):
     return sim.run(flows, slots, measure_from=slots // 2)
 
 
-def _sched_cache_timing(schedule):
-    """Cold (build + store) vs warm (mmap hit) compiled-schedule timing.
-
-    Both calls go through the cache so the comparison is the real choice
-    a sweep worker faces: rebuild the dense table from the matchings, or
-    map the content-addressed copy a sibling already stored.  The warm
-    table is spot-checked against the cold one (full-table equality is
-    covered by the schedule-cache tests; paging the whole mmap in here
-    would just re-measure the cold read).
-    """
-    with tempfile.TemporaryDirectory(prefix="schedcache-bench-") as root:
-        cache = ScheduleCache(root=root)
-        start = time.perf_counter()
-        cold_table = cache.dest_table(schedule)
-        cold_s = time.perf_counter() - start
-        start = time.perf_counter()
-        warm_table = cache.dest_table(schedule)
-        warm_s = time.perf_counter() - start
-        assert (cache.misses, cache.hits) == (1, 1), cache.stats()
-        assert warm_table.shape == cold_table.shape
-        assert warm_table.dtype == cold_table.dtype
-        assert (warm_table[0] == cold_table[0]).all()
-        del warm_table, cold_table  # release the mmap before cleanup
-    return {
-        "num_nodes": schedule.num_nodes,
-        "period": schedule.period,
-        "cold_seconds": round(cold_s, 4),
-        "warm_seconds": round(warm_s, 4),
-        "speedup": round(cold_s / warm_s, 1),
-        "min_speedup": SCHED_CACHE_MIN_SPEEDUP,
-    }
-
-
 def test_scale_memory_and_throughput(report, smoke):
     """Slot engine at N ∈ {1024, 2048, 4096}: slots/s + gated peak RSS."""
     scales = SMOKE_SCALE if smoke else FULL_SCALE
     results = []
     lines = []
-    sched_cache_result = None
     for num_nodes, num_cliques, q, slots, budget, floor in scales:
         schedule, router = _fabric(num_nodes, num_cliques, q)
         flows = _flows(schedule, slots)
@@ -198,15 +151,6 @@ def test_scale_memory_and_throughput(report, smoke):
             + f"   peak {peak / 2**20:>7.1f} MiB"
             + (f" (budget {budget / 2**20:.0f} MiB)" if budget else "")
         )
-        if floor is not None:
-            sched_cache_result = _sched_cache_timing(schedule)
-            lines.append(
-                f"schedule cache N={num_nodes}  "
-                f"cold {sched_cache_result['cold_seconds']:.3f}s   "
-                f"warm {sched_cache_result['warm_seconds']:.4f}s   "
-                f"speedup {sched_cache_result['speedup']:.0f}x "
-                f"(gate >= {SCHED_CACHE_MIN_SPEEDUP:.0f}x)"
-            )
 
     flow_results = []
     if not smoke:
@@ -262,7 +206,6 @@ def test_scale_memory_and_throughput(report, smoke):
             "smoke": smoke,
         },
         "results": results,
-        "schedule_cache": sched_cache_result,
         "flow_model": flow_results,
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
@@ -287,9 +230,3 @@ def test_scale_memory_and_throughput(report, smoke):
                 f"under the {entry['slots_per_s_floor']:.0f} slots/s floor — "
                 f"a slot-batch driver or kernel regression at paper scale"
             )
-    assert sched_cache_result is not None, "paper-scale rung missing"
-    assert sched_cache_result["speedup"] >= SCHED_CACHE_MIN_SPEEDUP, (
-        f"schedule-cache warm hit only {sched_cache_result['speedup']}x "
-        f"faster than the cold build (floor {SCHED_CACHE_MIN_SPEEDUP}x) — "
-        f"the mmap fast path sweep workers rely on has regressed"
-    )

@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ..errors import DecompositionError, ControlPlaneError
 from ..schedules.matching import Matching
@@ -67,6 +66,9 @@ def _find_positive_matching(support: np.ndarray) -> Optional[np.ndarray]:
     would leak ``PYTHONHASHSEED`` into schedules, goldens, and the
     content-addressed sweep cache).
     """
+    # Imported here so ``import repro`` does not pay for scipy.
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.where(support, 0.0, 1.0)
     rows, cols = linear_sum_assignment(cost)
     if cost[rows, cols].sum() > 0:

@@ -20,9 +20,6 @@ ad-hoc loop in every CLI subcommand and benchmark into one subsystem:
   make journaled sweeps crash-resumable: a killed run re-executed under
   the same run id recomputes only the points that never reached the
   cache and merges bit-identically.
-- :mod:`schedcache` — the compiled-schedule cache: content-addressed
-  on-disk destination tables and circuit-up masks, memory-mapped
-  read-only by every process that compiles the same fabric.
 - :mod:`factory` — memoized construction of schedules, routers, and
   traffic matrices shared by sweep families, benchmarks, and tests.
 
@@ -46,7 +43,6 @@ from .families import (
 )
 from .journal import JOURNAL_SCHEMA, RunJournal, journal_path, runs_dir
 from .runner import SweepPoint, SweepRunner
-from .schedcache import SCHED_SCHEMA_VERSION, ScheduleCache, schedule_key
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -64,8 +60,5 @@ __all__ = [
     "runs_dir",
     "SweepPoint",
     "SweepRunner",
-    "SCHED_SCHEMA_VERSION",
-    "ScheduleCache",
-    "schedule_key",
     "factory",
 ]

@@ -6,7 +6,7 @@ clustered traffic matrix.  Before this module every benchmark script and
 sweep family rebuilt them per point — pure waste, since all of these
 objects are immutable once constructed (their only internal mutation is
 idempotent caching such as :meth:`repro.schedules.schedule.
-CircuitSchedule.dest_table`).  Each factory below is an
+CircuitSchedule.compiled`).  Each factory below is an
 ``functools.lru_cache``-memoized builder keyed on the construction
 parameters, so repeated points share one instance per process.
 

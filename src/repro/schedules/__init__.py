@@ -13,7 +13,7 @@ families the paper discusses:
 """
 
 from .matching import Matching
-from .schedule import CircuitSchedule, ExplicitSchedule, set_dest_table_provider
+from .schedule import CircuitSchedule, ExplicitSchedule
 from .round_robin import RoundRobinSchedule
 from .multidim import MultiDimSchedule
 from .expander import ExpanderSchedule
@@ -32,7 +32,6 @@ __all__ = [
     "Matching",
     "CircuitSchedule",
     "ExplicitSchedule",
-    "set_dest_table_provider",
     "RoundRobinSchedule",
     "MultiDimSchedule",
     "ExpanderSchedule",

@@ -66,12 +66,6 @@ class ExpanderSchedule(CircuitSchedule):
 
     # -- per-rotor matchings ----------------------------------------------------
 
-    def cache_token(self) -> dict:
-        """The materialized per-rotor shift permutations plus the stagger
-        capture the seed's entire effect, so two seeds that happen to
-        draw identical permutations share one cached table."""
-        return {"shifts": self._shift_table, "stagger": self._stagger}
-
     def rotor_shift(self, epoch: int, rotor: int) -> int:
         """Rotation shift (1..N-1) rotor *rotor* dwells on during *epoch*."""
         if not 0 <= rotor < self.num_rotors:

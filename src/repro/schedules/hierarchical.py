@@ -30,10 +30,10 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..topology.cliques import CliqueLayout
-from ..util import check_positive_int, spread_evenly
+from ..util import check_positive_int
 from .matching import Matching
 from .schedule import CircuitSchedule
-from .sorn_schedule import INTER, INTRA, _lcm
+from .sorn_schedule import INTER, INTRA, _clique_bank, _interleave, _lcm
 
 __all__ = ["HierarchicalSornSchedule"]
 
@@ -101,17 +101,9 @@ class HierarchicalSornSchedule(CircuitSchedule):
         self.num_intra_slots = intra_slots
         self.num_inter_slots = inter_slots
 
-        kind = np.full(self._period, INTRA, dtype=np.int8)
-        if inter_slots:
-            kind[spread_evenly(inter_slots, self._period)] = INTER
-        self._kind = kind
-        self._family_index = np.zeros(self._period, dtype=np.int64)
-        counters = [0, 0]
-        for t in range(self._period):
-            k = kind[t]
-            self._family_index[t] = counters[k]
-            counters[k] += 1
+        self._kind, self._family_index = _interleave(self._period, inter_slots)
         self._order = np.array(layout.groups(), dtype=np.int64)
+        self.compiled()  # eager: milliseconds, and matching() reads it
 
     # -- intra digit arithmetic (positions within a clique) -------------------
 
@@ -147,21 +139,21 @@ class HierarchicalSornSchedule(CircuitSchedule):
         idx = int(self._family_index[t])
         return idx % (self.layout.num_cliques - 1) + 1
 
+    def _compile(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The h(radix-1) intra digit advances (family index r serves
+        dimension ``r mod h`` at shift ``r // h + 1``), then the Nc-1
+        clique rotations."""
+        pos = np.arange(self.layout.clique_size)
+        r = np.arange(self.h * (self.radix - 1))[:, None]
+        stride = self.radix ** (r % self.h)
+        digit = pos // stride % self.radix
+        intra_cols = pos + ((digit + r // self.h + 1) % self.radix - digit) * stride
+        bank, base = _clique_bank(self._order, intra_cols, self._kind, self._family_index)
+        return bank, self._offset_planes(base)
+
     def matching(self, slot: int) -> Matching:
-        t = slot % self._period
-        size = self.layout.clique_size
-        dst = np.empty(self._num_nodes, dtype=np.int64)
-        if self._kind[t] == INTRA:
-            dim, shift = self.intra_slot_params(t)
-            cols = np.array(
-                [self.advance_position(i, dim, shift) for i in range(size)],
-                dtype=np.int64,
-            )
-            rolled = self._order[:, cols]
-        else:
-            rolled = np.roll(self._order, -self.inter_slot_shift(t), axis=0)
-        dst[self._order.ravel()] = rolled.ravel()
-        return Matching(dst)
+        bank, index = self.compiled()
+        return Matching(bank[index[slot % self._period, 0]])
 
     # -- derived ------------------------------------------------------------------
 

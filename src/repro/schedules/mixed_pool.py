@@ -8,8 +8,9 @@ oblivious round-robin, and elephant flows get demand-aware direct
 circuits.  This schedule realizes that partition at the plane level:
 each uplink plane belongs to one pool and runs that pool's matching
 sequence, so the planes are *not* offset copies of a single base
-sequence (the generic :meth:`CircuitSchedule.dest_table` path and the
-invariant checker handle this faithfully).
+sequence (the generic :meth:`CircuitSchedule.compiled` build walks every
+plane, so the engine and the invariant checker see each pool's own
+matchings).
 
 Pool semantics:
 
@@ -128,21 +129,6 @@ class MixedPoolSchedule(CircuitSchedule):
         return tuple(sorted(int(s) for s in set(shifts)))
 
     # -- pool structure --------------------------------------------------------
-
-    def cache_token(self) -> dict:
-        """Pool split, the materialized static shifts, and the demand
-        pool's matching digest (rotor planes are a pure function of
-        (N, rotor count), already covered by the key envelope)."""
-        demand_token = (
-            None
-            if self._demand_schedule is None
-            else self._demand_schedule.cache_token()
-        )
-        return {
-            "counts": dict(self._counts),
-            "static_shifts": list(self._static_shifts),
-            "demand": demand_token,
-        }
 
     @property
     def pool_counts(self) -> Dict[str, int]:

@@ -58,11 +58,6 @@ class MultiDimSchedule(CircuitSchedule):
         # Strides for digit arithmetic: digit d has stride radix**d.
         self._strides = np.array([radix ** d for d in range(h)], dtype=np.int64)
 
-    def cache_token(self) -> dict:
-        """(h, radix) pin the dimension split; (N, planes) live in the
-        cache key envelope."""
-        return {"h": self.h, "radix": self.radix}
-
     # -- digit arithmetic ------------------------------------------------------
 
     def digits(self, node: int) -> List[int]:

@@ -33,11 +33,6 @@ class RoundRobinSchedule(CircuitSchedule):
     def matching(self, slot: int) -> Matching:
         return Matching.rotation(self._num_nodes, (slot % self._period) + 1)
 
-    def cache_token(self) -> dict:
-        """The rotation sequence is fully determined by (N, planes),
-        which the cache key envelope already covers."""
-        return {}
-
     def max_wait_slots(self, src: int, dst: int) -> int:
         """Closed form: every circuit appears exactly once per period."""
         if src == dst:

@@ -9,12 +9,17 @@ Parallel uplinks are modeled as *planes*: plane ``p`` of a schedule with
 ``num_planes = U`` runs the same matching sequence offset by ``period/U``
 slots, which is how Sirius spreads one logical rotation across 16 physical
 uplinks and divides the effective cycle time by 16.
+
+Array consumers read one compiled form, :meth:`CircuitSchedule.compiled`:
+a *bank* of the period's distinct matchings plus a ``(slot, plane)``
+*index* into it.  A period reuses few matchings (the SORN schedule at
+N=4096, Nc=64 cycles 126 of them through 3843 slots), so the pair is a
+small fraction of the dense ``(period, planes, N)`` table it encodes.
 """
 
 from __future__ import annotations
 
 import abc
-import hashlib
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,31 +28,7 @@ from ..errors import ScheduleError
 from ..util import check_positive_int
 from .matching import Matching
 
-__all__ = ["CircuitSchedule", "ExplicitSchedule", "set_dest_table_provider"]
-
-#: Process-wide hook consulted by :meth:`CircuitSchedule.dest_table` before
-#: building a table from scratch.  A provider maps a schedule to its dense
-#: destination table — typically a memory-mapped array served by
-#: :class:`repro.exp.schedcache.ScheduleCache` — so every consumer in the
-#: process (simulator engines, routers, sweep workers) transparently shares
-#: one on-disk copy.  ``None`` means "build locally" (the default).
-_TABLE_PROVIDER = None
-
-
-def set_dest_table_provider(provider):
-    """Install *provider* as the process-wide dest-table source.
-
-    *provider* is called as ``provider(schedule)`` and must return a
-    read-only ``(period, num_planes, num_nodes)`` int32 array equal to
-    what :meth:`CircuitSchedule.dest_table` would have built (providers
-    fall back to :meth:`CircuitSchedule._build_dest_table` themselves for
-    schedules they cannot serve).  Pass ``None`` to uninstall.  Returns
-    the previously installed provider so callers can restore it.
-    """
-    global _TABLE_PROVIDER
-    previous = _TABLE_PROVIDER
-    _TABLE_PROVIDER = provider
-    return previous
+__all__ = ["CircuitSchedule", "ExplicitSchedule"]
 
 
 class CircuitSchedule(abc.ABC):
@@ -58,8 +39,7 @@ class CircuitSchedule(abc.ABC):
         self._period = check_positive_int(period, "period")
         self._num_planes = check_positive_int(num_planes, "num_planes")
         self._row_cache: Dict[int, np.ndarray] = {}
-        self._dest_table: Optional[np.ndarray] = None
-        self._active_cache: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
+        self._compiled: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # -- core interface ------------------------------------------------------
 
@@ -107,14 +87,13 @@ class CircuitSchedule(abc.ABC):
         """One node's slot -> neighbor table over a period (base plane).
 
         This is the row a control plane programs into the node's NIC state
-        (:class:`repro.hardware.node.NodeState`).
+        (:class:`repro.hardware.node.NodeState`): one bank column gathered
+        by the base plane's index.
         """
         if not 0 <= src < self._num_nodes:
             raise ScheduleError(f"node {src} out of range [0, {self._num_nodes})")
-        return np.array(
-            [self.matching(t).destination(src) for t in range(self._period)],
-            dtype=np.int64,
-        )
+        bank, index = self.compiled()
+        return bank[index[:, 0], src].astype(np.int64)
 
     def edge_fractions(self) -> Dict[Tuple[int, int], float]:
         """Virtual-edge bandwidth fractions: ``f[(u, v)]`` is the fraction of
@@ -145,90 +124,80 @@ class CircuitSchedule(abc.ABC):
             self._row_cache[src] = row
         return row
 
-    def dest_table(self) -> np.ndarray:
-        """Dense destination table ``T[t, p, src] -> dst`` (-1 = idle).
+    def compiled(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The schedule as ``(bank, index)``, built once and memoized.
 
-        Shape ``(period, num_planes, num_nodes)``; plane ``p``'s row at
-        slot ``t`` is exactly ``plane_matching(t, p)``, so schedules whose
-        planes are *not* offset copies of the base plane (expander rotor
-        staggering, mixed static/rotor/demand pools) are represented
-        faithfully.  For the common offset-copy case the base matchings
-        are built once and gathered per plane.  Built once and cached on
-        the schedule instance (shared by every consumer), so
-        :meth:`plane_matching` callers are untouched while array-level
-        consumers — the vectorized simulator engine above all — skip
-        per-slot :class:`Matching` construction entirely.  The returned
-        array is read-only.
-
-        When a provider is installed via :func:`set_dest_table_provider`
-        (the compiled-schedule cache), the table may come back as a
-        read-only memory map of an on-disk copy shared by every process
-        that compiles the same schedule.
+        ``bank`` is an ``(M, num_nodes)`` int32 array of the period's
+        distinct matchings (``-1`` = idle); ``index`` is a
+        ``(period, num_planes)`` int32 array of bank rows.  Row
+        ``bank[index[t, p]]`` is ``plane_matching(t, p).dst``, so
+        ``bank[index]`` is the dense ``(period, planes, N)`` destination
+        table, and schedules whose planes are *not* offset copies of the
+        base plane (expander rotor staggering, mixed static/rotor/demand
+        pools) are represented faithfully.  Both arrays are read-only.
         """
-        if self._dest_table is None:
-            if _TABLE_PROVIDER is not None:
-                table = _TABLE_PROVIDER(self)
-            else:
-                table = self._build_dest_table()
-            self._dest_table = table
-        return self._dest_table
+        if self._compiled is None:
+            bank, index = self._compile()
+            bank.setflags(write=False)
+            index.setflags(write=False)
+            self._compiled = (bank, index)
+        return self._compiled
 
-    def _build_dest_table(self) -> np.ndarray:
-        """Materialize the dense destination table (cold path).
+    def _compile(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Build :meth:`compiled`'s ``(bank, index)``.
 
-        The pure builder behind :meth:`dest_table`: no instance memo, no
-        provider hook — this is what the compiled-schedule cache calls on
-        a miss, and what it must reproduce byte-for-byte on a hit.
+        The generic build walks one :class:`Matching` per slot (per slot
+        and plane when the planes are not offset copies) and keeps each
+        distinct row once, in order of first appearance.  Schedules that
+        know their matching families override it to build the bank
+        directly.
         """
-        # int32 holds any node id (N < 2**31) and halves the table:
-        # ~60 MiB saved at N=4096 with the SORN period of ~3843.
+        rows: Dict[bytes, int] = {}
+        bank: List[np.ndarray] = []
+
+        def bank_row(matching: Matching) -> int:
+            # int32 holds any node id (N < 2**31) at half the bytes.
+            row = matching.dst.astype(np.int32)
+            key = row.tobytes()
+            m = rows.get(key)
+            if m is None:
+                m = rows[key] = len(bank)
+                bank.append(row)
+            return m
+
         if self._planes_are_offset_copies():
-            base = np.stack(
-                [self.matching(t).dst.astype(np.int32) for t in range(self._period)]
+            base = np.array(
+                [bank_row(self.matching(t)) for t in range(self._period)],
+                dtype=np.int32,
             )
-            slots = np.arange(self._period)
-            table = np.stack(
-                [
-                    base[(slots + self.plane_offset(p)) % self._period]
-                    for p in range(self._num_planes)
-                ],
-                axis=1,
-            )
+            index = self._offset_planes(base)
         else:
-            table = np.stack(
+            index = np.array(
                 [
-                    np.stack(
-                        [
-                            self.plane_matching(t, p).dst.astype(np.int32)
-                            for p in range(self._num_planes)
-                        ]
-                    )
+                    [bank_row(self.plane_matching(t, p)) for p in range(self._num_planes)]
                     for t in range(self._period)
-                ]
+                ],
+                dtype=np.int32,
             )
-        table.setflags(write=False)
-        return table
+        return np.stack(bank), index
 
-    def cache_token(self) -> Optional[dict]:
-        """Canonicalizable parameters that determine :meth:`dest_table`.
-
-        The compiled-schedule cache (:class:`repro.exp.schedcache.
-        ScheduleCache`) keys on-disk tables by the SHA-256 of this token
-        plus the schedule's class name, size, period, and plane count —
-        so a token must capture *every* remaining degree of freedom of
-        the matching sequence (seeds, oversubscription ratios, demand
-        digests, ...), and two schedules with equal tokens must build
-        byte-identical tables.  ``None`` (the default) marks the schedule
-        uncacheable: consumers fall back to a local build.
-        """
-        return None
+    def _offset_planes(self, base: np.ndarray) -> np.ndarray:
+        """The ``(period, num_planes)`` index of offset-copy planes, from
+        the base plane's slot -> bank-row column *base*."""
+        slots = np.arange(self._period)
+        return np.stack(
+            [
+                base[(slots + self.plane_offset(p)) % self._period]
+                for p in range(self._num_planes)
+            ],
+            axis=1,
+        )
 
     def _planes_are_offset_copies(self) -> bool:
         """Whether every plane is the base matching sequence shifted by
         :meth:`plane_offset` — true for the base class, overridden to
-        ``False`` by plane-heterogeneous schedules so array consumers
-        (:meth:`dest_table`, the invariant checker) fall back to the
-        general per-plane construction."""
+        ``False`` by plane-heterogeneous schedules so :meth:`_compile` and
+        :meth:`validate` walk every plane."""
         plane_matching = type(self).plane_matching
         plane_offset = type(self).plane_offset
         return (
@@ -238,35 +207,15 @@ class CircuitSchedule(abc.ABC):
 
     def circuit_up_slots(self, src: int, dst: int) -> np.ndarray:
         """Sorted slot indices (one period) where src -> dst is up on *any*
-        plane — the union :meth:`circuit_slots` over planes, computed from
-        :meth:`dest_table` so plane-heterogeneous schedules are exact.
+        plane — the union :meth:`circuit_slots` over planes, read from
+        :meth:`compiled` so plane-heterogeneous schedules are exact.
         The returned array is read-only."""
         if not 0 <= src < self._num_nodes:
             raise ScheduleError(f"node {src} out of range [0, {self._num_nodes})")
-        up = np.nonzero((self.dest_table()[:, :, src] == dst).any(axis=1))[0]
+        bank, index = self.compiled()
+        up = np.flatnonzero((bank[:, src] == dst)[index].any(axis=1))
         up.setflags(write=False)
         return up
-
-    def active_circuits(self, slot: int, plane: int = 0) -> Tuple[np.ndarray, np.ndarray]:
-        """Active ``(srcs, dsts)`` arrays at *slot* on *plane*, in source
-        order — the array counterpart of ``plane_matching(...).pairs()``.
-
-        Memoized per ``(slot % period, plane)`` on top of
-        :meth:`dest_table`; both returned arrays are read-only.
-        """
-        if not 0 <= plane < self._num_planes:
-            raise ScheduleError(f"plane {plane} out of range [0, {self._num_planes})")
-        key = (slot % self._period, plane)
-        hit = self._active_cache.get(key)
-        if hit is None:
-            row = self.dest_table()[key[0], plane]
-            srcs = np.nonzero(row >= 0)[0]
-            dsts = row[srcs]
-            srcs.setflags(write=False)
-            dsts.setflags(write=False)
-            hit = (srcs, dsts)
-            self._active_cache[key] = hit
-        return hit
 
     def circuit_slots(self, src: int, dst: int) -> np.ndarray:
         """Sorted base-plane slot indices (one period) where src -> dst is up."""
@@ -360,17 +309,6 @@ class ExplicitSchedule(CircuitSchedule):
 
     def matching(self, slot: int) -> Matching:
         return self._slots[slot % self._period]
-
-    def cache_token(self) -> Optional[dict]:
-        """Digest of the held matchings (covers arbitrary synthesized
-        schedules — BvN output included — without enumerating their
-        construction parameters).  Hashing the destination rows costs a
-        single pass over arrays already in memory, far below the table
-        build it lets the cache skip."""
-        digest = hashlib.sha256()
-        for m in self._slots:
-            digest.update(np.ascontiguousarray(m.dst, dtype=np.int64).tobytes())
-        return {"matchings_sha256": digest.hexdigest()}
 
     def rotated(self, offset: int) -> "ExplicitSchedule":
         """The same cyclic schedule starting *offset* slots later."""

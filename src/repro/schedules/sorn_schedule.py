@@ -44,6 +44,46 @@ def _lcm(a: int, b: int) -> int:
     return a * b // math.gcd(a, b)
 
 
+def _interleave(period: int, inter_slots: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Slot kinds and each slot's 0-based index within its own family.
+
+    Inter slots are spread evenly through the period so the worst-case
+    gaps match the analytical q+1 spacing.
+    """
+    kind = np.full(period, INTRA, dtype=np.int8)
+    if inter_slots:
+        kind[spread_evenly(inter_slots, period)] = INTER
+    inter = kind == INTER
+    family_index = np.where(inter, np.cumsum(inter), np.cumsum(~inter)) - 1
+    return kind, family_index
+
+
+def _clique_bank(
+    order: np.ndarray, intra_cols: np.ndarray, kind: np.ndarray, family_index: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Bank rows and base-plane index of a clique schedule.
+
+    *order* is the ``(Nc, S)`` node ordering (``order[c, i]`` = node at
+    position i of clique c).  Intra row r links position i of every clique
+    to position ``intra_cols[r, i]`` of the same clique; inter row g - 1
+    links position i of clique c to position i of clique ``(c + g) mod
+    Nc``.  Slot t runs intra row ``family_index[t] mod R`` or inter row
+    ``family_index[t] mod (Nc - 1)``, each family cycling in order.
+    """
+    nc, size = order.shape
+    intra = order[:, intra_cols].transpose(1, 0, 2).reshape(-1, nc * size)
+    inter = order[(np.arange(nc) + np.arange(1, nc)[:, None]) % nc].reshape(-1, nc * size)
+    bank = np.empty((len(intra) + len(inter), nc * size), dtype=np.int32)
+    bank[:, order.ravel()] = np.concatenate([intra, inter])
+    base = np.empty(kind.size, dtype=np.int32)
+    is_intra = kind == INTRA
+    if len(intra):
+        base[is_intra] = family_index[is_intra] % len(intra)
+    if len(inter):
+        base[~is_intra] = len(intra) + family_index[~is_intra] % len(inter)
+    return bank, base
+
+
 class SornSchedule(CircuitSchedule):
     """Interleaved intra/inter clique schedule with oversubscription ``q``.
 
@@ -111,33 +151,21 @@ class SornSchedule(CircuitSchedule):
         self.num_intra_slots = intra_slots
         self.num_inter_slots = inter_slots
 
-        # Slot kinds: inter slots spread evenly through the period so the
-        # worst-case gaps match the analytical q+1 spacing.
-        kind = np.full(period, INTRA, dtype=np.int8)
-        inter_positions = spread_evenly(inter_slots, period) if inter_slots else np.empty(0, dtype=np.int64)
-        kind[inter_positions] = INTER
-        self._kind = kind
-        # Index of each slot within its own family (0-based running count).
-        self._family_index = np.zeros(period, dtype=np.int64)
-        counters = [0, 0]
-        for t in range(period):
-            k = kind[t]
-            self._family_index[t] = counters[k]
-            counters[k] += 1
-
+        self._kind, self._family_index = _interleave(period, inter_slots)
         # Node ordering matrix: order[c, i] = node at position i of clique c.
         self._order = np.array(layout.groups(), dtype=np.int64)
+        self.compiled()  # eager: milliseconds, and matching() reads it
 
     # -- construction helpers ---------------------------------------------------
 
-    def cache_token(self) -> dict:
-        """The clique ordering matrix and the exact rational q determine
-        the whole interleaved sequence (slot kinds, family indices, and
-        every matching are derived from them in ``__init__``)."""
-        return {
-            "q": [self.q_exact.numerator, self.q_exact.denominator],
-            "order": self._order,
-        }
+    def _compile(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The S-1 intra rotations (shift j), then the Nc-1 clique
+        rotations (shift g), indexed straight from the slot families."""
+        size = self.clique_size
+        shifts = np.arange(1, size)[:, None]
+        intra_cols = (np.arange(size) + shifts) % size
+        bank, base = _clique_bank(self._order, intra_cols, self._kind, self._family_index)
+        return bank, self._offset_planes(base)
 
     @property
     def num_cliques(self) -> int:
@@ -168,26 +196,9 @@ class SornSchedule(CircuitSchedule):
         """Whether (cyclic) slot *slot* carries intra-clique matchings."""
         return self._kind[slot % self._period] == INTRA
 
-    def slot_shift(self, slot: int) -> int:
-        """Rotation shift applied at *slot* within its family (1-based)."""
-        t = slot % self._period
-        idx = int(self._family_index[t])
-        if self._kind[t] == INTRA:
-            return idx % (self.clique_size - 1) + 1
-        return idx % (self.num_cliques - 1) + 1
-
     def matching(self, slot: int) -> Matching:
-        t = slot % self._period
-        shift = self.slot_shift(t)
-        dst = np.empty(self._num_nodes, dtype=np.int64)
-        if self._kind[t] == INTRA:
-            size = self.clique_size
-            cols = (np.arange(size) + shift) % size
-            rolled = self._order[:, cols]
-        else:
-            rolled = np.roll(self._order, -shift, axis=0)
-        dst[self._order.ravel()] = rolled.ravel()
-        return Matching(dst)
+        bank, index = self.compiled()
+        return Matching(bank[index[slot % self._period, 0]])
 
     # -- analytical properties ----------------------------------------------------
 

@@ -111,7 +111,8 @@ class InvariantChecker:
         the current (slot, plane) since engines drain planes in order."""
         key = (slot, plane)
         if self._row_key != key:
-            row = self.schedule.dest_table()[slot % self.schedule.period, plane]
+            bank, index = self.schedule.compiled()
+            row = bank[index[slot % self.schedule.period, plane]]
             if self.timeline is not None:
                 row = self.timeline.mask_dst_row(row, slot, plane)
             self._row_key = key
@@ -140,7 +141,7 @@ class InvariantChecker:
     def _circuit_up_slots(self, u: int, v: int) -> np.ndarray:
         """Sorted period-slot indices where u->v is up on *any* plane.
 
-        Read from the schedule's dense destination table rather than
+        Read from the schedule's compiled bank and index rather than
         shifting base-plane slots by plane offsets, so schedules whose
         planes are not offset copies (expander rotors, mixed pools) are
         checked against what the planes actually connect.

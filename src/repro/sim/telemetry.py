@@ -925,13 +925,10 @@ def circuit_class_capacity(schedule, layout: CliqueLayout) -> Tuple[int, int]:
         raise TelemetryError(
             f"layout covers {assign.size} nodes, schedule {schedule.num_nodes}"
         )
-    table = schedule.dest_table()  # (period, planes, N) destination rows
-    intra = inter = 0
-    for slot in range(schedule.period):
-        for plane in range(schedule.num_planes):
-            row = table[slot, plane]
-            srcs = np.nonzero(row >= 0)[0]
-            same = assign[srcs] == assign[row[srcs]]
-            intra += int(same.sum())
-            inter += int(srcs.size - same.sum())
-    return intra, inter
+    bank, index = schedule.compiled()
+    active = bank >= 0
+    same = (active & (assign == assign[np.maximum(bank, 0)])).sum(axis=1)
+    # Each bank row's circuits count once per (slot, plane) it runs in.
+    uses = np.bincount(index.ravel(), minlength=len(bank))
+    intra = int(uses @ same)
+    return intra, int(uses @ active.sum(axis=1)) - intra

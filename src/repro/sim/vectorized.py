@@ -18,11 +18,11 @@ object machinery stripped out:
   mode without an injection window) the *entire run* is sampled in one
   call before the clock starts; only per-cell windowed runs — whose
   refill draws depend on delivery timing — sample per slot;
-- per-slot matchings come from the schedule's precomputed dense
-  destination table (:meth:`repro.schedules.schedule.CircuitSchedule.
-  dest_table`) and are cached as circuit pair lists per
-  (slot-in-period, plane) rather than rebuilt as ``Matching`` objects
-  every slot;
+- per-slot matchings come from the schedule's compiled bank of
+  distinct matchings and its ``(slot, plane)`` index
+  (:meth:`repro.schedules.schedule.CircuitSchedule.compiled`); each bank
+  row's active circuits are extracted once per session, never rebuilt
+  as ``Matching`` objects per slot;
 - the VOQ fabric is :class:`repro.sim.network.LinkedVoqState` — array
   intrusive linked lists (per-lane ``head``/``tail`` cubes plus one
   shared ``nxt`` chain over the cell table) with a dense ``(N, N)``
@@ -372,7 +372,9 @@ class VectorizedSession(SimSession):
         # be rebuilt on a swap; the VOQ state, cell tables and presampled
         # paths are schedule-independent and survive untouched.
         self.schedule = new_schedule
-        self._dest_table = new_schedule.dest_table()
+        self._bank, self._index = new_schedule.compiled()
+        # Per bank row, on first use: (row, active srcs, their dsts).
+        self._circuits: List[Optional[tuple]] = [None] * len(self._bank)
 
     def _session_rng(self):
         return self.rng
@@ -1149,7 +1151,9 @@ class VectorizedSession(SimSession):
         schedule = self.schedule
         num_planes = schedule.num_planes
         period = schedule.period
-        dest_table = self._dest_table
+        bank = self._bank
+        index = self._index
+        circuits = self._circuits
         slot_end = self._slot_end
         arrivals = self._arrivals
         slot_pairs = self._slot_pairs
@@ -1229,19 +1233,24 @@ class VectorizedSession(SimSession):
                 faulted = timeline is not None and timeline.affects(s)
                 deliv_fids: List[np.ndarray] = []  # windowed refill input
                 for plane in range(num_planes):
+                    m = index[row, plane]
                     if faulted:
-                        # Masked slots bypass the periodic table row:
-                        # mask the dense destination row for this
-                        # absolute slot exactly as the reference engine
-                        # masks its Matching.
-                        dst_row = timeline.mask_dst_row(
-                            dest_table[row, plane], s, plane
-                        )
+                        # Masked slots bypass the bank-row memo: mask the
+                        # bank row for this absolute slot exactly as the
+                        # reference engine masks its Matching.
+                        dst_row = timeline.mask_dst_row(bank[m], s, plane)
                         srcs = np.flatnonzero(dst_row >= 0)
                         dsts = dst_row[srcs]
                     else:
-                        srcs, dsts = schedule.active_circuits(row, plane)
-                        dst_row = dest_table[row, plane]
+                        hit = circuits[m]
+                        if hit is None:
+                            dst_row = bank[m]
+                            srcs = np.flatnonzero(dst_row >= 0)
+                            dsts = dst_row[srcs]
+                            srcs.setflags(write=False)
+                            dsts.setflags(write=False)
+                            hit = circuits[m] = (dst_row, srcs, dsts)
+                        dst_row, srcs, dsts = hit
                     deliv = self._drain_plane(s, plane, srcs, dsts, dst_row)
                     if deliv.size:
                         network.debit(deliv.size)

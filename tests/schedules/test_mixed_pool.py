@@ -121,15 +121,15 @@ class TestPoolSemantics:
         assert not no_demand.demand_connected(0, 1)
 
     def test_dest_table_reflects_heterogeneous_planes(self):
-        """The generic dest_table path must report each plane's own
-        matching, not offset copies of plane 0."""
+        """The generic compiled bank and index must report each plane's
+        own matching, not offset copies of plane 0."""
         schedule = build(n=8, static=1, rotor=1, demand_planes=1)
-        table = schedule.dest_table()
-        assert table.shape == (schedule.period, 3, 8)
+        bank, index = schedule.compiled()
+        assert index.shape == (schedule.period, 3) and bank.shape[1] == 8
         for slot in (0, 3, schedule.period - 1):
             for plane in range(3):
                 assert np.array_equal(
-                    table[slot, plane], schedule.plane_matching(slot, plane).dst
+                    bank[index[slot, plane]], schedule.plane_matching(slot, plane).dst
                 )
 
     def test_matching_is_plane_zero(self):

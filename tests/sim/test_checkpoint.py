@@ -30,6 +30,7 @@ from repro.sim.checkpoint import (
     decode_array,
     encode_array,
     read_checkpoint,
+    schedule_fingerprint,
     write_checkpoint,
 )
 from repro.sim.tracing import TraceRecorder
@@ -315,6 +316,38 @@ class TestAtomicity:
             write_checkpoint(path, {"v": object()})  # not JSON-serializable
         assert read_checkpoint(path) == {"v": 1}
         assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
+
+
+def _pinned_fingerprints():
+    """(schedule, dest_sha256 prefix) pairs computed from the dense table."""
+    from repro.analysis import optimal_q
+    from repro.schedules import HierarchicalSornSchedule, RoundRobinSchedule
+    from repro.topology.cliques import CliqueLayout
+
+    hierarchical = HierarchicalSornSchedule(CliqueLayout.equal(32, 2), q=3, h=2)
+    return [
+        pytest.param(build_sorn_schedule(16, 4, q=2.0), "d9f9dd03a721bd91", id="sorn16"),
+        pytest.param(
+            build_sorn_schedule(12, 3, q=1, num_planes=2), "0ebc65c634ca92eb", id="sorn12x2"
+        ),
+        pytest.param(
+            build_sorn_schedule(128, 8, q=optimal_q(0.56)), "d5b7f8544c78af6a", id="sorn128"
+        ),
+        pytest.param(RoundRobinSchedule(6, num_planes=3), "ed62de10f264487f", id="rr6x3"),
+        pytest.param(hierarchical, "bcbb78a218811b38", id="hier32"),
+    ]
+
+
+class TestScheduleFingerprint:
+    @pytest.mark.parametrize("schedule, prefix", _pinned_fingerprints())
+    def test_digest_pinned_to_the_dense_table(self, schedule, prefix):
+        """The digest hashes the dense destination table's bytes; these
+        values were computed when schedules still materialized that
+        table, so checkpoints saved then still resume."""
+        fingerprint = schedule_fingerprint(schedule)
+        assert fingerprint["dest_sha256"][:16] == prefix
+        assert fingerprint["period"] == schedule.period
+        assert fingerprint["num_planes"] == schedule.num_planes
 
 
 class TestEpochCollectorRoundTrip:

@@ -297,10 +297,10 @@ class TestFailureTimeline:
     def test_mask_dst_row_agrees_with_mask_matching(self):
         inner = RoundRobinSchedule(10, num_planes=2)
         tl = FailureTimeline.parse("node:3@0,link:0-5@0,plane:1@2-4")
-        table = inner.dest_table()
+        bank, index = inner.compiled()
         for slot in range(inner.period):
             for plane in range(2):
-                row = table[slot % inner.period, plane]
+                row = bank[index[slot % inner.period, plane]]
                 matching = inner.plane_matching(slot, plane)
                 assert np.array_equal(
                     tl.mask_dst_row(row, slot, plane),

@@ -56,7 +56,7 @@ class TestCleanRuns:
     def test_checker_counts_checks(self):
         schedule = RoundRobinSchedule(6)
         checker = InvariantChecker(schedule, SimConfig())
-        row = schedule.dest_table()[0, 0]
+        row = schedule.plane_matching(0, 0).dst
         src = 0
         checker.record_transmit(0, 0, src, int(row[src]), 1)
         assert checker.checks_run == 1
@@ -69,13 +69,13 @@ class TestTransmitChecks:
 
     def test_over_capacity(self):
         schedule, checker = self._checker(cells_per_circuit=2)
-        row = schedule.dest_table()[0, 0]
+        row = schedule.plane_matching(0, 0).dst
         with pytest.raises(InvariantViolation, match="capacity"):
             checker.record_transmit(0, 0, 0, int(row[0]), 3)
 
     def test_circuit_not_in_schedule(self):
         schedule, checker = self._checker()
-        row = schedule.dest_table()[0, 0]
+        row = schedule.plane_matching(0, 0).dst
         wrong = (int(row[0]) + 1) % 6
         with pytest.raises(InvariantViolation, match="connects"):
             checker.record_transmit(0, 0, 0, wrong, 1)
@@ -84,7 +84,7 @@ class TestTransmitChecks:
         """A transmit over a circuit the timeline has faulted must fail
         even though the healthy schedule opens it."""
         schedule = RoundRobinSchedule(6)
-        row = schedule.dest_table()[0, 0]
+        row = schedule.plane_matching(0, 0).dst
         dst = int(row[0])
         tl = FailureTimeline.node_failure(dst)
         checker = InvariantChecker(schedule, SimConfig(), tl)

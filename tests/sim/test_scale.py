@@ -1,11 +1,13 @@
 """Paper-scale (N >= 1024) slot-sim runs, gated by the ``scale`` marker.
 
 These exercise the memory-lean slot path — chunked presampling, int32
-cell/qlen tables, the int32 destination table — at the smallest
+cell/qlen tables, the compiled schedule bank — at the smallest
 paper-scale rung (N=1024, the q ladder of ``benchmarks/bench_scale.py``
-continues to 4096 with hard byte budgets).  Horizons are deliberately
-short so the tier-1 lane stays fast; the weekly CI lane runs them
-alongside the full benchmark ladder (``-m scale``).
+continues to 4096 with hard byte budgets) and at Table 1's second
+operating point (N=4096, Nc=32 at q*, a 240,157-slot period that only
+the bank makes simulable).  Horizons are deliberately short so the lane
+stays fast; CI runs it alongside the full benchmark ladder
+(``-m scale``).
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from repro.analysis import optimal_q
 from repro.routing import SornRouter
 from repro.schedules import build_sorn_schedule
-from repro.sim import FlowLevelModel, SimConfig, SlotSimulator
+from repro.sim import FlowLevelModel, SimConfig, SlotSimulator, clear_cube_pool
 from repro.traffic import FlowSizeDistribution, Workload, clustered_matrix
 
 pytestmark = pytest.mark.scale
@@ -50,6 +52,16 @@ def _run(schedule, router, seed=11):
     return flows, sim.run(flows, SLOTS, measure_from=0)
 
 
+def _class_mix_hops(schedule, router):
+    """Mean hops the flow-level model expects for clustered traffic."""
+    model = FlowLevelModel(
+        schedule, router, load=LOAD, locality=LOCALITY, mode="symmetric"
+    )
+    intra_hops = model.pair_latency(0, 1).hops
+    inter_hops = model.pair_latency(0, schedule.layout.clique_size + 1).hops
+    return model, LOCALITY * intra_hops + (1 - LOCALITY) * inter_hops
+
+
 class TestPaperScaleSlotSim:
     def test_n1024_run_is_sane_and_deterministic(self, fabric):
         """The chunked N=1024 run delivers traffic, stays conservative
@@ -71,17 +83,39 @@ class TestPaperScaleSlotSim:
         tight band of the differential suite, unchanged at N=1024)."""
         schedule, router = fabric
         _, report = _run(schedule, router)
-        model = FlowLevelModel(
-            schedule, router, load=LOAD, locality=LOCALITY, mode="symmetric"
-        )
+        model, analytic = _class_mix_hops(schedule, router)
         srcs = np.arange(NODES, dtype=np.int64)
         dsts = np.roll(srcs, -1)
         expected = model.evaluate(srcs, dsts, np.ones(NODES, dtype=np.int64))
         # The ring workload above is hop-representative (mostly intra
         # with the clique-boundary inter pairs); compare against the
         # sim's clustered run via the model's clustered class mix.
-        intra_hops = model.pair_latency(0, 1).hops
-        inter_hops = model.pair_latency(0, schedule.layout.clique_size + 1).hops
-        analytic = LOCALITY * intra_hops + (1 - LOCALITY) * inter_hops
         assert report.mean_hops == pytest.approx(analytic, rel=0.05)
         assert expected.stable
+
+
+@pytest.fixture
+def second_operating_point():
+    """Table 1's N=4096, Nc=32 fabric at q*; its VOQ cubes are unpooled
+    afterwards so they do not stay resident for the rest of the session."""
+    schedule = build_sorn_schedule(4096, 32, q=optimal_q(LOCALITY))
+    yield schedule, SornRouter(schedule.layout)
+    clear_cube_pool()
+
+
+class TestSecondOperatingPoint:
+    def test_n4096_nc32_slot_run_matches_flow_model(self, second_operating_point):
+        """The slot engine runs the 240,157-slot schedule the flow model
+        alone covered before: cells are conserved, the drain delivers
+        everything, and mean hops sit within 5% of the flow model's
+        class-mix expectation."""
+        schedule, router = second_operating_point
+        assert schedule.period == 240157
+        flows, report = _run(schedule, router)
+        assert report.num_nodes == 4096
+        assert report.offered_cells == sum(f.size_cells for f in flows)
+        assert report.injected_cells == report.offered_cells
+        assert report.delivered_cells == report.injected_cells
+        assert report.completion_ratio == 1.0
+        _, analytic = _class_mix_hops(schedule, router)
+        assert report.mean_hops == pytest.approx(analytic, rel=0.05)

@@ -7,7 +7,7 @@ import pytest
 from repro.analysis import optimal_q
 from repro.errors import SimulationError, TelemetryError
 from repro.routing import SornRouter
-from repro.schedules import build_sorn_schedule
+from repro.schedules import ExpanderSchedule, build_sorn_schedule
 from repro.sim import (
     HopCountCollector,
     LinkUtilizationCollector,
@@ -259,6 +259,23 @@ class TestCapacityHelper:
         intra, inter = circuit_class_capacity(schedule, schedule.layout)
         assert intra > 0 and inter > 0
         assert intra / (intra + inter) == pytest.approx(q / (q + 1), abs=0.01)
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [build_sorn_schedule(12, 3, q=2, num_planes=2), ExpanderSchedule(10, 3, seed=1)],
+        ids=["sorn-2-planes", "expander"],
+    )
+    def test_capacity_equals_per_slot_count(self, schedule):
+        """Weighting each bank row by its uses equals counting every
+        (slot, plane) matching's circuits one at a time."""
+        layout = CliqueLayout.equal(schedule.num_nodes, 2)
+        assign = layout.assignment()
+        counts = [0, 0]
+        for t in range(schedule.period):
+            for p in range(schedule.num_planes):
+                for s, d in schedule.plane_matching(t, p).pairs():
+                    counts[int(assign[s] != assign[d])] += 1
+        assert circuit_class_capacity(schedule, layout) == tuple(counts)
 
     def test_layout_mismatch_rejected(self):
         schedule = build_sorn_schedule(16, 4, q=3)

@@ -262,7 +262,7 @@ class TestMemoryRegression:
     def test_n1024_peak_allocation_under_budget(self):
         """A short vectorized N=1024 run must stay under the 64 MiB
         budget of ``benchmarks/bench_scale.py`` — catches dtype
-        widenings (int64 ``qlen`` or destination table) and a return to
+        widenings (int64 ``qlen`` or schedule bank) and a return to
         whole-run injection presampling, each of which alone pushes the
         footprint past the budget."""
         import tracemalloc
@@ -272,7 +272,7 @@ class TestMemoryRegression:
         budget_bytes = 64 * 2**20
         schedule = build_sorn_schedule(1024, 32, q=optimal_q(0.56))
         router = SornRouter(schedule.layout)
-        schedule.dest_table()  # shared cache, warmed outside the trace
+        schedule.compiled()  # compiled outside the trace
         workload = Workload(
             clustered_matrix(schedule.layout, 0.56),
             WEB_SEARCH,

@@ -7,10 +7,13 @@ the library).
 """
 
 import inspect
+import os
 import pathlib
 import pkgutil
 import re
 import importlib
+import subprocess
+import sys
 
 import pytest
 
@@ -75,6 +78,23 @@ class TestDocsReferenceRealFiles:
                 importlib.import_module(module)
             except ImportError as exc:  # pragma: no cover - failure message
                 pytest.fail(f"DESIGN.md references unimportable {module}: {exc}")
+
+
+class TestImportCost:
+    def test_import_does_not_load_scipy(self):
+        """Only BvN synthesis needs scipy, so importing the package, its
+        CLI, the sweep layer and the control plane must not load it."""
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys, repro, repro.cli, repro.exp, repro.control; "
+            "print('scipy' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "False"
 
 
 def iter_public_modules():
