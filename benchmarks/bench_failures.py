@@ -7,6 +7,7 @@ claims quantified: analytic blast radii over the routing distributions,
 an empirical failure-injection simulation, and sync-domain sizes.
 """
 
+import dataclasses
 
 from repro.analysis import (
     flat_sync_domain_size,
@@ -48,6 +49,8 @@ def empirical_blast():
     )
     flows = workload.generate(500, rng=9)
     _, bystanders = split_casualties(flows, [0])
+    # Simulated on their own, the bystanders are flows 0..n-1.
+    bystanders = [dataclasses.replace(f, flow_id=i) for i, f in enumerate(bystanders)]
     config = SimConfig(drain=True, max_drain_slots=300)
 
     flat = SlotSimulator(

@@ -12,7 +12,8 @@ the optimal q for x=0.56) — and writes the measurement to
   steady-state, not first-touch page faults; the paper-scale N=4096
   rung carries a hard slots/s floor on the warm number so a driver or
   kernel regression at the scale the paper actually ran cannot land
-  silently.
+  silently.  Each rung's ``Workload.generate`` call is timed on its own
+  and recorded as ``generate_seconds``, never gated.
 - **peak memory**: a second, identical run under ``tracemalloc`` (numpy
   registers its buffers with the tracer, so the dominant VOQ cubes,
   qlen counter and cell tables are all seen); ``reset_peak`` before
@@ -28,8 +29,9 @@ the optimal q for x=0.56) — and writes the measurement to
   realized schedule's period is ~240k slots, far beyond what the slot
   engine can hold, which is exactly the regime the flow model exists
   for) and evaluates one million sampled flows per row, recording
-  model-build and evaluate seconds plus flows/s.  Never gated on speed;
-  the evaluated reports must be stable and finite.
+  model-build, flow-table sampling and evaluate seconds plus flows/s.
+  Never gated on speed; the evaluated reports must be stable and
+  finite.
 
 The two slot-engine runs must produce identical reports (determinism
 assert), so a memory measurement can never hide a correctness change.
@@ -89,13 +91,16 @@ def _fabric(num_nodes, num_cliques, q):
 
 
 def _flows(schedule, slots):
+    """The rung's flow table and the seconds ``generate`` took."""
     workload = Workload(
         clustered_matrix(schedule.layout, LOCALITY),
         FlowSizeDistribution.fixed(4500),
         load=LOAD,
         cell_bytes=1500.0,
     )
-    return workload.generate(slots, rng=1)
+    start = time.perf_counter()
+    flows = workload.generate(slots, rng=1)
+    return flows, time.perf_counter() - start
 
 
 def _run(schedule, router, flows, slots):
@@ -112,7 +117,7 @@ def test_scale_memory_and_throughput(report, smoke):
     lines = []
     for num_nodes, num_cliques, q, slots, budget, floor in scales:
         schedule, router = _fabric(num_nodes, num_cliques, q)
-        flows = _flows(schedule, slots)
+        flows, generate_s = _flows(schedule, slots)
         warm_report = _run(schedule, router, flows, slots)  # untimed warmup
         start = time.perf_counter()
         timed_report = _run(schedule, router, flows, slots)
@@ -135,6 +140,7 @@ def test_scale_memory_and_throughput(report, smoke):
                 "q": round(schedule.q, 4),
                 "slots": slots,
                 "num_flows": len(flows),
+                "generate_seconds": round(generate_s, 4),
                 "delivered_cells": timed_report.delivered_cells,
                 "seconds": round(elapsed, 4),
                 "slots_per_s": round(slots / elapsed, 1),
@@ -167,11 +173,13 @@ def test_scale_memory_and_throughput(report, smoke):
                 locality=LOCALITY,
             )
             build_s = time.perf_counter() - start
-            srcs, dsts, sizes = sample_flow_arrays(
+            start = time.perf_counter()
+            flows = sample_flow_arrays(
                 schedule.layout, LOCALITY, FLOW_MODEL_FLOWS, rng
             )
+            sample_s = time.perf_counter() - start
             start = time.perf_counter()
-            flow_report = model.evaluate(srcs, dsts, sizes)
+            flow_report = model.evaluate(flows)
             eval_s = time.perf_counter() - start
             assert flow_report.stable, "Table 1 operating point went unstable"
             assert flow_report.mean_fct is not None
@@ -181,6 +189,7 @@ def test_scale_memory_and_throughput(report, smoke):
                     "num_cliques": nc,
                     "num_flows": FLOW_MODEL_FLOWS,
                     "build_seconds": round(build_s, 4),
+                    "sample_seconds": round(sample_s, 4),
                     "evaluate_seconds": round(eval_s, 4),
                     "flows_per_s": round(FLOW_MODEL_FLOWS / eval_s, 1),
                     "mean_fct_slots": round(flow_report.mean_fct, 2),

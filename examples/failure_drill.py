@@ -9,6 +9,8 @@ build-up through the trace recorder, and compare synchronization domains.
 Run:  python examples/failure_drill.py
 """
 
+import dataclasses
+
 from repro.analysis import (
     flat_sync_domain_size,
     node_blast_radius,
@@ -47,6 +49,9 @@ def main():
     )
     flows = workload.generate(500, rng=9)
     casualties, bystanders = split_casualties(flows, [FAILED])
+    # The split keeps each flow's id in the full workload; simulated on
+    # their own, the bystanders are flows 0..n-1.
+    bystanders = [dataclasses.replace(f, flow_id=i) for i, f in enumerate(bystanders)]
     print(f"\nInjecting failure of node {FAILED}: {len(casualties)} endpoint "
           f"casualties excluded, {len(bystanders)} bystander flows simulated.")
 

@@ -48,7 +48,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import tempfile
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -63,7 +63,7 @@ from ..sim.failures import FailureTimeline
 from ..sim.metrics import SimReport
 from ..topology.cliques import CliqueLayout
 from ..traffic.matrix import TrafficMatrix
-from ..traffic.workload import FlowSpec
+from ..traffic.workload import FlowsLike, FlowTable
 from ..util import check_fraction, check_positive_int, RngLike
 from .estimator import DemandEstimator
 from .planner import plan_update
@@ -428,7 +428,7 @@ class AdaptiveSimulation:
 
     # -- the loop ------------------------------------------------------------
 
-    def run(self, flows: Sequence[FlowSpec], duration_slots: int) -> AdaptiveReport:
+    def run(self, flows: FlowsLike, duration_slots: int) -> AdaptiveReport:
         """Run *flows* for *duration_slots* under closed-loop adaptation.
 
         Robustness contract: no controller failure — corrupt estimates,
@@ -437,6 +437,7 @@ class AdaptiveSimulation:
         a controller fault) does propagate.
         """
         rt = self.runtime
+        flows = FlowTable.of(flows)  # once, not again on every preemption
         session = self.sim.start(flows, duration_slots)
         hub = self.sim.config.telemetry
         emit_epoch = (
@@ -579,7 +580,7 @@ class AdaptiveSimulation:
             failed_epochs=failed_epochs,
         )
 
-    def _preempt_restore(self, session, flows: Sequence[FlowSpec]):
+    def _preempt_restore(self, session, flows: FlowTable):
         """Save *session* to disk and resume it in a fresh simulator.
 
         Models a worker preemption at an epoch boundary.  The resuming

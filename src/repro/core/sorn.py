@@ -16,7 +16,7 @@ schedule, the 2/3-hop hierarchical router, the analytical model, and
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..control.planner import UpdatePlan, plan_update
 from ..errors import ConfigurationError
@@ -31,7 +31,7 @@ from ..sim.metrics import SimReport
 from ..topology.cliques import CliqueLayout
 from ..topology.logical import LogicalTopology
 from ..traffic.matrix import TrafficMatrix
-from ..traffic.workload import FlowSpec
+from ..traffic.workload import FlowsLike
 from ..util import RngLike
 from .design import SornDesign
 from .model import SornModel
@@ -99,7 +99,7 @@ class Sorn:
 
     def simulate(
         self,
-        flows: Sequence[FlowSpec],
+        flows: FlowsLike,
         duration_slots: int,
         config: Optional[SimConfig] = None,
         rng: RngLike = None,

@@ -121,26 +121,29 @@ def drifting_locality_flows(layout, phases, slots_per_phase, load, seed):
     Each phase draws flows from a clustered matrix with its own
     intra-clique fraction, shifted to that phase's slot window — the
     signal the closed-loop adaptation runtime is supposed to chase.
-    Deterministic in (*layout*, *phases*, *slots_per_phase*, *load*,
-    *seed*).
+    Returns one :class:`repro.traffic.FlowTable`, the phases' tables in
+    order.  Deterministic in (*layout*, *phases*, *slots_per_phase*,
+    *load*, *seed*).
     """
-    from ..traffic import FlowSizeDistribution, Workload, clustered_matrix
+    import numpy as np
 
-    flows = []
-    next_id = 0
-    for phase, x in enumerate(phases):
-        matrix = clustered_matrix(layout, x)
-        workload = Workload(matrix, FlowSizeDistribution.fixed(7500), load=load)
-        phase_flows = workload.generate(slots_per_phase, rng=seed + phase)
-        offset = phase * slots_per_phase
-        for f in phase_flows:
-            flows.append(
-                dataclasses.replace(
-                    f, flow_id=next_id, arrival_slot=f.arrival_slot + offset
-                )
-            )
-            next_id += 1
-    return flows
+    from ..traffic import FlowSizeDistribution, FlowTable, Workload, clustered_matrix
+
+    sizes = FlowSizeDistribution.fixed(7500)
+    tables = [
+        Workload(clustered_matrix(layout, x), sizes, load=load).generate(
+            slots_per_phase, rng=seed + phase
+        )
+        for phase, x in enumerate(phases)
+    ]
+    return FlowTable(
+        np.concatenate([t.src for t in tables]),
+        np.concatenate([t.dst for t in tables]),
+        np.concatenate([t.size_cells for t in tables]),
+        np.concatenate(
+            [t.arrival_slot + phase * slots_per_phase for phase, t in enumerate(tables)]
+        ),
+    )
 
 
 def _parse_corruptions(spec: str) -> Dict[int, str]:
@@ -406,14 +409,14 @@ def _run_flowlevel(params: dict, seed) -> dict:
         locality=x,
         mode=params.get("mode", "auto"),
     )
-    srcs, dsts, sizes = sample_flow_arrays(
+    flows = sample_flow_arrays(
         schedule.layout,
         x,
         params["flows"],
         ensure_rng(seed),
         cell_bytes=params.get("cell_bytes", 16384.0),
     )
-    report = model.evaluate(srcs, dsts, sizes)
+    report = model.evaluate(flows)
     summary = report.summary()
     summary["q_realized"] = schedule.q
     summary["num_cliques"] = nc

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-import networkx as nx
-
 from ..errors import RoutingError
 from ..schedules.expander import ExpanderSchedule
 from ..util import check_fraction
@@ -30,6 +28,8 @@ class ExpanderShortestPathRouter(Router):
     """All-shortest-paths routing over one epoch's live expander."""
 
     def __init__(self, schedule: ExpanderSchedule, epoch: int = 0):
+        import networkx as nx
+
         self.schedule = schedule
         self.epoch = int(epoch)
         self._graph = schedule.epoch_graph(self.epoch)
@@ -48,6 +48,8 @@ class ExpanderShortestPathRouter(Router):
         self._check_pair(src, dst)
         cached = self._cache.get((src, dst))
         if cached is None:
+            import networkx as nx
+
             paths = [Path(tuple(p)) for p in nx.all_shortest_paths(self._graph, src, dst)]
             if not paths:
                 raise RoutingError(f"no expander path {src} -> {dst}")

@@ -21,15 +21,17 @@ reconfiguration, comparable expansion and diameter.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..errors import ConfigurationError, ScheduleError
 from ..util import check_positive_int
 from .matching import Matching
 from .schedule import CircuitSchedule
+
+if TYPE_CHECKING:
+    import networkx
 
 __all__ = ["ExpanderSchedule"]
 
@@ -104,13 +106,15 @@ class ExpanderSchedule(CircuitSchedule):
             if r != down
         ]
 
-    def epoch_graph(self, epoch: int) -> nx.DiGraph:
+    def epoch_graph(self, epoch: int) -> networkx.DiGraph:
         """The static (k-1)-regular circulant digraph live during *epoch*.
 
         Short flows are routed over shortest paths of this graph with zero
         schedule wait (the topology does not move under them within an
         epoch).
         """
+        import networkx as nx
+
         graph = nx.DiGraph()
         graph.add_nodes_from(range(self._num_nodes))
         shifts = set(self.live_shifts(epoch))
@@ -133,6 +137,8 @@ class ExpanderSchedule(CircuitSchedule):
 
     def expander_diameter(self, epoch: int = 0) -> int:
         """Diameter of the live expander (the short-flow max hop count)."""
+        import networkx as nx
+
         return nx.diameter(self.epoch_graph(epoch))
 
     def average_path_length(self, epoch: int = 0) -> float:
@@ -141,6 +147,8 @@ class ExpanderSchedule(CircuitSchedule):
         This drives Opera's bandwidth tax: routing short flows over an
         expander multiplies their traffic volume by the mean hop count.
         """
+        import networkx as nx
+
         return nx.average_shortest_path_length(self.epoch_graph(epoch))
 
     @property

@@ -6,7 +6,7 @@ evolution explicit::
 
     {
       "magic":  "sorn-checkpoint",
-      "schema": 3,
+      "schema": 4,
       "sha256": "<hex digest of the canonical payload JSON>",
       "payload": { ... }
     }
@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = "sorn-checkpoint"
-CHECKPOINT_SCHEMA = 3
+CHECKPOINT_SCHEMA = 4
 
 
 # -- array codec ---------------------------------------------------------------
@@ -191,15 +191,16 @@ def read_checkpoint(path: str) -> Dict[str, Any]:
 
 
 def flows_digest(flows) -> str:
-    """Order-sensitive digest of a workload's flow specs."""
-    h = hashlib.sha256()
-    for f in flows:
-        h.update(
-            f"{f.flow_id},{f.src},{f.dst},{f.size_cells},{f.arrival_slot};".encode(
-                "ascii"
-            )
-        )
-    return h.hexdigest()
+    """Order-sensitive digest of a workload: SHA-256 over the row count
+    and the four :class:`~repro.traffic.FlowTable` columns as
+    little-endian int64 (a ``FlowSpec`` sequence is converted first)."""
+    from ..traffic.workload import FlowTable
+
+    table = FlowTable.of(flows)
+    digest = hashlib.sha256(np.array([len(table)], dtype="<i8").tobytes())
+    for column in (table.src, table.dst, table.size_cells, table.arrival_slot):
+        digest.update(column.astype("<i8", copy=False).tobytes())
+    return digest.hexdigest()
 
 
 def config_digest(config) -> str:

@@ -32,12 +32,12 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..errors import CheckpointError, SimulationError
 from ..routing.base import Router
 from ..schedules.schedule import CircuitSchedule
-from ..traffic.workload import FlowSpec
+from ..traffic.workload import FlowsLike, FlowTable
 from ..util import check_positive_int, ensure_rng, RngLike
 from .failures import FailureTimeline
 from .flows import Cell, FlowState
@@ -553,7 +553,7 @@ class SlotSimulator:
 
     def start(
         self,
-        flows: Sequence[FlowSpec],
+        flows: FlowsLike,
         duration_slots: int,
         measure_from: int = 0,
     ) -> SimSession:
@@ -562,11 +562,13 @@ class SlotSimulator:
         The session starts at slot 0 with nothing executed — drive it
         with :meth:`SimSession.run_segment` /
         :meth:`SimSession.finish`.  Argument semantics match
-        :meth:`run`.
+        :meth:`run`; this is where a ``FlowSpec`` sequence becomes the
+        :class:`~repro.traffic.FlowTable` both engines read.
         """
         duration_slots = check_positive_int(duration_slots, "duration_slots")
         if not 0 <= measure_from < duration_slots:
             raise SimulationError("measure_from must be within the horizon")
+        flows = FlowTable.of(flows)
         if self.config.engine == "vectorized":
             from .vectorized import VectorizedEngine
 
@@ -583,7 +585,7 @@ class SlotSimulator:
     def resume(
         self,
         path: str,
-        flows: Sequence[FlowSpec],
+        flows: FlowsLike,
     ) -> SimSession:
         """Rebuild a paused session from the durable checkpoint at *path*.
 
@@ -618,7 +620,7 @@ class SlotSimulator:
 
     def run(
         self,
-        flows: Sequence[FlowSpec],
+        flows: FlowsLike,
         duration_slots: int,
         measure_from: int = 0,
     ) -> SimReport:
@@ -637,7 +639,7 @@ class SlotSimulator:
 
     def measure_saturation_throughput(
         self,
-        flows: Sequence[FlowSpec],
+        flows: FlowsLike,
         duration_slots: int,
         warmup_fraction: float = 0.25,
     ) -> float:
@@ -668,7 +670,7 @@ class ReferenceSession(SimSession):
     def __init__(
         self,
         sim: SlotSimulator,
-        flows: Sequence[FlowSpec],
+        flows: FlowTable,
         duration_slots: int,
         measure_from: int,
     ):
@@ -716,7 +718,7 @@ class ReferenceSession(SimSession):
             )
         else:
             self.network = SimNetwork(self.schedule.num_nodes)
-        self._flows = tuple(flows)
+        self._flows = flows
         self._states: Dict[int, FlowState] = {
             spec.flow_id: FlowState(spec=spec) for spec in flows
         }

@@ -26,14 +26,14 @@ is collateral.
 from __future__ import annotations
 
 import dataclasses
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import SimulationError
 from ..schedules.matching import Matching
 from ..schedules.schedule import CircuitSchedule
-from ..traffic.workload import FlowSpec
+from ..traffic.workload import FlowSpec, FlowsLike
 
 __all__ = [
     "FailedNodeSchedule",
@@ -400,12 +400,14 @@ class FailedNodeSchedule(CircuitSchedule):
 
 
 def split_casualties(
-    flows: Sequence[FlowSpec], failed_nodes: Iterable[int]
+    flows: FlowsLike, failed_nodes: Iterable[int]
 ) -> List[List[FlowSpec]]:
     """Split flows into [endpoint casualties, bystanders].
 
     Endpoint casualties have a failed src or dst and cannot possibly
     complete; bystander flows measure collateral damage (blast radius).
+    Each flow keeps its id, which indexes the per-flow arrays of a run of
+    *flows*; to simulate one part alone, renumber it 0..n-1 first.
     """
     failed = frozenset(int(v) for v in failed_nodes)
     casualties = [f for f in flows if f.src in failed or f.dst in failed]

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -63,7 +63,7 @@ from ..errors import ConfigurationError, SimulationError
 from ..routing.base import Router
 from ..schedules.schedule import CircuitSchedule
 from ..traffic.matrix import TrafficMatrix
-from ..traffic.workload import FlowSpec
+from ..traffic.workload import FlowsLike, FlowTable
 from ..util import check_positive_int, ensure_rng
 from .metrics import percentile
 
@@ -491,25 +491,17 @@ class FlowLevelModel:
 
     # -- workload evaluation ---------------------------------------------------
 
-    def evaluate(
-        self,
-        srcs: np.ndarray,
-        dsts: np.ndarray,
-        sizes: np.ndarray,
-    ) -> FlowLevelReport:
-        """Per-flow FCT/slowdown expectations for an array workload.
+    def evaluate(self, flows: FlowsLike) -> FlowLevelReport:
+        """Per-flow FCT/slowdown expectations for a flow table.
 
-        ``srcs``/``dsts``/``sizes`` are index-aligned flow arrays (the
-        array twin of a ``FlowSpec`` list — arrival slots are
-        irrelevant to a stationary expectation).  Scales to millions of
+        Arrival slots are irrelevant to a stationary expectation; only
+        the ``src``, ``dst`` and ``size_cells`` columns are read.  A
+        ``FlowSpec`` sequence is converted first.  Scales to millions of
         flows in symmetric mode: the evaluation is two masked gathers.
         """
-        srcs = np.asarray(srcs, dtype=np.int64)
-        dsts = np.asarray(dsts, dtype=np.int64)
-        sizes = np.asarray(sizes, dtype=np.int64)
-        if not (srcs.shape == dsts.shape == sizes.shape):
-            raise SimulationError("srcs/dsts/sizes must be index-aligned")
-        num_flows = int(srcs.size)
+        flows = FlowTable.of(flows)
+        srcs, dsts, sizes = flows.src, flows.dst, flows.size_cells
+        num_flows = len(flows)
         wait = np.empty(num_flows)
         hops = np.empty(num_flows)
         ser = np.empty(num_flows)
@@ -529,8 +521,9 @@ class FlowLevelModel:
                 hops[mask] = stats.hops
                 ser[mask] = stats.serialization_slots
         else:
-            for i in range(num_flows):
-                stats = self.pair_latency(int(srcs[i]), int(dsts[i]))
+            pairs = zip(srcs.tolist(), dsts.tolist())
+            for i, (src, dst) in enumerate(pairs):
+                stats = self.pair_latency(src, dst)
                 wait[i] = stats.wait_slots
                 hops[i] = stats.hops
                 ser[i] = stats.serialization_slots
@@ -557,21 +550,11 @@ class FlowLevelModel:
             stable=self.stable,
         )
 
-    def evaluate_flows(self, flows: Sequence[FlowSpec]) -> FlowLevelReport:
-        """:meth:`evaluate` over a ``FlowSpec`` list (test convenience)."""
-        count = len(flows)
-        srcs = np.fromiter((f.src for f in flows), dtype=np.int64, count=count)
-        dsts = np.fromiter((f.dst for f in flows), dtype=np.int64, count=count)
-        sizes = np.fromiter(
-            (f.size_cells for f in flows), dtype=np.int64, count=count
-        )
-        return self.evaluate(srcs, dsts, sizes)
-
 
 def flow_level_report(
     schedule: CircuitSchedule,
     router: Router,
-    flows: Sequence[FlowSpec],
+    flows: FlowsLike,
     *,
     load: float,
     matrix: Optional[TrafficMatrix] = None,
@@ -589,7 +572,7 @@ def flow_level_report(
         cells_per_circuit=cells_per_circuit,
         mode=mode,
     )
-    return model.evaluate_flows(flows)
+    return model.evaluate(flows)
 
 
 def sample_flow_arrays(
@@ -600,16 +583,16 @@ def sample_flow_arrays(
     *,
     flow_sizes=None,
     cell_bytes: float = 16384.0,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample a clustered array workload without per-flow objects.
+) -> FlowTable:
+    """Sample a clustered flow table straight from the clique layout.
 
-    Returns index-aligned ``(srcs, dsts, sizes)`` arrays: sources
-    uniform, destinations intra-clique with probability *locality* and
-    uniform over the other cliques otherwise (the clustered-matrix
-    sampling of :class:`repro.traffic.workload.Workload`, minus the
-    ``FlowSpec`` object per flow), sizes drawn from *flow_sizes*
-    (default :data:`repro.traffic.WEB_SEARCH`) in cells of
-    *cell_bytes*.  This is what makes millions-of-flows workloads
+    Sources are uniform; destinations are intra-clique with probability
+    *locality* and uniform over the other cliques otherwise (the
+    clustered-matrix sampling of :class:`repro.traffic.workload.Workload`
+    without the dense N x N pair distribution); sizes are drawn from
+    *flow_sizes* (default :data:`repro.traffic.WEB_SEARCH`) in cells of
+    *cell_bytes*.  Every arrival slot is 0: the flow model is
+    stationary.  This is what makes millions-of-flows workloads
     tractable to *sample*, not just to evaluate.
     """
     if not 0.0 <= locality <= 1.0:
@@ -644,4 +627,4 @@ def sample_flow_arrays(
         dsts[~intra] = groups[(assignment[s] + coff) % nc, pos]
     raw = flow_sizes.sample(gen, count=num_flows)
     sizes = np.maximum(1, np.round(raw / cell_bytes)).astype(np.int64)
-    return srcs, dsts, sizes
+    return FlowTable(srcs, dsts, sizes, np.zeros(num_flows, dtype=np.int64))

@@ -64,14 +64,14 @@ remains the reference implementation and the default.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import CheckpointError
 from ..routing.base import Router
 from ..schedules.schedule import CircuitSchedule
-from ..traffic.workload import FlowSpec
+from ..traffic.workload import FlowsLike, FlowTable
 from .engine import SimSession
 from .kernels import (
     _EMPTY32,
@@ -119,18 +119,20 @@ class VectorizedEngine:
 
     def start(
         self,
-        flows: Sequence[FlowSpec],
+        flows: FlowsLike,
         duration_slots: int,
         measure_from: int = 0,
     ) -> "VectorizedSession":
         """Begin a resumable run (see :meth:`repro.sim.engine.
         SlotSimulator.start`); the session's segmentation is exactly
         equivalent to one monolithic :meth:`run`."""
-        return VectorizedSession(self, flows, duration_slots, measure_from)
+        return VectorizedSession(
+            self, FlowTable.of(flows), duration_slots, measure_from
+        )
 
     def run(
         self,
-        flows: Sequence[FlowSpec],
+        flows: FlowsLike,
         duration_slots: int,
         measure_from: int = 0,
     ) -> SimReport:
@@ -169,7 +171,7 @@ class VectorizedSession(SimSession):
     def __init__(
         self,
         engine: VectorizedEngine,
-        flows: Sequence[FlowSpec],
+        flows: FlowTable,
         duration_slots: int,
         measure_from: int,
     ):
@@ -222,19 +224,12 @@ class VectorizedSession(SimSession):
         num_flows = len(flows)
         num_nodes = self.schedule.num_nodes
         self.num_nodes = num_nodes
-        self._flows = tuple(flows)
-
-        src_arr = np.fromiter((f.src for f in flows), dtype=np.int64, count=num_flows)
-        dst_arr = np.fromiter((f.dst for f in flows), dtype=np.int64, count=num_flows)
-        sizes_l: List[int] = [f.size_cells for f in flows]
-        arrival_l: List[int] = [f.arrival_slot for f in flows]
-        self._src_arr = src_arr
-        self._dst_arr = dst_arr
-        self._sizes_l = sizes_l
-        self._arrival_l = arrival_l
-        sz_np = np.asarray(sizes_l, dtype=np.int64)
-        arr_np = np.asarray(arrival_l, dtype=np.int64)
-        self._fsizes = sz_np
+        # The table's read-only columns, used in place.
+        self._flows = flows
+        src_arr = self._src_arr = flows.src
+        dst_arr = self._dst_arr = flows.dst
+        sz_np = self._fsizes = flows.size_cells
+        arr_np = self._arr_np = flows.arrival_slot
 
         # Per-flow ledgers (flow-indexed, finalized by the report).
         self._fdcount = np.zeros(num_flows, dtype=np.int64)
@@ -311,6 +306,7 @@ class VectorizedSession(SimSession):
 
         inj = None
         self._slot_end = None
+        self._sizes_l: Optional[List[int]] = None
         arrivals: Dict[int, List[int]] = {}
         if window is None:
             # Block mode: every in-run flow injects its full size at its
@@ -335,7 +331,6 @@ class VectorizedSession(SimSession):
             self._blk_base = 0
             self._blk_hi = 0
             self._blk_cid = self._blk_u = self._blk_v = self._blk_lane = None
-            self._arr_np = arr_np
             if not per_flow:
                 self._routes = np.full((0, 0), -1, dtype=np.int32)
                 self._rowlen = np.empty(0, dtype=np.int32)
@@ -351,8 +346,14 @@ class VectorizedSession(SimSession):
                 self._nroutes = 0
             self._init_cell_tables()
             inj = [0] * num_flows
-            for i, spec in enumerate(flows):
-                arrivals.setdefault(spec.arrival_slot, []).append(i)
+            # In-run flows grouped by arrival slot, in flow order; the
+            # slot loop indexes sizes per arriving flow, so it reads a
+            # Python list rather than numpy scalars.
+            if ordflows.size:
+                slots, starts = np.unique(arr_np[ordflows], return_index=True)
+                groups = np.split(ordflows, starts[1:])
+                arrivals = {s: g.tolist() for s, g in zip(slots.tolist(), groups)}
+            self._sizes_l = sz_np.tolist()
         self._inj = inj
         self._arrivals = arrivals
         self._cursor = 0
@@ -513,10 +514,8 @@ class VectorizedSession(SimSession):
             # Block mode presets the inj ledger, so reconstruct
             # injected-so-far from arrival slots instead (every cell of a
             # flow injects at its arrival slot here).
-            arr = np.asarray(self._arrival_l, dtype=np.int64)
-            sizes = np.asarray(self._sizes_l, dtype=np.int64)
             bound = min(self.slot, self.duration_slots)
-            injected = np.where(arr < bound, sizes, 0)
+            injected = np.where(self._arr_np < bound, self._fsizes, 0)
         else:
             injected = np.asarray(self._inj, dtype=np.int64)
         demand = np.zeros((self.num_nodes, self.num_nodes), dtype=np.int64)
@@ -1351,8 +1350,8 @@ class VectorizedSession(SimSession):
     def _build_report(self) -> SimReport:
         horizon = self.horizon
         return SimReport.from_flow_arrays(
-            np.asarray(self._sizes_l, dtype=np.int64),
-            np.asarray(self._arrival_l, dtype=np.int64),
+            self._fsizes,
+            self._arr_np,
             np.asarray(self._inj, dtype=np.int64),
             self._fdcount,
             self._fcompletion,

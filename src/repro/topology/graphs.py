@@ -6,12 +6,14 @@ the paper's vocabulary (diameter, bisection bandwidth, expansion).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import networkx as nx
 import numpy as np
 
 from ..errors import ConfigurationError
+
+if TYPE_CHECKING:
+    import networkx
 
 __all__ = [
     "directed_diameter",
@@ -21,15 +23,19 @@ __all__ = [
 ]
 
 
-def directed_diameter(graph: nx.DiGraph) -> int:
+def directed_diameter(graph: networkx.DiGraph) -> int:
     """Hop diameter of a strongly connected digraph."""
+    import networkx as nx
+
     if not nx.is_strongly_connected(graph):
         raise ConfigurationError("graph must be strongly connected")
     return nx.diameter(graph)
 
 
-def average_shortest_path(graph: nx.DiGraph) -> float:
+def average_shortest_path(graph: networkx.DiGraph) -> float:
     """Mean shortest-path hop count over all ordered pairs."""
+    import networkx as nx
+
     if not nx.is_strongly_connected(graph):
         raise ConfigurationError("graph must be strongly connected")
     return nx.average_shortest_path_length(graph)
@@ -62,12 +68,14 @@ def bisection_fraction(capacity: np.ndarray, split: Optional[np.ndarray] = None)
     return float(crossing / total)
 
 
-def spectral_gap(graph: nx.DiGraph) -> float:
+def spectral_gap(graph: networkx.DiGraph) -> float:
     """1 - |lambda_2| of the random-walk matrix of the underlying graph.
 
     Larger gaps mean better expansion; used to sanity-check the Opera-style
     expander substitution.
     """
+    import networkx as nx
+
     undirected = graph.to_undirected()
     n = undirected.number_of_nodes()
     if n < 3:

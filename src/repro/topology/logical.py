@@ -9,13 +9,15 @@ queries the routing and analysis layers need.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..errors import ScheduleError
 from ..schedules.schedule import CircuitSchedule
+
+if TYPE_CHECKING:
+    import networkx
 
 __all__ = ["LogicalTopology"]
 
@@ -35,6 +37,8 @@ class LogicalTopology:
     ):
         if node_bandwidth <= 0:
             raise ScheduleError("node_bandwidth must be positive")
+        import networkx as nx
+
         self.num_nodes = int(num_nodes)
         self.node_bandwidth = float(node_bandwidth)
         self._graph = nx.DiGraph()
@@ -55,7 +59,7 @@ class LogicalTopology:
         return cls(schedule.edge_fractions(), schedule.num_nodes, node_bandwidth)
 
     @property
-    def graph(self) -> nx.DiGraph:
+    def graph(self) -> networkx.DiGraph:
         """The underlying networkx digraph (shared, do not mutate)."""
         return self._graph
 
@@ -87,16 +91,22 @@ class LogicalTopology:
 
     def is_connected(self) -> bool:
         """Whether the virtual digraph is strongly connected."""
+        import networkx as nx
+
         return nx.is_strongly_connected(self._graph)
 
     def diameter(self) -> int:
         """Hop diameter of the virtual digraph (ignoring bandwidth)."""
         if not self.is_connected():
             raise ScheduleError("virtual topology is not strongly connected")
+        import networkx as nx
+
         return nx.diameter(self._graph)
 
     def shortest_path(self, u: int, v: int) -> List[int]:
         """A fewest-hops virtual path from *u* to *v*."""
+        import networkx as nx
+
         return nx.shortest_path(self._graph, u, v)
 
     def uniform_clique_deviation(self) -> float:

@@ -18,7 +18,7 @@ from .generators import (
     skewed_matrix,
 )
 from .flowsize import FlowSizeDistribution, WEB_SEARCH, DATA_MINING
-from .workload import Workload, FlowSpec
+from .workload import Workload, FlowSpec, FlowTable
 from .facebook import (
     FACEBOOK_LOCALITY_RATIO,
     FACEBOOK_SHORT_FLOW_SHARE,
@@ -46,6 +46,7 @@ __all__ = [
     "DATA_MINING",
     "Workload",
     "FlowSpec",
+    "FlowTable",
     "FACEBOOK_LOCALITY_RATIO",
     "FACEBOOK_SHORT_FLOW_SHARE",
     "facebook_cluster_matrix",

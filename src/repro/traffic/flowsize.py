@@ -55,6 +55,10 @@ class FlowSizeDistribution:
         self.name = str(name)
         self._sizes = sizes
         self._cdfs = cdfs
+        # Array twins for :meth:`quantiles`; the knot logs are taken with
+        # ``math.log`` once each, so they equal the scalar path's.
+        self._cdf_arr = np.array(cdfs)
+        self._log_arr = np.array([math.log(s) for s in sizes])
 
     # -- queries ---------------------------------------------------------------
 
@@ -84,6 +88,34 @@ class FlowSizeDistribution:
         t = (u - lo_c) / (hi_c - lo_c)
         return math.exp(math.log(lo_s) + t * (math.log(hi_s) - math.log(lo_s)))
 
+    def quantiles(self, u) -> np.ndarray:
+        """:meth:`quantile` of every element of *u*, bit for bit.
+
+        The knot search and the interpolation are array operations, each
+        one IEEE-rounded exactly as the scalar path rounds it; the final
+        ``exp`` stays ``math.exp`` per element, because ``np.exp`` can
+        differ from it in the last bit and a size near a cell boundary
+        would then round the other way.
+        """
+        u = np.asarray(u, dtype=np.float64)
+        if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):
+            bad = u[~((u >= 0.0) & (u <= 1.0))][0]
+            raise TrafficError(f"quantile argument must be in [0, 1], got {bad}")
+        cdfs, logs = self._cdf_arr, self._log_arr
+        out = np.empty(u.shape)
+        low = u <= cdfs[0]
+        high = ~low & (u >= cdfs[-1])
+        mid = ~(low | high)
+        out[high] = self._sizes[-1]
+        out[low] = self._sizes[0]
+        um = u[mid]
+        idx = np.searchsorted(cdfs, um, side="left")
+        lo_c, hi_c = cdfs[idx - 1], cdfs[idx]
+        lo_l, hi_l = logs[idx - 1], logs[idx]
+        t = (um - lo_c) / (hi_c - lo_c)
+        out[mid] = list(map(math.exp, (lo_l + t * (hi_l - lo_l)).tolist()))
+        return out
+
     def cdf(self, size: float) -> float:
         """CDF value at *size* (log-linear interpolation)."""
         sizes, cdfs = self._sizes, self._cdfs
@@ -100,13 +132,11 @@ class FlowSizeDistribution:
     def sample(self, rng: RngLike = None, count: int = 1) -> np.ndarray:
         """Draw *count* flow sizes (bytes) by inverse transform."""
         gen = ensure_rng(rng)
-        u = gen.random(count)
-        return np.array([self.quantile(x) for x in u])
+        return self.quantiles(gen.random(count))
 
     def mean_size(self, samples: int = 20001) -> float:
         """Numerical mean via quantile integration (deterministic)."""
-        grid = np.linspace(0.0, 1.0, samples)
-        return float(np.mean([self.quantile(u) for u in grid]))
+        return float(np.mean(self.quantiles(np.linspace(0.0, 1.0, samples))))
 
     def short_flow_fraction(self, threshold_bytes: float) -> float:
         """Fraction of *flows* at or below the threshold (count-weighted).

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import csv
 import pathlib
-from typing import List, Sequence, Union
+from typing import List, Union
 
 import numpy as np
 
 from ..errors import TrafficError
 from .matrix import TrafficMatrix
-from .workload import FlowSpec
+from .workload import FlowsLike, FlowTable
 
 __all__ = [
     "save_matrix_csv",
@@ -48,20 +48,31 @@ def load_matrix_csv(path: PathLike) -> TrafficMatrix:
     return TrafficMatrix(rates)
 
 
-def save_flows_csv(flows: Sequence[FlowSpec], path: PathLike) -> None:
-    """Write a flow trace with header ``flow_id,src,dst,size_cells,arrival_slot``."""
+def save_flows_csv(flows: FlowsLike, path: PathLike) -> None:
+    """Write a flow trace with header ``flow_id,src,dst,size_cells,arrival_slot``.
+
+    The ``flow_id`` column is the row index of the flow table."""
+    table = FlowTable.of(flows)
+    columns = zip(
+        table.src.tolist(),
+        table.dst.tolist(),
+        table.size_cells.tolist(),
+        table.arrival_slot.tolist(),
+    )
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(FLOW_HEADER)
-        for flow in flows:
-            writer.writerow(
-                [flow.flow_id, flow.src, flow.dst, flow.size_cells, flow.arrival_slot]
-            )
+        for row, values in enumerate(columns):
+            writer.writerow([row, *values])
 
 
-def load_flows_csv(path: PathLike) -> List[FlowSpec]:
-    """Read a flow trace written by :func:`save_flows_csv`."""
-    flows: List[FlowSpec] = []
+def load_flows_csv(path: PathLike) -> FlowTable:
+    """Read a flow trace written by :func:`save_flows_csv`.
+
+    The ``flow_id`` column must count 0, 1, 2, ... in file order: row
+    *i* of the returned table is flow *i*.
+    """
+    rows: List[List[int]] = []
     try:
         with open(path, newline="") as handle:
             reader = csv.reader(handle)
@@ -82,7 +93,13 @@ def load_flows_csv(path: PathLike) -> List[FlowSpec]:
                     values = [int(v) for v in row]
                 except ValueError as exc:
                     raise TrafficError(f"{path}:{line_no}: {exc}") from exc
-                flows.append(FlowSpec(*values))
+                if values[0] != len(rows):
+                    raise TrafficError(
+                        f"{path}:{line_no}: flow id {values[0]} is not the "
+                        f"row index {len(rows)}"
+                    )
+                rows.append(values[1:])
     except OSError as exc:
         raise TrafficError(f"cannot read flow trace from {path}: {exc}") from exc
-    return flows
+    columns = np.array(rows, dtype=np.int64).reshape(len(rows), 4)
+    return FlowTable(*columns.T)

@@ -1,8 +1,8 @@
 """Open-loop flow workloads for the slot-level simulator.
 
 A :class:`Workload` turns (traffic matrix, flow-size distribution, load
-factor) into a concrete list of :class:`FlowSpec` arrivals: Poisson in
-time, pair-sampled from the matrix, sized by the distribution.  Sizes are
+factor) into a concrete :class:`FlowTable` of arrivals: Poisson in time,
+pair-sampled from the matrix, sized by the distribution.  Sizes are
 expressed in *cells* — the unit one circuit slot transmits — so the
 simulator stays unit-free; :attr:`cell_bytes` records the conversion.
 """
@@ -10,7 +10,7 @@ simulator stays unit-free; :attr:`cell_bytes` records the conversion.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Sequence
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from ..util import check_positive_int, ensure_rng, RngLike
 from .flowsize import FlowSizeDistribution
 from .matrix import TrafficMatrix
 
-__all__ = ["FlowSpec", "Workload"]
+__all__ = ["FlowSpec", "FlowTable", "Workload"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -29,7 +29,8 @@ class FlowSpec:
     Attributes
     ----------
     flow_id:
-        Unique id in arrival order.
+        The flow's row in its :class:`FlowTable`: ids count 0, 1, 2, ...
+        in arrival order.
     src, dst:
         Endpoints (distinct).
     size_cells:
@@ -51,6 +52,102 @@ class FlowSpec:
             raise TrafficError("flow size must be at least one cell")
         if self.arrival_slot < 0:
             raise TrafficError("arrival slot must be non-negative")
+
+
+def _column(values, name: str) -> np.ndarray:
+    """A fresh read-only C-contiguous int64 copy of one flow column."""
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise TrafficError(f"flow column {name!r} must be one-dimensional")
+    if arr.size and arr.dtype.kind not in "iu":
+        raise TrafficError(f"flow column {name!r} must hold integers, got {arr.dtype}")
+    out = np.array(arr, dtype=np.int64, order="C")
+    out.setflags(write=False)
+    return out
+
+
+class FlowTable:
+    """A flow population as four read-only int64 columns.
+
+    Row *i* is the flow with id *i*: ``src[i]`` sends ``size_cells[i]``
+    cells to ``dst[i]``, available from slot ``arrival_slot[i]``.  The
+    constructor copies and validates the columns (the checks
+    :class:`FlowSpec` runs per flow, as array checks) and freezes them,
+    so one table can be shared by any number of runs.  Iterating yields
+    one :class:`FlowSpec` per row, for code that works flow by flow.
+    """
+
+    __slots__ = ("src", "dst", "size_cells", "arrival_slot")
+
+    def __init__(self, src, dst, size_cells, arrival_slot):
+        self.src = _column(src, "src")
+        self.dst = _column(dst, "dst")
+        self.size_cells = _column(size_cells, "size_cells")
+        self.arrival_slot = _column(arrival_slot, "arrival_slot")
+        if not (
+            self.src.size == self.dst.size == self.size_cells.size
+            == self.arrival_slot.size
+        ):
+            raise TrafficError("flow columns must have equal lengths")
+        if np.any(self.src == self.dst):
+            raise TrafficError("flow endpoints must differ")
+        if np.any(self.size_cells < 1):
+            raise TrafficError("flow size must be at least one cell")
+        if np.any(self.arrival_slot < 0):
+            raise TrafficError("arrival slot must be non-negative")
+
+    @classmethod
+    def of(cls, flows: "FlowsLike") -> "FlowTable":
+        """*flows* as a table: a table unchanged, a ``FlowSpec``
+        sequence converted.  Flow ids must be the row indices."""
+        if isinstance(flows, FlowTable):
+            return flows
+        specs = list(flows)
+        for row, spec in enumerate(specs):
+            if spec.flow_id != row:
+                raise TrafficError(
+                    f"flow ids must be the row indices 0..{len(specs) - 1} in "
+                    f"order; row {row} has id {spec.flow_id}"
+                )
+        return cls(
+            [f.src for f in specs],
+            [f.dst for f in specs],
+            [f.size_cells for f in specs],
+            [f.arrival_slot for f in specs],
+        )
+
+    def __len__(self) -> int:
+        return int(self.src.size)
+
+    def __iter__(self) -> Iterator[FlowSpec]:
+        columns = zip(
+            self.src.tolist(),
+            self.dst.tolist(),
+            self.size_cells.tolist(),
+            self.arrival_slot.tolist(),
+        )
+        for row, (src, dst, size, arrival) in enumerate(columns):
+            yield FlowSpec(row, src, dst, size, arrival)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FlowTable):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in self.__slots__
+        )
+
+    def __reduce__(self):
+        # Rebuilt through the constructor, so a copy is frozen again.
+        return FlowTable, (self.src, self.dst, self.size_cells, self.arrival_slot)
+
+    def __repr__(self) -> str:
+        return f"FlowTable(flows={len(self)})"
+
+
+#: What the engines and the flow model accept: a table, or a ``FlowSpec``
+#: sequence whose ids are its row indices.
+FlowsLike = Union[FlowTable, Sequence[FlowSpec]]
 
 
 class Workload:
@@ -84,7 +181,16 @@ class Workload:
         self.flow_sizes = flow_sizes
         self.load = float(load)
         self.cell_bytes = float(cell_bytes)
-        self._pair_probs = matrix.pair_distribution()
+        # The pair CDF ``Generator.choice(p=...)`` builds on every call,
+        # built once, after the same sum check.  ``pair_distribution``
+        # returns a fresh array, so the cumulative sum can overwrite it
+        # (bit-identical to ``np.cumsum``, one N x N array less).
+        cdf = matrix.pair_distribution()
+        np.cumsum(cdf, out=cdf)
+        if abs(cdf[-1] - 1.0) > np.sqrt(np.finfo(np.float64).eps):
+            raise TrafficError("pair probabilities do not sum to 1")
+        cdf /= cdf[-1]
+        self._pair_cdf = cdf
         self._mean_cells = max(1.0, flow_sizes.mean_size() / cell_bytes)
 
     @property
@@ -100,41 +206,39 @@ class Workload:
         """
         return self.load * self.num_nodes / self._mean_cells
 
-    def generate(self, duration_slots: int, rng: RngLike = None) -> List[FlowSpec]:
-        """Materialize all arrivals in ``[0, duration_slots)``."""
+    def generate(self, duration_slots: int, rng: RngLike = None) -> FlowTable:
+        """Materialize all arrivals in ``[0, duration_slots)``.
+
+        Draws, in order: one Poisson count per slot, one pair uniform per
+        flow, one size uniform per flow (nothing after the counts when
+        there is no flow).  The pairs are ``Generator.choice(n * n,
+        p=...)``'s draws exactly — the same uniforms searched in the same
+        CDF — only searched in sorted order, which is faster on a large
+        CDF and gives the same indices.
+        """
         duration_slots = check_positive_int(duration_slots, "duration_slots")
         gen = ensure_rng(rng)
         n = self.num_nodes
         counts = gen.poisson(self.arrivals_per_slot, size=duration_slots)
         total = int(counts.sum())
         if total == 0:
-            return []
-        pair_indices = gen.choice(n * n, size=total, p=self._pair_probs)
+            empty = np.zeros(0, dtype=np.int64)
+            return FlowTable(empty, empty, empty, empty)
+        uniforms = gen.random(total)
+        order = np.argsort(uniforms)
+        pair_indices = np.empty(total, dtype=np.int64)
+        pair_indices[order] = self._pair_cdf.searchsorted(
+            uniforms[order], side="right"
+        )
         sizes = self.flow_sizes.sample(gen, count=total)
         size_cells = np.maximum(1, np.round(sizes / self.cell_bytes)).astype(np.int64)
+        src, dst = np.divmod(pair_indices, n)
+        arrival = np.repeat(np.arange(duration_slots, dtype=np.int64), counts)
+        return FlowTable(src, dst, size_cells, arrival)
 
-        flows: List[FlowSpec] = []
-        flow_id = 0
-        cursor = 0
-        for slot in range(duration_slots):
-            for _ in range(int(counts[slot])):
-                index = int(pair_indices[cursor])
-                flows.append(
-                    FlowSpec(
-                        flow_id=flow_id,
-                        src=index // n,
-                        dst=index % n,
-                        size_cells=int(size_cells[cursor]),
-                        arrival_slot=slot,
-                    )
-                )
-                flow_id += 1
-                cursor += 1
-        return flows
-
-    def offered_cells(self, flows: Sequence[FlowSpec]) -> int:
-        """Total cells offered by a generated arrival list."""
-        return int(sum(f.size_cells for f in flows))
+    def offered_cells(self, flows: FlowsLike) -> int:
+        """Total cells offered by a generated arrival table."""
+        return int(FlowTable.of(flows).size_cells.sum())
 
     def __repr__(self) -> str:
         return (

@@ -10,7 +10,6 @@ import pytest
 
 from repro.control import (
     AdaptiveSimulation,
-    ChaosPolicy,
     ControllerState,
     RuntimeConfig,
     ScriptedChaos,

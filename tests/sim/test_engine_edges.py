@@ -1,6 +1,8 @@
 """Engine edge cases: capacities, idle slots, drain/window interplay."""
 
+import pytest
 
+from repro.errors import TrafficError
 from repro.routing import VlbRouter
 from repro.schedules import ExplicitSchedule, Matching, RoundRobinSchedule
 from repro.sim import SimConfig, SlotSimulator
@@ -94,3 +96,31 @@ class TestArrivalsAndDrain:
         assert report.delivered_cells == 0
         assert report.total_flows == 0
         assert report.throughput == 0.0
+
+
+class TestFlowIds:
+    """Row *i* of the flow table is flow *i*.  A list whose ids are not
+    0..n-1 in order is rejected up front, by both engines alike: the
+    reference engine once kept only the last flow of a repeated id while
+    the vectorized one ran them all."""
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_duplicate_ids_rejected(self, engine):
+        sim = SlotSimulator(
+            RoundRobinSchedule(8), VlbRouter(8), SimConfig(engine=engine), rng=1
+        )
+        flows = [FlowSpec(0, 0, 3, 4, 0), FlowSpec(0, 1, 5, 4, 0)]
+        with pytest.raises(TrafficError, match="row 1 has id 0"):
+            sim.run(flows, 20)
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_positional_ids_run_every_flow(self, engine):
+        sim = SlotSimulator(
+            RoundRobinSchedule(8),
+            VlbRouter(8),
+            SimConfig(engine=engine, drain=True),
+            rng=1,
+        )
+        report = sim.run([FlowSpec(0, 0, 3, 4, 0), FlowSpec(1, 1, 5, 4, 0)], 20)
+        assert report.total_flows == 2
+        assert report.delivered_cells == 8

@@ -1,5 +1,7 @@
 """Failure injection: masked schedules, failure timelines, blast radius."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -368,6 +370,9 @@ class TestTimelineSimulation:
 
 class TestBlastRadiusSimulation:
     def _run(self, schedule, router, flows, slots=600):
+        # A bystander list keeps the ids of the run it was split from;
+        # on its own it runs as rows 0..n-1.
+        flows = [dataclasses.replace(f, flow_id=i) for i, f in enumerate(flows)]
         sim = SlotSimulator(
             schedule, router, SimConfig(drain=True, max_drain_slots=300), rng=5
         )

@@ -3,7 +3,7 @@
 The flow-level model (:mod:`repro.sim.flowlevel`) predicts per-flow
 FCT/slowdown *expectations* from circuit timing and fluid link loads;
 the slot simulator measures them cell by cell.  This suite runs the SAME
-generated ``FlowSpec`` list through both at N in {16, 32, 64} across
+generated flow table through both at N in {16, 32, 64} across
 uniform, clustered and permutation traffic and pins the agreement inside
 explicit tolerance bands, plus exact identities the model must satisfy
 (fluid saturation equality, symmetric-vs-exact closed forms).
@@ -47,13 +47,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, TrafficError
 from repro.routing import SornRouter
 from repro.schedules import build_sorn_schedule
 from repro.sim import FlowLevelModel, SimConfig, SlotSimulator
 from repro.sim.fluid import saturation_throughput as fluid_saturation
 from repro.traffic import (
     FlowSizeDistribution,
+    FlowTable,
     Workload,
     clustered_matrix,
     permutation_matrix,
@@ -121,7 +122,7 @@ def _compare(schedule, router, matrix, *, load, size_cells, seed, mode,
         schedule, router, load=load, matrix=matrix, locality=locality,
         mode=mode,
     )
-    return sim_report, model.evaluate_flows(flows)
+    return sim_report, model.evaluate(flows)
 
 
 def _assert_bands(sim_report, flow_report):
@@ -198,9 +199,7 @@ class TestModelVsSlotSim:
         )
         assert not model.stable
         assert model.saturation_throughput < 0.9
-        report = model.evaluate(
-            np.array([0, 1]), np.array([1, 9]), np.array([3, 3])
-        )
+        report = model.evaluate(FlowTable([0, 1], [1, 9], [3, 3], [0, 0]))
         assert math.isinf(report.mean_fct)
         assert math.isinf(report.fct_percentile(99.0))  # inf, never nan
         assert report.summary()["mean_fct_slots"] is None  # JSON-safe
@@ -353,18 +352,24 @@ class TestFlowLevelUnit:
             FlowLevelModel(schedule, router, load=0.2, mode="exact")
 
     def test_evaluate_rejects_misaligned_arrays(self):
-        """srcs/dsts/sizes must be index-aligned."""
+        """A flow table's columns must be index-aligned, and a flow list
+        is converted (and checked) before evaluation."""
         schedule, router = _fabric(16, 4)
         model = FlowLevelModel(schedule, router, load=0.2, locality=0.5)
-        with pytest.raises(SimulationError):
-            model.evaluate(np.array([0, 1]), np.array([2]), np.array([1]))
+        with pytest.raises(TrafficError, match="equal lengths"):
+            model.evaluate(FlowTable([0, 1], [2], [1, 1], [0, 0]))
+        with pytest.raises(TrafficError, match="endpoints must differ"):
+            model.evaluate(FlowTable([0, 1], [2, 1], [1, 1], [0, 0]))
+        table = FlowTable([0, 1], [2, 3], [1, 4], [0, 0])
+        assert model.evaluate(list(table)).summary() == model.evaluate(
+            table
+        ).summary()
 
     def test_empty_workload_report(self):
         """Zero flows: aggregates are None, hops 0, summary JSON-safe."""
         schedule, router = _fabric(16, 4)
         model = FlowLevelModel(schedule, router, load=0.2, locality=0.5)
-        empty = np.array([], dtype=np.int64)
-        report = model.evaluate(empty, empty, empty)
+        report = model.evaluate(FlowTable([], [], [], []))
         assert report.mean_fct is None
         assert report.fct_percentile(99.0) is None
         assert report.mean_slowdown is None
@@ -380,9 +385,7 @@ class TestFlowLevelUnit:
         assert pair.fct(5) == pytest.approx(
             pair.wait_slots + 4 * pair.serialization_slots
         )
-        report = model.evaluate(
-            np.array([0, 0]), np.array([1, 4]), np.array([1, 8])
-        )
+        report = model.evaluate(FlowTable([0, 0], [1, 4], [1, 8], [0, 0]))
         assert (report.slowdown >= 1.0).all()
 
     def test_sample_flow_arrays_locality_extremes(self):
@@ -393,13 +396,13 @@ class TestFlowLevelUnit:
         schedule, _ = _fabric(16, 4)
         layout = schedule.layout
         cl = np.asarray(layout.assignment())
-        srcs, dsts, sizes = sample_flow_arrays(
-            layout, 1.0, 500, ensure_rng(7)
-        )
-        assert (cl[srcs] == cl[dsts]).all()
-        assert (srcs != dsts).all()
-        assert (sizes >= 1).all()
-        srcs, dsts, _ = sample_flow_arrays(layout, 0.0, 500, ensure_rng(8))
-        assert (cl[srcs] != cl[dsts]).all()
+        flows = sample_flow_arrays(layout, 1.0, 500, ensure_rng(7))
+        assert isinstance(flows, FlowTable) and len(flows) == 500
+        assert (cl[flows.src] == cl[flows.dst]).all()
+        assert (flows.src != flows.dst).all()
+        assert (flows.size_cells >= 1).all()
+        assert (flows.arrival_slot == 0).all()  # stationary model
+        flows = sample_flow_arrays(layout, 0.0, 500, ensure_rng(8))
+        assert (cl[flows.src] != cl[flows.dst]).all()
         with pytest.raises(ConfigurationError):
             sample_flow_arrays(layout, -0.1, 10, ensure_rng(9))

@@ -17,7 +17,7 @@ from repro.analysis import optimal_q
 from repro.routing import SornRouter
 from repro.schedules import build_sorn_schedule
 from repro.sim import FlowLevelModel, SimConfig, SlotSimulator, clear_cube_pool
-from repro.traffic import FlowSizeDistribution, Workload, clustered_matrix
+from repro.traffic import FlowSizeDistribution, FlowTable, Workload, clustered_matrix
 
 pytestmark = pytest.mark.scale
 
@@ -86,7 +86,8 @@ class TestPaperScaleSlotSim:
         model, analytic = _class_mix_hops(schedule, router)
         srcs = np.arange(NODES, dtype=np.int64)
         dsts = np.roll(srcs, -1)
-        expected = model.evaluate(srcs, dsts, np.ones(NODES, dtype=np.int64))
+        ones = np.ones(NODES, dtype=np.int64)
+        expected = model.evaluate(FlowTable(srcs, dsts, ones, ones - 1))
         # The ring workload above is hop-representative (mostly intra
         # with the clique-boundary inter pairs); compare against the
         # sim's clustered run via the model's clustered class mix.

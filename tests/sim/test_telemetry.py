@@ -11,14 +11,12 @@ from repro.schedules import ExpanderSchedule, build_sorn_schedule
 from repro.sim import (
     HopCountCollector,
     LinkUtilizationCollector,
-    PhaseAttributionCollector,
     PhaseProfiler,
     SimConfig,
     SlotSimulator,
     TelemetryCollector,
     TelemetryHub,
     TraceRecorder,
-    VoqHeatmapCollector,
     circuit_class_capacity,
     standard_collectors,
 )

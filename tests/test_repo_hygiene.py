@@ -80,21 +80,31 @@ class TestDocsReferenceRealFiles:
                 pytest.fail(f"DESIGN.md references unimportable {module}: {exc}")
 
 
+def _loaded_by_import(module: str) -> bool:
+    """Whether importing the package, its CLI, the sweep layer and the
+    control plane in a fresh interpreter loads *module*."""
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, repro, repro.cli, repro.exp, repro.control; "
+        f"print({module!r} in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return result.stdout.strip() == "True"
+
+
 class TestImportCost:
     def test_import_does_not_load_scipy(self):
-        """Only BvN synthesis needs scipy, so importing the package, its
-        CLI, the sweep layer and the control plane must not load it."""
-        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = (
-            "import sys, repro, repro.cli, repro.exp, repro.control; "
-            "print('scipy' in sys.modules)"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert result.stdout.strip() == "False"
+        """Only BvN synthesis needs scipy."""
+        assert not _loaded_by_import("scipy")
+
+    def test_import_does_not_load_networkx(self):
+        """Only the expander schedule, Opera routing and
+        ``LogicalTopology`` need networkx."""
+        assert not _loaded_by_import("networkx")
 
 
 def iter_public_modules():

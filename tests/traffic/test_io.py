@@ -6,6 +6,8 @@ from repro.errors import TrafficError
 from repro.topology import CliqueLayout
 from repro.traffic import (
     FlowSizeDistribution,
+    FlowSpec,
+    FlowTable,
     Workload,
     clustered_matrix,
     load_flows_csv,
@@ -81,4 +83,25 @@ class TestFlowTraceRoundtrip:
     def test_empty_trace(self, tmp_path):
         path = tmp_path / "flows.csv"
         save_flows_csv([], path)
-        assert load_flows_csv(path) == []
+        loaded = load_flows_csv(path)
+        assert isinstance(loaded, FlowTable)
+        assert len(loaded) == 0
+
+    def test_file_format(self, tmp_path):
+        """One header line, then ``row,src,dst,size_cells,arrival_slot``."""
+        path = tmp_path / "flows.csv"
+        save_flows_csv([FlowSpec(0, 1, 2, 3, 4), FlowSpec(1, 5, 6, 7, 8)], path)
+        assert path.read_bytes() == (
+            b"flow_id,src,dst,size_cells,arrival_slot\r\n"
+            b"0,1,2,3,4\r\n"
+            b"1,5,6,7,8\r\n"
+        )
+
+    def test_non_positional_ids_rejected_with_location(self, tmp_path):
+        """Row *i* of a trace is flow *i*: a repeated id names its line."""
+        path = tmp_path / "flows.csv"
+        path.write_text(
+            "flow_id,src,dst,size_cells,arrival_slot\n0,0,1,4,0\n0,2,3,4,0\n"
+        )
+        with pytest.raises(TrafficError, match=r":3: flow id 0 is not the row index 1"):
+            load_flows_csv(path)
