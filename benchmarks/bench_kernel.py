@@ -2,8 +2,13 @@
 
 Times the fused-kernel vectorized engine (:mod:`repro.sim.kernels` over
 :class:`repro.sim.network.LinkedVoqState`) against the reference object
-loop on saturated SORN fabrics at N ∈ {128, 512, 1024} and writes the
-measurement to ``BENCH_kernel.json`` for CI regression tracking:
+loop on saturated SORN fabrics at N ∈ {16, 128, 512, 1024} and writes
+the measurement to ``BENCH_kernel.json`` (checked in, so every engine
+change moves a recorded line):
+
+- **small fabrics**: at N=16 and N=128 every plane and enqueue batch is
+  under the engine's size cutoff, so these rungs time the sequential
+  kernels; N=512 and N=1024 time the array kernels.
 
 - **end-to-end**: identical workload through both engines, best-of-two
   wall clock each, reported as slots/second and a speedup ratio.  The
@@ -12,7 +17,8 @@ measurement to ``BENCH_kernel.json`` for CI regression tracking:
   paper's N=4096 scale.
 - **per-kernel**: a profiled vectorized run (telemetry hub carrying only
   a :class:`repro.sim.telemetry.PhaseProfiler`) breaks the slot loop
-  into ``inject`` (append_cells), the forwarding sub-phases ``drain`` /
+  into ``inject`` (enqueue kernels), the forwarding sub-phases ``seq``
+  (the sequential kernel on planes under the cutoff) / ``drain`` /
   ``commit`` / ``repair`` (``forward`` keeps the residual glue and the
   delivery ledger fold), and ``stats`` (occupancy and max-VOQ
   bookkeeping), reported as ms/slot each — a regression names the
@@ -57,8 +63,8 @@ REGRESSION_MARGIN = 0.20
 NUM_CLIQUES = 8
 #: (num_nodes, slots) — saturated fabrics; slots shrink with N to keep
 #: the reference-engine side of the measurement in CI budget.
-FULL_SCALE = [(128, 250), (512, 150), (1024, 80)]
-SMOKE_SCALE = [(128, 120)]
+FULL_SCALE = [(16, 2000), (128, 250), (512, 150), (1024, 80)]
+SMOKE_SCALE = [(16, 400), (128, 120)]
 
 
 def _fabric(num_nodes):

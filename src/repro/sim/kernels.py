@@ -1,11 +1,9 @@
-"""Allocation-free fused slot kernels for the vectorized engine.
+"""Allocation-free slot kernels for the vectorized engine.
 
-The :class:`repro.sim.telemetry.PhaseProfiler` breakdown of the previous
-vectorized engine put >90% of a saturated Fig 2f run in two per-slot
-loops — cell injection (lane-deque appends, ``np.add.at`` counter
-scatters, ``paths.tolist()`` route materialization) and the sequential
-per-circuit VOQ drain.  This module replaces both with fused array
-kernels over :class:`repro.sim.network.LinkedVoqState`:
+Every kernel works on :class:`repro.sim.network.LinkedVoqState` and the
+engine's flat cell tables, in two kinds.  The array kernels pay a fixed
+cost of NumPy calls and then little per cell, so they serve large planes
+and batches:
 
 - :func:`append_cells` enqueues a whole batch with one stable sort:
   cells are grouped by (VOQ pair, lane), linked intra-group through the
@@ -25,11 +23,19 @@ kernels over :class:`repro.sim.network.LinkedVoqState`:
 - :func:`commit_pops` applies a validated walk: heads scatter to the
   post-walk cursors, emptied lanes reset their tails, and the drained
   counts leave ``qlen`` — again via unique-pair indexing.
-- :func:`drain_plane_seq` is the exact sequential fallback: the
-  reference drain semantics — circuits in source order, lane priority,
-  immediate forwarding, same-plane cascades — expressed over the flat
-  int32 tables only, for cascade slots the optimistic walk cannot
-  commit.
+
+The sequential kernels loop in Python over flat memoryviews of the same
+tables (a memoryview read returns a Python int in about half the time of
+NumPy scalar indexing), so their cost is per cell and per circuit with
+almost nothing fixed.  The engine picks them for planes and batches at
+or under its size cutoff (``repro.sim.vectorized.SEQ_CUTOFF``):
+
+- :func:`drain_plane_seq` drains one plane with the reference drain
+  semantics verbatim — circuits in source order, lane priority,
+  immediate forwarding, same-plane cascades.  It also replays the
+  cascade planes the optimistic walk cannot commit.
+- :func:`enqueue_seq` splices a small batch onto the VOQ tails one cell
+  at a time, as :func:`drain_plane_seq` does for a forwarded cell.
 
 All kernels are allocation-conscious: scratch buffers (candidate
 matrices, pop/delivery staging) are preallocated once per session and
@@ -59,6 +65,7 @@ __all__ = [
     "append_cells",
     "walk_candidates",
     "commit_pops",
+    "enqueue_seq",
     "drain_plane_seq",
 ]
 
@@ -190,73 +197,134 @@ def commit_pops(
     qlen[srcs, dsts] -= got
 
 
+def enqueue_seq(
+    head,
+    tail,
+    qlen,
+    nxt,
+    cid0,
+    us,
+    vs,
+    lanes,
+    lo,
+    hi,
+    num_nodes,
+    keys,
+):
+    """Enqueue cells ``lo..hi-1`` of a small batch one at a time.
+
+    The scalar counterpart of :func:`append_cells`, over flat
+    memoryviews (``head``/``tail`` index ``lane * N * N + u * N + v``,
+    ``qlen`` indexes ``u * N + v``).  Cell ``i`` has id ``cid0 + i``,
+    its ``nxt`` link already 0, and joins the tail of VOQ
+    ``(us[i], vs[i])`` lane ``lanes[i]``; input order is enqueue order,
+    as in :func:`append_cells`.  Appends every touched pair key
+    ``u * N + v`` to *keys* (for max-VOQ tracking).  This is the same
+    tail splice :func:`drain_plane_seq` does for a forwarded cell.
+    """
+    n = num_nodes
+    nn = n * n
+    append = keys.append
+    cid = cid0 + lo
+    for u, v, lane in zip(us[lo:hi], vs[lo:hi], lanes[lo:hi]):
+        k = u * n + v
+        t = lane * nn + k
+        told = tail[t]
+        if told:
+            nxt[told] = cid
+        else:
+            head[t] = cid
+        tail[t] = cid
+        qlen[k] += 1
+        append(k)
+        cid += 1
+
+
 def drain_plane_seq(
     head,
     tail,
-    nxt,
     qlen,
-    routes,
-    rowlen,
+    nxt,
     ridx,
     rhop,
     rfid,
+    routes,
+    width,
+    rowlen,
     fwd_lane,
-    srcs,
-    dsts,
+    row,
+    num_nodes,
     budget,
     out_cids,
     out_del,
     out_got,
+    keys,
 ):
-    """Exact sequential per-plane drain over the flat tables.
+    """Exact sequential drain of one plane over flat memoryviews.
 
-    Reference semantics verbatim: circuits in source order, strict lane
-    priority, up to *budget* pops per circuit, forwarded cells appended
-    immediately (so a later circuit of the same plane can drain them —
-    the same-slot multi-hop cascade).  Records every popped cell id in
-    pop order (``out_cids``), whether it delivered (``out_del``) and the
-    per-circuit counts (``out_got``); returns the number popped.
+    *row* is the plane's destination row (``row[s]`` is the node source
+    ``s`` transmits to, ``-1`` when idle); ``routes`` is the route table
+    flattened with row width *width*; the cube and ``qlen`` views index
+    as in :func:`enqueue_seq`.  Reference semantics verbatim: circuits
+    in source order, strict lane priority, up to *budget* pops per
+    circuit, forwarded cells appended immediately — so a later circuit
+    of the same plane drains them (the same-slot multi-hop cascade).
+    A circuit's ``qlen`` is read when the scan reaches it, so a circuit
+    that started the slot empty still drains what an earlier circuit
+    forwarded to it.
+
+    Records every popped cell id in pop order (``out_cids``), whether it
+    delivered (``out_del``), each popping circuit's count at its source
+    (``out_got[s]``; other entries are left as they were) and each
+    forward's pair key in *keys*; returns ``(popped, delivered)``.
     """
+    n = num_nodes
+    nn = n * n
+    append = keys.append
     pos = 0
-    num_circuits = srcs.shape[0]
-    num_lanes = head.shape[0]
-    for i in range(num_circuits):
-        s = srcs[i]
-        d = dsts[i]
-        got = 0
-        for lane in range(num_lanes):
-            while got < budget:
-                cid = head[lane, s, d]
-                if cid == 0:
-                    break
-                nx = nxt[cid]
-                head[lane, s, d] = nx
-                if nx == 0:
-                    tail[lane, s, d] = 0
-                qlen[s, d] -= 1
-                got += 1
-                r = ridx[cid]
-                h = rhop[cid]
-                if h == rowlen[r] - 2:
-                    out_del[pos] = 1
+    ndel = 0
+    for s, d in enumerate(row):
+        if d < 0:
+            continue
+        k = s * n + d
+        q = qlen[k]
+        if q == 0:
+            continue
+        # A forward leaves node d, never s, so it cannot land in this
+        # VOQ: the pops are known up front and qlen drops once.
+        got = q if q < budget else budget
+        qlen[k] = q - got
+        out_got[s] = got
+        t = k
+        for _ in range(got):
+            cid = head[t]
+            while cid == 0:  # strict lane priority: first nonempty lane
+                t += nn
+                cid = head[t]
+            nx = nxt[cid]
+            head[t] = nx
+            if nx == 0:
+                tail[t] = 0
+            out_cids[pos] = cid
+            r = ridx[cid]
+            h = rhop[cid] + 1
+            if h == rowlen[r] - 1:
+                out_del[pos] = 1
+                ndel += 1
+            else:
+                out_del[pos] = 0
+                rhop[cid] = h
+                b = r * width + h
+                fk = routes[b] * n + routes[b + 1]
+                ft = fwd_lane[rfid[cid]] * nn + fk
+                nxt[cid] = 0
+                told = tail[ft]
+                if told:
+                    nxt[told] = cid
                 else:
-                    out_del[pos] = 0
-                    h += 1
-                    rhop[cid] = h
-                    u = routes[r, h]
-                    v = routes[r, h + 1]
-                    fl = fwd_lane[rfid[cid]]
-                    told = tail[fl, u, v]
-                    nxt[cid] = 0
-                    if told == 0:
-                        head[fl, u, v] = cid
-                    else:
-                        nxt[told] = cid
-                    tail[fl, u, v] = cid
-                    qlen[u, v] += 1
-                out_cids[pos] = cid
-                pos += 1
-            if got >= budget:
-                break
-        out_got[i] = got
-    return pos
+                    head[ft] = cid
+                tail[ft] = cid
+                qlen[fk] += 1
+                append(fk)
+            pos += 1
+    return pos, ndel

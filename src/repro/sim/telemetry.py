@@ -823,14 +823,17 @@ class PhaseProfiler(TelemetryCollector):
     injection), ``forward`` (circuit drain — delivery happens inside this
     loop), and ``stats`` (refills, invariant checks, occupancy/trace/
     telemetry bookkeeping).  The vectorized engine further splits the
-    drain out of ``forward`` into ``drain`` (candidate walk + cascade
-    detection, or the sequential kernel when it is the chosen path),
+    drain out of ``forward`` by the path each plane took: ``seq`` (the
+    sequential kernel, for a plane at or under the size cutoff),
+    ``drain`` (candidate walk + cascade detection, for a larger plane),
     ``commit`` (head/tail/qlen commit plus forwarded-cell appends) and
-    ``repair`` (cascade repair or the sequential replay of a cascade
-    slot), leaving ``forward`` as the residual glue — so the phases
-    still sum to wall time and a regression names the guilty kernel.
-    The vectorized engine laps ``forward`` once per slot span, so its
-    lap count there is the number of spans.
+    ``repair`` (cascade repair, or the sequential replay of a cascade
+    plane the walk abandoned), leaving ``forward`` as the residual glue
+    — so the phases still sum to wall time and a regression names the
+    guilty kernel.  ``seq`` and ``drain`` lap once per plane they
+    drain, so their lap counts are the planes on each path.  The
+    vectorized engine laps ``forward`` once per slot span, so its lap
+    count there is the number of spans.
     Timings answer "where does the wall clock go" for
     engine-optimization work; they are *excluded* from the
     deterministic snapshot/JSONL/CSV streams because they are real

@@ -26,23 +26,32 @@ object machinery stripped out:
 - the VOQ fabric is :class:`repro.sim.network.LinkedVoqState` — array
   intrusive linked lists (per-lane ``head``/``tail`` cubes plus one
   shared ``nxt`` chain over the cell table) with a dense ``(N, N)``
-  ``qlen`` matrix — so batch enqueues, the per-plane drain, and the
-  per-slot occupancy statistics are all array kernels
-  (:mod:`repro.sim.kernels`) over preallocated scratch, with no per-cell
-  Python objects or deques anywhere on the hot path.
+  ``qlen`` matrix — so enqueues, the per-plane drain, and the per-slot
+  occupancy statistics are kernels (:mod:`repro.sim.kernels`) over the
+  flat tables and preallocated scratch, with no per-cell Python objects
+  or deques anywhere on the hot path.
 
-The delicate part is the per-plane drain: the reference semantics allow
-a cell forwarded by one circuit to be drained by a *later* circuit of
-the same plane matching (a same-slot multi-hop cascade), so a naive
-"pop everything, then forward" batch changes delivery timing.  The fused
-engine drains optimistically (:func:`repro.sim.kernels.walk_candidates`)
+Each plane and each enqueue batch takes one of two exact kernels by its
+size (:data:`SEQ_CUTOFF`).  Small ones — every plane of a fabric of a
+hundred-odd nodes, and the cascade replays below — go through the
+sequential kernels (:func:`repro.sim.kernels.drain_plane_seq`,
+:func:`repro.sim.kernels.enqueue_seq`), which work on Python ints
+through memoryviews of the flat tables: their cost is per cell, where
+the array kernels pay dozens of NumPy calls per plane and batch however
+little these hold.  Large ones take the array kernels.
+
+The delicate part of the array drain: the reference semantics allow a
+cell forwarded by one circuit to be drained by a *later* circuit of the
+same plane matching (a same-slot multi-hop cascade), so a naive "pop
+everything, then forward" batch changes delivery timing.  The array
+path drains optimistically (:func:`repro.sim.kernels.walk_candidates`)
 and detects, *before committing*, whether any forwarded cell lands on a
 circuit drained later in the same plane.  Cascade-free planes — the
-overwhelming majority — commit entirely in array code; cascade planes
-are either repaired in place (single-cell circuits with no event
-consumers: a tiny Python pass over exactly the affected circuits) or
-replayed through the exact sequential kernel
-(:func:`repro.sim.kernels.drain_plane_seq`).  All paths are bit-exact.
+overwhelming majority — commit in array code; cascade planes are either
+repaired in place (single-cell circuits with no event consumers: a tiny
+Python pass over exactly the affected circuits) or replayed through the
+sequential kernel, which forwards in source order and so needs no
+cascade detection at all.  All paths are bit-exact.
 
 **Exactness contract.**  Given the same (schedule, router, config, rng
 seed, workload), the vectorized engine reproduces the reference engine's
@@ -78,6 +87,7 @@ from .kernels import (
     append_cells,
     commit_pops,
     drain_plane_seq,
+    enqueue_seq,
     walk_candidates,
 )
 from .metrics import SimReport
@@ -88,6 +98,21 @@ __all__ = ["VectorizedEngine"]
 #: Most slots one iteration of the span loop runs (see
 #: ``VectorizedSession._advance``).
 SPAN_CAP = 64
+
+#: Size cutoff between the scalar and the array kernels.  A plane whose
+#: live circuits (nonempty VOQ pairs) plus a quarter of its circuits (the
+#: row the scalar kernel scans) come to at most this drains through
+#: :func:`repro.sim.kernels.drain_plane_seq`, and an enqueue batch of at
+#: most this many cells goes through :func:`repro.sim.kernels.
+#: enqueue_seq`; larger ones take the array walk and
+#: :func:`repro.sim.kernels.append_cells`.  Both sides are exact, so the
+#: cutoff moves only speed; DESIGN.md records the crossover it comes from.
+SEQ_CUTOFF = 192
+
+
+def _flat_view(arr: np.ndarray) -> memoryview:
+    """A flat memoryview of a C-contiguous array (it pins *arr*)."""
+    return memoryview(arr.reshape(-1))
 
 
 class VectorizedEngine:
@@ -151,19 +176,22 @@ class VectorizedSession(SimSession):
     kernel set in :mod:`repro.sim.kernels` plus a handful of gathers.
     Scratch buffers (candidate matrix, sequential-drain staging) are
     allocated once here and reused every slot, so the steady-state loop
-    allocates only small result arrays.  Pausing at a slot boundary is
-    free; presampled path blocks stay valid across schedule swaps because
-    the *router* — the only RNG consumer — never changes mid-run.
+    allocates only small result arrays; the sequential kernels reach
+    the tables through flat memoryviews (:meth:`_bind_views`).  Pausing
+    at a slot boundary is free; presampled path blocks stay valid across
+    schedule swaps because the *router* — the only RNG consumer — never
+    changes mid-run.
 
-    Drain strategy per plane: the optimistic candidate walk + commit
-    handles the common cascade-free case entirely in array code.  When a
-    same-slot multi-hop cascade is possible, the engine either repairs
-    the walk in place (``cells_per_circuit == 1`` with no event
-    consumers attached — the cascade set is tiny, so the repair is a
-    few-element Python pass over exactly the affected circuits) or
-    replays the whole plane through the exact sequential kernel
-    (:func:`repro.sim.kernels.drain_plane_seq`).  All three paths are
-    bit-exact.
+    Drain strategy per plane (:meth:`_drain_plane`): a plane at or
+    under :data:`SEQ_CUTOFF` drains through the sequential kernel
+    (:func:`repro.sim.kernels.drain_plane_seq`).  A larger plane takes
+    the optimistic candidate walk + commit, which handles the common
+    cascade-free case in array code.  When a same-slot multi-hop
+    cascade is possible there, the engine either repairs the walk in
+    place (``cells_per_circuit == 1`` with no event consumers attached
+    — the cascade set is tiny, so the repair is a few-element Python
+    pass over exactly the affected circuits) or replays the whole plane
+    through the sequential kernel.  All paths are bit-exact.
     """
 
     _engine_name = "vectorized"
@@ -216,7 +244,7 @@ class VectorizedSession(SimSession):
             hub.sample if hub is not None and hub.wants_samples else None
         )
         self._prof = hub.profiler if hub is not None else None
-        # Seconds already attributed to the drain/commit/repair
+        # Seconds already attributed to the seq/drain/commit/repair
         # sub-phases this slot; _advance charges the residual (matching
         # application, delivery accounting, the loop itself) to
         # "forward" so the profile still sums to wall time.
@@ -255,8 +283,8 @@ class VectorizedSession(SimSession):
         self._window = window
         self._budget = config.cells_per_circuit
         self._track_inj = checker is not None or self._rec_del is not None
-        # Event consumers force the exact sequential kernel on cascade
-        # slots (the repair path does not emit) — see _drain_plane.
+        # Event consumers force the sequential replay of cascade planes
+        # (the repair path does not emit) — see _drain_vec.
         self._emit = (
             checker is not None
             or self._rec_tx is not None
@@ -272,7 +300,11 @@ class VectorizedSession(SimSession):
         self._delivered = 0
         self._injected = 0
         self._partial_flows = 0  # flows mid-injection (windowed drain criterion)
-        self._slot_pairs: List = []  # (u, v) arrays appended this slot
+        # VOQs that received cells this slot, for the max-VOQ statistic:
+        # (u, v) arrays from the array kernels, pair keys u * N + v from
+        # the scalar ones.
+        self._slot_pairs: List = []
+        self._slot_keys: List[int] = []
 
         # --- Path presampling -------------------------------------------
         # The reference engine touches the RNG only when sampling paths:
@@ -360,13 +392,43 @@ class VectorizedSession(SimSession):
 
         # Preallocated kernel scratch: candidate matrix, walk index
         # buffer, sequential-drain staging (cell ids, delivery flags,
-        # per-circuit counts).
+        # per-source counts).
         budget = self._budget
         self._cand = np.empty((budget, num_nodes), dtype=np.int32)
         self._ar = np.arange(num_nodes)
         self._out_cids = np.empty(num_nodes * budget, dtype=np.int32)
         self._out_del = np.empty(num_nodes * budget, dtype=np.uint8)
         self._out_got = np.zeros(num_nodes, dtype=np.int64)
+        self._bind_views()
+
+    def _bind_views(self) -> None:
+        """(Re)bind the flat memoryviews the scalar kernels work through.
+
+        A memoryview reads and writes Python ints at about half the cost
+        of NumPy scalar indexing, but it pins the array it came from:
+        after a backing array is replaced, a stale view silently writes
+        into the dead copy.  So everything that replaces one — cell and
+        route table growth, a new presample chunk, a checkpoint restore
+        — calls this.
+        """
+        net = self.network
+        self._v_head = _flat_view(net.head)
+        self._v_tail = _flat_view(net.tail)
+        self._v_qlen = _flat_view(net.qlen)
+        self._v_nxt = _flat_view(self._nxt)
+        self._v_ridx = _flat_view(self._ridx)
+        self._v_rhop = _flat_view(self._rhop)
+        self._v_rfid = _flat_view(self._rfid)
+        self._v_routes = _flat_view(self._routes)
+        self._v_rowlen = _flat_view(self._rowlen)
+        self._v_fwd_lane = _flat_view(self._fwd_lane)
+        self._v_out_cids = _flat_view(self._out_cids)
+        self._v_out_del = _flat_view(self._out_del)
+        self._v_out_got = _flat_view(self._out_got)
+        if self._window is None and self._blk_u is not None:
+            self._v_blk_u = _flat_view(self._blk_u)
+            self._v_blk_v = _flat_view(self._blk_v)
+            self._v_blk_lane = _flat_view(self._blk_lane)
 
     def _install_schedule(self, new_schedule: CircuitSchedule) -> None:
         # Everything slot-periodic is derived from the schedule and must
@@ -390,7 +452,7 @@ class VectorizedSession(SimSession):
         # resume does not depend on the construction-time seed.
         from .checkpoint import encode_array
 
-        if self._slot_pairs:
+        if self._slot_pairs or self._slot_keys:
             raise CheckpointError(
                 "internal error: slot-pair scratch not empty at a segment "
                 "boundary"
@@ -502,6 +564,7 @@ class VectorizedSession(SimSession):
                     self._blk_lane = self._fresh_lane[self._rfid[span]]
             else:
                 self._inj = [int(v) for v in state["inj"]]
+            self._bind_views()
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"vectorized-engine checkpoint state is structurally "
@@ -562,6 +625,7 @@ class VectorizedSession(SimSession):
             self._nxt = self._grown(self._nxt, newcap)
             if self._cinj is not None:
                 self._cinj = self._grown(self._cinj, newcap)
+            self._bind_views()
         self._ncells += count
         return base
 
@@ -577,6 +641,7 @@ class VectorizedSession(SimSession):
             grown[:base, :cur_width] = self._routes[:base]
             self._routes = grown
             self._rowlen = self._grown(self._rowlen, newcap)
+            self._bind_views()
         self._routes[base : base + count, :width] = paths
         self._rowlen[base : base + count] = lengths
         self._nroutes = base + count
@@ -627,6 +692,7 @@ class VectorizedSession(SimSession):
         self._blk_lane = self._fresh_lane[order]
         self._blk_base = lo
         self._blk_hi = hi
+        self._bind_views()
 
     # -- injection ------------------------------------------------------------
 
@@ -650,23 +716,42 @@ class VectorizedSession(SimSession):
         self._ridx[span] = rows_new
         self._rfid[span] = fa
         self._rhop[span] = 0
+        self._nxt[span] = 0
         if self._cinj is not None:
             self._cinj[span] = slot
-        cids = np.arange(base, base + count, dtype=np.int32)
+        us = self._routes[rows_new, 0]
+        vs = self._routes[rows_new, 1]
+        lanes = self._fresh_lane[fa]
         state = self.network
-        pu, pv = append_cells(
-            state.head,
-            state.tail,
-            self._nxt,
-            state.qlen,
-            cids,
-            self._routes[rows_new, 0],
-            self._routes[rows_new, 1],
-            self._fresh_lane[fa],
-            state.num_lanes,
-            self.num_nodes,
-        )
-        self._slot_pairs.append((pu, pv))
+        if count <= SEQ_CUTOFF:
+            enqueue_seq(
+                self._v_head,
+                self._v_tail,
+                self._v_qlen,
+                self._v_nxt,
+                base,
+                memoryview(us),
+                memoryview(vs),
+                memoryview(lanes),
+                0,
+                count,
+                self.num_nodes,
+                self._slot_keys,
+            )
+        else:
+            pu, pv = append_cells(
+                state.head,
+                state.tail,
+                self._nxt,
+                state.qlen,
+                np.arange(base, base + count, dtype=np.int32),
+                us,
+                vs,
+                lanes,
+                state.num_lanes,
+                self.num_nodes,
+            )
+            self._slot_pairs.append((pu, pv))
         state.credit(count)
         return count
 
@@ -681,59 +766,73 @@ class VectorizedSession(SimSession):
         self._prof_attr += dt
         return now
 
-    def _drain_seq(self, slot: int, plane: int, srcs, dsts) -> np.ndarray:
-        """Exact sequential replay of one plane: the cascade slots the
-        vectorized walk had to abandon.  Billed to the profiler's
-        ``"repair"`` sub-phase."""
+    def _drain_seq(
+        self, slot: int, plane: int, srcs, dsts, dst_row, phase: str
+    ) -> np.ndarray:
+        """Drain one whole plane through the exact sequential kernel.
+
+        Serves both small planes (``phase="seq"``) and the replay of a
+        cascade plane the array walk abandoned (``phase="repair"``); the
+        profiler bills the call to *phase*.  Returns the delivered cell
+        ids in delivery order; events go through :meth:`_emit_events`
+        from the kernel's staging, as they do for the array walk.
+        """
         prof = self._prof
         t0 = perf_counter() if prof is not None else 0.0
-        state = self.network
-        npop = drain_plane_seq(
-            state.head,
-            state.tail,
-            self._nxt,
-            state.qlen,
-            self._routes,
-            self._rowlen,
-            self._ridx,
-            self._rhop,
-            self._rfid,
-            self._fwd_lane,
-            srcs,
-            dsts,
+        emit = self._emit
+        if emit:
+            self._out_got.fill(0)
+        npop, ndel = drain_plane_seq(
+            self._v_head,
+            self._v_tail,
+            self._v_qlen,
+            self._v_nxt,
+            self._v_ridx,
+            self._v_rhop,
+            self._v_rfid,
+            self._v_routes,
+            self._routes.shape[1],
+            self._v_rowlen,
+            self._v_fwd_lane,
+            memoryview(dst_row),
+            self.num_nodes,
             self._budget,
-            self._out_cids,
-            self._out_del,
-            self._out_got,
+            self._v_out_cids,
+            self._v_out_del,
+            self._v_out_got,
+            self._slot_keys,
         )
-        if npop == 0:
-            if prof is not None:
-                self._prof_add("repair", t0)
-            return _EMPTY32
-        popped = self._out_cids[:npop]
-        delm = self._out_del[:npop].astype(bool)
-        if self._emit:
+        if ndel:
+            deliv = self._out_cids[:npop][self._out_del[:npop].view(bool)]
+        else:
+            deliv = _EMPTY32
+        if emit and npop:
             self._emit_events(
-                slot, plane, srcs, dsts, popped, delm, self._out_got[: srcs.shape[0]]
-            )
-        forwarded = popped[~delm]
-        if forwarded.size:
-            rows = self._ridx[forwarded]
-            hops = self._rhop[forwarded]  # already advanced by the kernel
-            self._slot_pairs.append(
-                (self._routes[rows, hops], self._routes[rows, hops + 1])
+                slot,
+                plane,
+                srcs,
+                dsts,
+                self._out_cids[:npop],
+                self._out_del[:npop].view(bool),
+                self._out_got[srcs],
             )
         if prof is not None:
-            self._prof_add("repair", t0)
-        return popped[delm]
+            self._prof_add(phase, t0)
+        return deliv
 
     def _drain_plane(self, slot: int, plane: int, srcs, dsts, dst_row) -> np.ndarray:
         """Drain one plane's active circuits; returns the delivered cell
         ids in exact delivery (circuit-major pop) order.
 
-        Dispatch layer: the vectorized walk over only the circuits whose
-        VOQ pair is nonempty — a paper-scale plane matches N circuits
-        but usually only a few dozen have queued cells, and every
+        Dispatch layer, by the plane's size: its live circuits (those
+        whose VOQ pair is nonempty) plus a quarter of all its circuits,
+        which the sequential kernel scans.  Up to :data:`SEQ_CUTOFF`,
+        the sequential kernel — its cost is per cell and per circuit,
+        where the array walk pays a fixed cost in NumPy calls; a plane
+        that stays under the cutoff even with every circuit live needs
+        no count at all.  Above it, the array walk over only the
+        live circuits — a paper-scale plane matches N circuits but
+        usually only part of them have queued cells, and every
         per-circuit gather/scatter in the walk and commit scales with
         the circuit count.  Filtering cannot change cascade-free
         semantics (a circuit with an empty pair pops nothing and commits
@@ -742,16 +841,22 @@ class VectorizedSession(SimSession):
         a forwarded cell may land on, and be drained by, a circuit whose
         pair started the slot empty.
         """
-        if srcs.shape[0] == 0:
+        num_circuits = srcs.shape[0]
+        if num_circuits == 0:
             return _EMPTY32
+        scan = num_circuits >> 2
+        if num_circuits + scan <= SEQ_CUTOFF:
+            return self._drain_seq(slot, plane, srcs, dsts, dst_row, "seq")
         live = self.network.qlen[srcs, dsts] > 0
-        if live.all():
-            return self._drain_vec(slot, plane, srcs, dsts, dst_row, srcs, dsts)
-        lsrcs = srcs[live]
-        if lsrcs.shape[0] == 0:
+        nlive = int(np.count_nonzero(live))
+        if nlive == 0:
             return _EMPTY32
+        if nlive + scan <= SEQ_CUTOFF:
+            return self._drain_seq(slot, plane, srcs, dsts, dst_row, "seq")
+        if nlive == num_circuits:
+            return self._drain_vec(slot, plane, srcs, dsts, dst_row, srcs, dsts)
         return self._drain_vec(
-            slot, plane, lsrcs, dsts[live], dst_row, srcs, dsts
+            slot, plane, srcs[live], dsts[live], dst_row, srcs, dsts
         )
 
     def _drain_vec(
@@ -803,7 +908,9 @@ class VectorizedSession(SimSession):
                 if budget != 1 or self._emit:
                     if prof is not None:
                         self._prof_add("drain", t)
-                    return self._drain_seq(slot, plane, full_srcs, full_dsts)
+                    return self._drain_seq(
+                        slot, plane, full_srcs, full_dsts, dst_row, "repair"
+                    )
                 # With budget == 1 the flat pop positions are circuit
                 # indices, so position comparisons are source-id
                 # comparisons and work identically on a filtered subset:
@@ -1156,6 +1263,10 @@ class VectorizedSession(SimSession):
         slot_end = self._slot_end
         arrivals = self._arrivals
         slot_pairs = self._slot_pairs
+        slot_keys = self._slot_keys
+        v_head = self._v_head
+        v_tail = self._v_tail
+        v_qlen = self._v_qlen
         occupancy_sum = self._occupancy_sum
         max_voq = self._max_voq
         window_delivered = self._window_delivered
@@ -1194,19 +1305,35 @@ class VectorizedSession(SimSession):
                             stop_at = min(end, self._blk_hi)
                             b = cursor - self._blk_base
                             e = stop_at - self._blk_base
-                            pu, pv = append_cells(
-                                network.head,
-                                network.tail,
-                                self._nxt,
-                                qlen,
-                                self._blk_cid[b:e],
-                                self._blk_u[b:e],
-                                self._blk_v[b:e],
-                                self._blk_lane[b:e],
-                                network.num_lanes,
-                                num_nodes,
-                            )
-                            slot_pairs.append((pu, pv))
+                            if e - b <= SEQ_CUTOFF:
+                                enqueue_seq(
+                                    v_head,
+                                    v_tail,
+                                    v_qlen,
+                                    self._v_nxt,
+                                    self._blk_base + 1,
+                                    self._v_blk_u,
+                                    self._v_blk_v,
+                                    self._v_blk_lane,
+                                    b,
+                                    e,
+                                    num_nodes,
+                                    slot_keys,
+                                )
+                            else:
+                                pu, pv = append_cells(
+                                    network.head,
+                                    network.tail,
+                                    self._nxt,
+                                    qlen,
+                                    self._blk_cid[b:e],
+                                    self._blk_u[b:e],
+                                    self._blk_v[b:e],
+                                    self._blk_lane[b:e],
+                                    network.num_lanes,
+                                    num_nodes,
+                                )
+                                slot_pairs.append((pu, pv))
                             network.credit(stop_at - cursor)
                             injected_running += stop_at - cursor
                             cursor = stop_at
@@ -1302,6 +1429,11 @@ class VectorizedSession(SimSession):
                         if voq_now > max_voq:
                             max_voq = voq_now
                     slot_pairs.clear()
+                if slot_keys:
+                    voq_now = max(map(v_qlen.__getitem__, slot_keys))
+                    if voq_now > max_voq:
+                        max_voq = voq_now
+                    slot_keys.clear()
                 if rec_sample is not None:
                     rec_sample(s, network, delivered_running)
                 if prof is not None:
@@ -1321,8 +1453,8 @@ class VectorizedSession(SimSession):
                     )
                 self._account_deliveries_batch(cids, slots_arr)
             if prof is not None:
-                # The drain paths bill themselves to the drain/commit/
-                # repair sub-phases; "forward" keeps the residual
+                # The drain paths bill themselves to the seq/drain/
+                # commit/repair sub-phases; "forward" keeps the residual
                 # (matching lookup, delivery accounting, loop glue) so
                 # the summary still covers the whole span.
                 prof.add("forward", forward_s + (perf_counter() - lap))

@@ -67,26 +67,27 @@ def clustered_matrix(layout: CliqueLayout, intra_fraction: float) -> TrafficMatr
     x = check_fraction(intra_fraction, "intra_fraction")
     n = layout.num_nodes
     ids = layout.assignment()
-    same = ids[:, None] == ids[None, :]
-    np.fill_diagonal(same, False)
-    other = ~(ids[:, None] == ids[None, :])
+    clique = ids[:, None] == ids[None, :]  # clique-mates and self
+    members = clique.sum(axis=1)
+    intra_peers = (members - 1).astype(float)
+    inter_peers = (n - members).astype(float)
 
-    intra_peers = same.sum(axis=1).astype(float)
-    inter_peers = other.sum(axis=1).astype(float)
-
-    rates = np.zeros((n, n))
-    for node in range(n):
-        intra_share, inter_share = x, 1.0 - x
-        if intra_peers[node] == 0:
-            inter_share += intra_share
-            intra_share = 0.0
-        if inter_peers[node] == 0:
-            intra_share += inter_share
-            inter_share = 0.0
-        if intra_share:
-            rates[node, same[node]] = intra_share / intra_peers[node]
-        if inter_share:
-            rates[node, other[node]] = inter_share / inter_peers[node]
+    # Per-node shares, with the impossible class's share moved over.
+    intra_share = np.full(n, x)
+    inter_share = np.full(n, 1.0 - x)
+    alone = intra_peers == 0
+    inter_share[alone] += intra_share[alone]
+    intra_share[alone] = 0.0
+    closed = inter_peers == 0
+    intra_share[closed] += inter_share[closed]
+    inter_share[closed] = 0.0
+    intra_rate = np.divide(
+        intra_share, intra_peers, out=np.zeros(n), where=intra_share != 0
+    )
+    inter_rate = np.divide(
+        inter_share, inter_peers, out=np.zeros(n), where=inter_share != 0
+    )
+    rates = np.where(clique, intra_rate[:, None], inter_rate[:, None])
     np.fill_diagonal(rates, 0.0)
     return TrafficMatrix(rates)
 

@@ -21,9 +21,17 @@ extends to the telemetry layer: both engines must produce equal
 ``snapshot()`` dictionaries and byte-identical ``dumps_jsonl()``
 streams — including under active failure timelines, where rerouting and
 plane outages reshape every stream the collectors observe.  Lean
-examples attach *no* event consumers, which routes the vectorized
-engine through its fastest drain tiers (vectorized commit with in-place
-cascade repair) — the code paths instrumented runs can never reach.
+examples attach *no* event consumers, which lets the vectorized
+engine's array walk repair cascade planes in place instead of replaying
+them — a tier instrumented runs can never reach.
+
+Each example also draws the vectorized engine's drain cutoff
+(:data:`repro.sim.vectorized.SEQ_CUTOFF`), patched for that example
+only: 0 sends every plane through the array walk (with its repair tier
+and sequential replay), the default keeps the shipped selector, and a
+cutoff above any fabric here sends every plane and enqueue batch
+through the scalar kernels.  The fabrics drawn here are small enough
+that the default alone would never reach the array walk.
 
 Profiles
 --------
@@ -36,10 +44,11 @@ fuzz lane selects the 200-example fixed-seed budget with::
 """
 
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import RoutingError
@@ -67,6 +76,7 @@ from repro.sim import (
     TelemetryHub,
     TraceRecorder,
     standard_collectors,
+    vectorized,
 )
 from repro.traffic import FlowSpec
 
@@ -91,6 +101,10 @@ pytestmark = pytest.mark.fuzz
 
 
 FAMILIES = ("round_robin", "sorn", "expander", "beyond_vlb", "demand_aware", "mixed")
+
+#: Drain cutoffs an example runs the vectorized engine with: the array
+#: walk everywhere, the shipped selector, the scalar kernels everywhere.
+CUTOFFS = {"walk": 0, "default": vectorized.SEQ_CUTOFF, "scalar": 10**6}
 
 
 def _random_demand(n, seed):
@@ -222,10 +236,10 @@ def scenarios(draw):
         except RoutingError:
             assume(False)
     # ``lean`` drops the invariant checker and telemetry entirely: with
-    # no event consumers attached the vectorized engine takes its fastest
-    # drain tiers (vectorized commit + in-place cascade repair), which
-    # the fully-instrumented runs never reach.  Both halves of the config
-    # space must agree with the reference engine bit-for-bit.
+    # no event consumers attached the array walk repairs cascade planes
+    # in place, which the fully-instrumented runs never reach.  Both
+    # halves of the config space must agree with the reference engine
+    # bit-for-bit.
     lean = draw(st.booleans())
     config = dict(
         cells_per_circuit=draw(st.integers(1, 3)),
@@ -268,23 +282,26 @@ def _run(
 
 
 class TestDifferentialFuzz:
-    @given(scenario=scenarios())
-    def test_engines_agree_under_fuzz(self, scenario):
+    @given(scenario=scenarios(), cutoff=st.sampled_from(sorted(CUTOFFS)))
+    def test_engines_agree_under_fuzz(self, scenario, cutoff):
         """Any supported configuration — including active failure
-        timelines and failure-aware routing — must produce bit-identical
-        reports, traces, and telemetry streams from both engines, with
-        every slot passing the invariant checker."""
+        timelines and failure-aware routing, and either side of the
+        drain cutoff — must produce bit-identical reports, traces, and
+        telemetry streams from both engines, with every slot passing
+        the invariant checker."""
         (
             schedule, router, timeline, flows, config, duration, seed, lean, traced,
         ) = scenario
+        event(f"cutoff={cutoff}")
         ref_report, ref_trace, ref_hub = _run(
             "reference", schedule, router, timeline, flows, config, duration,
             seed, lean, traced,
         )
-        vec_report, vec_trace, vec_hub = _run(
-            "vectorized", schedule, router, timeline, flows, config, duration,
-            seed, lean, traced,
-        )
+        with mock.patch.object(vectorized, "SEQ_CUTOFF", CUTOFFS[cutoff]):
+            vec_report, vec_trace, vec_hub = _run(
+                "vectorized", schedule, router, timeline, flows, config, duration,
+                seed, lean, traced,
+            )
         assert vec_report == ref_report
         if traced:
             assert vec_trace.points == ref_trace.points

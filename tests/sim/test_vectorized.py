@@ -166,22 +166,34 @@ class TestLinkedVoqState:
             LinkedVoqState(4, num_lanes=0)
 
 
+def _count_repairs(monkeypatch):
+    """Send every plane through the array walk (cutoff 0) and count
+    calls to the in-place cascade repair."""
+    from repro.sim import vectorized as V
+
+    calls = {"repair": 0}
+    orig = V.VectorizedSession._repair_cascades
+
+    def counting(self, *args, **kwargs):
+        calls["repair"] += 1
+        return orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(V, "SEQ_CUTOFF", 0)
+    monkeypatch.setattr(V.VectorizedSession, "_repair_cascades", counting)
+    return calls
+
+
 class TestCascadeRepair:
+    """The repair tier serves planes above the sequential kernel's size
+    cutoff; these fabrics are below it, so the tests pin the cutoff to
+    0 to keep every plane on the array walk."""
+
     def test_high_load_vlb_exercises_repair_tier(self, monkeypatch):
         """A saturated multi-plane VLB run with no event consumers must
         route cascade slots through the in-place repair tier (not the
         sequential fallback) and still match the reference engine
         bit-for-bit."""
-        from repro.sim import vectorized as V
-
-        calls = {"repair": 0}
-        orig = V.VectorizedSession._repair_cascades
-
-        def counting(self, *args, **kwargs):
-            calls["repair"] += 1
-            return orig(self, *args, **kwargs)
-
-        monkeypatch.setattr(V.VectorizedSession, "_repair_cascades", counting)
+        calls = _count_repairs(monkeypatch)
         n = 32
         workload = Workload(
             uniform_matrix(n), WEB_SEARCH, load=1.3, cell_bytes=4096.0
@@ -199,7 +211,7 @@ class TestCascadeRepair:
         assert reports["vectorized"] == reports["reference"]
         assert calls["repair"] > 0, "stress run never hit the cascade-repair tier"
 
-    def test_chained_cascade_wins_advance_correct_position(self):
+    def test_chained_cascade_wins_advance_correct_position(self, monkeypatch):
         """Regression: a cell that wins several chained cascade hops in
         one slot used to have its position computed from the stale
         pre-pass ``rhop`` (ignoring the advances already recorded this
@@ -210,6 +222,7 @@ class TestCascadeRepair:
         from repro.exp import factory
         from repro.traffic import FlowSizeDistribution
 
+        calls = _count_repairs(monkeypatch)
         n, slots = 16, 80
         schedule = factory.expander_schedule(n, 4, 1)
         router = factory.opera_router(n, 4, 1)
@@ -224,6 +237,143 @@ class TestCascadeRepair:
             )
             reports[engine] = sim.run(flows, slots, measure_from=slots // 2)
         assert reports["vectorized"] == reports["reference"]
+        assert calls["repair"] > 0, "the run never reached the repair tier"
+
+
+class TestDrainSelector:
+    """A plane's drain kernel follows from its size alone — live
+    circuits plus a quarter of its circuits, against
+    ``vectorized.SEQ_CUTOFF`` — and both kernels reproduce the
+    reference engine."""
+
+    N = 16
+
+    def _run_logged(self, monkeypatch, cutoff):
+        """Run a loaded 16-node fabric at *cutoff*; returns the report
+        and, per plane drained, ``(slot, plane, size, kernel)``."""
+        from repro.sim import vectorized as V
+
+        log = []
+        cls = V.VectorizedSession
+        plane_fn, seq_fn, vec_fn = cls._drain_plane, cls._drain_seq, cls._drain_vec
+
+        def drain_plane(self, slot, plane, srcs, dsts, dst_row):
+            live = int(np.count_nonzero(self.network.qlen[srcs, dsts]))
+            log.append([slot, plane, live + (srcs.shape[0] >> 2), None])
+            return plane_fn(self, slot, plane, srcs, dsts, dst_row)
+
+        def drain_seq(self, slot, plane, srcs, dsts, dst_row, phase):
+            if log[-1][3] is None:
+                log[-1][3] = phase
+            return seq_fn(self, slot, plane, srcs, dsts, dst_row, phase)
+
+        def drain_vec(self, *args):
+            log[-1][3] = "walk"
+            return vec_fn(self, *args)
+
+        monkeypatch.setattr(V, "SEQ_CUTOFF", cutoff)
+        monkeypatch.setattr(cls, "_drain_plane", drain_plane)
+        monkeypatch.setattr(cls, "_drain_seq", drain_seq)
+        monkeypatch.setattr(cls, "_drain_vec", drain_vec)
+        report = self._run("vectorized")
+        monkeypatch.undo()
+        return report, log
+
+    def _run(self, engine):
+        flows = _uniform_flows(self.N, 5, duration=200, load=1.5)
+        sim = SlotSimulator(
+            RoundRobinSchedule(self.N, num_planes=2),
+            VlbRouter(self.N),
+            SimConfig(engine=engine, drain=True),
+            rng=np.random.default_rng(6),
+        )
+        return sim.run(flows, 200, measure_from=40)
+
+    def test_plane_at_cutoff_goes_sequential_and_above_to_walk(self, monkeypatch):
+        """With the cutoff at 8, every plane of size <= 8 takes the
+        sequential kernel and every larger one the walk; a plane of size
+        exactly 8 goes sequential, and the same plane (same state: the
+        runs are bit-exact) takes the walk once the cutoff is 7."""
+        reference = self._run("reference")
+        at, log = self._run_logged(monkeypatch, 8)
+        assert at == reference
+        drained = [entry for entry in log if entry[3] is not None]
+        assert {entry[3] for entry in drained} >= {"seq", "walk"}
+        for slot, plane, size, kernel in drained:
+            assert (kernel == "seq") == (size <= 8), (slot, plane, size, kernel)
+        boundary = {(e[0], e[1]) for e in drained if e[2] == 8}
+        assert boundary, "no plane landed exactly on the cutoff"
+        below, log_below = self._run_logged(monkeypatch, 7)
+        assert below == reference
+        kernels = {(e[0], e[1]): e[3] for e in log_below}
+        assert {kernels[key] for key in boundary} == {"walk"}
+
+    @pytest.mark.parametrize("combo", sorted(COMBOS), ids=sorted(COMBOS))
+    def test_combos_on_the_array_walk(self, combo, monkeypatch):
+        """Every differential combo (16 and 32 nodes, under the cutoff
+        as shipped) also matches the reference engine with every plane
+        and enqueue on the array kernels."""
+        from repro.sim import vectorized as V
+
+        ref_report, ref_trace = _run(COMBOS[combo], "reference", 7)
+        monkeypatch.setattr(V, "SEQ_CUTOFF", 0)
+        vec_report, vec_trace = _run(COMBOS[combo], "vectorized", 7)
+        assert vec_report == ref_report
+        assert vec_trace.points == ref_trace.points
+
+
+class TestEnqueueKernels:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scalar_splice_equals_append_cells(self, seed):
+        """``enqueue_seq`` over flat memoryviews leaves the same queues
+        as ``append_cells`` — heads, tails, links and lengths, onto
+        nonempty and empty lanes alike — and reports the same pairs."""
+        from repro.sim.kernels import append_cells, enqueue_seq
+
+        rng = np.random.default_rng(seed)
+        n, lanes, queued, batch = 5, 3, 30, 40
+
+        def cells(count):
+            return (
+                rng.integers(0, n, count).astype(np.int32),
+                rng.integers(0, n, count).astype(np.int32),
+                rng.integers(0, lanes, count).astype(np.int32),
+            )
+
+        old, new = cells(queued), cells(batch)
+        states = []
+        for scalar in (False, True):
+            head = np.zeros((lanes, n, n), dtype=np.int32)
+            tail = np.zeros_like(head)
+            qlen = np.zeros((n, n), dtype=np.int32)
+            nxt = np.zeros(1 + queued + batch, dtype=np.int32)
+            ids = np.arange(1, 1 + queued, dtype=np.int32)
+            append_cells(head, tail, nxt, qlen, ids, *old, lanes, n)
+            if scalar:
+                keys = []
+                enqueue_seq(
+                    memoryview(head.reshape(-1)),
+                    memoryview(tail.reshape(-1)),
+                    memoryview(qlen.reshape(-1)),
+                    memoryview(nxt),
+                    1 + queued,
+                    *(memoryview(col) for col in new),
+                    0,
+                    batch,
+                    n,
+                    keys,
+                )
+                touched = set(keys)
+            else:
+                ids = np.arange(1 + queued, 1 + queued + batch, dtype=np.int32)
+                pu, pv = append_cells(head, tail, nxt, qlen, ids, *new, lanes, n)
+                touched = set((pu * n + pv).tolist())
+            states.append((head, tail, qlen, nxt, touched))
+        for array_side, scalar_side in zip(*states):
+            if isinstance(array_side, set):
+                assert scalar_side == array_side
+            else:
+                assert scalar_side.tobytes() == array_side.tobytes()
 
 
 class TestChunkedPresampling:

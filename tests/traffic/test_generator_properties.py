@@ -115,6 +115,56 @@ class TestLocalityRealization:
         assert matrix.locality(layout) == pytest.approx(0.0)
 
 
+def _clustered_rates_per_node(layout, x):
+    """The per-node loop ``clustered_matrix`` used to run, kept as the
+    oracle for its array form."""
+    n = layout.num_nodes
+    ids = layout.assignment()
+    same = ids[:, None] == ids[None, :]
+    np.fill_diagonal(same, False)
+    other = ~(ids[:, None] == ids[None, :])
+    intra_peers = same.sum(axis=1).astype(float)
+    inter_peers = other.sum(axis=1).astype(float)
+    rates = np.zeros((n, n))
+    for node in range(n):
+        intra_share, inter_share = x, 1.0 - x
+        if intra_peers[node] == 0:
+            inter_share += intra_share
+            intra_share = 0.0
+        if inter_peers[node] == 0:
+            intra_share += inter_share
+            inter_share = 0.0
+        if intra_share:
+            rates[node, same[node]] = intra_share / intra_peers[node]
+        if inter_share:
+            rates[node, other[node]] = inter_share / inter_peers[node]
+    np.fill_diagonal(rates, 0.0)
+    return rates
+
+
+class TestClusteredMatchesPerNodeLoop:
+    """``clustered_matrix`` builds the matrix with array operations; its
+    bytes equal the per-node loop's on every layout, degenerate ones
+    included."""
+
+    @FAST
+    @given(layout=layouts(), x=st.floats(0.0, 1.0))
+    def test_equal_layouts(self, layout, x):
+        rates = clustered_matrix(layout, x).rates
+        assert rates.tobytes() == _clustered_rates_per_node(layout, x).tobytes()
+
+    @FAST
+    @given(
+        layout=st.sampled_from(
+            [CliqueLayout.equal(6, 1), CliqueLayout.equal(6, 6)]
+        ),
+        x=st.floats(0.0, 1.0),
+    )
+    def test_degenerate_layouts(self, layout, x):
+        rates = clustered_matrix(layout, x).rates
+        assert rates.tobytes() == _clustered_rates_per_node(layout, x).tobytes()
+
+
 class TestHotspotFeasibility:
     def test_oversubscribed_hotspots_rejected(self):
         """Regression: asking for more distinct hotspot pairs than exist
