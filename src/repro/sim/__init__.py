@@ -26,7 +26,6 @@ from .flows import Cell, FlowState
 from .network import (
     LinkedVoqState,
     SimNetwork,
-    clear_cube_pool,
 )
 from .engine import (
     SegmentCheckpoint,
@@ -77,7 +76,6 @@ __all__ = [
     "Cell",
     "FlowState",
     "SimNetwork",
-    "clear_cube_pool",
     "LinkedVoqState",
     "SlotSimulator",
     "profiled_runs",

@@ -6,7 +6,7 @@ evolution explicit::
 
     {
       "magic":  "sorn-checkpoint",
-      "schema": 4,
+      "schema": 5,
       "sha256": "<hex digest of the canonical payload JSON>",
       "payload": { ... }
     }
@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = "sorn-checkpoint"
-CHECKPOINT_SCHEMA = 4
+CHECKPOINT_SCHEMA = 5
 
 
 # -- array codec ---------------------------------------------------------------
@@ -111,18 +111,20 @@ def payload_checksum(payload: Dict[str, Any]) -> str:
 
 def write_checkpoint(path: str, payload: Dict[str, Any]) -> None:
     """Atomically write *payload* to *path* with framing and checksum."""
-    document = {
-        "magic": CHECKPOINT_MAGIC,
-        "schema": CHECKPOINT_SCHEMA,
-        "sha256": payload_checksum(payload),
-        "payload": payload,
-    }
+    # The payload is encoded once: the checksum hashes that text and the
+    # document splices it in, byte-identical to dumping the whole
+    # document with sorted keys ("magic" < "payload" < "schema" <
+    # "sha256").
+    body = _canonical(payload)
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    head = _canonical({"magic": CHECKPOINT_MAGIC})[:-1]
+    tail = _canonical({"schema": CHECKPOINT_SCHEMA, "sha256": digest})[1:]
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".ckpt.tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, sort_keys=True, separators=(",", ":"))
+            handle.write(f'{head},"payload":{body},{tail}')
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)

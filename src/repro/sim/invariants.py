@@ -8,10 +8,11 @@ still obeys physics:
 
 - **Cell conservation** — cells injected so far equal cells delivered
   plus cells sitting in VOQs; nothing is duplicated or silently dropped.
-- **VOQ non-negativity / counter consistency** — the dense occupancy
-  counters of the vectorized engine never go negative and always sum to
-  the fabric total; the reference engine's deque census matches its
-  running occupancy counter.
+- **VOQ non-negativity / counter consistency** — read through the
+  accessors both VOQ fabrics share (``min_voq_length``, ``backlogs``):
+  no per-VOQ counter goes negative and the per-node backlogs sum to the
+  running fabric total (the vectorized engine's per-neighbor counters
+  and the reference engine's deque census alike).
 - **Circuit capacity** — no circuit transmits more than
   ``cells_per_circuit`` cells in one plane activation, and every
   transmission rides a circuit the (failure-masked) schedule actually
@@ -40,7 +41,6 @@ import numpy as np
 
 from ..errors import InvariantViolation
 from ..schedules.schedule import CircuitSchedule
-from .network import LinkedVoqState, SimNetwork
 
 __all__ = ["InvariantChecker"]
 
@@ -252,19 +252,12 @@ class InvariantChecker:
                 f"{injected_total}, delivered {delivered_total}, but "
                 f"{occupancy} cells in flight"
             )
-        if isinstance(network, LinkedVoqState):
-            qlen = network.qlen
-            if qlen.size and int(qlen.min()) < 0:
-                self._fail(f"slot {slot}: negative VOQ counter (min {qlen.min()})")
-            if int(qlen.sum()) != occupancy:
-                self._fail(
-                    f"slot {slot}: VOQ counters sum to {int(qlen.sum())}, "
-                    f"fabric total says {occupancy}"
-                )
-        elif isinstance(network, SimNetwork):
-            census = sum(network.backlogs())
-            if census != occupancy:
-                self._fail(
-                    f"slot {slot}: VOQ census {census} disagrees with "
-                    f"occupancy counter {occupancy}"
-                )
+        lowest = network.min_voq_length()
+        if lowest < 0:
+            self._fail(f"slot {slot}: negative VOQ counter (min {lowest})")
+        census = sum(network.backlogs())
+        if census != occupancy:
+            self._fail(
+                f"slot {slot}: VOQ counters sum to {census}, fabric total "
+                f"says {occupancy}"
+            )

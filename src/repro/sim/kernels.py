@@ -1,18 +1,24 @@
 """Allocation-free slot kernels for the vectorized engine.
 
 Every kernel works on :class:`repro.sim.network.LinkedVoqState` and the
-engine's flat cell tables, in two kinds.  The array kernels pay a fixed
-cost of NumPy calls and then little per cell, so they serve large planes
-and batches:
+engine's flat cell tables.  A VOQ is one flat key: ``k = u * K + r``
+for node ``u`` and neighbor rank ``r`` (``K`` ranks per node) indexes
+``qlen``, and ``lane * N * K + k`` indexes the flattened ``head`` and
+``tail`` arrays, so no kernel mixes slices with fancy indexing and none
+maps a node pair to a rank — route rows carry each hop's rank, and a
+plane's rank row comes from the engine's ``kcol`` table.
+
+The kernels come in two kinds.  The array kernels pay a fixed cost of
+NumPy calls and then little per cell, so they serve large planes and
+batches:
 
 - :func:`append_cells` enqueues a whole batch with one stable sort:
-  cells are grouped by (VOQ pair, lane), linked intra-group through the
+  cells are grouped by (VOQ, lane), linked intra-group through the
   shared ``nxt`` array, and spliced onto the per-group tails — FIFO
   order within every strict-priority lane is the input (circuit-major)
   order, exactly what the reference engine's per-cell appends produce.
-  The per-pair ``qlen`` update indexes *unique* pairs (a by-product of
-  the grouping sort), so the old large-batch ``np.add.at`` scatter
-  becomes a plain fancy-index add.
+  The per-VOQ ``qlen`` update indexes *unique* keys (a by-product of
+  the grouping sort), so it needs no duplicate-safe scatter.
 - :func:`walk_candidates` runs the per-plane drain optimistically: a
   ``budget``-round candidate walk pops the head of the first nonempty
   lane of every active circuit simultaneously, advancing through ``nxt``
@@ -22,7 +28,7 @@ and batches:
   by an earlier one) makes simultaneous pops inexact.
 - :func:`commit_pops` applies a validated walk: heads scatter to the
   post-walk cursors, emptied lanes reset their tails, and the drained
-  counts leave ``qlen`` — again via unique-pair indexing.
+  counts leave ``qlen`` — again via unique-key indexing.
 
 The sequential kernels loop in Python over flat memoryviews of the same
 tables (a memoryview read returns a Python int in about half the time of
@@ -40,19 +46,14 @@ or under its size cutoff (``repro.sim.vectorized.SEQ_CUTOFF``):
 All kernels are allocation-conscious: scratch buffers (candidate
 matrices, pop/delivery staging) are preallocated once per session and
 passed in; dtypes are int32 throughout the cell tables (cell ids, route
-rows, hop cursors) *and* the dense ``qlen`` counter — a single VOQ can
-never accumulate 2**31 cells before the cell tables exhaust memory, and
-the narrow counter matters at paper scale (N=4096).  Per-slot group
-sums that could overflow int32 in principle (``pcounts`` in
-:func:`append_cells`) stay int64 before the in-place scatter.
+rows and ranks, hop cursors) *and* the ``qlen`` counter — a single VOQ
+can never accumulate 2**31 cells before the cell tables exhaust memory.
+Per-slot group sums that could overflow int32 in principle (``pcounts``
+in :func:`append_cells`) stay int64 before the in-place scatter.
 
 Cell ids are **1-based** throughout: the engine reserves table row 0 as
 a dummy, so ``0`` is the universal empty sentinel for ``head``/``tail``
-cursors, ``nxt`` links, and candidate slots.  The zero sentinel lets the
-big per-lane ``(L, N, N)`` cursor cubes come from ``np.zeros`` (calloc —
-no page is touched until first use) instead of an eagerly written
-``np.full(-1)``, which at N=4096 removes over a second of cold-start
-page-fault cost from every session construction.
+cursors, ``nxt`` links, and candidate slots.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ __all__ = [
 ]
 
 _EMPTY32 = np.empty(0, dtype=np.int32)
+_EMPTY64 = np.empty(0, dtype=np.int64)
 
 
 def append_cells(
@@ -78,27 +80,26 @@ def append_cells(
     nxt: np.ndarray,
     qlen: np.ndarray,
     cids: np.ndarray,
-    us: np.ndarray,
-    vs: np.ndarray,
+    keys: np.ndarray,
     lanes: np.ndarray,
     num_lanes: int,
-    num_nodes: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Enqueue ``cids[i]`` at VOQ ``(us[i], vs[i])`` lane ``lanes[i]``.
+) -> np.ndarray:
+    """Enqueue ``cids[i]`` at VOQ ``keys[i]`` lane ``lanes[i]``.
 
-    Input order is enqueue order: within every (pair, lane) group the
-    cells are linked in the order given, matching the reference engine's
-    sequential appends.  Returns the *unique* ``(u, v)`` pairs touched
-    (for incremental max-VOQ tracking); ``qlen`` is updated in place.
+    ``head``/``tail`` are the flat lane-major cursor arrays and ``qlen``
+    the flat counters (module docstring).  Input order is enqueue order:
+    within every (VOQ, lane) group the cells are linked in the order
+    given, matching the reference engine's sequential appends.  Returns
+    the *unique* VOQ keys touched (for incremental max-VOQ tracking);
+    ``qlen`` is updated in place.
     """
     k = cids.shape[0]
     if k == 0:
-        return _EMPTY32, _EMPTY32
-    # Sort key pair-major, lane-minor: groups (one splice each) are
-    # (pair, lane)-unique and pair runs are contiguous, so the qlen
+        return _EMPTY64
+    # Sort key VOQ-major, lane-minor: groups (one splice each) are
+    # (VOQ, lane)-unique and VOQ runs are contiguous, so the qlen
     # update needs no duplicate-safe scatter at all.
-    pkey = us.astype(np.int64) * num_nodes + vs
-    key = pkey * num_lanes + lanes
+    key = keys.astype(np.int64) * num_lanes + lanes
     order = np.argsort(key, kind="stable")
     sc = cids[order]
     sk = key[order]
@@ -115,19 +116,15 @@ def append_cells(
     nxt[sc[inner - 1]] = sc[inner]
     nxt[sc[ends]] = 0
     gkey = sk[starts]
-    gl = gkey % num_lanes
-    gpair = gkey // num_lanes
-    gu = gpair // num_nodes
-    gv = gpair % num_nodes
+    gslot = (gkey % num_lanes) * qlen.shape[0] + gkey // num_lanes
     gh = sc[starts]
-    gt = sc[ends]
-    told = tail[gl, gu, gv]
+    told = tail[gslot]
     has = told > 0
     nxt[told[has]] = gh[has]
     empty = ~has
-    head[gl[empty], gu[empty], gv[empty]] = gh[empty]
-    tail[gl, gu, gv] = gt
-    # Pair-level run lengths over the sorted array (pairs contiguous).
+    head[gslot[empty]] = gh[empty]
+    tail[gslot] = sc[ends]
+    # VOQ-level run lengths over the sorted array (VOQs contiguous).
     pk = sk // num_lanes
     pnew = np.empty(k, dtype=bool)
     pnew[0] = True
@@ -136,32 +133,32 @@ def append_cells(
     pcounts = np.empty(pstarts.shape[0], dtype=np.int64)
     pcounts[:-1] = pstarts[1:] - pstarts[:-1]
     pcounts[-1] = k - pstarts[-1]
-    ppair = pk[pstarts]
-    pu = ppair // num_nodes
-    pv = ppair % num_nodes
-    qlen[pu, pv] += pcounts
-    return pu, pv
+    touched = pk[pstarts]
+    qlen[touched] += pcounts
+    return touched
 
 
 def walk_candidates(
     head: np.ndarray,
     nxt: np.ndarray,
-    srcs: np.ndarray,
-    dsts: np.ndarray,
+    keys: np.ndarray,
+    num_lanes: int,
     budget: int,
     cand: np.ndarray,
     arange_buf: np.ndarray,
-) -> np.ndarray:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Optimistic per-plane candidate walk (no mutation).
 
-    Fills ``cand[:budget, :C]`` with the cell ids each active circuit
-    would pop per budget round (0 = none) assuming no same-plane
-    cascade, and returns the post-walk per-lane head cursors ``(L, C)``
-    for :func:`commit_pops`.  ``cand`` and ``arange_buf`` are
-    preallocated scratch.
+    Fills ``cand[:budget, :C]`` with the cell ids each active circuit —
+    VOQ ``keys[c]`` — would pop per budget round (0 = none) assuming no
+    same-plane cascade.  Returns the post-walk per-lane head cursors
+    ``(L, C)`` and their flat ``head`` indices, for :func:`commit_pops`.
+    ``cand`` and ``arange_buf`` are preallocated scratch.
     """
-    num_circuits = srcs.shape[0]
-    cur = head[:, srcs, dsts]  # (L, C) gather — a copy, safe to advance
+    num_circuits = keys.shape[0]
+    lane_base = np.arange(num_lanes, dtype=np.int64) * (head.shape[0] // num_lanes)
+    slots = np.add.outer(lane_base, keys)
+    cur = head[slots]  # (L, C) gather — a copy, safe to advance
     sub = cand[:budget, :num_circuits]
     sub.fill(0)
     ar = arange_buf[:num_circuits]
@@ -175,60 +172,42 @@ def walk_candidates(
         picked = cur[lane_sel[idx], idx]
         sub[rnd, idx] = picked
         cur[lane_sel[idx], idx] = nxt[picked]
-    return cur
+    return cur, slots
 
 
 def commit_pops(
     head: np.ndarray,
     tail: np.ndarray,
     qlen: np.ndarray,
-    srcs: np.ndarray,
-    dsts: np.ndarray,
+    keys: np.ndarray,
+    slots: np.ndarray,
     cur: np.ndarray,
     got: np.ndarray,
 ) -> None:
-    """Apply a validated candidate walk: scatter the advanced heads
-    back, reset tails of emptied lanes, and drain ``got`` per pair from
-    ``qlen`` (active pairs are unique within a plane matching)."""
-    head[:, srcs, dsts] = cur
-    tl = tail[:, srcs, dsts]
-    tl[cur == 0] = 0
-    tail[:, srcs, dsts] = tl
-    qlen[srcs, dsts] -= got
+    """Apply a validated candidate walk: scatter the advanced heads back
+    to their flat *slots*, reset tails of emptied lanes, and drain
+    ``got`` per VOQ from ``qlen`` (a plane's VOQ keys are unique)."""
+    head[slots] = cur
+    tail[slots[cur == 0]] = 0
+    qlen[keys] -= got
 
 
-def enqueue_seq(
-    head,
-    tail,
-    qlen,
-    nxt,
-    cid0,
-    us,
-    vs,
-    lanes,
-    lo,
-    hi,
-    num_nodes,
-    keys,
-):
+def enqueue_seq(head, tail, qlen, nxt, cid0, keys, lanes, lo, hi, touched):
     """Enqueue cells ``lo..hi-1`` of a small batch one at a time.
 
     The scalar counterpart of :func:`append_cells`, over flat
-    memoryviews (``head``/``tail`` index ``lane * N * N + u * N + v``,
-    ``qlen`` indexes ``u * N + v``).  Cell ``i`` has id ``cid0 + i``,
-    its ``nxt`` link already 0, and joins the tail of VOQ
-    ``(us[i], vs[i])`` lane ``lanes[i]``; input order is enqueue order,
-    as in :func:`append_cells`.  Appends every touched pair key
-    ``u * N + v`` to *keys* (for max-VOQ tracking).  This is the same
-    tail splice :func:`drain_plane_seq` does for a forwarded cell.
+    memoryviews of the same arrays.  Cell ``i`` has id ``cid0 + i``, its
+    ``nxt`` link already 0, and joins the tail of VOQ ``keys[i]`` lane
+    ``lanes[i]``; input order is enqueue order, as in
+    :func:`append_cells`.  Appends every touched VOQ key to *touched*
+    (for max-VOQ tracking).  This is the same tail splice
+    :func:`drain_plane_seq` does for a forwarded cell.
     """
-    n = num_nodes
-    nn = n * n
-    append = keys.append
+    nk = len(qlen)
+    append = touched.append
     cid = cid0 + lo
-    for u, v, lane in zip(us[lo:hi], vs[lo:hi], lanes[lo:hi]):
-        k = u * n + v
-        t = lane * nn + k
+    for k, lane in zip(keys[lo:hi], lanes[lo:hi]):
+        t = lane * nk + k
         told = tail[t]
         if told:
             nxt[told] = cid
@@ -249,49 +228,51 @@ def drain_plane_seq(
     rhop,
     rfid,
     routes,
+    rranks,
     width,
     rowlen,
     fwd_lane,
-    row,
-    num_nodes,
+    krow,
+    ranks_per_node,
     budget,
     out_cids,
     out_del,
     out_got,
-    keys,
+    touched,
 ):
     """Exact sequential drain of one plane over flat memoryviews.
 
-    *row* is the plane's destination row (``row[s]`` is the node source
-    ``s`` transmits to, ``-1`` when idle); ``routes`` is the route table
-    flattened with row width *width*; the cube and ``qlen`` views index
-    as in :func:`enqueue_seq`.  Reference semantics verbatim: circuits
-    in source order, strict lane priority, up to *budget* pops per
-    circuit, forwarded cells appended immediately — so a later circuit
-    of the same plane drains them (the same-slot multi-hop cascade).
-    A circuit's ``qlen`` is read when the scan reaches it, so a circuit
-    that started the slot empty still drains what an earlier circuit
-    forwarded to it.
+    *krow* is the plane's rank row (``krow[s]`` is the rank at source
+    ``s`` of the node it transmits to, ``-1`` when idle); ``routes`` and
+    ``rranks`` are the route table and its per-hop ranks, flattened with
+    row width *width*; the VOQ views index as in :func:`enqueue_seq`.
+    Reference semantics verbatim: circuits in source order, strict lane
+    priority, up to *budget* pops per circuit, forwarded cells appended
+    immediately — so a later circuit of the same plane drains them (the
+    same-slot multi-hop cascade).  A circuit's ``qlen`` is read when the
+    scan reaches it, so a circuit that started the slot empty still
+    drains what an earlier circuit forwarded to it.
 
     Records every popped cell id in pop order (``out_cids``), whether it
     delivered (``out_del``), each popping circuit's count at its source
     (``out_got[s]``; other entries are left as they were) and each
-    forward's pair key in *keys*; returns ``(popped, delivered)``.
+    forward's VOQ key in *touched*; returns ``(popped, delivered)``.
     """
-    n = num_nodes
-    nn = n * n
-    append = keys.append
+    kk = ranks_per_node
+    nk = len(qlen)
+    append = touched.append
     pos = 0
     ndel = 0
-    for s, d in enumerate(row):
-        if d < 0:
+    for s, r in enumerate(krow):
+        if r < 0:
             continue
-        k = s * n + d
+        k = s * kk + r
         q = qlen[k]
         if q == 0:
             continue
-        # A forward leaves node d, never s, so it cannot land in this
-        # VOQ: the pops are known up front and qlen drops once.
+        # A forward leaves the circuit's far end, never s, so it cannot
+        # land in this VOQ: the pops are known up front and qlen drops
+        # once.
         got = q if q < budget else budget
         qlen[k] = q - got
         out_got[s] = got
@@ -299,24 +280,24 @@ def drain_plane_seq(
         for _ in range(got):
             cid = head[t]
             while cid == 0:  # strict lane priority: first nonempty lane
-                t += nn
+                t += nk
                 cid = head[t]
             nx = nxt[cid]
             head[t] = nx
             if nx == 0:
                 tail[t] = 0
             out_cids[pos] = cid
-            r = ridx[cid]
+            row = ridx[cid]
             h = rhop[cid] + 1
-            if h == rowlen[r] - 1:
+            if h == rowlen[row] - 1:
                 out_del[pos] = 1
                 ndel += 1
             else:
                 out_del[pos] = 0
                 rhop[cid] = h
-                b = r * width + h
-                fk = routes[b] * n + routes[b + 1]
-                ft = fwd_lane[rfid[cid]] * nn + fk
+                b = row * width + h
+                fk = routes[b] * kk + rranks[b]
+                ft = fwd_lane[rfid[cid]] * nk + fk
                 nxt[cid] = 0
                 told = tail[ft]
                 if told:

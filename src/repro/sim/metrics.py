@@ -153,8 +153,13 @@ class SimReport:
         *equal* report — the property the content-addressed sweep cache
         (:mod:`repro.exp.cache`) relies on for cold/warm bit-identity.
         """
-        out = dataclasses.asdict(self)
-        out["flow_completion_slots"] = list(self.flow_completion_slots)
+        # Shallow: every field is a scalar or a flat sequence of ints, so
+        # a list() copy per sequence is all ``dataclasses.asdict``'s
+        # element-by-element deep copy would produce.
+        out = {}
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            out[field.name] = list(value) if isinstance(value, (list, tuple)) else value
         return out
 
     @classmethod

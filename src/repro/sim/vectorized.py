@@ -23,13 +23,16 @@ object machinery stripped out:
   (:meth:`repro.schedules.schedule.CircuitSchedule.compiled`); each bank
   row's active circuits are extracted once per session, never rebuilt
   as ``Matching`` objects per slot;
-- the VOQ fabric is :class:`repro.sim.network.LinkedVoqState` — array
-  intrusive linked lists (per-lane ``head``/``tail`` cubes plus one
-  shared ``nxt`` chain over the cell table) with a dense ``(N, N)``
-  ``qlen`` matrix — so enqueues, the per-plane drain, and the per-slot
-  occupancy statistics are kernels (:mod:`repro.sim.kernels`) over the
-  flat tables and preallocated scratch, with no per-cell Python objects
-  or deques anywhere on the hot path.
+- the VOQ fabric is :class:`repro.sim.network.LinkedVoqState` — one
+  VOQ per (node, neighbor rank) as array intrusive linked lists
+  (per-lane ``head``/``tail`` arrays plus one shared ``nxt`` chain over
+  the cell table) with an ``(N, K)`` ``qlen`` matrix, ``K`` being the
+  widest neighbor set.  Each bank row's circuits map to ranks through
+  ``kcol`` and each route hop carries its rank, so enqueues, the
+  per-plane drain, and the per-slot occupancy statistics are kernels
+  (:mod:`repro.sim.kernels`) over flat VOQ keys, the flat tables and
+  preallocated scratch, with no per-cell Python objects or deques
+  anywhere on the hot path.
 
 Each plane and each enqueue batch takes one of two exact kernels by its
 size (:data:`SEQ_CUTOFF`).  Small ones — every plane of a fabric of a
@@ -291,9 +294,6 @@ class VectorizedSession(SimSession):
             or self._rec_del is not None
         )
 
-        self.network = LinkedVoqState(num_nodes, num_lanes=num_lanes)
-        self._install_schedule(engine.schedule)
-
         self._occupancy_sum = 0
         self._max_voq = 0
         self._window_delivered = 0
@@ -301,10 +301,35 @@ class VectorizedSession(SimSession):
         self._injected = 0
         self._partial_flows = 0  # flows mid-injection (windowed drain criterion)
         # VOQs that received cells this slot, for the max-VOQ statistic:
-        # (u, v) arrays from the array kernels, pair keys u * N + v from
-        # the scalar ones.
-        self._slot_pairs: List = []
+        # key arrays from the array kernels, int keys from the scalar
+        # ones (both u * K + r; re-keyed in place if the rows widen).
+        self._slot_pairs: List[np.ndarray] = []
         self._slot_keys: List[int] = []
+
+        # Preallocated kernel scratch: candidate matrix, walk index
+        # buffer, sequential-drain staging (cell ids, delivery flags,
+        # per-source counts).
+        budget = self._budget
+        self._cand = np.empty((budget, num_nodes), dtype=np.int32)
+        self._ar = np.arange(num_nodes)
+        self._out_cids = np.empty(num_nodes * budget, dtype=np.int32)
+        self._out_del = np.empty(num_nodes * budget, dtype=np.uint8)
+        self._out_got = np.zeros(num_nodes, dtype=np.int64)
+        self._init_cell_tables()
+        # Route rows and, beside them, each hop's VOQ rank at its node
+        # (a rank is below N, so int16 holds it on any fabric under 2**15
+        # nodes, at half the bytes).
+        self._routes = np.full((0, 0), -1, dtype=np.int32)
+        self._rank_dtype = np.int16 if num_nodes <= np.iinfo(np.int16).max else np.int32
+        self._rranks = np.full((0, 0), -1, dtype=self._rank_dtype)
+        self._rowlen = np.empty(0, dtype=np.int32)
+        self._nroutes = 0
+        self._blk_key = None
+        self._circuits: List[Optional[tuple]] = []
+
+        # The schedule's neighbors take the first (sorted) VOQ ranks.
+        self.network = LinkedVoqState(num_nodes, num_lanes=num_lanes)
+        self._install_schedule(engine.schedule)
 
         # --- Path presampling -------------------------------------------
         # The reference engine touches the RNG only when sampling paths:
@@ -326,12 +351,10 @@ class VectorizedSession(SimSession):
                 paths, lengths = router.paths_batch(
                     src_arr[ordflows], dst_arr[ordflows], rng
                 )
-                self._routes = np.ascontiguousarray(paths, dtype=np.int32)
-                self._rowlen = lengths.astype(np.int32)
-            else:
-                self._routes = np.full((0, 2), -1, dtype=np.int32)
-                self._rowlen = np.empty(0, dtype=np.int32)
-            self._nroutes = self._rowlen.shape[0]
+                self._append_routes(
+                    np.ascontiguousarray(paths, dtype=np.int32),
+                    lengths.astype(np.int32),
+                )
             fprow = np.full(num_flows, -1, dtype=np.int32)
             fprow[ordflows] = np.arange(ordflows.size, dtype=np.int32)
             self._fprow = fprow
@@ -362,21 +385,11 @@ class VectorizedSession(SimSession):
             self._blk_total = int(self._ord_cum[-1]) if ordflows.size else 0
             self._blk_base = 0
             self._blk_hi = 0
-            self._blk_cid = self._blk_u = self._blk_v = self._blk_lane = None
-            if not per_flow:
-                self._routes = np.full((0, 0), -1, dtype=np.int32)
-                self._rowlen = np.empty(0, dtype=np.int32)
-                self._nroutes = 0
-            self._init_cell_tables()
+            self._blk_cid = self._blk_lane = None
             inj = np.where(arr_np < duration_slots, sz_np, 0)
         else:
             # Windowed: per-slot arrival/refill batches; cell tables grow
             # on demand (amortized doubling).
-            if not per_flow:
-                self._routes = np.full((0, 0), -1, dtype=np.int32)
-                self._rowlen = np.empty(0, dtype=np.int32)
-                self._nroutes = 0
-            self._init_cell_tables()
             inj = [0] * num_flows
             # In-run flows grouped by arrival slot, in flow order; the
             # slot loop indexes sizes per arriving flow, so it reads a
@@ -389,55 +402,89 @@ class VectorizedSession(SimSession):
         self._inj = inj
         self._arrivals = arrivals
         self._cursor = 0
-
-        # Preallocated kernel scratch: candidate matrix, walk index
-        # buffer, sequential-drain staging (cell ids, delivery flags,
-        # per-source counts).
-        budget = self._budget
-        self._cand = np.empty((budget, num_nodes), dtype=np.int32)
-        self._ar = np.arange(num_nodes)
-        self._out_cids = np.empty(num_nodes * budget, dtype=np.int32)
-        self._out_del = np.empty(num_nodes * budget, dtype=np.uint8)
-        self._out_got = np.zeros(num_nodes, dtype=np.int64)
         self._bind_views()
 
     def _bind_views(self) -> None:
-        """(Re)bind the flat memoryviews the scalar kernels work through.
+        """(Re)bind the flat views the kernels work through.
 
-        A memoryview reads and writes Python ints at about half the cost
-        of NumPy scalar indexing, but it pins the array it came from:
-        after a backing array is replaced, a stale view silently writes
-        into the dead copy.  So everything that replaces one — cell and
-        route table growth, a new presample chunk, a checkpoint restore
-        — calls this.
+        The array kernels take flat NumPy views of the VOQ arrays; the
+        scalar ones take memoryviews, which read and write Python ints at
+        about half the cost of NumPy scalar indexing.  Either pins the
+        array it came from: after a backing array is replaced, a stale
+        view silently writes into the dead copy.  So everything that
+        replaces one — cell and route table growth, a new presample
+        chunk, widened VOQ rows, a checkpoint restore — calls this.
         """
         net = self.network
-        self._v_head = _flat_view(net.head)
-        self._v_tail = _flat_view(net.tail)
-        self._v_qlen = _flat_view(net.qlen)
+        self._head = net.head.reshape(-1)
+        self._tail = net.tail.reshape(-1)
+        self._qlen = net.qlen.reshape(-1)
+        self._v_head = memoryview(self._head)
+        self._v_tail = memoryview(self._tail)
+        self._v_qlen = memoryview(self._qlen)
         self._v_nxt = _flat_view(self._nxt)
         self._v_ridx = _flat_view(self._ridx)
         self._v_rhop = _flat_view(self._rhop)
         self._v_rfid = _flat_view(self._rfid)
         self._v_routes = _flat_view(self._routes)
+        self._v_rranks = _flat_view(self._rranks)
         self._v_rowlen = _flat_view(self._rowlen)
         self._v_fwd_lane = _flat_view(self._fwd_lane)
         self._v_out_cids = _flat_view(self._out_cids)
         self._v_out_del = _flat_view(self._out_del)
         self._v_out_got = _flat_view(self._out_got)
-        if self._window is None and self._blk_u is not None:
-            self._v_blk_u = _flat_view(self._blk_u)
-            self._v_blk_v = _flat_view(self._blk_v)
+        if self._blk_key is not None:
+            self._v_blk_key = _flat_view(self._blk_key)
             self._v_blk_lane = _flat_view(self._blk_lane)
+
+    def _hop_ranks(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """VOQ rank of every hop ``us -> vs`` (int32, same shape; -1
+        where ``vs`` is negative: an idle circuit or a finished route).
+
+        The one place node pairs become ranks.  A pair the network has
+        not seen takes a new rank; if that widens the VOQ rows, every
+        flat key held outside the network is re-keyed here.
+        """
+        hop = vs >= 0
+        net = self.network
+        old = net.ranks_per_node
+        if hop.all():
+            out = net.ranks(us.ravel(), vs.ravel()).reshape(vs.shape)
+        else:
+            out = np.full(vs.shape, -1, dtype=np.int32)
+            out[hop] = net.ranks(us[hop], vs[hop])
+        width = net.ranks_per_node
+        if width != old:
+            if old:
+
+                def rekey(keys):
+                    return keys // old * width + keys % old
+
+                self._slot_keys[:] = [rekey(k) for k in self._slot_keys]
+                self._slot_pairs[:] = [rekey(k) for k in self._slot_pairs]
+                if self._blk_key is not None:
+                    self._blk_key = rekey(self._blk_key)
+            # Cached plane keys are stale; cleared in place because the
+            # slot loop holds the list.
+            self._circuits[:] = [None] * len(self._circuits)
+            self._bind_views()
+        return out
 
     def _install_schedule(self, new_schedule: CircuitSchedule) -> None:
         # Everything slot-periodic is derived from the schedule and must
         # be rebuilt on a swap; the VOQ state, cell tables and presampled
-        # paths are schedule-independent and survive untouched.
+        # paths are schedule-independent and survive untouched — ranks
+        # only grow, so a swap to new neighbors only adds ranks.
         self.schedule = new_schedule
-        self._bank, self._index = new_schedule.compiled()
-        # Per bank row, on first use: (row, active srcs, their dsts).
-        self._circuits: List[Optional[tuple]] = [None] * len(self._bank)
+        bank, self._index = new_schedule.compiled()
+        self._bank = bank
+        # Per bank row: the rank at each source of the node it transmits
+        # to (-1 = idle), so a plane's VOQs are u * K + kcol[m, u].
+        self._kcol = self._hop_ranks(
+            np.broadcast_to(np.arange(self.num_nodes), bank.shape), bank
+        )
+        # Per bank row, on first use: (row, rank row, srcs, VOQ keys).
+        self._circuits[:] = [None] * len(bank)
 
     def _session_rng(self):
         return self.rng
@@ -445,11 +492,12 @@ class VectorizedSession(SimSession):
     def _state_payload(self) -> dict:
         # Everything deterministic from (flows, config, schedule) is
         # rebuilt by a fresh start(); only the mutable tables travel.
-        # Cell/route tables are trimmed to their live prefix — linked
-        # lists only ever reference allocated ids, and capacity regrows
-        # on demand after restore.  Routes are saved even in per-flow
-        # mode (where a same-seed start() would regenerate them) so
-        # resume does not depend on the construction-time seed.
+        # Cell/route tables are trimmed to their live prefix (cell tables
+        # keep the dummy row 0) — linked lists only ever reference
+        # allocated ids, and capacity regrows on demand after restore.
+        # Routes are saved even in per-flow mode (where a same-seed
+        # start() would regenerate them) so resume does not depend on
+        # the construction-time seed; their hop ranks are recomputed.
         from .checkpoint import encode_array
 
         if self._slot_pairs or self._slot_keys:
@@ -457,22 +505,15 @@ class VectorizedSession(SimSession):
                 "internal error: slot-pair scratch not empty at a segment "
                 "boundary"
             )
-        head, tail, qlen, occupancy = self.network.export_state()
         ncells = self._ncells
-        live = slice(1, ncells + 1)
-        # The checkpoint byte format predates the 1-based in-memory cell
-        # ids (0-empty sentinel, dummy table row 0): saved cursors/links
-        # stay 0-based with -1 = empty, so existing checkpoints remain
-        # valid and both engines' payloads stay directly comparable.
+        live = slice(0, ncells + 1)
         state = {
             "fdcount": encode_array(self._fdcount),
             "fhoptot": encode_array(self._fhoptot),
             "fcompletion": encode_array(self._fcompletion),
             "network": {
-                "head": encode_array(head - 1),
-                "tail": encode_array(tail - 1),
-                "qlen": encode_array(qlen),
-                "occupancy": occupancy,
+                name: encode_array(arr)
+                for name, arr in self.network.export_state().items()
             },
             "routes": encode_array(self._routes[: self._nroutes]),
             "rowlen": encode_array(self._rowlen[: self._nroutes]),
@@ -480,13 +521,14 @@ class VectorizedSession(SimSession):
             "ridx": encode_array(self._ridx[live]),
             "rhop": encode_array(self._rhop[live]),
             "rfid": encode_array(self._rfid[live]),
-            "nxt": encode_array(self._nxt[live] - 1),
+            "nxt": encode_array(self._nxt[live]),
             "cinj": (
                 encode_array(self._cinj[live])
                 if self._cinj is not None
                 else None
             ),
             "ncells": ncells,
+            "occupancy": self.network.total_occupancy,
             "cursor": self._cursor,
             "partial_flows": self._partial_flows,
         }
@@ -500,40 +542,28 @@ class VectorizedSession(SimSession):
     def _restore_state(self, state: dict) -> None:
         from .checkpoint import decode_array
 
+        def cells(name: str) -> np.ndarray:
+            return decode_array(state[name]).astype(np.int32, copy=False)
+
         try:
             self._fdcount = decode_array(state["fdcount"])
             self._fhoptot = decode_array(state["fhoptot"])
             self._fcompletion = decode_array(state["fcompletion"])
-            net = state["network"]
-            # Saved cursors/links are 0-based with -1 = empty (see
-            # _state_payload); the live tables are 1-based with a dummy
-            # row 0, so shift on the way in and re-prefix the dummy row.
             self.network.load_state(
-                decode_array(net["head"]).astype(np.int32) + 1,
-                decode_array(net["tail"]).astype(np.int32) + 1,
-                decode_array(net["qlen"]),
-                int(net["occupancy"]),
+                {name: decode_array(rec) for name, rec in state["network"].items()},
+                int(state["occupancy"]),
             )
-            self._routes = np.ascontiguousarray(
+            routes = np.ascontiguousarray(
                 decode_array(state["routes"]), dtype=np.int32
             )
             self._rowlen = decode_array(state["rowlen"]).astype(
                 np.int32, copy=False
             )
             self._nroutes = int(state["nroutes"])
-
-            def dummy_prefixed(arr: np.ndarray, shift: int = 0) -> np.ndarray:
-                out = np.empty(arr.shape[0] + 1, dtype=np.int32)
-                out[0] = 0
-                out[1:] = arr
-                if shift:
-                    out[1:] += shift
-                return out
-
-            self._ridx = dummy_prefixed(decode_array(state["ridx"]))
-            self._rhop = dummy_prefixed(decode_array(state["rhop"]))
-            self._rfid = dummy_prefixed(decode_array(state["rfid"]))
-            self._nxt = dummy_prefixed(decode_array(state["nxt"]), shift=1)
+            self._ridx = cells("ridx")
+            self._rhop = cells("rhop")
+            self._rfid = cells("rfid")
+            self._nxt = cells("nxt")
             saved_cinj = state["cinj"]
             if self._track_inj:
                 if saved_cinj is None:
@@ -543,10 +573,16 @@ class VectorizedSession(SimSession):
                         "checkpoint carries none — resume with the saving "
                         "run's configuration"
                     )
-                self._cinj = dummy_prefixed(decode_array(saved_cinj))
+                self._cinj = cells("cinj")
             self._ncells = int(state["ncells"])
             self._cursor = int(state["cursor"])
             self._partial_flows = int(state["partial_flows"])
+            # The restored rank table replaced the fresh session's, so
+            # the schedule's rank rows and the route ranks are re-derived
+            # from it (a saved run assigned every rank they use).
+            self._install_schedule(self.schedule)
+            self._routes = routes
+            self._rranks = self._route_ranks(routes)
             if self._window is None:
                 self._blk_base = int(state["blk_base"])
                 self._blk_hi = int(state["blk_hi"])
@@ -555,13 +591,10 @@ class VectorizedSession(SimSession):
                     # function of the restored cell tables (global cell
                     # [lo, hi) has the 1-based id lo+1..hi).
                     span = slice(self._blk_base + 1, self._blk_hi + 1)
-                    rows = self._ridx[span]
                     self._blk_cid = np.arange(
                         self._blk_base + 1, self._blk_hi + 1, dtype=np.int32
                     )
-                    self._blk_u = self._routes[rows, 0]
-                    self._blk_v = self._routes[rows, 1]
-                    self._blk_lane = self._fresh_lane[self._rfid[span]]
+                    self._set_block_heads(self._ridx[span], self._rfid[span])
             else:
                 self._inj = [int(v) for v in state["inj"]]
             self._bind_views()
@@ -593,7 +626,7 @@ class VectorizedSession(SimSession):
         Cell ids are 1-based (see :mod:`repro.sim.kernels`): id ``k``
         lives at table index ``k`` and index 0 is never a real cell, so
         ``0`` is the empty sentinel in every ``head``/``tail``/``nxt``
-        cursor and the cursor cubes can stay untouched zero pages.
+        cursor.
         """
         self._ridx = np.zeros(1, dtype=np.int32)
         self._rhop = np.zeros(1, dtype=np.int32)
@@ -629,8 +662,19 @@ class VectorizedSession(SimSession):
         self._ncells += count
         return base
 
+    def _route_ranks(self, paths: np.ndarray) -> np.ndarray:
+        """Per route-table entry, the VOQ rank of the hop leaving it
+        (-1 past the route's last hop).  One hop column at a time, which
+        keeps the lookup's scratch at a column's size."""
+        ranks = np.full(paths.shape, -1, dtype=self._rank_dtype)
+        for h in range(paths.shape[1] - 1):
+            ranks[:, h] = self._hop_ranks(paths[:, h], paths[:, h + 1])
+        return ranks
+
     def _append_routes(self, paths: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """Store freshly sampled route rows; returns their row indices."""
+        """Store freshly sampled route rows and their hop ranks; returns
+        their row indices.  Every injection mode's routes land here."""
+        ranks = self._route_ranks(paths)
         count, width = paths.shape
         base = self._nroutes
         cap, cur_width = self._routes.shape
@@ -640,12 +684,28 @@ class VectorizedSession(SimSession):
             grown = np.full((newcap, new_width), -1, dtype=np.int32)
             grown[:base, :cur_width] = self._routes[:base]
             self._routes = grown
+            grown = np.full((newcap, new_width), -1, dtype=self._rank_dtype)
+            grown[:base, :cur_width] = self._rranks[:base]
+            self._rranks = grown
             self._rowlen = self._grown(self._rowlen, newcap)
             self._bind_views()
         self._routes[base : base + count, :width] = paths
+        self._rranks[base : base + count, :width] = ranks
         self._rowlen[base : base + count] = lengths
         self._nroutes = base + count
         return np.arange(base, base + count, dtype=np.int32)
+
+    def _first_hop_keys(self, rows: np.ndarray) -> np.ndarray:
+        """The VOQ key of each route row's first hop."""
+        return (
+            self._routes[rows, 0].astype(np.int64) * self.network.ranks_per_node
+            + self._rranks[rows, 0]
+        )
+
+    def _set_block_heads(self, rows: np.ndarray, fids: np.ndarray) -> None:
+        """First-hop VOQ keys and lanes of the current presample chunk."""
+        self._blk_key = self._first_hop_keys(rows)
+        self._blk_lane = self._fresh_lane[fids]
 
     def _refill_block_chunk(self) -> None:
         """Presample the next block chunk (global cells [lo, hi)).
@@ -674,10 +734,10 @@ class VectorizedSession(SimSession):
             paths, lengths = self.router.paths_batch(
                 self._src_arr[order], self._dst_arr[order], self.rng
             )
-            rows = self._append_routes(
-                np.ascontiguousarray(paths, dtype=np.int32),
-                lengths.astype(np.int32),
-            )
+            # Rebinding drops the router's int64 block before the hop
+            # ranks are looked up.
+            paths = np.ascontiguousarray(paths, dtype=np.int32)
+            rows = self._append_routes(paths, lengths.astype(np.int32))
         base = self._alloc_cells(count)
         span = slice(base, base + count)
         self._ridx[span] = rows
@@ -687,9 +747,7 @@ class VectorizedSession(SimSession):
         if self._cinj is not None:
             self._cinj[span] = self._arr_np[order]
         self._blk_cid = np.arange(base, base + count, dtype=np.int32)
-        self._blk_u = self._routes[rows, 0]
-        self._blk_v = self._routes[rows, 1]
-        self._blk_lane = self._fresh_lane[order]
+        self._set_block_heads(rows, order)
         self._blk_base = lo
         self._blk_hi = hi
         self._bind_views()
@@ -719,10 +777,8 @@ class VectorizedSession(SimSession):
         self._nxt[span] = 0
         if self._cinj is not None:
             self._cinj[span] = slot
-        us = self._routes[rows_new, 0]
-        vs = self._routes[rows_new, 1]
+        keys = self._first_hop_keys(rows_new)
         lanes = self._fresh_lane[fa]
-        state = self.network
         if count <= SEQ_CUTOFF:
             enqueue_seq(
                 self._v_head,
@@ -730,29 +786,26 @@ class VectorizedSession(SimSession):
                 self._v_qlen,
                 self._v_nxt,
                 base,
-                memoryview(us),
-                memoryview(vs),
+                memoryview(keys),
                 memoryview(lanes),
                 0,
                 count,
-                self.num_nodes,
                 self._slot_keys,
             )
         else:
-            pu, pv = append_cells(
-                state.head,
-                state.tail,
-                self._nxt,
-                state.qlen,
-                np.arange(base, base + count, dtype=np.int32),
-                us,
-                vs,
-                lanes,
-                state.num_lanes,
-                self.num_nodes,
+            self._slot_pairs.append(
+                append_cells(
+                    self._head,
+                    self._tail,
+                    self._nxt,
+                    self._qlen,
+                    np.arange(base, base + count, dtype=np.int32),
+                    keys,
+                    lanes,
+                    self._num_lanes,
+                )
             )
-            self._slot_pairs.append((pu, pv))
-        state.credit(count)
+        self.network.credit(count)
         return count
 
     # -- per-plane drain ------------------------------------------------------
@@ -766,16 +819,16 @@ class VectorizedSession(SimSession):
         self._prof_attr += dt
         return now
 
-    def _drain_seq(
-        self, slot: int, plane: int, srcs, dsts, dst_row, phase: str
-    ) -> np.ndarray:
+    def _drain_seq(self, slot: int, plane: int, circ: tuple, phase: str) -> np.ndarray:
         """Drain one whole plane through the exact sequential kernel.
 
         Serves both small planes (``phase="seq"``) and the replay of a
         cascade plane the array walk abandoned (``phase="repair"``); the
-        profiler bills the call to *phase*.  Returns the delivered cell
-        ids in delivery order; events go through :meth:`_emit_events`
-        from the kernel's staging, as they do for the array walk.
+        profiler bills the call to *phase*.  *circ* is the plane's
+        ``(dst row, rank row, srcs, VOQ keys)``.  Returns the delivered
+        cell ids in delivery order; events go through
+        :meth:`_emit_events` from the kernel's staging, as they do for
+        the array walk.
         """
         prof = self._prof
         t0 = perf_counter() if prof is not None else 0.0
@@ -791,11 +844,12 @@ class VectorizedSession(SimSession):
             self._v_rhop,
             self._v_rfid,
             self._v_routes,
+            self._v_rranks,
             self._routes.shape[1],
             self._v_rowlen,
             self._v_fwd_lane,
-            memoryview(dst_row),
-            self.num_nodes,
+            memoryview(circ[1]),
+            self.network.ranks_per_node,
             self._budget,
             self._v_out_cids,
             self._v_out_del,
@@ -807,11 +861,12 @@ class VectorizedSession(SimSession):
         else:
             deliv = _EMPTY32
         if emit and npop:
+            srcs = circ[2]
             self._emit_events(
                 slot,
                 plane,
                 srcs,
-                dsts,
+                circ[0][srcs],
                 self._out_cids[:npop],
                 self._out_del[:npop].view(bool),
                 self._out_got[srcs],
@@ -820,12 +875,20 @@ class VectorizedSession(SimSession):
             self._prof_add(phase, t0)
         return deliv
 
-    def _drain_plane(self, slot: int, plane: int, srcs, dsts, dst_row) -> np.ndarray:
+    def _plane_circuits(self, dst_row: np.ndarray, krow: np.ndarray) -> tuple:
+        """A plane's ``(dst row, rank row, active srcs, their VOQ keys)``."""
+        srcs = np.flatnonzero(krow >= 0)
+        keys = srcs * self.network.ranks_per_node + krow[srcs]
+        srcs.setflags(write=False)
+        keys.setflags(write=False)
+        return dst_row, krow, srcs, keys
+
+    def _drain_plane(self, slot: int, plane: int, circ: tuple) -> np.ndarray:
         """Drain one plane's active circuits; returns the delivered cell
         ids in exact delivery (circuit-major pop) order.
 
         Dispatch layer, by the plane's size: its live circuits (those
-        whose VOQ pair is nonempty) plus a quarter of all its circuits,
+        whose VOQ is nonempty) plus a quarter of all its circuits,
         which the sequential kernel scans.  Up to :data:`SEQ_CUTOFF`,
         the sequential kernel — its cost is per cell and per circuit,
         where the array walk pays a fixed cost in NumPy calls; a plane
@@ -835,53 +898,58 @@ class VectorizedSession(SimSession):
         usually only part of them have queued cells, and every
         per-circuit gather/scatter in the walk and commit scales with
         the circuit count.  Filtering cannot change cascade-free
-        semantics (a circuit with an empty pair pops nothing and commits
+        semantics (a circuit with an empty VOQ pops nothing and commits
         nothing); cascade detection still checks forwards against the
-        *full* matching row, and any hit re-runs the full circuit set —
+        *full* rank row, and any hit re-runs the full circuit set —
         a forwarded cell may land on, and be drained by, a circuit whose
-        pair started the slot empty.
+        VOQ started the slot empty.
         """
+        srcs = circ[2]
         num_circuits = srcs.shape[0]
         if num_circuits == 0:
             return _EMPTY32
         scan = num_circuits >> 2
         if num_circuits + scan <= SEQ_CUTOFF:
-            return self._drain_seq(slot, plane, srcs, dsts, dst_row, "seq")
-        live = self.network.qlen[srcs, dsts] > 0
+            return self._drain_seq(slot, plane, circ, "seq")
+        keys = circ[3]
+        live = self._qlen[keys] > 0
         nlive = int(np.count_nonzero(live))
         if nlive == 0:
             return _EMPTY32
         if nlive + scan <= SEQ_CUTOFF:
-            return self._drain_seq(slot, plane, srcs, dsts, dst_row, "seq")
+            return self._drain_seq(slot, plane, circ, "seq")
         if nlive == num_circuits:
-            return self._drain_vec(slot, plane, srcs, dsts, dst_row, srcs, dsts)
-        return self._drain_vec(
-            slot, plane, srcs[live], dsts[live], dst_row, srcs, dsts
-        )
+            return self._drain_vec(slot, plane, circ, srcs, keys)
+        return self._drain_vec(slot, plane, circ, srcs[live], keys[live])
 
-    def _drain_vec(
-        self, slot: int, plane: int, srcs, dsts, dst_row, full_srcs, full_dsts
-    ) -> np.ndarray:
+    def _drain_vec(self, slot: int, plane: int, circ: tuple, srcs, keys) -> np.ndarray:
         """Optimistic walk + commit over (a live subset of) one plane.
 
-        ``srcs``/``dsts`` are the circuits actually walked;
-        ``full_srcs``/``full_dsts`` are the plane's complete matching,
-        needed whenever a cascade hit forces a replay (sequential
-        fallback or an unfiltered re-walk).  The walk itself never
-        mutates, so re-running it with the full set is safe.
+        ``srcs``/``keys`` are the circuits actually walked; *circ* holds
+        the plane's complete matching, needed whenever a cascade hit
+        forces a replay (sequential fallback or an unfiltered re-walk).
+        The walk itself never mutates, so re-running it with the full
+        set is safe.
         """
         prof = self._prof
         t = perf_counter() if prof is not None else 0.0
-        state = self.network
-        head = state.head
+        head = self._head
+        tail = self._tail
+        qlen = self._qlen
         nxt = self._nxt
         routes = self._routes
+        rranks = self._rranks
         rowlen = self._rowlen
         ridx = self._ridx
         rhop = self._rhop
         budget = self._budget
+        width = self.network.ranks_per_node
+        num_lanes = self._num_lanes
+        dst_row, krow, full_srcs = circ[0], circ[1], circ[2]
         num_circuits = srcs.shape[0]
-        cur = walk_candidates(head, nxt, srcs, dsts, budget, self._cand, self._ar)
+        cur, slots = walk_candidates(
+            head, nxt, keys, num_lanes, budget, self._cand, self._ar
+        )
         sub = self._cand[:budget, :num_circuits]
         flat = sub.T.ravel()  # circuit-major: pop order of the plane
         valid = flat > 0
@@ -900,22 +968,20 @@ class VectorizedSession(SimSession):
             fh = hops[fwm] + 1
             frow = rows[fwm]
             fu = routes[frow, fh]
-            fv = routes[frow, fh + 1]
-            hit = dst_row[fu] == fv
+            fr = rranks[frow, fh]
+            hit = krow[fu] == fr
             if np.any(hit):
                 # A forwarded cell lands in a VOQ this same plane still
                 # (or already) drains: possible same-slot cascade.
                 if budget != 1 or self._emit:
                     if prof is not None:
                         self._prof_add("drain", t)
-                    return self._drain_seq(
-                        slot, plane, full_srcs, full_dsts, dst_row, "repair"
-                    )
+                    return self._drain_seq(slot, plane, circ, "repair")
                 # With budget == 1 the flat pop positions are circuit
                 # indices, so position comparisons are source-id
                 # comparisons and work identically on a filtered subset:
-                # a target circuit whose pair started the slot empty (so
-                # the live-pair filter left it out of the walk) gets a
+                # a target circuit whose VOQ started the slot empty (so
+                # the live filter left it out of the walk) gets a
                 # half-offset key that slots it into source order
                 # between its walked neighbors.
                 fpos = np.flatnonzero(valid)[fwm]
@@ -932,7 +998,7 @@ class VectorizedSession(SimSession):
                     if prof is not None:
                         t = self._prof_add("drain", t)
                     extra = self._repair_cascades(
-                        srcs, dst_row, sub, cur, fw, fu, fv, fpos, tkey, real
+                        srcs, krow, sub, cur, fw, fu, fr, fpos, tkey, real
                     )
                     flat = sub.T.ravel()
                     valid = flat > 0
@@ -945,32 +1011,33 @@ class VectorizedSession(SimSession):
                     fh = hops[fwm] + 1
                     frow = rows[fwm]
                     fu = routes[frow, fh]
-                    fv = routes[frow, fh + 1]
+                    fr = rranks[frow, fh]
                     if prof is not None:
                         t = self._prof_add("repair", t)
         got = (sub > 0).sum(axis=0)
         if prof is not None and extra is None:
             t = self._prof_add("drain", t)
-        commit_pops(head, state.tail, state.qlen, srcs, dsts, cur, got)
+        commit_pops(head, tail, qlen, keys, slots, cur, got)
         if fw.size:
             rhop[fw] = fh
         if extra is None:
             if self._emit and popped.size:
-                self._emit_events(slot, plane, srcs, dsts, popped, delm, got)
-            if fw.size:
-                pu, pv = append_cells(
-                    head,
-                    state.tail,
-                    nxt,
-                    state.qlen,
-                    fw,
-                    fu,
-                    fv,
-                    self._fwd_lane[self._rfid[fw]],
-                    state.num_lanes,
-                    self.num_nodes,
+                self._emit_events(
+                    slot, plane, srcs, dst_row[srcs], popped, delm, got
                 )
-                self._slot_pairs.append((pu, pv))
+            if fw.size:
+                self._slot_pairs.append(
+                    append_cells(
+                        head,
+                        tail,
+                        nxt,
+                        qlen,
+                        fw,
+                        fu.astype(np.int64) * width + fr,
+                        self._fwd_lane[self._rfid[fw]],
+                        num_lanes,
+                    )
+                )
             if prof is not None:
                 self._prof_add("commit", t)
             return popped[delm]
@@ -982,40 +1049,38 @@ class VectorizedSession(SimSession):
         for cid, bumps in extra["advances"].items():
             rhop[cid] += bumps
         fpos = np.flatnonzero(valid)[fwm]
+        app_keys = fu.astype(np.int64) * width + fr
         if passthrough:
             pt = np.fromiter(passthrough, dtype=np.int32, count=len(passthrough))
             keep = ~np.isin(fw, pt)
-            app_cids, app_u, app_v, app_pos = fw[keep], fu[keep], fv[keep], fpos[keep]
+            app_cids, app_keys, app_pos = fw[keep], app_keys[keep], fpos[keep]
         else:
-            app_cids, app_u, app_v, app_pos = fw, fu, fv, fpos
+            app_cids, app_pos = fw, fpos
         if extra["appends"]:
             # Positions are circuit-order keys: ints for walked
             # circuits, half-offset floats for cascade targets the
-            # live-pair filter left out of the walk.
+            # live filter left out of the walk.
             e_pos = np.asarray([e[0] for e in extra["appends"]], dtype=np.float64)
             e_cid = np.asarray([e[1] for e in extra["appends"]], dtype=np.int32)
-            e_u = np.asarray([e[2] for e in extra["appends"]], dtype=np.int32)
-            e_v = np.asarray([e[3] for e in extra["appends"]], dtype=np.int32)
+            e_key = np.asarray([e[2] for e in extra["appends"]], dtype=np.int64)
             order = np.argsort(
                 np.concatenate([app_pos, e_pos]), kind="stable"
             )
             app_cids = np.concatenate([app_cids, e_cid])[order]
-            app_u = np.concatenate([app_u, e_u])[order]
-            app_v = np.concatenate([app_v, e_v])[order]
+            app_keys = np.concatenate([app_keys, e_key])[order]
         if app_cids.size:
-            pu, pv = append_cells(
-                head,
-                state.tail,
-                nxt,
-                state.qlen,
-                app_cids,
-                app_u,
-                app_v,
-                self._fwd_lane[self._rfid[app_cids]],
-                state.num_lanes,
-                self.num_nodes,
+            self._slot_pairs.append(
+                append_cells(
+                    head,
+                    tail,
+                    nxt,
+                    qlen,
+                    app_cids,
+                    app_keys,
+                    self._fwd_lane[self._rfid[app_cids]],
+                    num_lanes,
+                )
             )
-            self._slot_pairs.append((pu, pv))
         deliv_cids = popped[delm]
         if extra["deliveries"]:
             d_pos = np.asarray([e[0] for e in extra["deliveries"]], dtype=np.float64)
@@ -1030,7 +1095,7 @@ class VectorizedSession(SimSession):
         return deliv_cids
 
     def _repair_cascades(
-        self, srcs, dst_row, sub, cur, fw, fu, fv, fpos, tkey, real
+        self, srcs, krow, sub, cur, fw, fu, fr, fpos, tkey, real
     ) -> dict:
         """Exactly replay the cascade set of one plane (budget == 1).
 
@@ -1047,29 +1112,33 @@ class VectorizedSession(SimSession):
 
         Targets are keyed ``(position, source)``: the circuit index in
         the walked set when the target was walked, or the half-offset
-        insertion index from ``tkey`` when its pair started the slot
-        empty and the live-pair filter left it out — in which case there
+        insertion index from ``tkey`` when its VOQ started the slot
+        empty and the live filter left it out — in which case there
         is no snapshot pop to cancel and the winning arrival is simply
         popped straight through.  Both keyings order identically to full
         source order, so recorded positions splice into the plane's
         circuit-major order exactly as the unfiltered walk would have
         placed them.
         """
-        head = self.network.head
+        head = self._head
+        width = self.network.ranks_per_node
+        lane_stride = head.shape[0] // self._num_lanes
         ridx = self._ridx
         rhop = self._rhop
         rfid = self._rfid
         routes = self._routes
+        rranks = self._rranks
         rowlen = self._rowlen
         fwd_lane = self._fwd_lane
-        num_lanes = self.network.num_lanes
+        num_lanes = self._num_lanes
+        lanes = np.arange(num_lanes, dtype=np.int64) * lane_stride
         nsrc = srcs.shape[0]
-        # target (position, source) -> [(fwd position, cid, u, v, chained)]
+        # target (position, source) -> [(fwd position, cid, VOQ key, chained)]
         arrivals: Dict[Tuple[float, int], List] = {}
         for k in np.flatnonzero(real):
             key = (float(tkey[k]), int(fu[k]))
             arrivals.setdefault(key, []).append(
-                (int(fpos[k]), int(fw[k]), int(fu[k]), int(fv[k]), False)
+                (int(fpos[k]), int(fw[k]), int(fu[k]) * width + int(fr[k]), False)
             )
         passthrough: set = set()
         cancelled: set = set()
@@ -1089,15 +1158,14 @@ class VectorizedSession(SimSession):
             if not entries:
                 continue
             pos = key[0]
-            s = entries[0][2]
-            d = entries[0][3]
+            q = entries[0][2]
             walked = pos.is_integer()
             j = int(pos) if walked else -1
             snap_cid = int(sub[0, j]) if walked else 0
             if snap_cid > 0:
                 snap_lane = 0
                 for lane in range(num_lanes):
-                    if int(head[lane, s, d]) == snap_cid:
+                    if int(head[lane * lane_stride + q]) == snap_cid:
                         snap_lane = lane
                         break
             else:
@@ -1107,7 +1175,7 @@ class VectorizedSession(SimSession):
                 lane = int(fwd_lane[rfid[entry[1]]])
                 if lane >= snap_lane:
                     continue  # cannot beat the snapshot pop
-                if int(head[lane, s, d]) > 0:
+                if int(head[lane * lane_stride + q]) > 0:
                     continue  # lane nonempty: the arrival tails, head wins
                 if best is None or lane < best[0]:
                     best = (lane, entry[0], entry[1])
@@ -1116,14 +1184,14 @@ class VectorizedSession(SimSession):
             # set; chained ones exist only in this pass).
             winner = best[2] if best is not None else 0
             for entry in entries:
-                if entry[4] and entry[1] != winner:
-                    extra_app.append((entry[0], entry[1], entry[2], entry[3]))
+                if entry[3] and entry[1] != winner:
+                    extra_app.append((entry[0], entry[1], entry[2]))
             if best is None:
                 continue
             cell = best[2]
             if snap_cid > 0:
                 cancelled.add(snap_cid)
-                cur[:, j] = head[:, s, d]
+                cur[:, j] = head[lanes + q]
             if walked:
                 sub[0, j] = 0
             passthrough.add(cell)
@@ -1139,8 +1207,8 @@ class VectorizedSession(SimSession):
             advances[cell] = advances.get(cell, 0) + 1
             h2 = h1 + 1
             u2 = int(routes[row, h2])
-            v2 = int(routes[row, h2 + 1])
-            if int(dst_row[u2]) == v2:
+            r2 = int(rranks[row, h2])
+            if int(krow[u2]) == r2:
                 k2 = int(np.searchsorted(srcs, u2))
                 if k2 < nsrc and int(srcs[k2]) == u2:
                     key2 = (float(k2), u2)
@@ -1148,10 +1216,10 @@ class VectorizedSession(SimSession):
                     key2 = (k2 - 0.5, u2)
                 if key2 > key:
                     arrivals.setdefault(key2, []).append(
-                        (pos, cell, u2, v2, True)
+                        (pos, cell, u2 * width + r2, True)
                     )
                     continue
-            extra_app.append((pos, cell, u2, v2))
+            extra_app.append((pos, cell, u2 * width + r2))
         return {
             "passthrough": passthrough,
             "advances": advances,
@@ -1163,9 +1231,9 @@ class VectorizedSession(SimSession):
 
     def _emit_events(self, slot, plane, srcs, dsts, popped, delm, got) -> None:
         """Re-emit the reference engine's per-circuit event stream from
-        the drain results: each circuit's deliveries in pop order, then
-        its transmit — the exact interleave collectors see from the
-        object loop."""
+        the drain results: each circuit's transmit, then its deliveries
+        in pop order — the exact interleave the object loop hands the
+        invariant checker and the telemetry hub."""
         checker = self._checker
         rec_tx = self._rec_tx
         rec_del = self._rec_del
@@ -1181,6 +1249,10 @@ class VectorizedSession(SimSession):
         for i, count in enumerate(got.tolist()):
             if not count:
                 continue
+            if checker is not None:
+                checker.record_transmit(slot, plane, src_l[i], dst_l[i], count)
+            if rec_tx is not None:
+                rec_tx(slot, plane, src_l[i], dst_l[i], count)
             for p in range(offset, offset + count):
                 if del_l[p]:
                     cid = pop_l[p]
@@ -1193,10 +1265,6 @@ class VectorizedSession(SimSession):
                     if rec_del is not None:
                         rec_del(slot, int(cinj[cid]), length - 1)
             offset += count
-            if checker is not None:
-                checker.record_transmit(slot, plane, src_l[i], dst_l[i], count)
-            if rec_tx is not None:
-                rec_tx(slot, plane, src_l[i], dst_l[i], count)
 
     def _account_deliveries_batch(self, cids: np.ndarray, slots: np.ndarray) -> None:
         """Fold a span's deliveries into the per-flow ledgers.
@@ -1251,22 +1319,19 @@ class VectorizedSession(SimSession):
         sizes_l = self._sizes_l
         inj = self._inj
         network = self.network
-        qlen = network.qlen
-        num_nodes = self.num_nodes
+        num_lanes = self._num_lanes
         window = self._window
         schedule = self.schedule
         num_planes = schedule.num_planes
         period = schedule.period
         bank = self._bank
+        kcol = self._kcol
         index = self._index
         circuits = self._circuits
         slot_end = self._slot_end
         arrivals = self._arrivals
         slot_pairs = self._slot_pairs
         slot_keys = self._slot_keys
-        v_head = self._v_head
-        v_tail = self._v_tail
-        v_qlen = self._v_qlen
         occupancy_sum = self._occupancy_sum
         max_voq = self._max_voq
         window_delivered = self._window_delivered
@@ -1296,8 +1361,9 @@ class VectorizedSession(SimSession):
                         # block slice (ledger preset during
                         # presampling).  A slot whose batch crosses a
                         # chunk boundary appends in pieces — FIFO
-                        # order, credits and scatter pairs are
-                        # unaffected by the split.
+                        # order, credits and touched VOQs are
+                        # unaffected by the split.  A refill may widen
+                        # the VOQ rows, so the views are read per piece.
                         end = slot_end[s]
                         while end > cursor:
                             if cursor >= self._blk_hi:
@@ -1307,33 +1373,30 @@ class VectorizedSession(SimSession):
                             e = stop_at - self._blk_base
                             if e - b <= SEQ_CUTOFF:
                                 enqueue_seq(
-                                    v_head,
-                                    v_tail,
-                                    v_qlen,
+                                    self._v_head,
+                                    self._v_tail,
+                                    self._v_qlen,
                                     self._v_nxt,
                                     self._blk_base + 1,
-                                    self._v_blk_u,
-                                    self._v_blk_v,
+                                    self._v_blk_key,
                                     self._v_blk_lane,
                                     b,
                                     e,
-                                    num_nodes,
                                     slot_keys,
                                 )
                             else:
-                                pu, pv = append_cells(
-                                    network.head,
-                                    network.tail,
-                                    self._nxt,
-                                    qlen,
-                                    self._blk_cid[b:e],
-                                    self._blk_u[b:e],
-                                    self._blk_v[b:e],
-                                    self._blk_lane[b:e],
-                                    network.num_lanes,
-                                    num_nodes,
+                                slot_pairs.append(
+                                    append_cells(
+                                        self._head,
+                                        self._tail,
+                                        self._nxt,
+                                        self._qlen,
+                                        self._blk_cid[b:e],
+                                        self._blk_key[b:e],
+                                        self._blk_lane[b:e],
+                                        num_lanes,
+                                    )
                                 )
-                                slot_pairs.append((pu, pv))
                             network.credit(stop_at - cursor)
                             injected_running += stop_at - cursor
                             cursor = stop_at
@@ -1365,19 +1428,16 @@ class VectorizedSession(SimSession):
                         # bank row for this absolute slot exactly as the
                         # reference engine masks its Matching.
                         dst_row = timeline.mask_dst_row(bank[m], s, plane)
-                        srcs = np.flatnonzero(dst_row >= 0)
-                        dsts = dst_row[srcs]
+                        circ = self._plane_circuits(
+                            dst_row, np.where(dst_row >= 0, kcol[m], -1)
+                        )
                     else:
-                        hit = circuits[m]
-                        if hit is None:
-                            dst_row = bank[m]
-                            srcs = np.flatnonzero(dst_row >= 0)
-                            dsts = dst_row[srcs]
-                            srcs.setflags(write=False)
-                            dsts.setflags(write=False)
-                            hit = circuits[m] = (dst_row, srcs, dsts)
-                        dst_row, srcs, dsts = hit
-                    deliv = self._drain_plane(s, plane, srcs, dsts, dst_row)
+                        circ = circuits[m]
+                        if circ is None:
+                            circ = circuits[m] = self._plane_circuits(
+                                bank[m], kcol[m]
+                            )
+                    deliv = self._drain_plane(s, plane, circ)
                     if deliv.size:
                         network.debit(deliv.size)
                         delivered_running += deliv.size
@@ -1417,20 +1477,19 @@ class VectorizedSession(SimSession):
                 occupancy_sum += network.total_occupancy
                 if slot_pairs:
                     # Only VOQs that received cells this slot can set a
-                    # new max; gather those instead of scanning the
-                    # (N, N) grid.
-                    if len(slot_pairs) == 1:
-                        gu, gv = slot_pairs[0]
-                    else:
-                        gu = np.concatenate([p[0] for p in slot_pairs])
-                        gv = np.concatenate([p[1] for p in slot_pairs])
-                    if gu.size:
-                        voq_now = int(qlen[gu, gv].max())
+                    # new max; gather those instead of scanning them all.
+                    touched = (
+                        slot_pairs[0]
+                        if len(slot_pairs) == 1
+                        else np.concatenate(slot_pairs)
+                    )
+                    if touched.size:
+                        voq_now = int(self._qlen[touched].max())
                         if voq_now > max_voq:
                             max_voq = voq_now
                     slot_pairs.clear()
                 if slot_keys:
-                    voq_now = max(map(v_qlen.__getitem__, slot_keys))
+                    voq_now = max(map(self._v_qlen.__getitem__, slot_keys))
                     if voq_now > max_voq:
                         max_voq = voq_now
                     slot_keys.clear()

@@ -34,7 +34,7 @@ def uniform_matrix(num_nodes: int) -> TrafficMatrix:
     num_nodes = check_positive_int(num_nodes, "num_nodes", minimum=2)
     rates = np.full((num_nodes, num_nodes), 1.0 / (num_nodes - 1))
     np.fill_diagonal(rates, 0.0)
-    return TrafficMatrix(rates)
+    return TrafficMatrix._adopt(rates)
 
 
 def permutation_matrix(num_nodes: int, rng: RngLike = None) -> TrafficMatrix:
@@ -52,7 +52,7 @@ def permutation_matrix(num_nodes: int, rng: RngLike = None) -> TrafficMatrix:
             break
     rates = np.zeros((num_nodes, num_nodes))
     rates[identity, perm] = 1.0
-    return TrafficMatrix(rates)
+    return TrafficMatrix._adopt(rates)
 
 
 def clustered_matrix(layout: CliqueLayout, intra_fraction: float) -> TrafficMatrix:
@@ -89,7 +89,7 @@ def clustered_matrix(layout: CliqueLayout, intra_fraction: float) -> TrafficMatr
     )
     rates = np.where(clique, intra_rate[:, None], inter_rate[:, None])
     np.fill_diagonal(rates, 0.0)
-    return TrafficMatrix(rates)
+    return TrafficMatrix._adopt(rates)
 
 
 def gravity_matrix(weights: Sequence[float]) -> TrafficMatrix:
@@ -106,7 +106,7 @@ def gravity_matrix(weights: Sequence[float]) -> TrafficMatrix:
         raise TrafficError("weights must be non-negative with positive sum")
     rates = np.outer(w, w).astype(float)
     np.fill_diagonal(rates, 0.0)
-    return TrafficMatrix(rates).saturated()
+    return TrafficMatrix._adopt(rates).saturated()
 
 
 def hotspot_matrix(
@@ -141,7 +141,7 @@ def hotspot_matrix(
             chosen.add((s, d))
     for s, d in chosen:
         rates[s, d] += per_hotspot
-    return TrafficMatrix(rates).saturated()
+    return TrafficMatrix._adopt(rates).saturated()
 
 
 def skewed_matrix(
@@ -158,4 +158,4 @@ def skewed_matrix(
     gen = ensure_rng(rng)
     rates = gen.lognormal(mean=0.0, sigma=sigma, size=(num_nodes, num_nodes))
     np.fill_diagonal(rates, 0.0)
-    return TrafficMatrix(rates).saturated()
+    return TrafficMatrix._adopt(rates).saturated()

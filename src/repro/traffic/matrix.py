@@ -27,19 +27,40 @@ class TrafficMatrix:
     """
 
     def __init__(self, rates: np.ndarray):
-        matrix = np.array(rates, dtype=float)
+        # The caller keeps its array: validate and freeze a private copy.
+        self._rates = self._frozen(np.array(rates, dtype=float))
+
+    @classmethod
+    def _adopt(cls, rates: np.ndarray) -> "TrafficMatrix":
+        """Wrap a float64 array the package just built, without copying.
+
+        For the package's own generators only: the matrix takes
+        ownership of *rates* and makes it read-only, so the caller must
+        hold no other reference it still writes through.  At Table 1
+        scale this spares a 128 MiB copy.
+        """
+        matrix = cls.__new__(cls)
+        matrix._rates = cls._frozen(np.asarray(rates, dtype=float))
+        return matrix
+
+    @staticmethod
+    def _frozen(matrix: np.ndarray) -> np.ndarray:
+        """Validate *matrix* with whole-array reductions (no temporaries
+        of its size) and make it read-only."""
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise TrafficError(f"traffic matrix must be square, got {matrix.shape}")
         if matrix.shape[0] < 2:
             raise TrafficError("traffic matrix needs at least 2 nodes")
-        if not np.isfinite(matrix).all():
+        # min/max propagate NaN, and an infinity is itself an extreme.
+        lowest = matrix.min()
+        if not (np.isfinite(lowest) and np.isfinite(matrix.max())):
             raise TrafficError("traffic matrix entries must be finite")
-        if (matrix < 0).any():
+        if lowest < 0:
             raise TrafficError("traffic matrix entries must be non-negative")
         if np.diagonal(matrix).any():
             raise TrafficError("traffic matrix diagonal (self-traffic) must be zero")
         matrix.setflags(write=False)
-        self._rates = matrix
+        return matrix
 
     # -- accessors -----------------------------------------------------------
 
@@ -83,7 +104,7 @@ class TrafficMatrix:
         """Every rate multiplied by *factor* (>= 0)."""
         if factor < 0:
             raise TrafficError("scale factor must be non-negative")
-        return TrafficMatrix(self._rates * factor)
+        return TrafficMatrix._adopt(self._rates * factor)
 
     def saturated(self) -> "TrafficMatrix":
         """Scaled so the busiest port exactly reaches node bandwidth.
@@ -109,7 +130,7 @@ class TrafficMatrix:
             raise TrafficError("cannot mix matrices of different sizes")
         if not 0.0 <= weight <= 1.0:
             raise TrafficError("mix weight must be in [0, 1]")
-        return TrafficMatrix((1.0 - weight) * self._rates + weight * other._rates)
+        return TrafficMatrix._adopt((1.0 - weight) * self._rates + weight * other._rates)
 
     # -- structure metrics ---------------------------------------------------------
 

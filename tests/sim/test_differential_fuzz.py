@@ -20,7 +20,11 @@ telemetry collector set
 extends to the telemetry layer: both engines must produce equal
 ``snapshot()`` dictionaries and byte-identical ``dumps_jsonl()``
 streams — including under active failure timelines, where rerouting and
-plane outages reshape every stream the collectors observe.  Lean
+plane outages reshape every stream the collectors observe.  Every
+shipped collector accumulates, so those streams would agree even if the
+engines emitted the same events in different orders; an
+:class:`EventOrderDigest` in every instrumented hub hashes the event
+sequence itself, so the contract covers order too.  Lean
 examples attach *no* event consumers, which lets the vectorized
 engine's array walk repair cascade planes in place instead of replaying
 them — a tier instrumented runs can never reach.
@@ -73,6 +77,7 @@ from repro.sim import (
     FailureTimeline,
     SimConfig,
     SlotSimulator,
+    TelemetryCollector,
     TelemetryHub,
     TraceRecorder,
     standard_collectors,
@@ -105,6 +110,38 @@ FAMILIES = ("round_robin", "sorn", "expander", "beyond_vlb", "demand_aware", "mi
 #: Drain cutoffs an example runs the vectorized engine with: the array
 #: walk everywhere, the shipped selector, the scalar kernels everywhere.
 CUTOFFS = {"walk": 0, "default": vectorized.SEQ_CUTOFF, "scalar": 10**6}
+
+
+class EventOrderDigest(TelemetryCollector):
+    """A running SHA-256 over every engine event, in arrival order: its
+    type and its integer arguments (a sample contributes its slot, the
+    fabric occupancy and the delivered count)."""
+
+    name = "event_order"
+    consumes = frozenset({"transmit", "delivery", "sample"})
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self):
+        import hashlib
+
+        self._digest = hashlib.sha256()
+
+    def _feed(self, *fields):
+        self._digest.update(repr(fields).encode("ascii"))
+
+    def on_transmit(self, slot, plane, src, dst, count):
+        self._feed("transmit", slot, plane, src, dst, count)
+
+    def on_delivery(self, slot, injected_slot, hops):
+        self._feed("delivery", slot, injected_slot, hops)
+
+    def on_sample(self, slot, network, delivered_cumulative):
+        self._feed("sample", slot, network.total_occupancy, delivered_cumulative)
+
+    def rows(self):
+        return [{"sha256": self._digest.hexdigest()}]
 
 
 def _random_demand(n, seed):
@@ -263,7 +300,9 @@ def scenarios(draw):
 def _run(
     engine, schedule, router, timeline, flows, config, duration, seed, lean, traced,
 ):
-    collectors = [] if lean else standard_collectors(schedule, bucket_slots=25)
+    collectors = (
+        [] if lean else standard_collectors(schedule, bucket_slots=25) + [EventOrderDigest()]
+    )
     tracer = TraceRecorder(stride=7) if traced else None
     if tracer is not None:
         collectors.append(tracer)

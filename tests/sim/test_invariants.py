@@ -142,13 +142,17 @@ class TestConservationChecks:
         checker = InvariantChecker(schedule, SimConfig())
         checker.end_slot(0, SimNetwork(6), injected_total=0, delivered_total=0)
         checker.end_slot(1, LinkedVoqState(6), injected_total=4, delivered_total=4)
-        # Queued cells whose per-VOQ counters agree with the fabric total.
-        # Only qlen and occupancy are dirtied: the cube pool recycles
-        # pairs by qlen, so head/tail must stay clean for later sessions.
+        # Queued cells whose per-VOQ counters agree with the fabric total
+        # (counters written at the pairs' ranks, assigned before the
+        # writes since a new rank may widen the arrays; head/tail stay
+        # empty).
         state = LinkedVoqState(6)
         state.credit(3)
-        state.qlen[0, 1] = 2
-        state.qlen[4, 5] = 1
+        r01, r45 = state.rank(0, 1), state.rank(4, 5)
+        state.qlen[0, r01] = 2
+        state.qlen[4, r45] = 1
+        assert state.queue_length(0, 1) == 2
+        assert state.backlogs() == [2, 0, 0, 0, 1, 0]
         checker.end_slot(2, state, injected_total=7, delivered_total=4)
 
     def test_array_negative_counter(self):
@@ -156,11 +160,15 @@ class TestConservationChecks:
         checker = InvariantChecker(schedule, SimConfig())
         state = LinkedVoqState(6)
         # One cell queued at (0, 1), then drained and delivered from the
-        # wrong VOQ: fabric totals still balance, one counter goes below 0.
+        # wrong VOQ — one at the same node, so the per-node backlogs
+        # still balance and only the per-VOQ counter goes below 0.
         state.credit(1)
-        state.qlen[0, 1] += 1
-        state.qlen[2, 3] -= 1
+        r01, r03 = state.rank(0, 1), state.rank(0, 3)
+        state.qlen[0, r01] += 1
+        state.qlen[0, r03] -= 1
         state.debit(1)
+        assert state.backlogs() == [0] * 6
+        assert state.min_voq_length() == -1
         with pytest.raises(InvariantViolation, match="negative VOQ counter"):
             checker.end_slot(0, state, injected_total=1, delivered_total=1)
 
@@ -168,6 +176,7 @@ class TestConservationChecks:
         schedule = RoundRobinSchedule(6)
         checker = InvariantChecker(schedule, SimConfig())
         state = LinkedVoqState(6)
-        state.qlen[0, 1] = 2  # counters drift from the fabric total
+        r01 = state.rank(0, 1)
+        state.qlen[0, r01] = 2  # counters drift from the fabric total
         with pytest.raises(InvariantViolation, match="sum"):
             checker.end_slot(0, state, injected_total=0, delivered_total=0)

@@ -115,6 +115,34 @@ class TestSimReport:
             assert isinstance(report.mean_occupancy, float)
             assert isinstance(report.max_voq, int)
 
+    def test_dict_matches_deep_copy_form(self):
+        """The shallow ``to_dict`` serializes byte-identically to the
+        ``dataclasses.asdict`` deep copy it replaced, and owns its
+        sequences (mutating the dict leaves the report intact)."""
+        import dataclasses
+
+        schedule = build_sorn_schedule(16, 4, q=3)
+        workload = Workload(
+            clustered_matrix(schedule.layout, 0.7),
+            FlowSizeDistribution.fixed(6),
+            load=0.8,
+        )
+        report = SlotSimulator(
+            schedule,
+            SornRouter(schedule.layout),
+            SimConfig(engine="vectorized", short_flow_threshold_cells=4),
+            rng=0,
+        ).run(workload.generate(140, rng=11), 140)
+        assert report.fct_slots and report.flow_completion_slots
+        deep = dataclasses.asdict(report)
+        deep["flow_completion_slots"] = list(report.flow_completion_slots)
+        shallow = report.to_dict()
+        assert json.dumps(shallow) == json.dumps(deep)
+        shallow["fct_slots"].append(-1)
+        shallow["flow_completion_slots"].append(-1)
+        assert report.fct_slots == deep["fct_slots"]
+        assert len(report.flow_completion_slots) == len(deep["flow_completion_slots"])
+
 
 class TestEmptyReport:
     """Regression: undefined statistics are explicit None, never NaN."""

@@ -1,7 +1,7 @@
 """Paper-scale (N >= 1024) slot-sim runs, gated by the ``scale`` marker.
 
 These exercise the memory-lean slot path — chunked presampling, int32
-cell/qlen tables, the compiled schedule bank — at the smallest
+cell tables, per-neighbor VOQs, the compiled schedule bank — at the smallest
 paper-scale rung (N=1024, the q ladder of ``benchmarks/bench_scale.py``
 continues to 4096 with hard byte budgets) and at Table 1's second
 operating point (N=4096, Nc=32 at q*, a 240,157-slot period that only
@@ -16,7 +16,7 @@ import pytest
 from repro.analysis import optimal_q
 from repro.routing import SornRouter
 from repro.schedules import build_sorn_schedule
-from repro.sim import FlowLevelModel, SimConfig, SlotSimulator, clear_cube_pool
+from repro.sim import FlowLevelModel, SimConfig, SlotSimulator
 from repro.traffic import FlowSizeDistribution, FlowTable, Workload, clustered_matrix
 
 pytestmark = pytest.mark.scale
@@ -97,11 +97,9 @@ class TestPaperScaleSlotSim:
 
 @pytest.fixture
 def second_operating_point():
-    """Table 1's N=4096, Nc=32 fabric at q*; its VOQ cubes are unpooled
-    afterwards so they do not stay resident for the rest of the session."""
+    """Table 1's N=4096, Nc=32 fabric at q*."""
     schedule = build_sorn_schedule(4096, 32, q=optimal_q(LOCALITY))
-    yield schedule, SornRouter(schedule.layout)
-    clear_cube_pool()
+    return schedule, SornRouter(schedule.layout)
 
 
 class TestSecondOperatingPoint:

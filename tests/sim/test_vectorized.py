@@ -14,7 +14,7 @@ from repro.routing import SornRouter, VlbRouter
 from repro.schedules import RoundRobinSchedule, build_sorn_schedule
 from repro.sim import SimConfig, SlotSimulator, TelemetryHub, TraceRecorder
 from repro.topology import CliqueLayout
-from repro.traffic import WEB_SEARCH, Workload, clustered_matrix, uniform_matrix
+from repro.traffic import WEB_SEARCH, FlowSpec, Workload, clustered_matrix, uniform_matrix
 
 def _uniform_flows(num_nodes, seed, duration=250, load=0.4):
     workload = Workload(uniform_matrix(num_nodes), WEB_SEARCH, load=load, cell_bytes=4096.0)
@@ -145,17 +145,39 @@ class TestLinkedVoqState:
         from repro.sim import LinkedVoqState
 
         state = LinkedVoqState(4, num_lanes=2)
-        state.qlen[0, 1] = 2
-        state.qlen[1, 2] = 1
+        r01, r12 = state.rank(0, 1), state.rank(1, 2)
+        state.qlen[0, r01] = 2
+        state.qlen[1, r12] = 1
         state.credit(3)
         assert state.total_occupancy == 3
         assert state.queue_length(0, 1) == 2
         assert state.queue_length(1, 2) == 1
+        assert state.queue_length(2, 3) == 0  # never ranked
         assert state.max_voq_length() == 2
         assert state.node_backlog(0) == 2
         assert state.backlogs() == [2, 1, 0, 0]
         state.debit(1)
         assert state.total_occupancy == 2
+
+    def test_ranks_only_grow(self):
+        """New neighbors take their node's next ranks in ascending order
+        (repeats share one), old ranks never move, rows widen when full,
+        and lookups see through the out-of-order growth."""
+        from repro.sim import LinkedVoqState
+
+        state = LinkedVoqState(10)
+        assert state.ranks([0, 0, 1, 0], [5, 3, 2, 5]).tolist() == [1, 0, 0, 1]
+        assert state.ranks_per_node == 2
+        r05 = state.rank(0, 5)
+        state.qlen[0, r05] = 4
+        assert state.ranks([0, 0, 0], [1, 9, 3]).tolist() == [2, 3, 0]
+        assert state.ranks_per_node == 4
+        assert state.nbr[0].tolist() == [3, 5, 1, 9]
+        assert state.ranks([0] * 4, [1, 3, 5, 9]).tolist() == [2, 0, 1, 3]
+        assert state.queue_length(0, 5) == 4  # survived the widening
+        assert state.queue_length(0, 7) == 0  # never ranked
+        with pytest.raises(SimulationError, match="outside"):
+            state.ranks([0], [10])
 
     def test_validation(self):
         from repro.sim import LinkedVoqState
@@ -257,15 +279,19 @@ class TestDrainSelector:
         cls = V.VectorizedSession
         plane_fn, seq_fn, vec_fn = cls._drain_plane, cls._drain_seq, cls._drain_vec
 
-        def drain_plane(self, slot, plane, srcs, dsts, dst_row):
-            live = int(np.count_nonzero(self.network.qlen[srcs, dsts]))
+        def drain_plane(self, slot, plane, circ):
+            dst_row, srcs = circ[0], circ[2]
+            live = sum(
+                self.network.queue_length(u, v) > 0
+                for u, v in zip(srcs.tolist(), dst_row[srcs].tolist())
+            )
             log.append([slot, plane, live + (srcs.shape[0] >> 2), None])
-            return plane_fn(self, slot, plane, srcs, dsts, dst_row)
+            return plane_fn(self, slot, plane, circ)
 
-        def drain_seq(self, slot, plane, srcs, dsts, dst_row, phase):
+        def drain_seq(self, slot, plane, circ, phase):
             if log[-1][3] is None:
                 log[-1][3] = phase
-            return seq_fn(self, slot, plane, srcs, dsts, dst_row, phase)
+            return seq_fn(self, slot, plane, circ, phase)
 
         def drain_vec(self, *args):
             log[-1][3] = "walk"
@@ -331,43 +357,41 @@ class TestEnqueueKernels:
         from repro.sim.kernels import append_cells, enqueue_seq
 
         rng = np.random.default_rng(seed)
-        n, lanes, queued, batch = 5, 3, 30, 40
+        # 5 nodes with 3 neighbor ranks each: 15 VOQ keys u * 3 + r.
+        voqs, lanes, queued, batch = 15, 3, 30, 40
 
         def cells(count):
             return (
-                rng.integers(0, n, count).astype(np.int32),
-                rng.integers(0, n, count).astype(np.int32),
+                rng.integers(0, voqs, count).astype(np.int64),
                 rng.integers(0, lanes, count).astype(np.int32),
             )
 
         old, new = cells(queued), cells(batch)
         states = []
         for scalar in (False, True):
-            head = np.zeros((lanes, n, n), dtype=np.int32)
+            head = np.zeros(lanes * voqs, dtype=np.int32)
             tail = np.zeros_like(head)
-            qlen = np.zeros((n, n), dtype=np.int32)
+            qlen = np.zeros(voqs, dtype=np.int32)
             nxt = np.zeros(1 + queued + batch, dtype=np.int32)
             ids = np.arange(1, 1 + queued, dtype=np.int32)
-            append_cells(head, tail, nxt, qlen, ids, *old, lanes, n)
+            append_cells(head, tail, nxt, qlen, ids, *old, lanes)
             if scalar:
                 keys = []
                 enqueue_seq(
-                    memoryview(head.reshape(-1)),
-                    memoryview(tail.reshape(-1)),
-                    memoryview(qlen.reshape(-1)),
+                    memoryview(head),
+                    memoryview(tail),
+                    memoryview(qlen),
                     memoryview(nxt),
                     1 + queued,
                     *(memoryview(col) for col in new),
                     0,
                     batch,
-                    n,
                     keys,
                 )
                 touched = set(keys)
             else:
                 ids = np.arange(1 + queued, 1 + queued + batch, dtype=np.int32)
-                pu, pv = append_cells(head, tail, nxt, qlen, ids, *new, lanes, n)
-                touched = set((pu * n + pv).tolist())
+                touched = set(append_cells(head, tail, nxt, qlen, ids, *new, lanes).tolist())
             states.append((head, tail, qlen, nxt, touched))
         for array_side, scalar_side in zip(*states):
             if isinstance(array_side, set):
@@ -417,8 +441,6 @@ class TestMemoryRegression:
         footprint past the budget."""
         import tracemalloc
 
-        from repro.sim import clear_cube_pool
-
         budget_bytes = 64 * 2**20
         schedule = build_sorn_schedule(1024, 32, q=optimal_q(0.56))
         router = SornRouter(schedule.layout)
@@ -434,9 +456,6 @@ class TestMemoryRegression:
         sim = SlotSimulator(
             schedule, router, SimConfig(engine="vectorized"), rng=6
         )
-        # An earlier test may have pooled same-shape VOQ cubes; drop them
-        # so this run's allocations are actually traced.
-        clear_cube_pool()
         tracemalloc.start()
         tracemalloc.reset_peak()
         report = sim.run(flows, slots, measure_from=slots // 2)
@@ -447,3 +466,184 @@ class TestMemoryRegression:
             f"N=1024 peak {peak / 2**20:.1f} MiB over the "
             f"{budget_bytes / 2**20:.0f} MiB budget"
         )
+
+
+class TestPerNeighborVoqs:
+    """VOQs addressed by (lane, node, neighbor rank): the schedule's
+    neighbors take the first ranks, and a pair it never provides (an
+    off-schedule hop, or a neighbor a swapped-in schedule adds) takes
+    the next free rank on first sight — the table only grows, widening
+    its rows when a node runs out, and both engines still agree."""
+
+    N, CLIQUES = 16, 4
+
+    def _sorn(self, layout):
+        return build_sorn_schedule(self.N, self.CLIQUES, q=2.0, layout=layout)
+
+    def _flows(self, slots, seed=5, load=0.9):
+        workload = Workload(
+            uniform_matrix(self.N), WEB_SEARCH, load=load, cell_bytes=4096.0
+        )
+        return workload.generate(slots, rng=np.random.default_rng(seed))
+
+    def _sessions(self, schedule, router, flows, slots, **config):
+        sessions = {}
+        for engine in ("reference", "vectorized"):
+            sim = SlotSimulator(
+                schedule,
+                router,
+                SimConfig(engine=engine, check_invariants=True, **config),
+                rng=np.random.default_rng(9),
+            )
+            sessions[engine] = sim.start(flows, slots)
+        return sessions
+
+    def _queues(self, network):
+        return [
+            [network.queue_length(u, v) for v in range(self.N)]
+            for u in range(self.N)
+        ]
+
+    @pytest.mark.parametrize("cutoff", [0, None])
+    def test_vlb_over_sorn_queues_off_schedule_cells(self, cutoff, monkeypatch):
+        """VLB routes over a SORN schedule hop between nodes the schedule
+        never connects: those cells queue and never drain, both engines
+        report them per pair, and the reports match."""
+        from repro.sim import vectorized as V
+
+        if cutoff is not None:
+            monkeypatch.setattr(V, "SEQ_CUTOFF", cutoff)
+        schedule = self._sorn(CliqueLayout.equal(self.N, self.CLIQUES))
+        bank, _ = schedule.compiled()
+        neighbors = {
+            (u, int(v))
+            for u, v in zip(np.tile(np.arange(self.N), len(bank)), bank.ravel())
+            if v >= 0
+        }
+        sessions = self._sessions(schedule, VlbRouter(self.N), self._flows(120), 120)
+        for session in sessions.values():
+            session.run_segment()
+        queues = {engine: self._queues(s.network) for engine, s in sessions.items()}
+        assert queues["vectorized"] == queues["reference"]
+        stuck = [
+            queues["reference"][u][v]
+            for u in range(self.N)
+            for v in range(self.N)
+            if (u, v) not in neighbors
+        ]
+        assert sum(stuck) > 0, "no cell queued off the schedule"
+        network = sessions["vectorized"].network
+        assert network.ranks_per_node > max(
+            sum(1 for pair in neighbors if pair[0] == u) for u in range(self.N)
+        )
+        reports = {engine: s.finish() for engine, s in sessions.items()}
+        assert reports["vectorized"] == reports["reference"]
+
+    def test_swap_to_reclustered_schedule_grows_ranks(self):
+        """A mid-run swap to a SORN schedule over a different clique
+        assignment adds neighbors: they take new ranks, widening the
+        rows (old ranks stay put, so queued cells keep their VOQs), and
+        both engines agree on the queues after the swap and on the final
+        report — including cells whose old circuits the new schedule no
+        longer opens."""
+        layout = CliqueLayout.equal(self.N, self.CLIQUES)
+        first = self._sorn(layout)
+        second = self._sorn(CliqueLayout.random_equal(self.N, self.CLIQUES, rng=1))
+        flows = self._flows(160)
+        sessions = self._sessions(first, SornRouter(layout), flows, 160, drain=True)
+        vec = sessions["vectorized"]
+        for session in sessions.values():
+            session.run_segment(70)
+        before = vec.network.nbr.copy()
+        for session in sessions.values():
+            session.swap_schedule(second)
+        after = vec.network.nbr
+        assert after.shape[1] > before.shape[1]  # the swap widened the rows
+        assert (after[:, : before.shape[1]][before >= 0] == before[before >= 0]).all()
+        bank, _ = second.compiled()
+        new_pairs = {
+            (u, int(v))
+            for u, v in zip(np.tile(np.arange(self.N), len(bank)), bank.ravel())
+            if v >= 0 and v not in before[u]
+        }
+        assert new_pairs, "the re-clustered schedule adds no neighbor"
+        assert all(v in after[u] for u, v in new_pairs)
+        assert self._queues(vec.network) == self._queues(sessions["reference"].network)
+        reports = {engine: s.finish() for engine, s in sessions.items()}
+        assert reports["vectorized"] == reports["reference"]
+
+    @pytest.mark.parametrize("cutoff", [0, None])
+    def test_slot_batch_across_chunks_while_ranks_grow(self, cutoff, monkeypatch):
+        """With tiny presample chunks, one slot's injection batch spans
+        several chunks, and a chunk's off-schedule hops widen the rank
+        rows between two pieces of the batch: the piece already queued
+        is re-keyed in place, so max-VOQ, traces and reports match."""
+        from repro.sim import vectorized as V
+
+        if cutoff is not None:
+            monkeypatch.setattr(V, "SEQ_CUTOFF", cutoff)
+        widened_mid_batch = []
+        hop_ranks = V.VectorizedSession._hop_ranks
+
+        def spying(self, us, vs):
+            pending = bool(self._slot_keys or self._slot_pairs)
+            width = self.network.ranks_per_node
+            out = hop_ranks(self, us, vs)
+            if pending and self.network.ranks_per_node != width:
+                # Every VOQ the slot's first pieces filled is still
+                # nonempty (drains come after injection), so a re-keyed
+                # key must still find cells.
+                keys = list(self._slot_keys)
+                for touched in self._slot_pairs:
+                    keys.extend(touched.tolist())
+                widened_mid_batch.append(all(self._qlen[k] > 0 for k in keys))
+            return out
+
+        monkeypatch.setattr(V.VectorizedSession, "_hop_ranks", spying)
+        schedule = self._sorn(CliqueLayout.equal(self.N, self.CLIQUES))
+        flows = self._flows(60, seed=8, load=1.2)
+        traces = {}
+        reports = {}
+        for engine in ("reference", "vectorized"):
+            tracer = TraceRecorder(stride=1)
+            sim = SlotSimulator(
+                schedule,
+                VlbRouter(self.N),
+                SimConfig(
+                    engine=engine,
+                    check_invariants=True,
+                    presample_chunk_cells=5,
+                    telemetry=TelemetryHub([tracer]),
+                ),
+                rng=np.random.default_rng(2),
+            )
+            reports[engine] = sim.run(flows, 60)
+            traces[engine] = tracer.points
+        assert widened_mid_batch, "no rank growth landed inside a slot batch"
+        assert all(widened_mid_batch), "a touched VOQ key went stale"
+        assert reports["vectorized"] == reports["reference"]
+        assert traces["vectorized"] == traces["reference"]
+
+
+class TestPaperScaleVoqFootprint:
+    def test_table1_session_voq_arrays_are_compact(self):
+        """A Table 1 (N=4096, Nc=64) vectorized session's VOQ arrays
+        total at most 16 MiB after start (dense (L, N, N) cubes were
+        320 MiB), and neither the session nor its network holds an
+        array as large as an (N, N) int32 grid."""
+        n = 4096
+        schedule = build_sorn_schedule(n, 64, q=optimal_q(0.56))
+        flows = [FlowSpec(0, 0, 1, 3, 0), FlowSpec(1, 70, 5, 2, 1)]
+        session = SlotSimulator(
+            schedule,
+            SornRouter(schedule.layout),
+            SimConfig(engine="vectorized", drain=True),
+            rng=1,
+        ).start(flows, 4)
+        voq = [v for v in vars(session.network).values() if isinstance(v, np.ndarray)]
+        assert sum(a.nbytes for a in voq) <= 16 * 2**20
+        held = voq + [v for v in vars(session).values() if isinstance(v, np.ndarray)]
+        assert max(a.nbytes for a in held) < n * n * 4
+        assert session.network.ranks_per_node == 126
+        report = session.finish()
+        assert report.delivered_cells == 5

@@ -46,6 +46,63 @@ class TestValidation:
         with pytest.raises(ValueError):
             m.rates[0, 1] = 2.0
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (np.nan, "must be finite"),
+            (np.inf, "must be finite"),
+            (-np.inf, "must be finite"),
+            (-1.0, "must be non-negative"),
+        ],
+    )
+    def test_error_messages(self, entry, message):
+        """Each defect names itself, a non-finite entry before a
+        negative one, whichever constructor the matrix comes from."""
+        rates = np.zeros((3, 3))
+        rates[0, 1] = entry
+        rates[1, 0] = -2.0
+        for build in (TrafficMatrix, TrafficMatrix._adopt):
+            with pytest.raises(TrafficError, match=message):
+                build(rates.copy())
+        with pytest.raises(TrafficError, match="diagonal"):
+            TrafficMatrix(np.eye(3))
+        with pytest.raises(TrafficError, match="square"):
+            TrafficMatrix(np.zeros((2, 3)))
+
+    def test_constructor_copies_caller_input(self):
+        """The public constructor never aliases (or freezes) the
+        caller's array."""
+        rates = np.zeros((3, 3))
+        rates[0, 1] = 0.5
+        matrix = TrafficMatrix(rates)
+        rates[0, 1] = 0.75
+        assert matrix.rate(0, 1) == 0.5
+        assert rates.flags.writeable
+        assert not np.shares_memory(matrix.rates, rates)
+
+    def test_generators_adopt_without_copy(self):
+        """``clustered_matrix`` at N=1024 peaks at most 1.5x the
+        matrix bytes (the generator's one array plus small scratch; a copy
+        or a full-size validation temporary would exceed it), and
+        ``scaled`` wraps its product without another copy."""
+        import tracemalloc
+
+        from repro.traffic import clustered_matrix
+
+        layout = CliqueLayout.equal(1024, 32)
+        nbytes = 1024 * 1024 * 8
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        matrix = clustered_matrix(layout, 0.56)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        scaled = matrix.scaled(2.0)
+        _, scaled_peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= 1.5 * nbytes, f"peak {peak / 2**20:.1f} MiB"
+        assert scaled_peak - nbytes <= 1.5 * nbytes
+        assert scaled.rate(0, 1) == 2 * matrix.rate(0, 1)
+
 
 class TestAccounting:
     def test_totals_and_port_loads(self):
