@@ -5,15 +5,17 @@ Runs the fused vectorized engine on SORN fabrics at N ∈ {1024, 2048,
 the optimal q for x=0.56) — and writes the measurement to
 ``BENCH_scale.json`` for CI regression tracking:
 
-- **slots/s**: end-to-end wall clock of untraced runs (the schedule,
-  its compiled bank and index, the router and the workload are built
-  outside the timed region, exactly like ``bench_kernel.py``).  Every
-  rung gets one untimed warmup run, then :data:`REPEATS` timed runs;
-  the median and quartiles of their slots/s are recorded.  The
-  paper-scale N=4096 rung carries a hard floor on the median so a
-  slot-loop or kernel regression at the scale the paper actually ran
-  cannot land silently.  Each rung's ``Workload.generate`` call is
-  timed on its own and recorded as ``generate_seconds``, never gated.
+- **slots/s**: wall clock of untraced runs from ``start``'s return to
+  ``finish``'s return, the window perfbench's ``slots_per_s`` times
+  (the schedule, its compiled bank and index, the router, the workload,
+  the simulator and the session start's neighbor-rank build all stay
+  outside it).  Every rung gets one untimed warmup run, then
+  :data:`REPEATS` timed runs; the median and quartiles of their slots/s
+  are recorded.  The paper-scale N=4096 rung carries a hard floor on
+  the median so a slot-loop or kernel regression at the scale the paper
+  actually ran cannot land silently.  Each rung's ``Workload.generate``
+  call is timed on its own and recorded as ``generate_seconds``, never
+  gated.
 - **peak memory**: one more identical run under ``tracemalloc`` (numpy
   registers its buffers with the tracer, so the per-neighbor VOQ
   arrays, cell tables and route tables are all seen); ``reset_peak``
@@ -22,6 +24,13 @@ the optimal q for x=0.56) — and writes the measurement to
   footprint of the chunked-presampling + int32 engine, so dtype or
   chunking regressions (e.g. int64 counters, whole-run presample
   blocks, dense per-pair VOQs) fail CI.
+- **set-up memory**: the ``tracemalloc`` peak of building
+  ``paper-n4096``'s flow table at N=4096 — ``clustered_matrix``, then
+  ``Workload(...)``, then a 500-slot ``generate`` — recorded as
+  ``setup_peak_mib`` and gated at :data:`SETUP_BUDGET_RATIO` times the
+  demand matrix's bytes, so an N x N temporary beside the matrix (a
+  whole pair CDF, a clique mask) fails CI.  The engine budgets never
+  see this step, and it sets ``paper-n4096``'s peak.
 - **flow-level model**: builds :class:`repro.sim.flowlevel.
   FlowLevelModel` for both Table 1 rows (Nc=64 *and* Nc=32 — the Nc=32
   realized schedule's period is ~240k slots, far beyond what the slot
@@ -49,6 +58,7 @@ from repro.routing import SornRouter
 from repro.schedules import build_sorn_schedule
 from repro.sim import SimConfig, SlotSimulator
 from repro.sim.flowlevel import FlowLevelModel, sample_flow_arrays
+from repro.topology import CliqueLayout
 from repro.traffic import FlowSizeDistribution, Workload, clustered_matrix
 from repro.util import ensure_rng
 
@@ -62,27 +72,33 @@ LOAD = 0.30
 REPEATS = 5
 
 #: Median slots/s floor at the paper's N=4096 rung, 20% under the lowest
-#: of four 5-run medians (295-332 slots/s, quartiles within 293-335) on
-#: a 2-vCPU Xeon.  Each timed run includes the session start, whose
-#: neighbor-rank build costs ~0.07 s of the ~0.25 s.
-SCALE_FLOOR_SLOTS_PER_S = 235.0
+#: of five 5-run medians (507-643 slots/s, quartiles within 473-683) on
+#: a 2-vCPU Xeon, timed from ``start``'s return to ``finish``'s return.
+SCALE_FLOOR_SLOTS_PER_S = 405.0
 
 #: (num_nodes, num_cliques, q, slots, peak-byte budget, slots/s floor).
 #: q is the optimal 2/(1-x) at N=1024 and N=4096.  The N=2048 rung has
 #: always run at q=2 and keeps it so its BENCH_scale.json history stays
 #: comparable — the memory ladder cares about N, not q.  Budgets are ~30% above the
-#: measured footprint of the int32 + chunked-presampling engine; N=4096
-#: measured 48.5 MiB with per-neighbor VOQs (its peak is the session
-#: start's neighbor-rank build; the run itself holds ~38 MiB), down from
-#: 332 MiB of dense (L, N, N) cubes, so its budget fell from 448 to
-#: 64 MiB.  Only the paper-scale rung carries a throughput floor:
-#: smaller rungs finish too fast on a busy runner for a stable gate.
+#: measured footprint of the int32 + chunked-presampling engine with
+#: per-neighbor VOQs: 10.5, 18.1 and 48.5 MiB at N=1024, 2048 and 4096
+#: (the N=4096 peak is the session start's neighbor-rank build; the run
+#: itself holds ~38 MiB).  Only the paper-scale rung carries a
+#: throughput floor: smaller rungs finish too fast on a busy runner for
+#: a stable gate.
 FULL_SCALE = [
-    (1024, 32, optimal_q(LOCALITY), 200, 64 * 2**20, None),
-    (2048, 32, 2.0, 120, 160 * 2**20, None),
+    (1024, 32, optimal_q(LOCALITY), 200, 14 * 2**20, None),
+    (2048, 32, 2.0, 120, 24 * 2**20, None),
     (4096, 64, optimal_q(LOCALITY), 80, 64 * 2**20, SCALE_FLOOR_SLOTS_PER_S),
 ]
 SMOKE_SCALE = [(256, 16, optimal_q(LOCALITY), 120, None, None)]
+
+#: The set-up rung: ``paper-n4096``'s fabric and horizon (num_nodes,
+#: num_cliques, slots).
+FULL_SETUP = (4096, 64, 500)
+SMOKE_SETUP = (256, 16, 120)
+#: Set-up peak budget, as a multiple of the demand matrix's bytes.
+SETUP_BUDGET_RATIO = 1.25
 
 #: Flow-model rows: the two Table 1 clique counts at paper scale.
 FLOW_MODEL_NODES = 4096
@@ -96,24 +112,46 @@ def _fabric(num_nodes, num_cliques, q):
     return schedule, SornRouter(schedule.layout)
 
 
-def _flows(schedule, slots):
-    """The rung's flow table and the seconds ``generate`` took."""
-    workload = Workload(
-        clustered_matrix(schedule.layout, LOCALITY),
+def _workload(layout):
+    return Workload(
+        clustered_matrix(layout, LOCALITY),
         FlowSizeDistribution.fixed(4500),
         load=LOAD,
         cell_bytes=1500.0,
     )
+
+
+def _flows(schedule, slots):
+    """The rung's flow table and the seconds ``generate`` took."""
+    workload = _workload(schedule.layout)
     start = time.perf_counter()
     flows = workload.generate(slots, rng=1)
     return flows, time.perf_counter() - start
 
 
 def _run(schedule, router, flows, slots):
+    """One run's report and the seconds from ``start``'s return to
+    ``finish``'s return."""
     sim = SlotSimulator(
         schedule, router, SimConfig(engine="vectorized"), rng=2
     )
-    return sim.run(flows, slots, measure_from=slots // 2)
+    session = sim.start(flows, slots, measure_from=slots // 2)
+    start = time.perf_counter()
+    report = session.finish()
+    return report, time.perf_counter() - start
+
+
+def _setup_peak(num_nodes, num_cliques, slots):
+    """The ``tracemalloc`` peak of building a rung's flow table from
+    nothing, and the demand matrix's bytes."""
+    layout = CliqueLayout.equal(num_nodes, num_cliques)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    workload = _workload(layout)
+    workload.generate(slots, rng=1)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return peak, workload.matrix.rates.nbytes
 
 
 def test_scale_memory_and_throughput(report, smoke):
@@ -124,17 +162,16 @@ def test_scale_memory_and_throughput(report, smoke):
     for num_nodes, num_cliques, q, slots, budget, floor in scales:
         schedule, router = _fabric(num_nodes, num_cliques, q)
         flows, generate_s = _flows(schedule, slots)
-        warm_report = _run(schedule, router, flows, slots)  # untimed warmup
+        warm_report, _ = _run(schedule, router, flows, slots)  # untimed warmup
         rates = []
         for _ in range(REPEATS):
-            start = time.perf_counter()
-            timed_report = _run(schedule, router, flows, slots)
-            rates.append(slots / (time.perf_counter() - start))
+            timed_report, seconds = _run(schedule, router, flows, slots)
+            rates.append(slots / seconds)
             assert timed_report == warm_report, "non-deterministic benchmark run"
         q1, median, q3 = statistics.quantiles(rates, n=4, method="inclusive")
         tracemalloc.start()
         tracemalloc.reset_peak()
-        traced_report = _run(schedule, router, flows, slots)
+        traced_report, _ = _run(schedule, router, flows, slots)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert traced_report == timed_report, "non-deterministic benchmark run"
@@ -165,6 +202,24 @@ def test_scale_memory_and_throughput(report, smoke):
             + f"   peak {peak / 2**20:>7.1f} MiB"
             + (f" (budget {budget / 2**20:.0f} MiB)" if budget else "")
         )
+
+    setup_nodes, setup_cliques, setup_slots = SMOKE_SETUP if smoke else FULL_SETUP
+    setup_peak, matrix_bytes = _setup_peak(setup_nodes, setup_cliques, setup_slots)
+    setup = {
+        "num_nodes": setup_nodes,
+        "num_cliques": setup_cliques,
+        "slots": setup_slots,
+        "matrix_mib": round(matrix_bytes / 2**20, 1),
+        "setup_peak_bytes": setup_peak,
+        "setup_peak_mib": round(setup_peak / 2**20, 1),
+        "budget_bytes": int(SETUP_BUDGET_RATIO * matrix_bytes),
+    }
+    lines.append(
+        f"set-up N={setup_nodes:>5} Nc={setup_cliques:>3}  "
+        f"peak {setup_peak / 2**20:.1f} MiB = "
+        f"{setup_peak / matrix_bytes:.2f}x the {matrix_bytes / 2**20:.1f} MiB "
+        f"matrix (budget {SETUP_BUDGET_RATIO}x)"
+    )
 
     flow_results = []
     if not smoke:
@@ -223,6 +278,7 @@ def test_scale_memory_and_throughput(report, smoke):
             "smoke": smoke,
         },
         "results": results,
+        "setup": setup,
         "flow_model": flow_results,
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
@@ -235,6 +291,11 @@ def test_scale_memory_and_throughput(report, smoke):
 
     if smoke:
         return
+    assert setup["setup_peak_bytes"] <= setup["budget_bytes"], (
+        f"set-up peak {setup['setup_peak_mib']} MiB over {SETUP_BUDGET_RATIO}x "
+        f"the {setup['matrix_mib']} MiB demand matrix — an N x N temporary "
+        f"beside the matrix?"
+    )
     for entry in results:
         assert entry["peak_bytes"] <= entry["budget_bytes"], (
             f"N={entry['num_nodes']}: peak {entry['peak_mib']} MiB over the "

@@ -263,8 +263,8 @@ class SimReport:
         bulk_fct: List[int] = []
         if short_threshold_cells > 0:
             short_mask = size_done <= short_threshold_cells
-            short_fct = [int(v) for v in fct_all[short_mask]]
-            bulk_fct = [int(v) for v in fct_all[~short_mask]]
+            short_fct = np.sort(fct_all[short_mask]).tolist()
+            bulk_fct = np.sort(fct_all[~short_mask]).tolist()
         delivered_total = int(np.asarray(delivered).sum())
         hop_total = int(np.asarray(hop_totals).sum())
         return cls(
@@ -274,14 +274,14 @@ class SimReport:
             injected_cells=int(np.asarray(injected).sum()),
             delivered_cells=delivered_total,
             mean_hops=hop_total / delivered_total if delivered_total else 0.0,
-            fct_slots=sorted(int(v) for v in fct_all),
+            fct_slots=np.sort(fct_all).tolist(),
             completed_flows=int(done.sum()),
             total_flows=int(sizes.size),
             max_voq=max_voq,
             mean_occupancy=mean_occupancy,
             window_start=window_start,
             window_delivered=window_delivered,
-            short_fct_slots=sorted(short_fct),
-            bulk_fct_slots=sorted(bulk_fct),
-            flow_completion_slots=tuple(int(v) for v in completion),
+            short_fct_slots=short_fct,
+            bulk_fct_slots=bulk_fct,
+            flow_completion_slots=tuple(completion.tolist()),
         )

@@ -24,6 +24,9 @@ __all__ = ["FlowSizeDistribution", "WEB_SEARCH", "DATA_MINING"]
 
 KB = 1000
 
+#: Elements :meth:`FlowSizeDistribution.quantiles` converts at a time.
+_QUANTILE_SLICE = 1 << 14
+
 
 class FlowSizeDistribution:
     """A flow-size CDF with inverse-transform sampling.
@@ -95,14 +98,25 @@ class FlowSizeDistribution:
         one IEEE-rounded exactly as the scalar path rounds it; the final
         ``exp`` stays ``math.exp`` per element, because ``np.exp`` can
         differ from it in the last bit and a size near a cell boundary
-        would then round the other way.
+        would then round the other way.  *u* is taken in slices of
+        :data:`_QUANTILE_SLICE`, so the temporaries (two Python floats
+        per element among them) stay small however many draws there are.
         """
         u = np.asarray(u, dtype=np.float64)
         if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):
             bad = u[~((u >= 0.0) & (u <= 1.0))][0]
             raise TrafficError(f"quantile argument must be in [0, 1], got {bad}")
+        flat = u.reshape(-1)
+        out = np.empty(flat.size)
+        for start in range(0, flat.size, _QUANTILE_SLICE):
+            stop = start + _QUANTILE_SLICE
+            out[start:stop] = self._quantile_slice(flat[start:stop])
+        return out.reshape(u.shape)
+
+    def _quantile_slice(self, u: np.ndarray) -> np.ndarray:
+        """:meth:`quantiles` of one checked 1-D slice."""
         cdfs, logs = self._cdf_arr, self._log_arr
-        out = np.empty(u.shape)
+        out = np.empty(u.size)
         low = u <= cdfs[0]
         high = ~low & (u >= cdfs[-1])
         mid = ~(low | high)

@@ -67,8 +67,7 @@ def clustered_matrix(layout: CliqueLayout, intra_fraction: float) -> TrafficMatr
     x = check_fraction(intra_fraction, "intra_fraction")
     n = layout.num_nodes
     ids = layout.assignment()
-    clique = ids[:, None] == ids[None, :]  # clique-mates and self
-    members = clique.sum(axis=1)
+    members = np.bincount(ids)[ids]  # each node's clique size, self included
     intra_peers = (members - 1).astype(float)
     inter_peers = (n - members).astype(float)
 
@@ -87,7 +86,13 @@ def clustered_matrix(layout: CliqueLayout, intra_fraction: float) -> TrafficMatr
     inter_rate = np.divide(
         inter_share, inter_peers, out=np.zeros(n), where=inter_share != 0
     )
-    rates = np.where(clique, intra_rate[:, None], inter_rate[:, None])
+    # Every row at its inter rate, then each clique's block at the intra
+    # rate: no N x N temporary beside the matrix itself.
+    rates = np.empty((n, n))
+    rates[...] = inter_rate[:, None]
+    for group in layout.groups():
+        block = np.ix_(group, group)
+        rates[block] = intra_rate[group][:, None]
     np.fill_diagonal(rates, 0.0)
     return TrafficMatrix._adopt(rates)
 

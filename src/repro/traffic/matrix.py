@@ -28,7 +28,7 @@ class TrafficMatrix:
 
     def __init__(self, rates: np.ndarray):
         # The caller keeps its array: validate and freeze a private copy.
-        self._rates = self._frozen(np.array(rates, dtype=float))
+        self._rates = self._frozen(np.array(rates, dtype=float, order="C"))
 
     @classmethod
     def _adopt(cls, rates: np.ndarray) -> "TrafficMatrix":
@@ -40,7 +40,7 @@ class TrafficMatrix:
         scale this spares a 128 MiB copy.
         """
         matrix = cls.__new__(cls)
-        matrix._rates = cls._frozen(np.asarray(rates, dtype=float))
+        matrix._rates = cls._frozen(np.ascontiguousarray(rates, dtype=float))
         return matrix
 
     @staticmethod
@@ -70,7 +70,7 @@ class TrafficMatrix:
 
     @property
     def rates(self) -> np.ndarray:
-        """The underlying (read-only) rate matrix."""
+        """The underlying (read-only, C-ordered) rate matrix."""
         return self._rates
 
     @property

@@ -21,6 +21,11 @@ from .matrix import TrafficMatrix
 
 __all__ = ["FlowSpec", "FlowTable", "Workload"]
 
+#: Pair-CDF elements built at a time.  ``Workload`` keeps one float per
+#: block, and each pass over the CDF reuses one block-sized buffer, so
+#: no N x N array exists beside the demand matrix.
+_CDF_BLOCK = 1 << 16
+
 
 @dataclasses.dataclass(frozen=True)
 class FlowSpec:
@@ -181,17 +186,61 @@ class Workload:
         self.flow_sizes = flow_sizes
         self.load = float(load)
         self.cell_bytes = float(cell_bytes)
-        # The pair CDF ``Generator.choice(p=...)`` builds on every call,
-        # built once, after the same sum check.  ``pair_distribution``
-        # returns a fresh array, so the cumulative sum can overwrite it
-        # (bit-identical to ``np.cumsum``, one N x N array less).
-        cdf = matrix.pair_distribution()
-        np.cumsum(cdf, out=cdf)
-        if abs(cdf[-1] - 1.0) > np.sqrt(np.finfo(np.float64).eps):
+        total = matrix.total
+        if total == 0:
+            raise TrafficError("cannot sample from an all-zero matrix")
+        self._rates = matrix.rates.reshape(-1)  # a view: rates are C-ordered
+        self._total = total
+        self._block = _CDF_BLOCK
+        # The pair CDF is never held whole: one pass keeps only each
+        # block's last cumulative sum, which carries into the next block
+        # here and in every ``generate``.
+        ends = np.empty(-(-self._rates.size // self._block))
+        self._block_ends = ends
+        buf = np.empty(min(self._block, self._rates.size))
+        for block in range(ends.size):
+            ends[block] = self._block_cumsum(block, buf)[-1]
+        if abs(ends[-1] - 1.0) > np.sqrt(np.finfo(np.float64).eps):
             raise TrafficError("pair probabilities do not sum to 1")
-        cdf /= cdf[-1]
-        self._pair_cdf = cdf
         self._mean_cells = max(1.0, flow_sizes.mean_size() / cell_bytes)
+
+    def _block_cumsum(self, block: int, buf: np.ndarray) -> np.ndarray:
+        """Block *block* of ``np.cumsum(rates / total)``, written into
+        *buf*: the same divisions and the same additions in the same
+        order, because the block's first element absorbs the previous
+        block's last sum before the block's own cumulative sum runs.
+        Needs ``_block_ends`` filled up to the previous block."""
+        start = block * self._block
+        rates = self._rates[start:start + self._block]
+        cdf = np.divide(rates, self._total, out=buf[: rates.size])
+        if block:
+            cdf[0] += self._block_ends[block - 1]
+        return np.cumsum(cdf, out=cdf)
+
+    def _search_pairs(self, uniforms: np.ndarray) -> np.ndarray:
+        """``cdf.searchsorted(uniforms, side="right")`` on the normalized
+        pair CDF (``cdf /= cdf[-1]``), for *uniforms* sorted ascending.
+
+        A uniform's answer lies in the first block whose normalized end
+        exceeds it: every earlier element is at most that block's
+        predecessor's end, every later one at least its own end.  Only
+        those blocks are rebuilt and searched; uniforms past the last
+        end get ``n * n``, as the whole-array search gives them.
+        """
+        last = self._block_ends[-1]
+        cuts = uniforms.searchsorted(self._block_ends / last, side="left")
+        out = np.full(uniforms.size, self._rates.size, dtype=np.int64)
+        buf = np.empty(min(self._block, self._rates.size))
+        lo = 0
+        for block, hi in enumerate(cuts.tolist()):
+            if hi > lo:
+                cdf = self._block_cumsum(block, buf)
+                cdf /= last
+                out[lo:hi] = block * self._block + cdf.searchsorted(
+                    uniforms[lo:hi], side="right"
+                )
+            lo = hi
+        return out
 
     @property
     def num_nodes(self) -> int:
@@ -213,8 +262,8 @@ class Workload:
         flow, one size uniform per flow (nothing after the counts when
         there is no flow).  The pairs are ``Generator.choice(n * n,
         p=...)``'s draws exactly — the same uniforms searched in the same
-        CDF — only searched in sorted order, which is faster on a large
-        CDF and gives the same indices.
+        CDF — only searched in sorted order, block by block, which gives
+        the same indices without building the whole CDF.
         """
         duration_slots = check_positive_int(duration_slots, "duration_slots")
         gen = ensure_rng(rng)
@@ -227,9 +276,7 @@ class Workload:
         uniforms = gen.random(total)
         order = np.argsort(uniforms)
         pair_indices = np.empty(total, dtype=np.int64)
-        pair_indices[order] = self._pair_cdf.searchsorted(
-            uniforms[order], side="right"
-        )
+        pair_indices[order] = self._search_pairs(uniforms[order])
         sizes = self.flow_sizes.sample(gen, count=total)
         size_cells = np.maximum(1, np.round(sizes / self.cell_bytes)).astype(np.int64)
         src, dst = np.divmod(pair_indices, n)

@@ -434,14 +434,14 @@ class TestMemoryRegression:
     """Peak traced allocation of the memory-lean slot path at N=1024."""
 
     def test_n1024_peak_allocation_under_budget(self):
-        """A short vectorized N=1024 run must stay under the 64 MiB
+        """A short vectorized N=1024 run must stay under the 14 MiB
         budget of ``benchmarks/bench_scale.py`` — catches dtype
         widenings (int64 ``qlen`` or schedule bank) and a return to
         whole-run injection presampling, each of which alone pushes the
         footprint past the budget."""
         import tracemalloc
 
-        budget_bytes = 64 * 2**20
+        budget_bytes = 14 * 2**20
         schedule = build_sorn_schedule(1024, 32, q=optimal_q(0.56))
         router = SornRouter(schedule.layout)
         schedule.compiled()  # compiled outside the trace

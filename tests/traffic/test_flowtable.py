@@ -8,6 +8,10 @@ that are not the array code.
   draw consumes and returns exactly what ``choice`` would.  If numpy
   ever changes ``choice``'s algorithm this fails; the fix is then to go
   back to ``choice``, not to regenerate goldens.
+  The oracle also runs with the pair CDF's block size patched to 1, 7
+  and 64, so carries, searches across blocks and CDF plateaus that
+  cross a block boundary are all exercised; the block search is also
+  checked directly against one search of the whole CDF.
 - ``FlowSizeDistribution.sample`` and ``mean_size`` are compared with
   the scalar ``quantile`` byte for byte.
 - ``drifting_locality_flows`` is compared with a ``dataclasses.replace``
@@ -26,6 +30,8 @@ from repro.errors import TrafficError
 from repro.exp import drifting_locality_flows
 from repro.sim.checkpoint import flows_digest
 from repro.topology import CliqueLayout
+from repro.traffic import flowsize as flowsize_module
+from repro.traffic import workload as workload_module
 from repro.traffic import (
     DATA_MINING,
     WEB_SEARCH,
@@ -82,10 +88,24 @@ def _cases():
 
 CASES = _cases()
 
+#: Pair-CDF block sizes the oracle runs with besides the module's own
+#: (``None``): one element, a size that divides no matrix here, and one
+#: that splits the 32-node cases into a few blocks.
+BLOCKS = (None, 1, 7, 64)
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_generate_equals_per_flow_loop(case, seed):
+
+def _generate_params():
+    for block in BLOCKS:
+        for case in sorted(CASES):
+            for seed in SEEDS:
+                suffix = "" if block is None else f"-block{block}"
+                yield pytest.param(case, seed, block, id=f"{case}-{seed}{suffix}")
+
+
+@pytest.mark.parametrize("case,seed,block", _generate_params())
+def test_generate_equals_per_flow_loop(case, seed, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(workload_module, "_CDF_BLOCK", block)
     matrix, sizes, load, slots = CASES[case]
     workload = Workload(matrix, sizes, load=load, cell_bytes=1500.0)
     gen_new = np.random.default_rng(seed)
@@ -97,6 +117,68 @@ def test_generate_equals_per_flow_loop(case, seed):
     assert gen_new.bit_generator.state == gen_old.bit_generator.state
     if case == "zero-arrivals":
         assert len(table) == 0
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, None])
+@pytest.mark.parametrize("case", ["clustered-fixed", "hotspot-datamining", "uniform-fixed"])
+def test_block_search_equals_whole_cdf_search(case, block, monkeypatch):
+    """The blocks rebuild ``np.cumsum`` bit for bit, and the block search
+    returns ``searchsorted(side="right")`` on the whole normalized CDF,
+    also for uniforms equal to a block's end, to any CDF value (the zero
+    diagonal and the hotspot rows make plateaus), or at 0 and 1."""
+    if block is not None:
+        monkeypatch.setattr(workload_module, "_CDF_BLOCK", block)
+    matrix = CASES[case][0]
+    workload = Workload(matrix, FlowSizeDistribution.fixed(1500))
+    buf = np.empty(min(workload._block, matrix.rates.size))
+    rebuilt = np.concatenate(
+        [
+            workload._block_cumsum(b, buf).copy()
+            for b in range(workload._block_ends.size)
+        ]
+    )
+    cdf = matrix.pair_distribution().cumsum()
+    assert rebuilt.tobytes() == cdf.tobytes()
+    cdf /= cdf[-1]  # the normalized CDF exactly as ``Generator.choice`` builds it
+    step = workload._block
+    ends = np.append(cdf[step - 1 :: step], cdf[-1])
+    u = np.sort(
+        np.concatenate(
+            [
+                [0.0, 1.0],
+                ends,
+                np.nextafter(ends, 0.0),
+                np.nextafter(ends, 1.0),
+                cdf,
+                np.random.default_rng(5).random(2000),
+            ]
+        )
+    )
+    expected = cdf.searchsorted(u, side="right")
+    assert np.array_equal(workload._search_pairs(u), expected)
+
+
+class TestPairCdfMemory:
+    def test_workload_holds_no_second_matrix(self):
+        """Building an N=2048 workload and drawing 200 slots peaks at most
+        1.3x the 32 MiB demand matrix: a whole pair CDF (or any other
+        N x N array) beside the matrix would double it."""
+        import tracemalloc
+
+        layout = CliqueLayout.equal(2048, 32)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            matrix = clustered_matrix(layout, 0.56)
+            workload = Workload(
+                matrix, FlowSizeDistribution.fixed(4500), load=0.3, cell_bytes=1500.0
+            )
+            flows = workload.generate(200, rng=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(flows) > 0
+        assert peak <= 1.3 * matrix.rates.nbytes, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_cases_draw_flows():
@@ -127,10 +209,22 @@ DISTRIBUTIONS = {
 class TestSizeSampler:
     @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
     def test_quantiles_equal_scalar_quantile(self, name):
+        """Also across slices: an input of several slices, and one whose
+        0, 1 and knot values sit on both sides of a slice boundary."""
         dist = DISTRIBUTIONS[name]
-        u = _knotted_u(dist, 20_000, seed=3)
-        expected = np.array([dist.quantile(x) for x in u])
-        assert dist.quantiles(u).tobytes() == expected.tobytes()
+        width = flowsize_module._QUANTILE_SLICE
+        rng = np.random.default_rng(4)
+        special = _knotted_u(dist, 0, seed=0)
+        straddle = np.concatenate(
+            [rng.random(width - special.size // 2), special, rng.random(9)]
+        )
+        for u in (
+            _knotted_u(dist, 20_000, seed=3),
+            _knotted_u(dist, 2 * width + 123, seed=5),
+            straddle,
+        ):
+            expected = np.array([dist.quantile(x) for x in u])
+            assert dist.quantiles(u).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
     def test_sample_equals_scalar_quantile(self, name):

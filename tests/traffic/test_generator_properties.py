@@ -142,6 +142,17 @@ def _clustered_rates_per_node(layout, x):
     return rates
 
 
+@st.composite
+def unequal_layouts(draw):
+    """Cliques of unequal sizes (singletons included) whose members are
+    scattered over the node ids."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
+    ids = [c for c, size in enumerate(sizes) for _ in range(size)]
+    if len(ids) < 2:
+        ids = [0, 0]
+    return CliqueLayout.from_assignment(draw(st.permutations(ids)))
+
+
 class TestClusteredMatchesPerNodeLoop:
     """``clustered_matrix`` builds the matrix with array operations; its
     bytes equal the per-node loop's on every layout, degenerate ones
@@ -161,6 +172,12 @@ class TestClusteredMatchesPerNodeLoop:
         x=st.floats(0.0, 1.0),
     )
     def test_degenerate_layouts(self, layout, x):
+        rates = clustered_matrix(layout, x).rates
+        assert rates.tobytes() == _clustered_rates_per_node(layout, x).tobytes()
+
+    @FAST
+    @given(layout=unequal_layouts(), x=st.floats(0.0, 1.0))
+    def test_unequal_scattered_layouts(self, layout, x):
         rates = clustered_matrix(layout, x).rates
         assert rates.tobytes() == _clustered_rates_per_node(layout, x).tobytes()
 
