@@ -8,32 +8,20 @@ sustaining higher saturation throughput than the 2D ORN.
 
 Every simulation here runs under the engine selected by ``--engine``
 (reference object loop or vectorized fast path — results are identical
-by the differential contract in ``tests/sim/test_vectorized.py``), and
-``test_vectorized_speedup`` times the two engines head-to-head at the
-paper's Fig 2f scale (128 nodes, 8 cliques), gating a >= 5x speedup and
-writing the measurement to ``BENCH_flow_sim.json`` for CI regression
-tracking (``--smoke`` shrinks the scale and relaxes the gate).
+by the differential contract in ``tests/sim/test_vectorized.py``).  The
+engines' head-to-head timing lives in ``bench_kernel.py``.
 """
-
-import json
-import time
-from pathlib import Path
 
 import pytest
 
-from conftest import bench_environment
-
-from repro.analysis import optimal_q
 from repro.exp import factory
 from repro.sim import SimConfig, SlotSimulator
-from repro.traffic import FlowSizeDistribution, WEB_SEARCH, Workload
+from repro.traffic import FlowSizeDistribution, Workload
 
 N = 64
 NC = 8
 X = 0.7
 SLOTS = 1500
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_flow_sim.json"
 
 
 def run_fct(load=0.3, engine="reference"):
@@ -112,80 +100,3 @@ def test_saturation_comparison(benchmark, report, engine):
     assert results["SORN"] > results["Opera"]
     assert results["SORN"] > 0.38
     assert results["Opera"] < 0.40  # the ~3x expander hop tax bites
-
-
-def test_vectorized_speedup(report, smoke):
-    """Head-to-head engine timing at the Fig 2f configuration.
-
-    Full scale (paper's 128 nodes / 8 cliques) gates the vectorized
-    engine at >= 5x over the reference loop; ``--smoke`` runs a shrunken
-    fabric with a softer gate so CI can watch the trend cheaply.  Either
-    way the two engines must produce the identical report, and the
-    measurement lands in ``BENCH_flow_sim.json``.
-
-    Each engine is timed as the best of two repeats so a transient load
-    spike on the host cannot tank one side of the ratio and flip the
-    gate; report equality is still asserted across every run.
-    """
-    if smoke:
-        num_nodes, num_cliques, slots, threshold = 32, 4, 400, 1.5
-    else:
-        num_nodes, num_cliques, slots, threshold = 128, 8, 1200, 5.0
-    x = 0.56
-    schedule = factory.sorn_schedule(num_nodes, num_cliques, optimal_q(x))
-    matrix = factory.clustered(num_nodes, num_cliques, x)
-    workload = Workload(matrix, WEB_SEARCH, load=1.4, cell_bytes=150_000)
-    flows = workload.generate(slots, rng=9)
-
-    timings = {}
-    reports = {}
-    for engine in ("reference", "vectorized"):
-        best = None
-        for _ in range(2):
-            sim = SlotSimulator(
-                schedule,
-                factory.sorn_router(num_nodes, num_cliques),
-                SimConfig(engine=engine),
-                rng=5,
-            )
-            start = time.perf_counter()
-            rep = sim.run(flows, slots, measure_from=slots // 4)
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
-            assert reports.setdefault(engine, rep) == rep, "non-deterministic run"
-        timings[engine] = best
-
-    speedup = timings["reference"] / timings["vectorized"]
-    payload = {
-        "benchmark": "flow_sim_vectorized_speedup",
-        "environment": bench_environment(),
-        "config": {
-            "num_nodes": num_nodes,
-            "num_cliques": num_cliques,
-            "slots": slots,
-            "locality": x,
-            "smoke": smoke,
-        },
-        "reference_seconds": round(timings["reference"], 4),
-        "vectorized_seconds": round(timings["vectorized"], 4),
-        "speedup": round(speedup, 2),
-        "threshold": threshold,
-        "delivered_cells": reports["reference"].delivered_cells,
-        "reports_equal": reports["reference"] == reports["vectorized"],
-    }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-
-    report(
-        f"A7: engine speedup, N={num_nodes}, Nc={num_cliques}, {slots} slots"
-        + (" (smoke)" if smoke else ""),
-        [
-            f"reference  {timings['reference']:>8.2f} s",
-            f"vectorized {timings['vectorized']:>8.2f} s",
-            f"speedup    {speedup:>8.2f} x (gate >= {threshold}x)",
-            f"written to {BENCH_JSON.name}",
-        ],
-    )
-
-    assert payload["reports_equal"], "engines diverged at benchmark scale"
-    assert reports["reference"].delivered_cells > 0
-    assert speedup >= threshold

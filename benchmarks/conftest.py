@@ -13,8 +13,9 @@ Two suite-wide axes:
   that requests the ``engine`` fixture, so any simulation benchmark can
   be timed under either simulator engine (default: both).
 - ``--smoke`` shrinks problem sizes and relaxes performance assertions
-  for CI smoke runs; the full-scale thresholds (e.g. the >= 5x speedup
-  gate in ``bench_flow_sim.py``) apply only without it.
+  for CI smoke runs; the full-scale thresholds (e.g. the >= 20x speedup
+  floor and the baseline gate in ``bench_kernel.py``) apply only
+  without it.
 
 All collected benchmark items carry the ``bench`` marker (registered in
 ``pyproject.toml``) so they can be selected or excluded with ``-m``.

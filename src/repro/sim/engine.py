@@ -2,10 +2,10 @@
 
 Each slot, every plane of the circuit schedule activates one matching;
 each active circuit (u, v) drains up to ``cells_per_circuit`` cells from
-u's VOQ toward v.  Cells carry source routes sampled from the router's
-oblivious path distribution (per cell by default — ideal VLB — or per
-flow, matching the paper's footnote that flow-level balancing suffices for
-long flows).  Delivered cells feed flow-completion accounting.
+u's VOQ toward v.  Every flow injects whole at its arrival slot, and each
+of its cells carries its own source route sampled from the router's
+oblivious path distribution (per-cell VLB).  Delivered cells feed
+flow-completion accounting.
 
 The engine is deliberately simple and exact: no events, no approximations,
 one pass per slot.  It is the substrate for the Fig 2f "simulation of 128
@@ -335,14 +335,9 @@ class SimConfig:
     ----------
     cells_per_circuit:
         Cells one circuit transmits per slot per plane (slot capacity).
-    per_flow_paths:
-        Sample one path per flow instead of per cell.
-    injection_window:
-        Max cells of one flow in flight at once; further cells enter as
-        earlier ones deliver (None = inject everything on arrival).
     drain:
         After the arrival horizon, keep running (up to ``max_drain_slots``)
-        until all injected cells deliver.
+        until the network is empty.
     max_drain_slots:
         Safety bound on the drain phase.
     short_flow_threshold_cells:
@@ -379,19 +374,9 @@ class SimConfig:
         :class:`repro.errors.InvariantViolation` on the first breach.
         Read-only — cannot change results, only abort bad ones.  Meant
         for tests and fuzzing; off by default for speed.
-    presample_chunk_cells:
-        Vectorized-engine block mode (``injection_window=None``)
-        presamples injected cells in bounded chunks of at most this many
-        cells instead of one whole-run block, keeping peak memory flat
-        in run length (the chunks refill strictly in arrival order, so
-        RNG draws and results are bit-identical for any chunk size).
-        The default keeps refill overhead negligible; tests force tiny
-        chunks to exercise boundary crossings.
     """
 
     cells_per_circuit: int = 1
-    per_flow_paths: bool = False
-    injection_window: Optional[int] = None
     drain: bool = False
     max_drain_slots: int = 100_000
     short_flow_threshold_cells: Optional[int] = None
@@ -399,7 +384,6 @@ class SimConfig:
     engine: str = "reference"
     check_invariants: bool = False
     telemetry: Optional["TelemetryHub"] = None
-    presample_chunk_cells: int = 65536
 
     def __post_init__(self) -> None:
         if self.engine not in ("reference", "vectorized"):
@@ -412,8 +396,6 @@ class SimConfig:
                 f"got {type(self.telemetry).__name__}"
             )
         check_positive_int(self.cells_per_circuit, "cells_per_circuit")
-        if self.injection_window is not None:
-            check_positive_int(self.injection_window, "injection_window")
         check_positive_int(self.max_drain_slots, "max_drain_slots")
         if self.short_flow_threshold_cells is not None:
             check_positive_int(
@@ -423,7 +405,6 @@ class SimConfig:
             check_positive_int(
                 self.classify_fct_threshold_cells, "classify_fct_threshold_cells"
             )
-        check_positive_int(self.presample_chunk_cells, "presample_chunk_cells")
 
     @property
     def report_threshold_cells(self) -> int:
@@ -515,39 +496,15 @@ class SlotSimulator:
 
     # -- injection ------------------------------------------------------------
 
-    def _inject_cells(
-        self,
-        flow: FlowState,
-        network: SimNetwork,
-        slot: int,
-        budget: int,
-        flow_paths: Dict[int, tuple],
-    ) -> int:
-        """Inject up to *budget* cells of *flow* at its source; returns
-        the number actually injected."""
-        remaining = flow.spec.size_cells - flow.injected_cells
-        count = min(budget, remaining)
-        if count <= 0:
-            return 0
-        if self.config.per_flow_paths:
-            # One flow, one path: resolve the cache once per call, not
-            # once per cell — windowed refills of a long-running flow hit
-            # this on every delivery.
-            path = flow_paths.get(flow.spec.flow_id)
-            if path is None:
-                path = self.router.path(flow.spec.src, flow.spec.dst, self.rng).nodes
-                flow_paths[flow.spec.flow_id] = path
-            for _ in range(count):
-                cell = Cell(flow=flow, path=path, hop=0, injected_slot=slot)
-                network.enqueue(cell)
-                flow.injected_cells += 1
-        else:
-            for _ in range(count):
-                path = self.router.path(flow.spec.src, flow.spec.dst, self.rng).nodes
-                cell = Cell(flow=flow, path=path, hop=0, injected_slot=slot)
-                network.enqueue(cell)
-                flow.injected_cells += 1
-        return count
+    def _inject_cells(self, flow: FlowState, network: SimNetwork, slot: int) -> int:
+        """Inject every cell of *flow* at its source, each on its own
+        sampled path; returns the number injected."""
+        spec = flow.spec
+        for _ in range(spec.size_cells):
+            path = self.router.path(spec.src, spec.dst, self.rng).nodes
+            network.enqueue(Cell(flow=flow, path=path, hop=0, injected_slot=slot))
+        flow.injected_cells = spec.size_cells
+        return spec.size_cells
 
     # -- main loop --------------------------------------------------------------
 
@@ -725,7 +682,6 @@ class ReferenceSession(SimSession):
         self._arrivals: Dict[int, List[FlowState]] = {}
         for state in self._states.values():
             self._arrivals.setdefault(state.spec.arrival_slot, []).append(state)
-        self._flow_paths: Dict[int, tuple] = {}
         self._occupancy_sum = 0
         self._max_voq = 0
         self._window_delivered = 0
@@ -739,10 +695,10 @@ class ReferenceSession(SimSession):
         return self._sim.rng
 
     def _state_payload(self) -> dict:
-        # Flow ledgers in spec order, route cache, and every queued cell
-        # in the deterministic (node, neighbor, lane, FIFO) order —
-        # restoring in the same order reproduces the deque contents
-        # exactly, so the resumed drain pops the identical cells.
+        # Flow ledgers in spec order and every queued cell in the
+        # deterministic (node, neighbor, lane, FIFO) order — restoring in
+        # the same order reproduces the deque contents exactly, so the
+        # resumed drain pops the identical cells.
         flow_rows = [
             [
                 state.spec.flow_id,
@@ -768,9 +724,6 @@ class ReferenceSession(SimSession):
         ]
         return {
             "flows": flow_rows,
-            "flow_paths": [
-                [fid, list(path)] for fid, path in self._flow_paths.items()
-            ],
             "voq_cells": voq_cells,
         }
 
@@ -792,9 +745,6 @@ class ReferenceSession(SimSession):
                     None if completion is None else int(completion)
                 )
                 flow.total_hop_count = int(hoptot)
-            self._flow_paths = {
-                fid: tuple(path) for fid, path in state["flow_paths"]
-            }
             for node, neighbor, lane, fid, path, hop, injected_slot in state[
                 "voq_cells"
             ]:
@@ -832,9 +782,7 @@ class ReferenceSession(SimSession):
         config = self.config
         schedule = self.schedule
         network = self.network
-        states = self._states
         arrivals = self._arrivals
-        flow_paths = self._flow_paths
         timeline = self._timeline
         checker = self._checker
         rec_tx = self._rec_tx
@@ -846,7 +794,6 @@ class ReferenceSession(SimSession):
         inject_cells = self._sim._inject_cells
         duration_slots = self.duration_slots
         measure_from = self.measure_from
-        window = config.injection_window
         occupancy_sum = self._occupancy_sum
         max_voq = self._max_voq
         window_delivered = self._window_delivered
@@ -860,15 +807,11 @@ class ReferenceSession(SimSession):
                     lap = perf_counter()
                 if slot < duration_slots:
                     for flow in arrivals.get(slot, ()):  # new arrivals
-                        budget = flow.spec.size_cells if window is None else window
-                        injected_running += inject_cells(
-                            flow, network, slot, budget, flow_paths
-                        )
+                        injected_running += inject_cells(flow, network, slot)
                 if prof is not None:
                     lap = prof.lap("inject", lap)
 
                 # One matching per plane; each circuit drains its VOQ.
-                delivered_this_slot: List[FlowState] = []
                 for plane in range(schedule.num_planes):
                     matching = schedule.plane_matching(slot, plane)
                     if timeline is not None and timeline.affects(slot):
@@ -886,7 +829,6 @@ class ReferenceSession(SimSession):
                             if cell.at_last_hop:
                                 hops = len(cell.path) - 1
                                 cell.flow.record_delivery(slot, hops)
-                                delivered_this_slot.append(cell.flow)
                                 delivered_running += 1
                                 if slot >= measure_from:
                                     window_delivered += 1
@@ -901,14 +843,6 @@ class ReferenceSession(SimSession):
                                 network.enqueue(cell)
                 if prof is not None:
                     lap = prof.lap("forward", lap)
-
-                # Windowed flows refill as their cells deliver.
-                if window is not None:
-                    for flow in delivered_this_slot:
-                        if not flow.fully_injected:
-                            injected_running += inject_cells(
-                                flow, network, slot, 1, flow_paths
-                            )
 
                 if checker is not None:
                     checker.end_slot(
@@ -925,11 +859,7 @@ class ReferenceSession(SimSession):
 
                 slot += 1
                 if slot >= duration_slots:
-                    pending = network.total_occupancy > 0 or any(
-                        not f.fully_injected and f.injected_cells > 0
-                        for f in states.values()
-                    )
-                    if not (config.drain and pending):
+                    if not (config.drain and network.total_occupancy > 0):
                         self.horizon = slot
                         self._done = True
                         break

@@ -627,4 +627,4 @@ def sample_flow_arrays(
         dsts[~intra] = groups[(assignment[s] + coff) % nc, pos]
     raw = flow_sizes.sample(gen, count=num_flows)
     sizes = np.maximum(1, np.round(raw / cell_bytes)).astype(np.int64)
-    return FlowTable(srcs, dsts, sizes, np.zeros(num_flows, dtype=np.int64))
+    return FlowTable._adopt(srcs, dsts, sizes, np.zeros(num_flows, dtype=np.int64))

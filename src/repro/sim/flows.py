@@ -61,10 +61,6 @@ class FlowState:
     def is_complete(self) -> bool:
         return self.delivered_cells >= self.spec.size_cells
 
-    @property
-    def fully_injected(self) -> bool:
-        return self.injected_cells >= self.spec.size_cells
-
     def record_delivery(self, slot: int, hops: int) -> None:
         """Account one delivered cell; close the flow when all arrive."""
         if self.is_complete:

@@ -14,10 +14,9 @@ object machinery stripped out:
 - path sampling is batched through
   :meth:`repro.routing.base.Router.paths_batch`, whose contract guarantees
   the RNG stream is consumed exactly as per-cell ``path()`` calls would.
-  When the full draw order is known up front (per-flow mode, or per-cell
-  mode without an injection window) the *entire run* is sampled in one
-  call before the clock starts; only per-cell windowed runs — whose
-  refill draws depend on delivery timing — sample per slot;
+  Every flow injects whole at its arrival slot, so the run's draw order
+  is known before the clock starts, and its paths are presampled in
+  arrival order, :data:`PRESAMPLE_CHUNK_CELLS` cells at a time;
 - per-slot matchings come from the schedule's compiled bank of
   distinct matchings and its ``(slot, plane)`` index
   (:meth:`repro.schedules.schedule.CircuitSchedule.compiled`); each bank
@@ -65,7 +64,7 @@ delivered counts, same FCT multiset, same queue traces, bit-identical
 telemetry snapshots — because it preserves (a) the RNG draw order, (b)
 per-VOQ FIFO order within each strict-priority lane, and (c) the
 intra-slot ordering (arrivals, planes in order, circuits in source order
-with immediate forwarding, windowed refills in delivery order).
+with immediate forwarding).
 ``tests/sim/test_vectorized.py`` and the differential fuzz harness
 enforce this.
 
@@ -111,6 +110,12 @@ SPAN_CAP = 64
 #: :func:`repro.sim.kernels.append_cells`.  Both sides are exact, so the
 #: cutoff moves only speed; DESIGN.md records the crossover it comes from.
 SEQ_CUTOFF = 192
+
+#: Most cells one presample chunk holds (see
+#: ``VectorizedSession._refill_block_chunk``).  Chunks refill strictly in
+#: arrival order, so any size gives bit-identical draws and results; this
+#: one keeps refill overhead negligible and the chunk scratch small.
+PRESAMPLE_CHUNK_CELLS = 1 << 16
 
 
 def _flat_view(arr: np.ndarray) -> memoryview:
@@ -207,12 +212,10 @@ class VectorizedSession(SimSession):
         measure_from: int,
     ):
         config = engine.config
-        router = engine.router
-        rng = engine.rng
         timeline = engine.timeline
         self.config = config
-        self.router = router
-        self.rng = rng
+        self.router = engine.router
+        self.rng = engine.rng
         self.schedule = engine.schedule
         self.duration_slots = duration_slots
         self.measure_from = measure_from
@@ -257,8 +260,8 @@ class VectorizedSession(SimSession):
         self.num_nodes = num_nodes
         # The table's read-only columns, used in place.
         self._flows = flows
-        src_arr = self._src_arr = flows.src
-        dst_arr = self._dst_arr = flows.dst
+        self._src_arr = flows.src
+        self._dst_arr = flows.dst
         sz_np = self._fsizes = flows.size_cells
         arr_np = self._arr_np = flows.arrival_slot
 
@@ -280,10 +283,6 @@ class VectorizedSession(SimSession):
         self._fresh_lane = fresh_lane
         self._fwd_lane = fwd_lane
 
-        per_flow = config.per_flow_paths
-        self._per_flow = per_flow
-        window = config.injection_window
-        self._window = window
         self._budget = config.cells_per_circuit
         self._track_inj = checker is not None or self._rec_del is not None
         # Event consumers force the sequential replay of cascade planes
@@ -299,7 +298,6 @@ class VectorizedSession(SimSession):
         self._window_delivered = 0
         self._delivered = 0
         self._injected = 0
-        self._partial_flows = 0  # flows mid-injection (windowed drain criterion)
         # VOQs that received cells this slot, for the max-VOQ statistic:
         # key arrays from the array kernels, int keys from the scalar
         # ones (both u * K + r; re-keyed in place if the rows widen).
@@ -332,75 +330,33 @@ class VectorizedSession(SimSession):
         self._install_schedule(engine.schedule)
 
         # --- Path presampling -------------------------------------------
-        # The reference engine touches the RNG only when sampling paths:
-        # in per-flow mode at each flow's first injection (arrival order),
-        # and in per-cell mode at every injection.  Without an injection
-        # window there are no refills, so the full draw sequence is known
-        # before the clock starts and one paths_batch call replaces
-        # hundreds of per-slot calls; the injection schedule itself then
-        # collapses to consuming precomputed block slices.  Only per-cell
-        # *windowed* runs interleave refill draws with arrivals and must
-        # sample per slot.  Presampling consumes the RNG *before* slot 0
-        # and the router is immutable for the whole session, so the
-        # presampled blocks stay valid across mid-run schedule swaps.
+        # Every in-run flow injects its full size at its arrival slot, and
+        # the reference engine touches the RNG only to sample each injected
+        # cell's path, so the whole injection stream (cells, routes,
+        # first-hop VOQs, lanes) is determined before the clock starts.
+        # It is presampled in bounded chunks of at most
+        # PRESAMPLE_CHUNK_CELLS cells rather than materialized whole,
+        # keeping the transient footprint (path scratch, flow-repeat
+        # order, first-hop/lane blocks) flat in run length.  Chunks refill
+        # strictly in arrival order, so per-cell path draws hit the RNG in
+        # exactly the whole-run order (paths_batch draws are
+        # stream-identical however the batch is split).  Cell ids are
+        # allocated in order too, so a chunk's ids are the global cell
+        # indices [lo, hi).  The router is immutable for the whole
+        # session, so presampled routes stay valid across mid-run
+        # schedule swaps.
         fl = np.flatnonzero(arr_np < duration_slots)
         ordflows = fl[np.argsort(arr_np[fl], kind="stable")]
-        self._fprow = None
-        if per_flow:
-            if ordflows.size:
-                paths, lengths = router.paths_batch(
-                    src_arr[ordflows], dst_arr[ordflows], rng
-                )
-                self._append_routes(
-                    np.ascontiguousarray(paths, dtype=np.int32),
-                    lengths.astype(np.int32),
-                )
-            fprow = np.full(num_flows, -1, dtype=np.int32)
-            fprow[ordflows] = np.arange(ordflows.size, dtype=np.int32)
-            self._fprow = fprow
-
-        inj = None
-        self._slot_end = None
-        self._sizes_l: Optional[List[int]] = None
-        arrivals: Dict[int, List[int]] = {}
-        if window is None:
-            # Block mode: every in-run flow injects its full size at its
-            # arrival slot, so the whole injection stream (cells, routes,
-            # first-hop VOQs, lanes) is determined before the clock
-            # starts — but it is *presampled in bounded chunks* of at
-            # most ``config.presample_chunk_cells`` cells rather than
-            # materialized whole, keeping the transient footprint (path
-            # scratch, flow-repeat order, first-hop/lane blocks) flat in
-            # run length.  Chunks refill strictly in arrival order, so
-            # per-cell path draws hit the RNG in exactly the whole-run
-            # order (paths_batch draws are stream-identical however the
-            # batch is split) and results are bit-identical for any
-            # chunk size.  Cell ids are allocated in order too, so a
-            # chunk's ids are the global cell indices [lo, hi).
-            counts = np.zeros(duration_slots, dtype=np.int64)
-            np.add.at(counts, arr_np[fl], sz_np[fl])
-            self._slot_end = np.cumsum(counts).tolist()
-            self._ordflows = ordflows
-            self._ord_cum = np.cumsum(sz_np[ordflows])
-            self._blk_total = int(self._ord_cum[-1]) if ordflows.size else 0
-            self._blk_base = 0
-            self._blk_hi = 0
-            self._blk_cid = self._blk_lane = None
-            inj = np.where(arr_np < duration_slots, sz_np, 0)
-        else:
-            # Windowed: per-slot arrival/refill batches; cell tables grow
-            # on demand (amortized doubling).
-            inj = [0] * num_flows
-            # In-run flows grouped by arrival slot, in flow order; the
-            # slot loop indexes sizes per arriving flow, so it reads a
-            # Python list rather than numpy scalars.
-            if ordflows.size:
-                slots, starts = np.unique(arr_np[ordflows], return_index=True)
-                groups = np.split(ordflows, starts[1:])
-                arrivals = {s: g.tolist() for s, g in zip(slots.tolist(), groups)}
-            self._sizes_l = sz_np.tolist()
-        self._inj = inj
-        self._arrivals = arrivals
+        counts = np.zeros(duration_slots, dtype=np.int64)
+        np.add.at(counts, arr_np[fl], sz_np[fl])
+        # Global cell index one past each slot's arrival batch.
+        self._slot_end = np.cumsum(counts).tolist()
+        self._ordflows = ordflows
+        self._ord_cum = np.cumsum(sz_np[ordflows])
+        self._blk_total = int(self._ord_cum[-1]) if ordflows.size else 0
+        self._blk_base = 0
+        self._blk_hi = 0
+        self._blk_cid = self._blk_lane = None
         self._cursor = 0
         self._bind_views()
 
@@ -495,9 +451,7 @@ class VectorizedSession(SimSession):
         # Cell/route tables are trimmed to their live prefix (cell tables
         # keep the dummy row 0) — linked lists only ever reference
         # allocated ids, and capacity regrows on demand after restore.
-        # Routes are saved even in per-flow mode (where a same-seed
-        # start() would regenerate them) so resume does not depend on
-        # the construction-time seed; their hop ranks are recomputed.
+        # Route hop ranks are recomputed on restore.
         from .checkpoint import encode_array
 
         if self._slot_pairs or self._slot_keys:
@@ -507,7 +461,7 @@ class VectorizedSession(SimSession):
             )
         ncells = self._ncells
         live = slice(0, ncells + 1)
-        state = {
+        return {
             "fdcount": encode_array(self._fdcount),
             "fhoptot": encode_array(self._fhoptot),
             "fcompletion": encode_array(self._fcompletion),
@@ -530,14 +484,9 @@ class VectorizedSession(SimSession):
             "ncells": ncells,
             "occupancy": self.network.total_occupancy,
             "cursor": self._cursor,
-            "partial_flows": self._partial_flows,
+            "blk_base": self._blk_base,
+            "blk_hi": self._blk_hi,
         }
-        if self._window is None:
-            state["blk_base"] = self._blk_base
-            state["blk_hi"] = self._blk_hi
-        else:
-            state["inj"] = list(self._inj)
-        return state
 
     def _restore_state(self, state: dict) -> None:
         from .checkpoint import decode_array
@@ -576,27 +525,23 @@ class VectorizedSession(SimSession):
                 self._cinj = cells("cinj")
             self._ncells = int(state["ncells"])
             self._cursor = int(state["cursor"])
-            self._partial_flows = int(state["partial_flows"])
+            self._blk_base = int(state["blk_base"])
+            self._blk_hi = int(state["blk_hi"])
             # The restored rank table replaced the fresh session's, so
             # the schedule's rank rows and the route ranks are re-derived
             # from it (a saved run assigned every rank they use).
             self._install_schedule(self.schedule)
             self._routes = routes
             self._rranks = self._route_ranks(routes)
-            if self._window is None:
-                self._blk_base = int(state["blk_base"])
-                self._blk_hi = int(state["blk_hi"])
-                if self._blk_hi > self._blk_base:
-                    # The current presample chunk's scratch is a pure
-                    # function of the restored cell tables (global cell
-                    # [lo, hi) has the 1-based id lo+1..hi).
-                    span = slice(self._blk_base + 1, self._blk_hi + 1)
-                    self._blk_cid = np.arange(
-                        self._blk_base + 1, self._blk_hi + 1, dtype=np.int32
-                    )
-                    self._set_block_heads(self._ridx[span], self._rfid[span])
-            else:
-                self._inj = [int(v) for v in state["inj"]]
+            if self._blk_hi > self._blk_base:
+                # The current presample chunk's scratch is a pure function
+                # of the restored cell tables (global cell [lo, hi) has
+                # the 1-based id lo+1..hi).
+                span = slice(self._blk_base + 1, self._blk_hi + 1)
+                self._blk_cid = np.arange(
+                    self._blk_base + 1, self._blk_hi + 1, dtype=np.int32
+                )
+                self._set_block_heads(self._ridx[span], self._rfid[span])
             self._bind_views()
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
@@ -604,18 +549,17 @@ class VectorizedSession(SimSession):
                 f"invalid: {exc}"
             ) from exc
 
+    def _injected_before(self, slot: int) -> np.ndarray:
+        """Cells each flow has injected before *slot*: all of them if it
+        arrived earlier and inside the run, none otherwise."""
+        bound = min(slot, self.duration_slots)
+        return np.where(self._arr_np < bound, self._fsizes, 0)
+
     def demand_snapshot(self):
-        injected: np.ndarray
-        if self._window is None:
-            # Block mode presets the inj ledger, so reconstruct
-            # injected-so-far from arrival slots instead (every cell of a
-            # flow injects at its arrival slot here).
-            bound = min(self.slot, self.duration_slots)
-            injected = np.where(self._arr_np < bound, self._fsizes, 0)
-        else:
-            injected = np.asarray(self._inj, dtype=np.int64)
         demand = np.zeros((self.num_nodes, self.num_nodes), dtype=np.int64)
-        np.add.at(demand, (self._src_arr, self._dst_arr), injected)
+        np.add.at(
+            demand, (self._src_arr, self._dst_arr), self._injected_before(self.slot)
+        )
         return demand
 
     # -- cell table management ------------------------------------------------
@@ -673,7 +617,7 @@ class VectorizedSession(SimSession):
 
     def _append_routes(self, paths: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """Store freshly sampled route rows and their hop ranks; returns
-        their row indices.  Every injection mode's routes land here."""
+        their row indices."""
         ranks = self._route_ranks(paths)
         count, width = paths.shape
         base = self._nroutes
@@ -695,16 +639,12 @@ class VectorizedSession(SimSession):
         self._nroutes = base + count
         return np.arange(base, base + count, dtype=np.int32)
 
-    def _first_hop_keys(self, rows: np.ndarray) -> np.ndarray:
-        """The VOQ key of each route row's first hop."""
-        return (
+    def _set_block_heads(self, rows: np.ndarray, fids: np.ndarray) -> None:
+        """First-hop VOQ keys and lanes of the current presample chunk."""
+        self._blk_key = (
             self._routes[rows, 0].astype(np.int64) * self.network.ranks_per_node
             + self._rranks[rows, 0]
         )
-
-    def _set_block_heads(self, rows: np.ndarray, fids: np.ndarray) -> None:
-        """First-hop VOQ keys and lanes of the current presample chunk."""
-        self._blk_key = self._first_hop_keys(rows)
         self._blk_lane = self._fresh_lane[fids]
 
     def _refill_block_chunk(self) -> None:
@@ -719,7 +659,7 @@ class VectorizedSession(SimSession):
         cells [lo, hi).
         """
         lo = self._blk_hi
-        hi = min(self._blk_total, lo + self.config.presample_chunk_cells)
+        hi = min(self._blk_total, lo + PRESAMPLE_CHUNK_CELLS)
         cum = self._ord_cum
         first = int(np.searchsorted(cum, lo, side="right"))
         last = int(np.searchsorted(cum, hi - 1, side="right"))
@@ -728,16 +668,13 @@ class VectorizedSession(SimSession):
         start = int(cum[first - 1]) if first > 0 else 0
         order = order[lo - start : hi - start]
         count = hi - lo
-        if self._per_flow:
-            rows = self._fprow[order]
-        else:
-            paths, lengths = self.router.paths_batch(
-                self._src_arr[order], self._dst_arr[order], self.rng
-            )
-            # Rebinding drops the router's int64 block before the hop
-            # ranks are looked up.
-            paths = np.ascontiguousarray(paths, dtype=np.int32)
-            rows = self._append_routes(paths, lengths.astype(np.int32))
+        paths, lengths = self.router.paths_batch(
+            self._src_arr[order], self._dst_arr[order], self.rng
+        )
+        # Rebinding drops the router's int64 block before the hop ranks
+        # are looked up.
+        paths = np.ascontiguousarray(paths, dtype=np.int32)
+        rows = self._append_routes(paths, lengths.astype(np.int32))
         base = self._alloc_cells(count)
         span = slice(base, base + count)
         self._ridx[span] = rows
@@ -751,62 +688,6 @@ class VectorizedSession(SimSession):
         self._blk_base = lo
         self._blk_hi = hi
         self._bind_views()
-
-    # -- injection ------------------------------------------------------------
-
-    def _inject_batch(self, fids: List[int], slot: int) -> int:
-        """Inject one cell per entry of *fids* (windowed arrivals and
-        refills).  RNG order matches sequential path() calls per the
-        paths_batch contract."""
-        fa = np.asarray(fids, dtype=np.int64)
-        count = fa.size
-        if self._per_flow:
-            rows_new = self._fprow[fa]
-        else:
-            paths, lengths = self.router.paths_batch(
-                self._src_arr[fa], self._dst_arr[fa], self.rng
-            )
-            rows_new = self._append_routes(
-                paths.astype(np.int32, copy=False), lengths
-            )
-        base = self._alloc_cells(count)
-        span = slice(base, base + count)
-        self._ridx[span] = rows_new
-        self._rfid[span] = fa
-        self._rhop[span] = 0
-        self._nxt[span] = 0
-        if self._cinj is not None:
-            self._cinj[span] = slot
-        keys = self._first_hop_keys(rows_new)
-        lanes = self._fresh_lane[fa]
-        if count <= SEQ_CUTOFF:
-            enqueue_seq(
-                self._v_head,
-                self._v_tail,
-                self._v_qlen,
-                self._v_nxt,
-                base,
-                memoryview(keys),
-                memoryview(lanes),
-                0,
-                count,
-                self._slot_keys,
-            )
-        else:
-            self._slot_pairs.append(
-                append_cells(
-                    self._head,
-                    self._tail,
-                    self._nxt,
-                    self._qlen,
-                    np.arange(base, base + count, dtype=np.int32),
-                    keys,
-                    lanes,
-                    self._num_lanes,
-                )
-            )
-        self.network.credit(count)
-        return count
 
     # -- per-plane drain ------------------------------------------------------
 
@@ -1301,11 +1182,11 @@ class VectorizedSession(SimSession):
         span past the horizon (the drain phase) is one slot, because
         the drain decision is made per slot.  Each iteration runs the
         one slot body over the span — injection, fault-masked or
-        periodic circuits per plane, windowed refills, the per-slot
-        observer hooks — then folds the span's deliveries into the flow
-        ledgers and makes the horizon/drain decision once.  Nothing
-        else ends a span: the body masks faults and refills presample
-        chunks per slot, and every observer reads per-slot state only.
+        periodic circuits per plane, the per-slot observer hooks — then
+        folds the span's deliveries into the flow ledgers and makes the
+        horizon/drain decision once.  Nothing else ends a span: the body
+        masks faults and refills presample chunks per slot, and every
+        observer reads per-slot state only.
         """
         if self._done:
             return
@@ -1316,11 +1197,8 @@ class VectorizedSession(SimSession):
         prof = self._prof
         duration_slots = self.duration_slots
         measure_from = self.measure_from
-        sizes_l = self._sizes_l
-        inj = self._inj
         network = self.network
         num_lanes = self._num_lanes
-        window = self._window
         schedule = self.schedule
         num_planes = schedule.num_planes
         period = schedule.period
@@ -1329,7 +1207,6 @@ class VectorizedSession(SimSession):
         index = self._index
         circuits = self._circuits
         slot_end = self._slot_end
-        arrivals = self._arrivals
         slot_pairs = self._slot_pairs
         slot_keys = self._slot_keys
         occupancy_sum = self._occupancy_sum
@@ -1337,7 +1214,6 @@ class VectorizedSession(SimSession):
         window_delivered = self._window_delivered
         delivered_running = self._delivered
         injected_running = self._injected
-        partial_flows = self._partial_flows
         cursor = self._cursor
         slot = self.slot
 
@@ -1356,61 +1232,48 @@ class VectorizedSession(SimSession):
                 if prof is not None:
                     lap = perf_counter()
                 if s < duration_slots:
-                    if slot_end is not None:
-                        # Block mode: the arrival batch IS the next
-                        # block slice (ledger preset during
-                        # presampling).  A slot whose batch crosses a
-                        # chunk boundary appends in pieces — FIFO
-                        # order, credits and touched VOQs are
-                        # unaffected by the split.  A refill may widen
-                        # the VOQ rows, so the views are read per piece.
-                        end = slot_end[s]
-                        while end > cursor:
-                            if cursor >= self._blk_hi:
-                                self._refill_block_chunk()
-                            stop_at = min(end, self._blk_hi)
-                            b = cursor - self._blk_base
-                            e = stop_at - self._blk_base
-                            if e - b <= SEQ_CUTOFF:
-                                enqueue_seq(
-                                    self._v_head,
-                                    self._v_tail,
-                                    self._v_qlen,
-                                    self._v_nxt,
-                                    self._blk_base + 1,
-                                    self._v_blk_key,
-                                    self._v_blk_lane,
-                                    b,
-                                    e,
-                                    slot_keys,
+                    # The slot's arrival batch is the next slice of the
+                    # presampled stream.  A batch that crosses a chunk
+                    # boundary appends in pieces — FIFO order, credits
+                    # and touched VOQs are unaffected by the split.  A
+                    # refill may widen the VOQ rows, so the views are
+                    # read per piece.
+                    end = slot_end[s]
+                    while end > cursor:
+                        if cursor >= self._blk_hi:
+                            self._refill_block_chunk()
+                        stop_at = min(end, self._blk_hi)
+                        b = cursor - self._blk_base
+                        e = stop_at - self._blk_base
+                        if e - b <= SEQ_CUTOFF:
+                            enqueue_seq(
+                                self._v_head,
+                                self._v_tail,
+                                self._v_qlen,
+                                self._v_nxt,
+                                self._blk_base + 1,
+                                self._v_blk_key,
+                                self._v_blk_lane,
+                                b,
+                                e,
+                                slot_keys,
+                            )
+                        else:
+                            slot_pairs.append(
+                                append_cells(
+                                    self._head,
+                                    self._tail,
+                                    self._nxt,
+                                    self._qlen,
+                                    self._blk_cid[b:e],
+                                    self._blk_key[b:e],
+                                    self._blk_lane[b:e],
+                                    num_lanes,
                                 )
-                            else:
-                                slot_pairs.append(
-                                    append_cells(
-                                        self._head,
-                                        self._tail,
-                                        self._nxt,
-                                        self._qlen,
-                                        self._blk_cid[b:e],
-                                        self._blk_key[b:e],
-                                        self._blk_lane[b:e],
-                                        num_lanes,
-                                    )
-                                )
-                            network.credit(stop_at - cursor)
-                            injected_running += stop_at - cursor
-                            cursor = stop_at
-                    else:
-                        batch: List[int] = []
-                        for f in arrivals.get(s, ()):  # new arrivals
-                            sz = sizes_l[f]
-                            quota = min(window, sz)
-                            inj[f] = quota
-                            if quota < sz:
-                                partial_flows += 1
-                            batch.extend([f] * quota)
-                        if batch:
-                            injected_running += self._inject_batch(batch, s)
+                            )
+                        network.credit(stop_at - cursor)
+                        injected_running += stop_at - cursor
+                        cursor = stop_at
                 if prof is not None:
                     lap = prof.lap("inject", lap)
 
@@ -1420,7 +1283,6 @@ class VectorizedSession(SimSession):
                 # in the reference engine.
                 row = s % period
                 faulted = timeline is not None and timeline.affects(s)
-                deliv_fids: List[np.ndarray] = []  # windowed refill input
                 for plane in range(num_planes):
                     m = index[row, plane]
                     if faulted:
@@ -1445,32 +1307,11 @@ class VectorizedSession(SimSession):
                             window_delivered += deliv.size
                         dslots.append(s)
                         dcids.append(deliv)
-                        if window is not None:
-                            deliv_fids.append(self._rfid[deliv])
                 if prof is not None:
                     now = perf_counter()
                     forward_s += (now - lap) - self._prof_attr
                     self._prof_attr = 0.0
                     lap = now
-
-                # Windowed flows refill as their cells deliver.
-                if deliv_fids:
-                    delivered_fids = (
-                        deliv_fids[0]
-                        if len(deliv_fids) == 1
-                        else np.concatenate(deliv_fids)
-                    )
-                    refill: List[int] = []
-                    for f in delivered_fids.tolist():
-                        x = inj[f]
-                        if x < sizes_l[f]:
-                            x += 1
-                            inj[f] = x
-                            if x == sizes_l[f]:
-                                partial_flows -= 1
-                            refill.append(f)
-                    if refill:
-                        injected_running += self._inject_batch(refill, s)
 
                 if checker is not None:
                     checker.end_slot(s, network, injected_running, delivered_running)
@@ -1520,9 +1361,8 @@ class VectorizedSession(SimSession):
 
             slot = span_end
             if slot >= duration_slots:
-                pending = network.total_occupancy > 0 or partial_flows > 0
                 if (
-                    not (config.drain and pending)
+                    not (config.drain and network.total_occupancy > 0)
                     or slot >= duration_slots + config.max_drain_slots
                 ):
                     self.horizon = slot
@@ -1534,7 +1374,6 @@ class VectorizedSession(SimSession):
         self._window_delivered = window_delivered
         self._delivered = delivered_running
         self._injected = injected_running
-        self._partial_flows = partial_flows
         self._cursor = cursor
         self.slot = slot
 
@@ -1543,7 +1382,7 @@ class VectorizedSession(SimSession):
         return SimReport.from_flow_arrays(
             self._fsizes,
             self._arr_np,
-            np.asarray(self._inj, dtype=np.int64),
+            self._injected_before(horizon),
             self._fdcount,
             self._fcompletion,
             self._fhoptot,

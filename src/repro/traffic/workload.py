@@ -59,14 +59,18 @@ class FlowSpec:
             raise TrafficError("arrival slot must be non-negative")
 
 
-def _column(values, name: str) -> np.ndarray:
-    """A fresh read-only C-contiguous int64 copy of one flow column."""
+def _column(values, name: str, copy: bool) -> np.ndarray:
+    """One flow column as a read-only C-contiguous int64 array: a fresh
+    copy, or with ``copy=False`` *values* itself when it already is one."""
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise TrafficError(f"flow column {name!r} must be one-dimensional")
     if arr.size and arr.dtype.kind not in "iu":
         raise TrafficError(f"flow column {name!r} must hold integers, got {arr.dtype}")
-    out = np.array(arr, dtype=np.int64, order="C")
+    if copy:
+        out = np.array(arr, dtype=np.int64, order="C")
+    else:
+        out = np.ascontiguousarray(arr, dtype=np.int64)
     out.setflags(write=False)
     return out
 
@@ -85,10 +89,26 @@ class FlowTable:
     __slots__ = ("src", "dst", "size_cells", "arrival_slot")
 
     def __init__(self, src, dst, size_cells, arrival_slot):
-        self.src = _column(src, "src")
-        self.dst = _column(dst, "dst")
-        self.size_cells = _column(size_cells, "size_cells")
-        self.arrival_slot = _column(arrival_slot, "arrival_slot")
+        self._set_columns(src, dst, size_cells, arrival_slot, copy=True)
+
+    @classmethod
+    def _adopt(cls, src, dst, size_cells, arrival_slot) -> "FlowTable":
+        """Wrap int64 columns the package just built, without copying.
+
+        For the package's own samplers only: the table runs the
+        constructor's checks, takes ownership of the arrays and makes
+        them read-only, so the caller must hold no other reference it
+        still writes through.
+        """
+        table = cls.__new__(cls)
+        table._set_columns(src, dst, size_cells, arrival_slot, copy=False)
+        return table
+
+    def _set_columns(self, src, dst, size_cells, arrival_slot, copy: bool) -> None:
+        self.src = _column(src, "src", copy)
+        self.dst = _column(dst, "dst", copy)
+        self.size_cells = _column(size_cells, "size_cells", copy)
+        self.arrival_slot = _column(arrival_slot, "arrival_slot", copy)
         if not (
             self.src.size == self.dst.size == self.size_cells.size
             == self.arrival_slot.size
@@ -236,8 +256,10 @@ class Workload:
             if hi > lo:
                 cdf = self._block_cumsum(block, buf)
                 cdf /= last
-                out[lo:hi] = block * self._block + cdf.searchsorted(
-                    uniforms[lo:hi], side="right"
+                np.add(
+                    cdf.searchsorted(uniforms[lo:hi], side="right"),
+                    block * self._block,
+                    out=out[lo:hi],
                 )
             lo = hi
         return out
@@ -263,7 +285,9 @@ class Workload:
         there is no flow).  The pairs are ``Generator.choice(n * n,
         p=...)``'s draws exactly — the same uniforms searched in the same
         CDF — only searched in sorted order, block by block, which gives
-        the same indices without building the whole CDF.
+        the same indices without building the whole CDF.  Each temporary
+        is dropped before the next large allocation, and the table adopts
+        the columns built here instead of copying them.
         """
         duration_slots = check_positive_int(duration_slots, "duration_slots")
         gen = ensure_rng(rng)
@@ -275,13 +299,19 @@ class Workload:
             return FlowTable(empty, empty, empty, empty)
         uniforms = gen.random(total)
         order = np.argsort(uniforms)
+        uniforms = uniforms[order]
+        found = self._search_pairs(uniforms)
+        del uniforms
         pair_indices = np.empty(total, dtype=np.int64)
-        pair_indices[order] = self._search_pairs(uniforms[order])
+        pair_indices[order] = found
+        del order, found
         sizes = self.flow_sizes.sample(gen, count=total)
         size_cells = np.maximum(1, np.round(sizes / self.cell_bytes)).astype(np.int64)
+        del sizes
         src, dst = np.divmod(pair_indices, n)
+        del pair_indices
         arrival = np.repeat(np.arange(duration_slots, dtype=np.int64), counts)
-        return FlowTable(src, dst, size_cells, arrival)
+        return FlowTable._adopt(src, dst, size_cells, arrival)
 
     def offered_cells(self, flows: FlowsLike) -> int:
         """Total cells offered by a generated arrival table."""

@@ -41,8 +41,8 @@ pytestmark = pytest.mark.durability
 ENGINES = ("reference", "vectorized")
 CONFIG_VARIANTS = [
     {},
-    {"per_flow_paths": True},
-    {"injection_window": 2},
+    {"cells_per_circuit": 2},
+    {"drain": True, "classify_fct_threshold_cells": 2},
     {"short_flow_threshold_cells": 3},
 ]
 

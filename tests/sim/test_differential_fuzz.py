@@ -11,7 +11,7 @@ Traces ride the telemetry hub: a :class:`repro.sim.tracing.TraceRecorder`
 is registered in every instrumented hub, and lean examples draw whether
 to carry a trace-only hub or no hub at all.  Observers never shorten
 the vectorized engine's slot spans, so every example runs multi-slot
-spans across its failure edges and windowed refills.
+spans across its failure edges.
 
 Each example also draws a ``lean`` bit.  Instrumented examples carry the
 :class:`repro.sim.invariants.InvariantChecker` plus the full shipped
@@ -280,8 +280,6 @@ def scenarios(draw):
     lean = draw(st.booleans())
     config = dict(
         cells_per_circuit=draw(st.integers(1, 3)),
-        per_flow_paths=draw(st.booleans()),
-        injection_window=draw(st.one_of(st.none(), st.integers(1, 4))),
         drain=True,
         max_drain_slots=draw(st.sampled_from([50, 150, 300])),
         short_flow_threshold_cells=draw(st.one_of(st.none(), st.just(2))),

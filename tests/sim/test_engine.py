@@ -62,40 +62,6 @@ class TestBasics:
         assert 1.0 <= report.mean_hops <= 2.0
 
 
-class TestInjectionWindow:
-    def test_window_caps_inflight(self):
-        sim = rr_sim(injection_window=4, drain=True)
-        flows = [FlowSpec(0, 0, 5, 40, 0)]
-        report = sim.run(flows, 10)
-        assert report.delivered_cells == 40
-        # The peak VOQ can never exceed the window for a single flow.
-        assert report.max_voq <= 4
-
-    def test_unwindowed_bursts_larger_queues_than_windowed(self):
-        unwindowed = rr_sim(drain=True).run([FlowSpec(0, 0, 5, 40, 0)], 10)
-        windowed = rr_sim(injection_window=2, drain=True).run(
-            [FlowSpec(0, 0, 5, 40, 0)], 10
-        )
-        assert unwindowed.max_voq > windowed.max_voq
-
-
-class TestPerFlowPaths:
-    def test_per_flow_single_path(self):
-        """With per-flow paths every cell of a flow takes the same route."""
-        schedule = RoundRobinSchedule(8)
-        sim = SlotSimulator(
-            schedule, VlbRouter(8), SimConfig(per_flow_paths=True, drain=True), rng=3
-        )
-        report = sim.run([FlowSpec(0, 0, 5, 30, 0)], 10)
-        # All cells share one path => mean hops is an integer (1 or 2).
-        assert report.mean_hops in (1.0, 2.0)
-
-    def test_per_cell_paths_mix(self):
-        sim = rr_sim(drain=True)
-        report = sim.run([FlowSpec(0, 0, 5, 200, 0)], 40)
-        assert 1.0 < report.mean_hops < 2.0
-
-
 class TestSaturation:
     def test_rr_saturation_near_half(self):
         """The headline VLB result: saturation throughput ~50 %."""
@@ -164,32 +130,19 @@ class _PathCountingVlb(VlbRouter):
         return super().path(src, dst, rng)
 
 
-class TestPerFlowPathCache:
-    def test_windowed_refills_sample_one_path_per_flow(self):
-        """Regression: with per-flow paths, the path cache must be
-        consulted per injection call, not per cell — a windowed flow that
-        refills over many slots still samples exactly one path."""
-        n = 8
-        router = _PathCountingVlb(n)
-        sim = SlotSimulator(
-            RoundRobinSchedule(n),
-            router,
-            SimConfig(per_flow_paths=True, injection_window=1, drain=True),
-            rng=3,
-        )
-        flows = [FlowSpec(i, i % n, (i + 3) % n, 12, 0) for i in range(4)]
-        report = sim.run(flows, 5)
-        assert report.delivered_cells == 4 * 12
-        assert router.path_calls == len(flows)
+class TestPerCellPaths:
+    """Every cell of a flow samples its own path (per-cell VLB)."""
+
+    def test_per_cell_paths_mix(self):
+        sim = rr_sim(drain=True)
+        report = sim.run([FlowSpec(0, 0, 5, 200, 0)], 40)
+        assert 1.0 < report.mean_hops < 2.0
 
     def test_per_cell_mode_samples_every_cell(self):
         n = 8
         router = _PathCountingVlb(n)
         sim = SlotSimulator(
-            RoundRobinSchedule(n),
-            router,
-            SimConfig(per_flow_paths=False, drain=True),
-            rng=3,
+            RoundRobinSchedule(n), router, SimConfig(drain=True), rng=3
         )
         sim.run([FlowSpec(0, 0, 5, 9, 0)], 3)
         assert router.path_calls == 9

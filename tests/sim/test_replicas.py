@@ -97,29 +97,26 @@ def _independent_reports(
     ]
 
 
+#: ``SimConfig`` keywords per axis; ``chunk_cells`` shrinks the vectorized
+#: engine's presample chunks instead.
 CONFIG_AXES = {
     "default": dict(),
-    "per_flow": dict(per_flow_paths=True),
-    "window_drain": dict(injection_window=3, drain=True, max_drain_slots=400),
-    "per_flow_window": dict(
-        per_flow_paths=True, injection_window=4, drain=True, max_drain_slots=400
-    ),
     "short_priority": dict(short_flow_threshold_cells=4, cells_per_circuit=2),
     "drain": dict(drain=True, max_drain_slots=400),
-    "chunked": dict(presample_chunk_cells=13),
-    "chunked_per_flow": dict(
-        per_flow_paths=True,
-        presample_chunk_cells=5,
-        drain=True,
-        max_drain_slots=400,
-    ),
+    "chunked": dict(chunk_cells=13),
+    "chunked_drain": dict(chunk_cells=5, drain=True, max_drain_slots=400),
 }
 
 
 @pytest.mark.parametrize("axis", sorted(CONFIG_AXES))
-def test_replicas_match_independent_runs(axis):
+def test_replicas_match_independent_runs(axis, monkeypatch):
     """Shared-setup replicas equal R independent reference runs, per axis."""
-    config = SimConfig(**CONFIG_AXES[axis])
+    kwargs = dict(CONFIG_AXES[axis])
+    if "chunk_cells" in kwargs:
+        monkeypatch.setattr(
+            "repro.sim.vectorized.PRESAMPLE_CHUNK_CELLS", kwargs.pop("chunk_cells")
+        )
+    config = SimConfig(**kwargs)
     replicas = _replica_reports(_sorn_setup, config, SEEDS)
     assert replicas == _independent_reports(_sorn_setup, config, SEEDS)
     assert any(r.delivered_cells > 0 for r in replicas)

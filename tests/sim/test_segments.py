@@ -63,11 +63,7 @@ class TestSegmentedEquivalence:
 
     @pytest.mark.parametrize(
         "config_kwargs",
-        [
-            {"per_flow_paths": True},
-            {"injection_window": 2},
-            {"short_flow_threshold_cells": 3},
-        ],
+        [{"short_flow_threshold_cells": 3}],
     )
     @pytest.mark.parametrize("engine", ENGINES)
     def test_segmented_equals_monolithic_config_variants(

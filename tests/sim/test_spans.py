@@ -3,11 +3,11 @@
 The vectorized slot loop runs one slot body over spans: a span before
 the arrival horizon ends at the nearest of ``slot + SPAN_CAP``, the
 horizon and the segment stop; a span in the drain phase is one slot.
-Nothing else ends a span — failure windows, presample chunk refills,
-windowed refills and observers all run inside one.  Every test here
-compares against the reference engine, which has no spans, on exactly
-those mid-span events; the ``PhaseProfiler``'s ``forward`` phase is
-lapped once per span, so its lap count pins the span rule itself.
+Nothing else ends a span — failure windows, presample chunk refills
+and observers all run inside one.  Every test here compares against
+the reference engine, which has no spans, on exactly those mid-span
+events; the ``PhaseProfiler``'s ``forward`` phase is lapped once per
+span, so its lap count pins the span rule itself.
 """
 
 import math
@@ -110,23 +110,23 @@ class TestSpansMatchReference:
         assert got == ref
         assert spans(profiler) == main_phase_spans([SLOTS])
 
-    def test_chunk_refills_mid_span(self):
+    def test_chunk_refills_mid_span(self, monkeypatch):
         """With 32-cell presample chunks the refills land mid-span."""
+        monkeypatch.setattr("repro.sim.vectorized.PRESAMPLE_CHUNK_CELLS", 32)
         flows = make_flows()
         assert sum(f.size_cells for f in flows) > 4 * 32
         ref = make_sim("reference").run(flows, SLOTS)
         profiler = PhaseProfiler()
-        got = make_sim(
-            "vectorized",
-            presample_chunk_cells=32,
-            telemetry=TelemetryHub([profiler]),
-        ).run(flows, SLOTS)
+        got = make_sim("vectorized", telemetry=TelemetryHub([profiler])).run(
+            flows, SLOTS
+        )
         assert got == ref
         assert spans(profiler) == main_phase_spans([SLOTS])
 
-    def test_windowed_injection_with_hub(self):
-        """Windowed arrivals and refills run inside spans while the full
-        collector set and a trace recorder observe every slot."""
+    def test_drain_with_full_hub(self):
+        """The full collector set and a trace recorder observe every
+        slot of the main phase's spans and of the one-slot drain spans
+        after it."""
         schedule = make_schedule()
         flows = make_flows()
 
@@ -136,9 +136,9 @@ class TestSpansMatchReference:
                 + [TraceRecorder(stride=5)],
                 stride=2,
             )
-            report = make_sim(
-                engine, schedule, telemetry=hub, injection_window=2, drain=True
-            ).run(flows, SLOTS, measure_from=50)
+            report = make_sim(engine, schedule, telemetry=hub, drain=True).run(
+                flows, SLOTS, measure_from=50
+            )
             return report, hub
 
         ref, ref_hub = run("reference")
@@ -147,6 +147,7 @@ class TestSpansMatchReference:
         assert hub.dumps_jsonl() == ref_hub.dumps_jsonl()
         assert len(hub.get("trace")) > 0
         drain_slots = got.duration_slots - SLOTS
+        assert drain_slots > 0
         assert spans(hub.profiler) == main_phase_spans([SLOTS]) + drain_slots
 
 

@@ -1,8 +1,7 @@
 """Differential tests: the vectorized engine must reproduce the reference
 engine exactly — same reports, same per-slot traces — on every supported
-configuration axis (routers, per-flow paths, injection windows, priority
-lanes, drain, presample chunk sizes), including a reduced-scale Fig 2f
-setup.
+configuration axis (routers, priority lanes, drain, presample chunk
+sizes), including a reduced-scale Fig 2f setup.
 """
 
 import numpy as np
@@ -31,7 +30,8 @@ def _combo_rr_vlb():
 
 
 def _sorn_combo(**cfg):
-    """A 32-node, 4-clique SORN fabric (q=3) run with config *cfg*."""
+    """A 32-node, 4-clique SORN fabric (q=3) run with config *cfg*
+    (``chunk_cells`` sets the presample chunk size, see :func:`_run`)."""
 
     def combo():
         layout = CliqueLayout.equal(32, 4)
@@ -45,53 +45,40 @@ def _sorn_combo(**cfg):
     return combo
 
 
-def _combo_rr_vlb_window():
-    # Per-cell windowed injection: the only mode whose refill RNG draws
-    # interleave with arrivals (no whole-run path presampling possible).
-    return (
-        RoundRobinSchedule(16, num_planes=2),
-        VlbRouter(16),
-        dict(cells_per_circuit=1, injection_window=2, drain=True),
-        16,
-    )
-
-
 COMBOS = {
     "rr-vlb-drain": _combo_rr_vlb,
-    "rr-vlb-percell-window": _combo_rr_vlb_window,
     "sorn-default": _sorn_combo(),
-    "sorn-flow-paths": _sorn_combo(per_flow_paths=True),
-    "sorn-percell-window": _sorn_combo(
-        injection_window=3, drain=True, max_drain_slots=400
-    ),
-    "sorn-perflow-window": _sorn_combo(
-        cells_per_circuit=1, per_flow_paths=True, injection_window=4, drain=True
-    ),
     "sorn-short-priority": _sorn_combo(
         cells_per_circuit=2, short_flow_threshold_cells=8, drain=True
     ),
     "sorn-drain": _sorn_combo(drain=True, max_drain_slots=400),
     # Presample chunks far smaller than the run: refills every few cells.
-    "sorn-chunk13": _sorn_combo(presample_chunk_cells=13),
-    "sorn-chunk5-perflow-drain": _sorn_combo(
-        per_flow_paths=True, presample_chunk_cells=5, drain=True, max_drain_slots=400
-    ),
+    "sorn-chunk13": _sorn_combo(chunk_cells=13),
+    "sorn-chunk5-drain": _sorn_combo(chunk_cells=5, drain=True, max_drain_slots=400),
 }
 
 
 def _run(combo, engine, seed, duration=250, measure_from=80, **overrides):
+    """Run *combo* on *engine*; a ``chunk_cells`` entry in its config or
+    in *overrides* patches :data:`repro.sim.vectorized.
+    PRESAMPLE_CHUNK_CELLS` for the run."""
+    from repro.sim import vectorized as V
+
     schedule, router, cfg, n = combo()
+    cfg = {**cfg, **overrides}
+    chunk_cells = cfg.pop("chunk_cells", None)
     flows = _uniform_flows(n, seed, duration=duration)
     tracer = TraceRecorder(stride=5)
     sim = SlotSimulator(
         schedule,
         router,
-        SimConfig(
-            engine=engine, telemetry=TelemetryHub([tracer]), **cfg, **overrides
-        ),
+        SimConfig(engine=engine, telemetry=TelemetryHub([tracer]), **cfg),
         rng=np.random.default_rng(seed + 1),
     )
-    report = sim.run(flows, duration, measure_from=measure_from)
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk_cells is not None:
+            patch.setattr(V, "PRESAMPLE_CHUNK_CELLS", chunk_cells)
+        report = sim.run(flows, duration, measure_from=measure_from)
     return report, tracer
 
 
@@ -401,32 +388,22 @@ class TestEnqueueKernels:
 
 
 class TestChunkedPresampling:
-    """Chunked slot-batch presampling (``SimConfig.presample_chunk_cells``)
-    must be bit-invisible: the refills draw from the same RNG stream in
-    the same order as a whole-run presample, so any chunk size — even one
-    cell at a time — reproduces the reference engine exactly, in both
-    shared-path and per-flow-path modes."""
+    """Chunked presampling (``PRESAMPLE_CHUNK_CELLS``) must be
+    bit-invisible: the refills draw from the same RNG stream in the same
+    order as a whole-run presample, so any chunk size — even one cell at
+    a time — reproduces the reference engine exactly."""
 
-    @pytest.mark.parametrize(
-        "combo", ["rr-vlb-drain", "sorn-short-priority", "sorn-perflow-window"]
-    )
+    @pytest.mark.parametrize("combo", ["rr-vlb-drain", "sorn-short-priority"])
     @pytest.mark.parametrize("chunk", [1, 97])
     def test_chunk_size_is_invisible(self, combo, chunk):
         """Tiny and misaligned chunk sizes reproduce the reference
         engine's report and trace bit-for-bit."""
         ref_report, ref_trace = _run(COMBOS[combo], "reference", 7)
         vec_report, vec_trace = _run(
-            COMBOS[combo], "vectorized", 7, presample_chunk_cells=chunk
+            COMBOS[combo], "vectorized", 7, chunk_cells=chunk
         )
         assert vec_report == ref_report
         assert vec_trace.points == ref_trace.points
-
-    def test_invalid_chunk_rejected(self):
-        """A non-positive chunk size fails config validation."""
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            SimConfig(presample_chunk_cells=0)
 
 
 @pytest.mark.scale
@@ -582,6 +559,7 @@ class TestPerNeighborVoqs:
 
         if cutoff is not None:
             monkeypatch.setattr(V, "SEQ_CUTOFF", cutoff)
+        monkeypatch.setattr(V, "PRESAMPLE_CHUNK_CELLS", 5)
         widened_mid_batch = []
         hop_ranks = V.VectorizedSession._hop_ranks
 
@@ -612,7 +590,6 @@ class TestPerNeighborVoqs:
                 SimConfig(
                     engine=engine,
                     check_invariants=True,
-                    presample_chunk_cells=5,
                     telemetry=TelemetryHub([tracer]),
                 ),
                 rng=np.random.default_rng(2),

@@ -180,6 +180,30 @@ class TestPairCdfMemory:
         assert len(flows) > 0
         assert peak <= 1.3 * matrix.rates.nbytes, f"peak {peak / 2**20:.1f} MiB"
 
+    def test_generate_peak_near_its_columns(self):
+        """``generate`` peaks at most 1.6x the bytes of the table it
+        returns (92,087 flows here): the table adopts the columns built
+        for it, and each temporary goes before the next large one.  A
+        table that copied the columns would read about 2x."""
+        import tracemalloc
+
+        workload = Workload(
+            uniform_matrix(256), FlowSizeDistribution.fixed(1500), load=0.9
+        )
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            flows = workload.generate(400, rng=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        columns = sum(
+            getattr(flows, name).nbytes
+            for name in ("src", "dst", "size_cells", "arrival_slot")
+        )
+        assert len(flows) == 92_087
+        assert peak <= 1.6 * columns, f"peak {peak / columns:.2f}x the columns"
+
 
 def test_cases_draw_flows():
     """Every case but the empty one actually exercises the pair draw."""
@@ -281,6 +305,16 @@ def _table(rows):
 
 ROWS = [(0, 1, 3, 0), (2, 5, 1, 4), (4, 3, 7, 4)]
 
+#: Columns the table refuses, with the error each one raises.
+BAD_COLUMNS = {
+    "self-flow": (([0, 2], [1, 2], [3, 1], [0, 0]), "endpoints must differ"),
+    "zero-size": (([0], [1], [0], [0]), "at least one cell"),
+    "negative-arrival": (([0], [1], [1], [-1]), "non-negative"),
+    "unequal-lengths": (([0, 1], [1], [1, 1], [0, 0]), "equal lengths"),
+    "float-column": (([0], [1], [1.5], [0]), "integers"),
+    "two-dimensional": (([[0]], [[1]], [[1]], [[0]]), "one-dimensional"),
+}
+
 
 class TestFlowTable:
     def test_rejects_self_flow(self):
@@ -315,6 +349,21 @@ class TestFlowTable:
                 column[0] = 9
         src[0] = 9  # the caller's array stays the caller's
         assert table.src[0] == 0
+
+    @pytest.mark.parametrize("case", sorted(BAD_COLUMNS))
+    def test_adopt_rejects_what_the_constructor_rejects(self, case):
+        columns, message = BAD_COLUMNS[case]
+        for build in (FlowTable, FlowTable._adopt):
+            with pytest.raises(TrafficError, match=message):
+                build(*(np.array(column) for column in columns))
+
+    def test_adopt_freezes_the_arrays_it_is_given(self):
+        columns = [np.array(column, dtype=np.int64) for column in zip(*ROWS)]
+        table = FlowTable._adopt(*columns)
+        assert table == _table(ROWS)
+        for name, column in zip(("src", "dst", "size_cells", "arrival_slot"), columns):
+            assert getattr(table, name) is column
+            assert not column.flags.writeable
 
     def test_copies_stay_frozen(self):
         table = _table(ROWS)
