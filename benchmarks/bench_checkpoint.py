@@ -12,8 +12,10 @@ Nc=64 at q*) after 100 of 200 slots.  With dense ``(L, N, N)`` VOQ cubes
 that file was 435 MiB and save + resume took 19.4 s, 54x the 0.36 s
 segment; the per-neighbor VOQ state saves only nonempty queues.  Its
 gates: the file stays within 32 MiB and save + resume within 5.4x the
-segment (a tenth of the dense ratio; 2.5-3.8x measured over six runs on
-a 2-vCPU Xeon).
+segment (a tenth of the dense ratio).  Measured in three runs on a
+2-vCPU Xeon, each figure the median of a run's three cycles: a 13.7 MiB
+file, saves of 149-170 ms and resumes of 232-281 ms, 2.55-2.65x the
+segment.
 """
 
 import os

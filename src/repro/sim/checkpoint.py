@@ -6,7 +6,7 @@ evolution explicit::
 
     {
       "magic":  "sorn-checkpoint",
-      "schema": 6,
+      "schema": 7,
       "sha256": "<hex digest of the canonical payload JSON>",
       "payload": { ... }
     }
@@ -19,7 +19,11 @@ Design rules:
   :class:`~repro.errors.CheckpointError` naming both versions.
 - **Content checksum.**  The payload is hashed over its canonical JSON
   encoding (sorted keys, compact separators), so a single flipped bit
-  anywhere in the state is caught before any of it is applied.
+  anywhere in the state is caught before any of it is applied.  The
+  writer splices that exact text between a fixed head and tail, and the
+  reader hashes the bytes between them as they are on disk, never
+  re-encoding the parsed payload; a file not in that layout fails the
+  checksum.
 - **Atomic writes.**  Files are written to a ``mkstemp`` sibling and
   published with :func:`os.replace`, so a reader never observes a
   half-written checkpoint and a crash mid-save leaves the previous
@@ -41,7 +45,7 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
@@ -52,7 +56,6 @@ __all__ = [
     "CHECKPOINT_SCHEMA",
     "encode_array",
     "decode_array",
-    "payload_checksum",
     "write_checkpoint",
     "read_checkpoint",
     "flows_digest",
@@ -61,7 +64,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = "sorn-checkpoint"
-CHECKPOINT_SCHEMA = 6
+CHECKPOINT_SCHEMA = 7
 
 
 # -- array codec ---------------------------------------------------------------
@@ -104,27 +107,31 @@ def _canonical(payload: Dict[str, Any]) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def payload_checksum(payload: Dict[str, Any]) -> str:
-    """SHA-256 hex digest of the canonical payload encoding."""
-    return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
+def _frame(digest: str) -> Tuple[str, str]:
+    """The text a checkpoint file holds before and after its payload.
+
+    Splicing the canonical payload between them is byte-identical to
+    dumping the whole document with sorted keys ("magic" < "payload" <
+    "schema" < "sha256").
+    """
+    head = _canonical({"magic": CHECKPOINT_MAGIC})[:-1] + ',"payload":'
+    tail = "," + _canonical({"schema": CHECKPOINT_SCHEMA, "sha256": digest})[1:]
+    return head, tail
 
 
 def write_checkpoint(path: str, payload: Dict[str, Any]) -> None:
     """Atomically write *payload* to *path* with framing and checksum."""
     # The payload is encoded once: the checksum hashes that text and the
-    # document splices it in, byte-identical to dumping the whole
-    # document with sorted keys ("magic" < "payload" < "schema" <
-    # "sha256").
+    # document splices it in.
     body = _canonical(payload)
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    head = _canonical({"magic": CHECKPOINT_MAGIC})[:-1]
-    tail = _canonical({"schema": CHECKPOINT_SCHEMA, "sha256": digest})[1:]
+    head, tail = _frame(digest)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".ckpt.tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(f'{head},"payload":{body},{tail}')
+            handle.write(head + body + tail)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)
@@ -144,14 +151,14 @@ def read_checkpoint(path: str) -> Dict[str, Any]:
     magic, schema-version mismatch, missing fields, checksum mismatch.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            raw = handle.read()
     except FileNotFoundError:
         raise CheckpointError(f"no checkpoint file at {path!r}") from None
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from exc
     try:
-        document = json.loads(text)
+        document = json.loads(raw)
     except ValueError as exc:
         raise CheckpointError(
             f"checkpoint {path!r} is truncated or not JSON: {exc}"
@@ -174,7 +181,13 @@ def read_checkpoint(path: str) -> Dict[str, Any]:
         raise CheckpointError(
             f"checkpoint {path!r} is corrupt: missing payload or checksum"
         )
-    actual = payload_checksum(payload)
+    # The payload's bytes as written; a file not in the written layout
+    # hashes whole, which cannot match the digest it contains.
+    head, tail = (part.encode("utf-8") for part in _frame(recorded))
+    body = memoryview(raw)
+    if raw.startswith(head) and raw.endswith(tail):
+        body = body[len(head) : len(raw) - len(tail)]
+    actual = hashlib.sha256(body).hexdigest()
     if actual != recorded:
         raise CheckpointError(
             f"checkpoint {path!r} failed its content checksum "
@@ -226,17 +239,29 @@ def config_digest(config) -> str:
 
 def schedule_fingerprint(schedule) -> Dict[str, Any]:
     """Identity of a schedule: dimensions plus a digest of its dense
-    destination table — the complete description of what circuits it
-    opens when, independent of the schedule's Python class.
+    destination table ``bank[index]`` — the complete description of what
+    circuits it opens when, independent of the schedule's Python class.
 
-    The digest hashes the bank rows the index selects in (slot, plane)
-    order: the bytes of the dense ``bank[index]`` table, gathered 256
-    rows (4 MiB at N=4096) at a time instead of materialized whole."""
+    The digest never gathers that table.  It hashes a canonical form of
+    the compiled pair instead: the distinct bank rows in order of first
+    use over ``index.ravel()`` (deduplicated by their bytes, as
+    little-endian int32), then the index relabelled to that order.
+    Equal dense tables give equal forms however the banks order or
+    repeat their rows, and with the dimensions beside it the form
+    determines the dense table, so unequal tables give unequal forms."""
     bank, index = schedule.compiled()
-    rows = index.ravel()
+    slots = index.ravel()
+    _, first = np.unique(slots, return_index=True)
+    label = np.empty(bank.shape[0], dtype="<i4")
+    seen: Dict[bytes, int] = {}
     digest = hashlib.sha256()
-    for start in range(0, rows.size, 256):
-        digest.update(bank[rows[start:start + 256]])
+    for m in slots[np.sort(first)].tolist():
+        row = bank[m].astype("<i4", copy=False).tobytes()
+        if row not in seen:
+            seen[row] = len(seen)
+            digest.update(row)
+        label[m] = seen[row]
+    digest.update(label[slots].tobytes())
     return {
         "num_nodes": int(schedule.num_nodes),
         "num_planes": int(schedule.num_planes),

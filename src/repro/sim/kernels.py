@@ -5,8 +5,8 @@ engine's flat cell tables.  A VOQ is one flat key: ``k = u * K + r``
 for node ``u`` and neighbor rank ``r`` (``K`` ranks per node) indexes
 ``qlen``, and ``lane * N * K + k`` indexes the flattened ``head`` and
 ``tail`` arrays, so no kernel mixes slices with fancy indexing and none
-maps a node pair to a rank — route rows carry each hop's rank, and a
-plane's rank row comes from the engine's ``kcol`` table.
+maps a node pair to a rank — a cell's route row carries each hop's
+rank, and a plane's rank row comes from the engine's ``kcol`` table.
 
 The kernels come in two kinds.  The array kernels pay a fixed cost of
 NumPy calls and then little per cell, so they serve large planes and
@@ -51,8 +51,10 @@ can never accumulate 2**31 cells before the cell tables exhaust memory.
 Per-slot group sums that could overflow int32 in principle (``pcounts``
 in :func:`append_cells`) stay int64 before the in-place scatter.
 
-Cell ids are **1-based** throughout: the engine reserves table row 0 as
-a dummy, so ``0`` is the universal empty sentinel for ``head``/``tail``
+Cell ids are **1-based** throughout, and a cell's id is its row in every
+per-cell table (``nxt``, ``rhop``, ``rfid``, ``rowlen``, and the route
+and rank rows): no table maps a cell to its route.  Row 0 is never a
+cell, so ``0`` is the universal empty sentinel for ``head``/``tail``
 cursors, ``nxt`` links, and candidate slots.
 """
 
@@ -224,7 +226,6 @@ def drain_plane_seq(
     tail,
     qlen,
     nxt,
-    ridx,
     rhop,
     rfid,
     routes,
@@ -245,7 +246,8 @@ def drain_plane_seq(
     *krow* is the plane's rank row (``krow[s]`` is the rank at source
     ``s`` of the node it transmits to, ``-1`` when idle); ``routes`` and
     ``rranks`` are the route table and its per-hop ranks, flattened with
-    row width *width*; the VOQ views index as in :func:`enqueue_seq`.
+    row width *width*, and like every per-cell table indexed by cell id;
+    the VOQ views index as in :func:`enqueue_seq`.
     Reference semantics verbatim: circuits in source order, strict lane
     priority, up to *budget* pops per circuit, forwarded cells appended
     immediately — so a later circuit of the same plane drains them (the
@@ -287,15 +289,14 @@ def drain_plane_seq(
             if nx == 0:
                 tail[t] = 0
             out_cids[pos] = cid
-            row = ridx[cid]
             h = rhop[cid] + 1
-            if h == rowlen[row] - 1:
+            if h == rowlen[cid] - 1:
                 out_del[pos] = 1
                 ndel += 1
             else:
                 out_del[pos] = 0
                 rhop[cid] = h
-                b = row * width + h
+                b = cid * width + h
                 fk = routes[b] * kk + rranks[b]
                 ft = fwd_lane[rfid[cid]] * nk + fk
                 nxt[cid] = 0

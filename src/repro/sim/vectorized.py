@@ -7,10 +7,12 @@ real-world traffic) the wall-clock ceiling of the whole benchmark suite.
 This module re-implements the identical slot dynamics with the per-cell
 object machinery stripped out:
 
-- cell state lives in flat id-indexed tables (source-route list, hop
-  cursor, owning flow) instead of per-cell ``Cell`` objects, and the
-  per-flow ledgers (injected/delivered/completion) are plain arrays
-  finalized through :meth:`repro.sim.metrics.SimReport.from_flow_arrays`;
+- cell state lives in flat tables whose row is the cell's id (route
+  row and its hop ranks, route length, hop cursor, owning flow, queue
+  link), sized once for the run's cells, instead of per-cell ``Cell``
+  objects, and the per-flow ledgers (injected/delivered/completion) are
+  plain arrays finalized through
+  :meth:`repro.sim.metrics.SimReport.from_flow_arrays`;
 - path sampling is batched through
   :meth:`repro.routing.base.Router.paths_batch`, whose contract guarantees
   the RNG stream is consumed exactly as per-cell ``path()`` calls would.
@@ -27,11 +29,11 @@ object machinery stripped out:
   (per-lane ``head``/``tail`` arrays plus one shared ``nxt`` chain over
   the cell table) with an ``(N, K)`` ``qlen`` matrix, ``K`` being the
   widest neighbor set.  Each bank row's circuits map to ranks through
-  ``kcol`` and each route hop carries its rank, so enqueues, the
-  per-plane drain, and the per-slot occupancy statistics are kernels
-  (:mod:`repro.sim.kernels`) over flat VOQ keys, the flat tables and
-  preallocated scratch, with no per-cell Python objects or deques
-  anywhere on the hot path.
+  ``kcol`` and each cell's route row carries its hops' ranks, so
+  enqueues, the per-plane drain, and the per-slot occupancy statistics
+  are kernels (:mod:`repro.sim.kernels`) over flat VOQ keys, the flat
+  tables and preallocated scratch, with no per-cell Python objects or
+  deques anywhere on the hot path.
 
 Each plane and each enqueue batch takes one of two exact kernels by its
 size (:data:`SEQ_CUTOFF`).  Small ones — every plane of a fabric of a
@@ -115,7 +117,7 @@ SEQ_CUTOFF = 192
 #: ``VectorizedSession._refill_block_chunk``).  Chunks refill strictly in
 #: arrival order, so any size gives bit-identical draws and results; this
 #: one keeps refill overhead negligible and the chunk scratch small.
-PRESAMPLE_CHUNK_CELLS = 1 << 16
+PRESAMPLE_CHUNK_CELLS = 1 << 15
 
 
 def _flat_view(arr: np.ndarray) -> memoryview:
@@ -177,18 +179,18 @@ class VectorizedEngine:
 class VectorizedSession(SimSession):
     """The fused-kernel engine's resumable run state.
 
-    All cell state lives in flat int32 tables on the session (shared
-    route rows + per-cell route index, hop cursor, owning flow, intrusive
-    ``nxt`` link) and all queue state in the array linked lists of
-    :class:`repro.sim.network.LinkedVoqState`; the per-slot work is the
-    kernel set in :mod:`repro.sim.kernels` plus a handful of gathers.
-    Scratch buffers (candidate matrix, sequential-drain staging) are
-    allocated once here and reused every slot, so the steady-state loop
-    allocates only small result arrays; the sequential kernels reach
-    the tables through flat memoryviews (:meth:`_bind_views`).  Pausing
-    at a slot boundary is free; presampled path blocks stay valid across
-    schedule swaps because the *router* — the only RNG consumer — never
-    changes mid-run.
+    All cell state lives in flat tables on the session, one row per
+    cell id (route row, hop ranks, route length, hop cursor, owning
+    flow, intrusive ``nxt`` link), and all queue state in the array
+    linked lists of :class:`repro.sim.network.LinkedVoqState`; the
+    per-slot work is the kernel set in :mod:`repro.sim.kernels` plus a
+    handful of gathers.  The cell tables and the scratch buffers
+    (candidate matrix, sequential-drain staging) are allocated once
+    here, so the steady-state loop allocates only small result arrays;
+    the sequential kernels reach the tables through flat memoryviews
+    (:meth:`_bind_views`).  Pausing at a slot boundary is free;
+    presampled path blocks stay valid across schedule swaps because the
+    *router* — the only RNG consumer — never changes mid-run.
 
     Drain strategy per plane (:meth:`_drain_plane`): a plane at or
     under :data:`SEQ_CUTOFF` drains through the sequential kernel
@@ -284,7 +286,6 @@ class VectorizedSession(SimSession):
         self._fwd_lane = fwd_lane
 
         self._budget = config.cells_per_circuit
-        self._track_inj = checker is not None or self._rec_del is not None
         # Event consumers force the sequential replay of cascade planes
         # (the repair path does not emit) — see _drain_vec.
         self._emit = (
@@ -313,15 +314,6 @@ class VectorizedSession(SimSession):
         self._out_cids = np.empty(num_nodes * budget, dtype=np.int32)
         self._out_del = np.empty(num_nodes * budget, dtype=np.uint8)
         self._out_got = np.zeros(num_nodes, dtype=np.int64)
-        self._init_cell_tables()
-        # Route rows and, beside them, each hop's VOQ rank at its node
-        # (a rank is below N, so int16 holds it on any fabric under 2**15
-        # nodes, at half the bytes).
-        self._routes = np.full((0, 0), -1, dtype=np.int32)
-        self._rank_dtype = np.int16 if num_nodes <= np.iinfo(np.int16).max else np.int32
-        self._rranks = np.full((0, 0), -1, dtype=self._rank_dtype)
-        self._rowlen = np.empty(0, dtype=np.int32)
-        self._nroutes = 0
         self._blk_key = None
         self._circuits: List[Optional[tuple]] = []
 
@@ -340,11 +332,10 @@ class VectorizedSession(SimSession):
         # order, first-hop/lane blocks) flat in run length.  Chunks refill
         # strictly in arrival order, so per-cell path draws hit the RNG in
         # exactly the whole-run order (paths_batch draws are
-        # stream-identical however the batch is split).  Cell ids are
-        # allocated in order too, so a chunk's ids are the global cell
-        # indices [lo, hi).  The router is immutable for the whole
-        # session, so presampled routes stay valid across mid-run
-        # schedule swaps.
+        # stream-identical however the batch is split).  Global cell k
+        # (in arrival order) has id k + 1.  The router is immutable for
+        # the whole session, so presampled routes stay valid across
+        # mid-run schedule swaps.
         fl = np.flatnonzero(arr_np < duration_slots)
         ordflows = fl[np.argsort(arr_np[fl], kind="stable")]
         counts = np.zeros(duration_slots, dtype=np.int64)
@@ -356,30 +347,29 @@ class VectorizedSession(SimSession):
         self._blk_total = int(self._ord_cum[-1]) if ordflows.size else 0
         self._blk_base = 0
         self._blk_hi = 0
-        self._blk_cid = self._blk_lane = None
+        self._blk_lane = None
         self._cursor = 0
-        self._bind_views()
 
-    def _bind_views(self) -> None:
-        """(Re)bind the flat views the kernels work through.
-
-        The array kernels take flat NumPy views of the VOQ arrays; the
-        scalar ones take memoryviews, which read and write Python ints at
-        about half the cost of NumPy scalar indexing.  Either pins the
-        array it came from: after a backing array is replaced, a stale
-        view silently writes into the dead copy.  So everything that
-        replaces one — cell and route table growth, a new presample
-        chunk, widened VOQ rows, a checkpoint restore — calls this.
-        """
-        net = self.network
-        self._head = net.head.reshape(-1)
-        self._tail = net.tail.reshape(-1)
-        self._qlen = net.qlen.reshape(-1)
-        self._v_head = memoryview(self._head)
-        self._v_tail = memoryview(self._tail)
-        self._v_qlen = memoryview(self._qlen)
+        # --- Cell tables ------------------------------------------------
+        # A cell's 1-based id is its row in every per-cell table; row 0 is
+        # never read, so 0 is the empty sentinel of every head/tail/nxt
+        # cursor (see repro.sim.kernels).  Sized once for the run's cells,
+        # after the install (its rank build is the larger transient), and
+        # left unfilled: each presample chunk writes its cells' rows.
+        # Route rows are paths_batch's max_hops + 1 wide, and beside them
+        # sits each hop's VOQ rank at its node (a rank is below N, so
+        # int16 holds it on any fabric under 2**15 nodes).
+        rows = self._blk_total + 1
+        width = self.router.max_hops + 1
+        rank_dtype = np.int16 if num_nodes <= np.iinfo(np.int16).max else np.int32
+        self._routes = np.empty((rows, width), dtype=np.int32)
+        self._rranks = np.empty((rows, width), dtype=rank_dtype)
+        self._rowlen = np.empty(rows, dtype=np.int32)
+        self._rhop = np.empty(rows, dtype=np.int32)
+        self._rfid = np.empty(rows, dtype=np.int32)
+        self._nxt = np.empty(rows, dtype=np.int32)
+        # These arrays are never replaced, so their views are bound once.
         self._v_nxt = _flat_view(self._nxt)
-        self._v_ridx = _flat_view(self._ridx)
         self._v_rhop = _flat_view(self._rhop)
         self._v_rfid = _flat_view(self._rfid)
         self._v_routes = _flat_view(self._routes)
@@ -389,6 +379,28 @@ class VectorizedSession(SimSession):
         self._v_out_cids = _flat_view(self._out_cids)
         self._v_out_del = _flat_view(self._out_del)
         self._v_out_got = _flat_view(self._out_got)
+        self._bind_views()
+
+    def _bind_views(self) -> None:
+        """(Re)bind the flat views of the VOQ arrays and the current
+        presample chunk.
+
+        The array kernels take flat NumPy views of the VOQ arrays; the
+        scalar ones take memoryviews, which read and write Python ints at
+        about half the cost of NumPy scalar indexing.  Either pins the
+        array it came from: after a backing array is replaced, a stale
+        view silently writes into the dead copy.  So everything that
+        replaces one — a new presample chunk, widened VOQ rows, a
+        checkpoint restore — calls this.  The cell tables are never
+        replaced; their views are bound once, in ``__init__``.
+        """
+        net = self.network
+        self._head = net.head.reshape(-1)
+        self._tail = net.tail.reshape(-1)
+        self._qlen = net.qlen.reshape(-1)
+        self._v_head = memoryview(self._head)
+        self._v_tail = memoryview(self._tail)
+        self._v_qlen = memoryview(self._qlen)
         if self._blk_key is not None:
             self._v_blk_key = _flat_view(self._blk_key)
             self._v_blk_lane = _flat_view(self._blk_lane)
@@ -447,11 +459,10 @@ class VectorizedSession(SimSession):
 
     def _state_payload(self) -> dict:
         # Everything deterministic from (flows, config, schedule) is
-        # rebuilt by a fresh start(); only the mutable tables travel.
-        # Cell/route tables are trimmed to their live prefix (cell tables
-        # keep the dummy row 0) — linked lists only ever reference
-        # allocated ids, and capacity regrows on demand after restore.
-        # Route hop ranks are recomputed on restore.
+        # rebuilt by a fresh start(); only the mutable tables travel: the
+        # rows of the cells sampled so far (ids 1..blk_hi — linked lists
+        # only ever reference those).  Route hop ranks are recomputed on
+        # restore.
         from .checkpoint import encode_array
 
         if self._slot_pairs or self._slot_keys:
@@ -459,8 +470,7 @@ class VectorizedSession(SimSession):
                 "internal error: slot-pair scratch not empty at a segment "
                 "boundary"
             )
-        ncells = self._ncells
-        live = slice(0, ncells + 1)
+        live = slice(1, self._blk_hi + 1)
         return {
             "fdcount": encode_array(self._fdcount),
             "fhoptot": encode_array(self._fhoptot),
@@ -469,19 +479,11 @@ class VectorizedSession(SimSession):
                 name: encode_array(arr)
                 for name, arr in self.network.export_state().items()
             },
-            "routes": encode_array(self._routes[: self._nroutes]),
-            "rowlen": encode_array(self._rowlen[: self._nroutes]),
-            "nroutes": self._nroutes,
-            "ridx": encode_array(self._ridx[live]),
+            "routes": encode_array(self._routes[live]),
+            "rowlen": encode_array(self._rowlen[live]),
             "rhop": encode_array(self._rhop[live]),
             "rfid": encode_array(self._rfid[live]),
             "nxt": encode_array(self._nxt[live]),
-            "cinj": (
-                encode_array(self._cinj[live])
-                if self._cinj is not None
-                else None
-            ),
-            "ncells": ncells,
             "occupancy": self.network.total_occupancy,
             "cursor": self._cursor,
             "blk_base": self._blk_base,
@@ -491,9 +493,6 @@ class VectorizedSession(SimSession):
     def _restore_state(self, state: dict) -> None:
         from .checkpoint import decode_array
 
-        def cells(name: str) -> np.ndarray:
-            return decode_array(state[name]).astype(np.int32, copy=False)
-
         try:
             self._fdcount = decode_array(state["fdcount"])
             self._fhoptot = decode_array(state["fhoptot"])
@@ -502,46 +501,27 @@ class VectorizedSession(SimSession):
                 {name: decode_array(rec) for name, rec in state["network"].items()},
                 int(state["occupancy"]),
             )
-            routes = np.ascontiguousarray(
-                decode_array(state["routes"]), dtype=np.int32
-            )
-            self._rowlen = decode_array(state["rowlen"]).astype(
-                np.int32, copy=False
-            )
-            self._nroutes = int(state["nroutes"])
-            self._ridx = cells("ridx")
-            self._rhop = cells("rhop")
-            self._rfid = cells("rfid")
-            self._nxt = cells("nxt")
-            saved_cinj = state["cinj"]
-            if self._track_inj:
-                if saved_cinj is None:
-                    raise CheckpointError(
-                        "the resuming session tracks per-cell injection "
-                        "slots (invariants or delivery telemetry) but the "
-                        "checkpoint carries none — resume with the saving "
-                        "run's configuration"
-                    )
-                self._cinj = cells("cinj")
-            self._ncells = int(state["ncells"])
             self._cursor = int(state["cursor"])
             self._blk_base = int(state["blk_base"])
             self._blk_hi = int(state["blk_hi"])
+            # Written into the fresh session's tables, which keep their
+            # size and their views.
+            live = slice(1, self._blk_hi + 1)
+            for name in ("routes", "rowlen", "rhop", "rfid", "nxt"):
+                rows = getattr(self, "_" + name)[live]
+                saved = decode_array(state[name])
+                if saved.shape != rows.shape:
+                    raise ValueError(
+                        f"{name} has shape {saved.shape}, expected {rows.shape}"
+                    )
+                rows[...] = saved
             # The restored rank table replaced the fresh session's, so
             # the schedule's rank rows and the route ranks are re-derived
             # from it (a saved run assigned every rank they use).
             self._install_schedule(self.schedule)
-            self._routes = routes
-            self._rranks = self._route_ranks(routes)
+            self._fill_route_ranks(live)
             if self._blk_hi > self._blk_base:
-                # The current presample chunk's scratch is a pure function
-                # of the restored cell tables (global cell [lo, hi) has
-                # the 1-based id lo+1..hi).
-                span = slice(self._blk_base + 1, self._blk_hi + 1)
-                self._blk_cid = np.arange(
-                    self._blk_base + 1, self._blk_hi + 1, dtype=np.int32
-                )
-                self._set_block_heads(self._ridx[span], self._rfid[span])
+                self._set_block_heads()
             self._bind_views()
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
@@ -562,101 +542,37 @@ class VectorizedSession(SimSession):
         )
         return demand
 
-    # -- cell table management ------------------------------------------------
+    # -- presample chunks ------------------------------------------------------
 
-    def _init_cell_tables(self) -> None:
-        """Fresh cell tables with the dummy row 0 cell ids leave free.
-
-        Cell ids are 1-based (see :mod:`repro.sim.kernels`): id ``k``
-        lives at table index ``k`` and index 0 is never a real cell, so
-        ``0`` is the empty sentinel in every ``head``/``tail``/``nxt``
-        cursor.
-        """
-        self._ridx = np.zeros(1, dtype=np.int32)
-        self._rhop = np.zeros(1, dtype=np.int32)
-        self._rfid = np.zeros(1, dtype=np.int32)
-        self._nxt = np.zeros(1, dtype=np.int32)
-        self._cinj = np.zeros(1, dtype=np.int32) if self._track_inj else None
-        self._ncells = 0
-
-    @staticmethod
-    def _grown(arr: np.ndarray, newcap: int) -> np.ndarray:
-        out = np.empty(newcap, dtype=arr.dtype)
-        out[: arr.shape[0]] = arr
-        return out
-
-    def _alloc_cells(self, count: int) -> int:
-        """Reserve *count* fresh cell ids; returns the base id.
-
-        Ids are 1-based: the first allocation returns 1 and table index
-        0 stays the dummy row shared by every sentinel.
-        """
-        base = self._ncells + 1
-        need = base + count
-        cap = self._ridx.shape[0]
-        if need > cap:
-            newcap = max(need, cap * 2, 1024)
-            self._ridx = self._grown(self._ridx, newcap)
-            self._rhop = self._grown(self._rhop, newcap)
-            self._rfid = self._grown(self._rfid, newcap)
-            self._nxt = self._grown(self._nxt, newcap)
-            if self._cinj is not None:
-                self._cinj = self._grown(self._cinj, newcap)
-            self._bind_views()
-        self._ncells += count
-        return base
-
-    def _route_ranks(self, paths: np.ndarray) -> np.ndarray:
-        """Per route-table entry, the VOQ rank of the hop leaving it
-        (-1 past the route's last hop).  One hop column at a time, which
-        keeps the lookup's scratch at a column's size."""
-        ranks = np.full(paths.shape, -1, dtype=self._rank_dtype)
+    def _fill_route_ranks(self, rows: slice) -> None:
+        """Fill the hop ranks of the route *rows*: per entry, the VOQ
+        rank of the hop leaving it (-1 past the route's last hop).  One
+        hop column at a time, which keeps the lookup's scratch at a
+        column's size."""
+        paths = self._routes[rows]
+        ranks = self._rranks[rows]
+        ranks[:, -1] = -1
         for h in range(paths.shape[1] - 1):
             ranks[:, h] = self._hop_ranks(paths[:, h], paths[:, h + 1])
-        return ranks
 
-    def _append_routes(self, paths: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """Store freshly sampled route rows and their hop ranks; returns
-        their row indices."""
-        ranks = self._route_ranks(paths)
-        count, width = paths.shape
-        base = self._nroutes
-        cap, cur_width = self._routes.shape
-        if width > cur_width or base + count > cap:
-            newcap = max(base + count, cap * 2, 256)
-            new_width = max(width, cur_width)
-            grown = np.full((newcap, new_width), -1, dtype=np.int32)
-            grown[:base, :cur_width] = self._routes[:base]
-            self._routes = grown
-            grown = np.full((newcap, new_width), -1, dtype=self._rank_dtype)
-            grown[:base, :cur_width] = self._rranks[:base]
-            self._rranks = grown
-            self._rowlen = self._grown(self._rowlen, newcap)
-            self._bind_views()
-        self._routes[base : base + count, :width] = paths
-        self._rranks[base : base + count, :width] = ranks
-        self._rowlen[base : base + count] = lengths
-        self._nroutes = base + count
-        return np.arange(base, base + count, dtype=np.int32)
-
-    def _set_block_heads(self, rows: np.ndarray, fids: np.ndarray) -> None:
+    def _set_block_heads(self) -> None:
         """First-hop VOQ keys and lanes of the current presample chunk."""
+        rows = slice(self._blk_base + 1, self._blk_hi + 1)
         self._blk_key = (
             self._routes[rows, 0].astype(np.int64) * self.network.ranks_per_node
             + self._rranks[rows, 0]
         )
-        self._blk_lane = self._fresh_lane[fids]
+        self._blk_lane = self._fresh_lane[self._rfid[rows]]
 
     def _refill_block_chunk(self) -> None:
-        """Presample the next block chunk (global cells [lo, hi)).
+        """Presample the next chunk: global cells [lo, hi), ids lo+1..hi.
 
         Finds the arrival-ordered flows covering the chunk via one
         searchsorted on the cumulative size array, repeats them into the
-        per-cell order, trims the partial first/last flows, and samples
-        exactly those cells' paths.  Because refills happen strictly
-        sequentially, the RNG consumes draws in the whole-run order and
-        ``_alloc_cells`` hands back exactly the (1-based) ids of global
-        cells [lo, hi).
+        per-cell order, trims the partial first/last flows, samples
+        exactly those cells' paths and writes the cells' table rows in
+        place.  Because refills happen strictly sequentially, the RNG
+        consumes draws in the whole-run order.
         """
         lo = self._blk_hi
         hi = min(self._blk_total, lo + PRESAMPLE_CHUNK_CELLS)
@@ -667,26 +583,21 @@ class VectorizedSession(SimSession):
         order = np.repeat(flows_slice, self._fsizes[flows_slice])
         start = int(cum[first - 1]) if first > 0 else 0
         order = order[lo - start : hi - start]
-        count = hi - lo
         paths, lengths = self.router.paths_batch(
             self._src_arr[order], self._dst_arr[order], self.rng
         )
-        # Rebinding drops the router's int64 block before the hop ranks
-        # are looked up.
-        paths = np.ascontiguousarray(paths, dtype=np.int32)
-        rows = self._append_routes(paths, lengths.astype(np.int32))
-        base = self._alloc_cells(count)
-        span = slice(base, base + count)
-        self._ridx[span] = rows
-        self._rhop[span] = 0
-        self._rfid[span] = order
-        self._nxt[span] = 0
-        if self._cinj is not None:
-            self._cinj[span] = self._arr_np[order]
-        self._blk_cid = np.arange(base, base + count, dtype=np.int32)
-        self._set_block_heads(rows, order)
+        rows = slice(lo + 1, hi + 1)
+        self._routes[rows] = paths
+        self._rowlen[rows] = lengths
+        # Drop the router's int64 block before the hop ranks are looked up.
+        del paths, lengths
+        self._rhop[rows] = 0
+        self._rfid[rows] = order
+        self._nxt[rows] = 0
+        self._fill_route_ranks(rows)
         self._blk_base = lo
         self._blk_hi = hi
+        self._set_block_heads()
         self._bind_views()
 
     # -- per-plane drain ------------------------------------------------------
@@ -721,7 +632,6 @@ class VectorizedSession(SimSession):
             self._v_tail,
             self._v_qlen,
             self._v_nxt,
-            self._v_ridx,
             self._v_rhop,
             self._v_rfid,
             self._v_routes,
@@ -821,7 +731,6 @@ class VectorizedSession(SimSession):
         routes = self._routes
         rranks = self._rranks
         rowlen = self._rowlen
-        ridx = self._ridx
         rhop = self._rhop
         budget = self._budget
         width = self.network.ranks_per_node
@@ -839,17 +748,15 @@ class VectorizedSession(SimSession):
             if prof is not None:
                 self._prof_add("drain", t)
             return _EMPTY32
-        rows = ridx[popped]
         hops = rhop[popped]
-        delm = hops == rowlen[rows] - 2
+        delm = hops == rowlen[popped] - 2
         fwm = ~delm
         fw = popped[fwm]
         extra = None
         if fw.size:
             fh = hops[fwm] + 1
-            frow = rows[fwm]
-            fu = routes[frow, fh]
-            fr = rranks[frow, fh]
+            fu = routes[fw, fh]
+            fr = rranks[fw, fh]
             hit = krow[fu] == fr
             if np.any(hit):
                 # A forwarded cell lands in a VOQ this same plane still
@@ -884,15 +791,13 @@ class VectorizedSession(SimSession):
                     flat = sub.T.ravel()
                     valid = flat > 0
                     popped = flat[valid]
-                    rows = ridx[popped]
                     hops = rhop[popped]
-                    delm = hops == rowlen[rows] - 2
+                    delm = hops == rowlen[popped] - 2
                     fwm = ~delm
                     fw = popped[fwm]
                     fh = hops[fwm] + 1
-                    frow = rows[fwm]
-                    fu = routes[frow, fh]
-                    fr = rranks[frow, fh]
+                    fu = routes[fw, fh]
+                    fr = rranks[fw, fh]
                     if prof is not None:
                         t = self._prof_add("repair", t)
         got = (sub > 0).sum(axis=0)
@@ -1004,7 +909,6 @@ class VectorizedSession(SimSession):
         head = self._head
         width = self.network.ranks_per_node
         lane_stride = head.shape[0] // self._num_lanes
-        ridx = self._ridx
         rhop = self._rhop
         rfid = self._rfid
         routes = self._routes
@@ -1076,19 +980,18 @@ class VectorizedSession(SimSession):
             if walked:
                 sub[0, j] = 0
             passthrough.add(cell)
-            row = int(ridx[cell])
             # Position after the committed first advance plus any chained
             # advances already recorded this pass — a cell can win several
             # cascade hops in one slot, and rhop itself is only updated
             # after this pass returns.
             h1 = int(rhop[cell]) + 1 + advances.get(cell, 0)
-            if h1 == int(rowlen[row]) - 2:
+            if h1 == int(rowlen[cell]) - 2:
                 extra_del.append((pos, cell))
                 continue
             advances[cell] = advances.get(cell, 0) + 1
             h2 = h1 + 1
-            u2 = int(routes[row, h2])
-            r2 = int(rranks[row, h2])
+            u2 = int(routes[cell, h2])
+            r2 = int(rranks[cell, h2])
             if int(krow[u2]) == r2:
                 k2 = int(np.searchsorted(srcs, u2))
                 if k2 < nsrc and int(srcs[k2]) == u2:
@@ -1120,8 +1023,8 @@ class VectorizedSession(SimSession):
         rec_del = self._rec_del
         routes = self._routes
         rowlen = self._rowlen
-        ridx = self._ridx
-        cinj = self._cinj
+        rfid = self._rfid
+        arrival = self._arr_np
         src_l = srcs.tolist()
         dst_l = dsts.tolist()
         pop_l = popped.tolist()
@@ -1137,14 +1040,14 @@ class VectorizedSession(SimSession):
             for p in range(offset, offset + count):
                 if del_l[p]:
                     cid = pop_l[p]
-                    row = int(ridx[cid])
-                    length = int(rowlen[row])
+                    length = int(rowlen[cid])
+                    injected = int(arrival[rfid[cid]])
                     if checker is not None:
                         checker.record_delivery(
-                            slot, int(cinj[cid]), routes[row, :length]
+                            slot, injected, routes[cid, :length]
                         )
                     if rec_del is not None:
-                        rec_del(slot, int(cinj[cid]), length - 1)
+                        rec_del(slot, injected, length - 1)
             offset += count
 
     def _account_deliveries_batch(self, cids: np.ndarray, slots: np.ndarray) -> None:
@@ -1158,7 +1061,7 @@ class VectorizedSession(SimSession):
         flow preserves delivery order, which is slot-ascending).
         """
         fids = self._rfid[cids]
-        hops = self._rowlen[self._ridx[cids]].astype(np.int64) - 1
+        hops = self._rowlen[cids].astype(np.int64) - 1
         uniq, inverse = np.unique(fids, return_inverse=True)
         counts = np.bincount(inverse)
         old = self._fdcount[uniq]
@@ -1265,7 +1168,9 @@ class VectorizedSession(SimSession):
                                     self._tail,
                                     self._nxt,
                                     self._qlen,
-                                    self._blk_cid[b:e],
+                                    np.arange(
+                                        cursor + 1, stop_at + 1, dtype=np.int32
+                                    ),
                                     self._blk_key[b:e],
                                     self._blk_lane[b:e],
                                     num_lanes,

@@ -132,8 +132,22 @@ class TestResumeBitExact:
             session.run_segment(13)
         assert session.finish() == whole
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_telemetry_and_trace_survive_resume(self, engine, tmp_path):
+    @pytest.mark.parametrize(
+        "engine, chunk_cells",
+        [("reference", None), ("vectorized", None), ("vectorized", 7)],
+        ids=["reference", "vectorized", "vectorized-chunk7"],
+    )
+    def test_telemetry_and_trace_survive_resume(
+        self, engine, chunk_cells, tmp_path, monkeypatch
+    ):
+        """With 7-cell presample chunks the save lands inside a chunk
+        after several refills: the resumed session writes the saved cell
+        rows into its own tables, rebuilds the chunk's first hops from
+        them and reads each delivery's injection slot from its flow."""
+        from repro.sim import vectorized as V
+
+        if chunk_cells is not None:
+            monkeypatch.setattr(V, "PRESAMPLE_CHUNK_CELLS", chunk_cells)
         flows = make_flows()
         hub_whole = fresh_hub()
         whole = make_sim(engine, telemetry=hub_whole).run(flows, 150)
@@ -141,6 +155,9 @@ class TestResumeBitExact:
         hub_a = fresh_hub()
         session = make_sim(engine, telemetry=hub_a).start(flows, 150)
         session.run_segment(70)
+        if chunk_cells is not None:
+            assert session._blk_base >= 3 * chunk_cells
+            assert session._blk_base < session._cursor < session._blk_hi
         path = str(tmp_path / "run.ckpt")
         session.save(path)
         del session
@@ -227,6 +244,18 @@ class TestRejection:
             handle.write(raw)
         with pytest.raises(CheckpointError, match="checksum"):
             make_sim("vectorized").resume(path, self.flows)
+
+    def test_relaid_file_fails_checksum(self, tmp_path):
+        """The checksum covers the payload's bytes as written: the same
+        document dumped in another layout (indented) is refused,
+        although its parsed payload is unchanged."""
+        path = self._saved(tmp_path)
+        with open(path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle, indent=1)
+        with pytest.raises(CheckpointError, match="failed its content checksum"):
+            read_checkpoint(path)
 
     def test_schema_version_bump_rejected(self, tmp_path):
         """A file written by an older or a newer schema is rejected with
@@ -319,35 +348,58 @@ class TestAtomicity:
 
 
 def _pinned_fingerprints():
-    """(schedule, dest_sha256 prefix) pairs computed from the dense table."""
+    """(schedule, dest_sha256 prefix) pairs of the canonical form."""
     from repro.analysis import optimal_q
     from repro.schedules import HierarchicalSornSchedule, RoundRobinSchedule
     from repro.topology.cliques import CliqueLayout
 
     hierarchical = HierarchicalSornSchedule(CliqueLayout.equal(32, 2), q=3, h=2)
     return [
-        pytest.param(build_sorn_schedule(16, 4, q=2.0), "d9f9dd03a721bd91", id="sorn16"),
+        pytest.param(build_sorn_schedule(16, 4, q=2.0), "5030f74d8a87c617", id="sorn16"),
         pytest.param(
-            build_sorn_schedule(12, 3, q=1, num_planes=2), "0ebc65c634ca92eb", id="sorn12x2"
+            build_sorn_schedule(12, 3, q=1, num_planes=2), "240992042c02ccb1", id="sorn12x2"
         ),
         pytest.param(
-            build_sorn_schedule(128, 8, q=optimal_q(0.56)), "d5b7f8544c78af6a", id="sorn128"
+            build_sorn_schedule(128, 8, q=optimal_q(0.56)), "cbfbb19ef26fd799", id="sorn128"
         ),
-        pytest.param(RoundRobinSchedule(6, num_planes=3), "ed62de10f264487f", id="rr6x3"),
-        pytest.param(hierarchical, "bcbb78a218811b38", id="hier32"),
+        pytest.param(RoundRobinSchedule(6, num_planes=3), "0ec503925b5beddb", id="rr6x3"),
+        pytest.param(hierarchical, "140ec142c48760a0", id="hier32"),
     ]
 
 
 class TestScheduleFingerprint:
     @pytest.mark.parametrize("schedule, prefix", _pinned_fingerprints())
     def test_digest_pinned_to_the_dense_table(self, schedule, prefix):
-        """The digest hashes the dense destination table's bytes; these
-        values were computed when schedules still materialized that
-        table, so checkpoints saved then still resume."""
+        """The digest hashes the canonical form of the compiled schedule
+        (distinct rows in order of first use, then the relabelled
+        index); pinned so that a change to the form, which makes every
+        saved checkpoint unresumable, comes with a schema bump."""
         fingerprint = schedule_fingerprint(schedule)
         assert fingerprint["dest_sha256"][:16] == prefix
         assert fingerprint["period"] == schedule.period
         assert fingerprint["num_planes"] == schedule.num_planes
+
+    @pytest.mark.parametrize("schedule, prefix", _pinned_fingerprints())
+    def test_equal_dense_tables_equal_digests(self, schedule, prefix):
+        """A schedule and an explicit copy of its matchings compile to
+        the same dense table, and (SORN and hierarchical SORN build their
+        banks in their own order) to different banks, yet fingerprint
+        equal; shifting the copy by a slot changes its dense table and
+        its digest."""
+        from repro.schedules import ExplicitSchedule, RoundRobinSchedule
+
+        matchings = [schedule.matching(t) for t in range(schedule.period)]
+        copy = ExplicitSchedule(matchings, num_planes=schedule.num_planes)
+        assert schedule_fingerprint(copy) == schedule_fingerprint(schedule)
+        bank, index = schedule.compiled()
+        copy_bank, copy_index = copy.compiled()
+        np.testing.assert_array_equal(copy_bank[copy_index], bank[index])
+        if not isinstance(schedule, RoundRobinSchedule):
+            assert not np.array_equal(copy_bank, bank)
+        shifted = ExplicitSchedule(
+            matchings[1:] + matchings[:1], num_planes=schedule.num_planes
+        )
+        assert schedule_fingerprint(shifted) != schedule_fingerprint(schedule)
 
 
 class TestEpochCollectorRoundTrip:

@@ -405,6 +405,32 @@ class TestChunkedPresampling:
         assert vec_report == ref_report
         assert vec_trace.points == ref_trace.points
 
+    def test_cell_tables_sized_once(self, monkeypatch):
+        """A cell's id is its row in every per-cell table, and the tables
+        are sized for the run's cells when the session starts: with
+        five-cell chunks the run refills dozens of times, yet every table
+        keeps its start-time object, one row per in-run cell plus the
+        unused row 0."""
+        from repro.sim import vectorized as V
+
+        monkeypatch.setattr(V, "PRESAMPLE_CHUNK_CELLS", 5)
+        schedule, router, cfg, n = COMBOS["sorn-default"]()
+        flows = _uniform_flows(n, 3)
+        duration = 120  # flows keep arriving after it: those stay out
+        in_run = int(flows.size_cells[flows.arrival_slot < duration].sum())
+        assert in_run < int(flows.size_cells.sum())
+        session = SlotSimulator(
+            schedule, router, SimConfig(engine="vectorized", **cfg), rng=4
+        ).start(flows, duration)
+        names = ("_routes", "_rranks", "_rowlen", "_rhop", "_rfid", "_nxt")
+        tables = {name: getattr(session, name) for name in names}
+        assert {t.shape[0] for t in tables.values()} == {in_run + 1}
+        assert tables["_routes"].shape[1] == router.max_hops + 1
+        report = session.finish()
+        assert report.injected_cells == in_run > 10 * V.PRESAMPLE_CHUNK_CELLS
+        for name, table in tables.items():
+            assert getattr(session, name) is table, name
+
 
 @pytest.mark.scale
 class TestMemoryRegression:
