@@ -33,8 +33,8 @@ gets a run id, completed points are recorded durably as they finish,
 and a run killed at any moment — Ctrl-C, SIGTERM, SIGKILL, OOM — can be
 re-executed with ``--resume RUN_ID``, recomputing only the missing
 points and printing bit-identical output.  SIGINT/SIGTERM exit with a
-one-line resume hint; ``--hang-timeout`` arms a watchdog that kills and
-requeues workers whose heartbeats go stale.
+one-line resume hint; ``--hang-timeout`` sets the deadline after which
+a parallel sweep's silent worker is killed and its point requeued.
 """
 
 from __future__ import annotations
@@ -218,8 +218,9 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
         default=None,
         dest="hang_timeout",
         metavar="SECONDS",
-        help="watchdog deadline: kill and requeue workers whose "
-        "heartbeat goes stale for this long (parallel sweeps only)",
+        help="watchdog deadline for parallel sweeps: workers beat six "
+        "times per deadline, and one silent for this long is killed with "
+        "its pool and its point requeued (default: never declared hung)",
     )
 
 

@@ -17,10 +17,12 @@ the missing work:
   the cache, and merges bit-identically (done points resolve as cache
   hits, which are JSON round-trips of the original results).
 
-Torn tails are expected: a crash mid-append leaves a partial final
-line, which :func:`RunJournal.load` tolerates (the point it would have
-recorded is simply recomputed).  Any other malformed content is an
-error — a journal is never silently reinterpreted.
+Torn tails are expected: a crash mid-append leaves a final line without
+its newline.  :func:`RunJournal.load` ignores that line (the point it
+would have recorded is simply recomputed), and :meth:`RunJournal.open`
+cuts it before appending, so a journal stays readable however often its
+run is killed and resumed.  Any other malformed content is an error — a
+journal is never silently reinterpreted.
 
 Journals live under ``$REPRO_RUNS_DIR`` or ``.repro-runs/`` as
 ``<run_id>.jsonl``.
@@ -112,14 +114,17 @@ class RunJournal:
     def load(cls, run_id: str) -> "RunJournal":
         """Read *run_id*'s journal: header plus the set of done indices.
 
-        Tolerates a torn (partial) final line — the signature of a crash
-        mid-append.  The returned journal is *closed*; reopen for
-        appending via :meth:`_open_append` (done by :meth:`open`).
+        Ignores a torn final line — one without its newline, the
+        signature of a crash mid-append.  The returned journal is
+        *closed*; reopen for appending via :meth:`_open_append` (done by
+        :meth:`open`).
         """
         path = journal_path(run_id)
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                lines = handle.read().splitlines()
+                # Every record ends with its newline; the text after the
+                # last one (usually empty) is a torn tail.
+                lines = handle.read().split("\n")[:-1]
         except FileNotFoundError:
             raise SweepError(
                 f"no run journal for run id {run_id!r} (looked at {path!r}); "
@@ -128,7 +133,7 @@ class RunJournal:
         except OSError as exc:
             raise SweepError(f"cannot read run journal {path!r}: {exc}") from exc
         if not lines:
-            raise SweepError(f"run journal {path!r} is empty")
+            raise SweepError(f"run journal {path!r} has no complete header")
         try:
             header = json.loads(lines[0])
         except ValueError as exc:
@@ -158,8 +163,6 @@ class RunJournal:
             try:
                 record = json.loads(line)
             except ValueError:
-                if lineno == len(lines):
-                    break  # torn tail from a crash mid-append; recompute it
                 raise SweepError(
                     f"run journal {path!r} line {lineno} is corrupt "
                     f"(not a torn tail)"
@@ -184,6 +187,15 @@ class RunJournal:
     # -- appending -------------------------------------------------------------
 
     def _open_append(self) -> None:
+        """Open for appending, first cutting a torn final line, so the
+        next record starts a line of its own instead of being glued
+        onto the fragment."""
+        with open(self.path, "rb+") as handle:
+            data = handle.read()
+            end = data.rfind(b"\n") + 1
+            if end < len(data):
+                handle.truncate(end)
+                os.fsync(handle.fileno())
         self._handle = open(self.path, "a", encoding="utf-8")
 
     def _append(self, record: dict) -> None:

@@ -19,23 +19,29 @@ scheduled.  Execution composes three layers:
    batching contract — ``run_batch`` bit-identical to per-seed ``run``
    — keeps the merge equal to serial execution.
 3. **Process fan-out.**  With ``workers > 1``, tasks are sharded over a
-   ``concurrent.futures.ProcessPoolExecutor``.  Ordinary exceptions
-   inside a family are caught *inside* the worker and returned tagged,
-   so they never poison the pool; they surface as
+   ``concurrent.futures.ProcessPoolExecutor`` by one supervised loop.
+   Ordinary exceptions inside a family are caught *inside* the worker
+   and returned tagged, so they never poison the pool; they surface as
    :class:`repro.errors.SweepError` naming the point's family and
    content hash, after ``retries`` in-process retries.  A worker that
-   dies without raising (``os._exit``, OOM kill, segfault) breaks the
-   pool — the runner then re-executes the unfinished tasks one by one
-   in fresh single-worker pools to identify the culprit and raises
+   stops heartbeating (``hang_timeout``) is killed with its pool and
+   its point requeued into a fresh pool.  A worker that dies without
+   raising (``os._exit``, OOM kill, segfault) breaks the pool — the
+   runner then re-executes the unfinished tasks one by one in fresh
+   single-worker pools to identify the culprit and raises
    :class:`repro.errors.SweepWorkerCrash` naming its family and content
-   hash, never a bare ``BrokenProcessPool``.
+   hash, never a bare ``BrokenProcessPool``.  Every pool is stopped the
+   same way — SIGKILL its workers, then join it — so none of its
+   threads is alive when the next pool forks or when the run returns.
 
 Determinism: the task list, its order, and the result merge depend only
 on the input points, so serial (``workers=0``) and parallel runs return
 identical lists (``tests/exp/test_runner.py`` proves it
-differentially).  Workers resolve families by name from the registry;
-families registered at module import time work everywhere, while
-test-local registrations rely on fork-start worker processes (Linux).
+differentially).  Workers resolve families by name from the registry.
+Pools use the fork start method (Linux), so a worker inherits the
+registry as it stood when its pool forked and test-local registrations
+resolve too; because each pool is joined before the next one forks, the
+runner forks only while no thread of its own is running.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ import concurrent.futures
 import dataclasses
 import json
 import os
+import shutil
 import tempfile
 import threading
 import time
@@ -150,17 +157,13 @@ class _Task:
     batched: bool
     indices: list  # positions in the input point list
     keys: list  # content hashes, aligned with seeds/indices
+    hangs: int = 0  # times a watchdog killed this task's worker
 
-    def spec(self) -> Tuple[str, dict, tuple, bool]:
-        """The picklable payload handed to :func:`_execute_task`."""
-        return (self.family, self.params, tuple(self.seeds), self.batched)
-
-    def parallel_spec(self, heartbeat=None):
-        """The payload for pool submission: spec plus the optional
-        heartbeat file."""
-        if heartbeat is None:
-            return self.spec()
-        return self.spec() + (heartbeat,)
+    def spec(self, heartbeat=None) -> tuple:
+        """The picklable payload handed to :func:`_execute_task`, plus
+        the optional ``(heartbeat_path, interval)``."""
+        spec = (self.family, self.params, tuple(self.seeds), self.batched)
+        return spec if heartbeat is None else spec + (heartbeat,)
 
     def describe(self) -> str:
         """``family=... hash=...`` of the task's first point, for errors."""
@@ -192,15 +195,14 @@ class SweepRunner:
         disable to force one task per point.
     hang_timeout:
         Watchdog deadline in seconds (parallel mode only).  Workers
-        heartbeat through per-task files; a worker whose heartbeat goes
-        stale past this deadline — a preempted, frozen, or SIGSTOPped
-        process — is killed and its points requeued under the same
-        ``retries`` budget, surfacing as
-        :class:`~repro.errors.SweepWorkerHang` (never a bare pool
-        error) once the budget is spent.  ``None`` disables the
-        watchdog.
-    heartbeat_interval:
-        Seconds between worker heartbeats when the watchdog is active.
+        heartbeat through per-task files six times per deadline; a
+        worker whose heartbeat goes stale past this deadline — a
+        preempted, frozen, or SIGSTOPped process — is killed with its
+        pool and its points requeued under the same ``retries`` budget,
+        surfacing as :class:`~repro.errors.SweepWorkerHang` (never a
+        bare pool error) once the budget is spent.  ``None`` means no
+        worker beats and none is ever declared hung; the parallel loop
+        is the same.
     telemetry:
         Optional :class:`repro.sim.telemetry.TelemetryHub`; watchdog
         lifecycle events (``heartbeat`` / ``hang`` / ``requeue``) are
@@ -216,7 +218,6 @@ class SweepRunner:
         retries: int = 1,
         batch_seeds: bool = True,
         hang_timeout: Optional[float] = None,
-        heartbeat_interval: float = 1.0,
         telemetry=None,
     ):
         if workers < 0:
@@ -225,17 +226,12 @@ class SweepRunner:
             raise SweepError(f"retries must be >= 0, got {retries}")
         if hang_timeout is not None and hang_timeout <= 0:
             raise SweepError(f"hang_timeout must be > 0, got {hang_timeout}")
-        if heartbeat_interval <= 0:
-            raise SweepError(
-                f"heartbeat_interval must be > 0, got {heartbeat_interval}"
-            )
         self.workers = int(workers)
         self.cache = cache
         self.timeout = timeout
         self.retries = int(retries)
         self.batch_seeds = bool(batch_seeds)
         self.hang_timeout = None if hang_timeout is None else float(hang_timeout)
-        self.heartbeat_interval = float(heartbeat_interval)
         self.telemetry = telemetry
         self._journal: Optional[RunJournal] = None
 
@@ -245,21 +241,22 @@ class SweepRunner:
 
     # -- planning ------------------------------------------------------------
 
-    def _plan(self, points: Sequence[SweepPoint], out: list) -> List[_Task]:
-        """Resolve cache hits into *out*; group the misses into tasks."""
+    def _plan(
+        self, points: Sequence[SweepPoint], keys: Sequence[str], out: list
+    ) -> List[_Task]:
+        """Resolve cache hits into *out*; group the misses into tasks.
+
+        *keys* are the points' content hashes, aligned with *points*.
+        """
         tasks: List[_Task] = []
         by_config: Dict[Tuple[str, str], _Task] = {}
-        for index, point in enumerate(points):
-            family = get_family(point.family)
-            key = point_key(
-                point.family, point.params, point.seed, version=family.version
-            )
+        for index, (point, key) in enumerate(zip(points, keys)):
             if self.cache is not None:
                 hit = self.cache.get(key)
                 if hit is not None:
                     out[index] = hit
                     continue
-            groupable = self.batch_seeds and family.run_batch is not None
+            groupable = self.batch_seeds and get_family(point.family).run_batch is not None
             if groupable:
                 config = (point.family, canonical_json(point.params))
                 task = by_config.get(config)
@@ -315,202 +312,153 @@ class SweepRunner:
             out[index] = result
 
     @staticmethod
-    def _abandon(pool) -> None:
-        """Tear a pool down without joining its (possibly stuck) workers.
+    def _stop_pool(pool) -> None:
+        """Stop *pool* for good: SIGKILL its workers, then join it.
 
-        A plain ``shutdown(wait=True)`` — what the context-manager exit
-        does — would block on a worker that is still inside a
-        long-running point, defeating the timeout.  Terminating the
-        worker processes first makes the teardown prompt.
+        SIGKILL also reaches a stopped worker (a SIGTERM would stay
+        pending) and ends one stuck inside a long point.  A worker
+        killed while sending its result leaves half a message in the
+        result pipe; closing the parent's own write end lets the pool's
+        manager thread read end-of-file there instead of waiting for the
+        rest forever.  The join returns once the manager and
+        queue-feeder threads have exited.
         """
-        processes = getattr(pool, "_processes", None) or {}
-        for process in list(processes.values()):
-            process.terminate()
-        pool.shutdown(wait=False, cancel_futures=True)
-
-    def _timeout_error(self, task: _Task) -> SweepTimeout:
-        return SweepTimeout(
-            f"sweep point {task.describe()} exceeded the "
-            f"{self.timeout}s per-point timeout"
-        )
-
-    def _run_parallel(self, tasks: List[_Task], out: list) -> None:
-        """Shard *tasks* across a process pool; settle in task order."""
-        if self.hang_timeout is not None:
-            self._run_parallel_watchdog(tasks, out)
-            return
-        broken: List[_Task] = []
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=self.workers)
-        try:
-            futures = [
-                pool.submit(_execute_task, task.parallel_spec()) for task in tasks
-            ]
-            for task, future in zip(tasks, futures):
-                try:
-                    payload = future.result(timeout=self.timeout)
-                except concurrent.futures.TimeoutError:
-                    raise self._timeout_error(task) from None
-                except concurrent.futures.process.BrokenProcessPool:
-                    broken.append(task)
-                    continue
-                self._settle(task, payload, out)
-        except SweepTimeout:
-            self._abandon(pool)
-            raise
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        self._isolate_broken(broken, out)
-
-    def _isolate_broken(self, broken: List[_Task], out: list) -> None:
-        """Re-run pool-breaking tasks one by one to name the culprit.
-
-        Each unfinished task gets a fresh single-worker pool.  Innocent
-        victims of someone else's crash complete here; the culprit
-        breaks its own pool and is named — family and content hash,
-        never a bare BrokenProcessPool.
-        """
-        for task in broken:
-            solo = concurrent.futures.ProcessPoolExecutor(max_workers=1)
-            try:
-                payload = solo.submit(_execute_task, task.parallel_spec()).result(
-                    timeout=self.timeout
-                )
-            except concurrent.futures.TimeoutError:
-                self._abandon(solo)
-                raise self._timeout_error(task) from None
-            except concurrent.futures.process.BrokenProcessPool:
-                raise SweepWorkerCrash(
-                    f"worker process died while computing sweep point "
-                    f"{task.describe()} (killed without raising — "
-                    f"os._exit, OOM kill, or segfault)"
-                ) from None
-            finally:
-                solo.shutdown(wait=False, cancel_futures=True)
-            self._settle(task, payload, out)
-
-    # -- watchdog execution ----------------------------------------------------
-
-    @staticmethod
-    def _kill_pool(pool) -> None:
-        """Hard-kill a pool's workers (SIGKILL reaches stopped processes,
-        which a SIGTERM would leave suspended with the signal pending)."""
-        processes = getattr(pool, "_processes", None) or {}
-        for process in list(processes.values()):
+        for process in list(pool._processes.values()):
             try:
                 process.kill()
             except (OSError, ValueError):
                 pass
-        pool.shutdown(wait=False, cancel_futures=True)
+        pool._result_queue._writer.close()
+        pool.shutdown(wait=True, cancel_futures=True)
 
-    def _run_parallel_watchdog(self, tasks: List[_Task], out: list) -> None:
-        """Parallel execution with heartbeat supervision.
-
-        Each task's worker beats a private file; the parent, while
-        waiting on a task, watches its beat mtime with the parent's own
-        monotonic clock.  A beat stale past ``hang_timeout`` means the
-        worker process is no longer being scheduled (preempted, frozen,
-        SIGSTOPped): the whole pool is killed, every completed-but-
-        unsettled payload is flushed, and the unfinished tasks are
-        requeued into a fresh pool — charging an attempt only to the
-        task that hung.  A task whose hang attempts exceed ``retries``
-        raises :class:`~repro.errors.SweepWorkerHang` naming its family
-        and content hash.
-        """
-        pending = list(tasks)
-        hang_attempts: Dict[int, int] = {}
-        broken: List[_Task] = []
-        poll = max(0.05, min(self.heartbeat_interval / 2.0, 0.5))
-        hb_dir = tempfile.mkdtemp(prefix="repro-heartbeat-")
+    def _run_parallel(self, tasks: List[_Task], out: list) -> None:
+        """Run *tasks* on pools of ``workers`` processes, then isolate
+        the tasks a dying worker left unfinished, one pool each."""
+        beats = None
+        if self.hang_timeout is not None:
+            beats = tempfile.mkdtemp(prefix="repro-heartbeat-")
         try:
-            while pending:
-                pool = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=self.workers
-                )
-                hb_paths: Dict[int, str] = {}
-                futures: Dict[int, concurrent.futures.Future] = {}
-                for task in pending:
-                    hb = os.path.join(hb_dir, f"{uuid.uuid4().hex}.beat")
-                    hb_paths[id(task)] = hb
-                    futures[id(task)] = pool.submit(
-                        _execute_task,
-                        task.parallel_spec((hb, self.heartbeat_interval)),
+            for task in self._supervise(tasks, self.workers, beats, out):
+                if self._supervise([task], 1, beats, out):
+                    raise SweepWorkerCrash(
+                        f"worker process died while computing sweep point "
+                        f"{task.describe()} (killed without raising — "
+                        f"os._exit, OOM kill, or segfault)"
                     )
-                settled_ids: set = set()
-                hung: Optional[_Task] = None
-                try:
-                    for task in pending:
-                        future = futures[id(task)]
-                        hb = hb_paths[id(task)]
-                        waited = 0.0
-                        seen_mtime: Optional[float] = None
-                        seen_at: Optional[float] = None
-                        while True:
-                            try:
-                                payload = future.result(timeout=poll)
-                                break
-                            except concurrent.futures.TimeoutError:
-                                waited += poll
-                                if self.timeout is not None and waited >= self.timeout:
-                                    self._kill_pool(pool)
-                                    raise self._timeout_error(task) from None
-                                try:
-                                    mtime = os.stat(hb).st_mtime
-                                except OSError:
-                                    continue  # not started yet: no judgment
-                                now = time.monotonic()
-                                if mtime != seen_mtime:
-                                    seen_mtime = mtime
-                                    seen_at = now
-                                    self._emit("heartbeat", task.keys[0])
-                                elif now - seen_at > self.hang_timeout:
-                                    hung = task
-                                    break
-                            except concurrent.futures.process.BrokenProcessPool:
-                                payload = None
-                                broken.append(task)
-                                break
-                        if hung is not None:
-                            break
-                        if payload is not None:
-                            self._settle(task, payload, out)
-                        settled_ids.add(id(task))
-                    if hung is None:
-                        pending = []
-                        continue
-                    # Flush every completed-but-unsettled payload before
-                    # killing the pool, so finished work survives.
-                    remaining: List[_Task] = []
-                    for task in pending:
-                        if task is hung or id(task) in settled_ids:
-                            continue
-                        future = futures[id(task)]
-                        if future.done() and future.exception() is None:
-                            self._settle(task, future.result(), out)
-                        else:
-                            remaining.append(task)
-                    self._emit("hang", hung.keys[0])
-                    attempts = hang_attempts.get(id(hung), 0) + 1
-                    hang_attempts[id(hung)] = attempts
-                    if attempts > self.retries:
-                        raise SweepWorkerHang(
-                            f"sweep worker stopped heartbeating while "
-                            f"computing point {hung.describe()} (no beat for "
-                            f"{self.hang_timeout}s); killed after "
-                            f"{attempts} attempt(s)"
-                        )
-                    pending = [hung] + remaining
-                    for task in pending:
-                        self._emit("requeue", task.keys[0])
-                finally:
-                    self._kill_pool(pool)
-            self._isolate_broken(broken, out)
         finally:
+            if beats is not None:
+                shutil.rmtree(beats, ignore_errors=True)
+
+    def _supervise(
+        self, tasks: List[_Task], workers: int, beats: Optional[str], out: list
+    ) -> List[_Task]:
+        """Settle *tasks* in order from a pool of *workers* processes.
+
+        Each task's worker beats a private file under *beats* (none
+        when ``hang_timeout`` is ``None``).  A beat stale past
+        ``hang_timeout`` means the worker process is no longer being
+        scheduled (preempted, frozen, SIGSTOPped): every completed but
+        unsettled payload is settled, the pool is stopped, and the
+        unfinished tasks are requeued into a fresh pool — charging an
+        attempt only to the task that hung.  A task whose hang attempts
+        exceed ``retries`` raises :class:`~repro.errors.SweepWorkerHang`
+        naming its family and content hash.  Returns, unsettled, the
+        tasks whose pool broke under them.
+        """
+        if beats is None:
+            # No beat to watch: each wait ends at the timeout (or never).
+            interval, poll = None, self.timeout
+        else:
+            interval = self.hang_timeout / 6.0
+            poll = max(0.05, min(interval / 2.0, 0.5))
+        broken: List[_Task] = []
+        pending = list(tasks)
+        while pending:
+            pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
             try:
-                for name in os.listdir(hb_dir):
-                    os.remove(os.path.join(hb_dir, name))
-                os.rmdir(hb_dir)
-            except OSError:
+                submitted = []
+                for task in pending:
+                    beat = heartbeat = None
+                    if beats is not None:
+                        beat = os.path.join(beats, f"{uuid.uuid4().hex}.beat")
+                        heartbeat = (beat, interval)
+                    future = pool.submit(_execute_task, task.spec(heartbeat))
+                    submitted.append((task, future, beat))
+                for position, (task, future, beat) in enumerate(submitted):
+                    try:
+                        payload = self._await(task, future, beat, poll)
+                    except concurrent.futures.process.BrokenProcessPool:
+                        broken.append(task)
+                        continue
+                    if payload is None:
+                        pending = self._requeue(task, submitted[position + 1 :], out)
+                        break
+                    self._settle(task, payload, out)
+                else:
+                    pending = []
+            finally:
+                self._stop_pool(pool)
+        return broken
+
+    def _requeue(self, hung: _Task, rest: list, out: list) -> List[_Task]:
+        """The tasks to rerun after *hung*'s worker stopped beating.
+
+        *rest* holds the ``(task, future, beat)`` submissions after
+        *hung*; the completed ones are settled before the pool dies, so
+        finished work survives, and the others are requeued behind
+        *hung*.
+        """
+        requeue = [hung]
+        for task, future, _ in rest:
+            if future.done() and future.exception() is None:
+                self._settle(task, future.result(), out)
+            else:
+                requeue.append(task)
+        self._emit("hang", hung.keys[0])
+        hung.hangs += 1
+        if hung.hangs > self.retries:
+            raise SweepWorkerHang(
+                f"sweep worker stopped heartbeating while computing point "
+                f"{hung.describe()} (no beat for {self.hang_timeout}s); "
+                f"killed after {hung.hangs} attempt(s)"
+            )
+        for task in requeue:
+            self._emit("requeue", task.keys[0])
+        return requeue
+
+    def _await(self, task: _Task, future, beat: Optional[str], poll):
+        """*future*'s payload, or ``None`` once its worker stops beating.
+
+        Polls every *poll* seconds: past ``timeout`` raises
+        :class:`~repro.errors.SweepTimeout`; with a *beat* file, a beat
+        unchanged for longer than ``hang_timeout`` on the parent's own
+        monotonic clock returns ``None``.  A broken pool propagates as
+        ``BrokenProcessPool``.
+        """
+        start = time.monotonic()
+        seen_mtime = seen_at = None
+        while True:
+            try:
+                return future.result(timeout=poll)
+            except concurrent.futures.TimeoutError:
                 pass
+            now = time.monotonic()
+            if self.timeout is not None and now - start >= self.timeout:
+                raise SweepTimeout(
+                    f"sweep point {task.describe()} exceeded the "
+                    f"{self.timeout}s per-point timeout"
+                ) from None
+            if beat is None:
+                continue
+            try:
+                mtime = os.stat(beat).st_mtime
+            except OSError:
+                continue  # not started yet: no judgment
+            if mtime != seen_mtime:
+                seen_mtime, seen_at = mtime, now
+                self._emit("heartbeat", task.keys[0])
+            elif now - seen_at > self.hang_timeout:
+                return None
 
     def run(self, points: Sequence[SweepPoint], run_id: Optional[str] = None) -> list:
         """Execute *points*; returns their results in input order.
@@ -529,20 +477,20 @@ class SweepRunner:
         must describe the same point list.
         """
         points = list(points)
+        if run_id is not None and self.cache is None:
+            raise SweepError(
+                f"journaled run {run_id!r} requires a result cache — "
+                f"the journal records completions, the cache holds the "
+                f"results a resume replays"
+            )
+        keys = [point.key() for point in points]
         journal = None
         if run_id is not None:
-            if self.cache is None:
-                raise SweepError(
-                    f"journaled run {run_id!r} requires a result cache — "
-                    f"the journal records completions, the cache holds the "
-                    f"results a resume replays"
-                )
-            keys = [point.key() for point in points]
             journal = RunJournal.open(run_id, points, keys)
         out: list = [None] * len(points)
         self._journal = journal
         try:
-            tasks = self._plan(points, out)
+            tasks = self._plan(points, keys, out)
             if not tasks:
                 return out
             if self.workers <= 1:

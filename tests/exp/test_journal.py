@@ -81,6 +81,32 @@ class TestJournalFile:
         loaded = RunJournal.load("run-c")
         assert loaded.done == {0, 1}
 
+    @pytest.mark.parametrize(
+        "whole", [False, True], ids=["half-record", "record-without-newline"]
+    )
+    def test_resume_cuts_torn_tail(self, tmp_path, whole):
+        """A run killed mid-append must stay resumable after its resume
+        appends: reopening cuts the torn line, so the next record is not
+        glued onto it and a second load still succeeds."""
+        pts = points()
+        keys = [p.key() for p in pts]
+        expected = runner(tmp_path / "ref").run(pts)
+        cache = ResultCache(str(tmp_path / "cache"))
+        with RunJournal.open("run-torn", pts, keys) as journal:
+            cache.put(keys[0], _square(pts[0].params, pts[0].seed))
+            journal.record_done(0, keys[0])
+        fragment = '{"type": "done", "ind'  # crash mid-append
+        if whole:  # every byte but the newline reached the disk
+            fragment = json.dumps({"type": "done", "index": 1, "key": keys[1]})
+        with open(journal_path("run-torn"), "a", encoding="utf-8") as handle:
+            handle.write(fragment)
+        assert RunJournal.load("run-torn").done == {0}
+        assert SweepRunner(cache=cache).resume("run-torn") == expected
+        assert RunJournal.load("run-torn").done == {0, 1, 2, 3}
+        text = open(journal_path("run-torn"), encoding="utf-8").read()
+        assert fragment not in text
+        assert len(text.splitlines()) == 1 + 4 and text.endswith("\n")
+
     def test_corrupt_interior_line_rejected(self, tmp_path):
         pts = points()
         keys = [p.key() for p in pts]

@@ -167,17 +167,13 @@ class TestSigkillResume:
 class TestWatchdog:
     def test_hang_timeout_idle_on_healthy_run(self):
         points = _points(n=4, sleep=0.0)
-        plain = SweepRunner(workers=2).run(points)
-        watched = SweepRunner(
-            workers=2, hang_timeout=5.0, heartbeat_interval=0.1
-        ).run(points)
-        assert watched == plain
+        serial = SweepRunner(workers=0).run(points)
+        watched = SweepRunner(workers=2, hang_timeout=5.0).run(points)
+        assert watched == serial
 
     def test_frozen_worker_exhausts_retries_with_typed_error(self):
         points = [SweepPoint(family="self-stopper", params={"x": 1}, seed=0)]
-        runner = SweepRunner(
-            workers=2, hang_timeout=0.6, heartbeat_interval=0.1, retries=0
-        )
+        runner = SweepRunner(workers=2, hang_timeout=0.6, retries=0)
         with pytest.raises(SweepWorkerHang) as excinfo:
             runner.run(points)
         message = str(excinfo.value)
@@ -193,13 +189,7 @@ class TestWatchdog:
         ]
         collector = SweepCacheCollector()
         hub = TelemetryHub([collector])
-        runner = SweepRunner(
-            workers=2,
-            hang_timeout=0.6,
-            heartbeat_interval=0.1,
-            retries=1,
-            telemetry=hub,
-        )
+        runner = SweepRunner(workers=2, hang_timeout=0.6, retries=1, telemetry=hub)
         results = runner.run(points)
         assert [r["value"] for r in results] == [2, 3, 4]
         events = [event for event, _ in collector._log]
@@ -216,14 +206,10 @@ class TestWatchdog:
             SweepPoint(family="once-stopper", params={"x": 0, "flag": flag_a}, seed=0),
             SweepPoint(family="once-stopper", params={"x": 1, "flag": flag_b}, seed=0),
         ]
-        runner = SweepRunner(
-            workers=2, hang_timeout=0.6, heartbeat_interval=0.1, retries=1
-        )
+        runner = SweepRunner(workers=2, hang_timeout=0.6, retries=1)
         results = runner.run(points)
         assert [r["value"] for r in results] == [0, 1]
 
     def test_watchdog_config_validated(self):
         with pytest.raises(SweepError, match="hang_timeout"):
             SweepRunner(workers=1, hang_timeout=0.0)
-        with pytest.raises(SweepError, match="heartbeat_interval"):
-            SweepRunner(workers=1, hang_timeout=1.0, heartbeat_interval=-1.0)

@@ -1,4 +1,4 @@
-"""SweepRunner: parallel == serial, retries, timeouts, crash isolation.
+"""SweepRunner: parallel == serial, retries, timeouts, crash isolation, teardown.
 
 The test families registered here live at module scope so forked worker
 processes inherit them (Linux fork start method); the flaky/crash
@@ -7,6 +7,11 @@ function deterministic and picklable.
 """
 
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
 import time
 
 import pytest
@@ -55,6 +60,14 @@ def _exits_hard(params, seed):
     os._exit(13)  # simulates an OOM kill: no exception, no cleanup
 
 
+def _stops_once(params, seed):
+    if not os.path.exists(params["flag"]):
+        with open(params["flag"], "w", encoding="utf-8"):
+            pass
+        os.kill(os.getpid(), signal.SIGSTOP)  # freeze: heartbeats cease
+    return {"value": seed}
+
+
 register_family("t_square", _square, run_batch=_square_batch)
 register_family("t_square_solo", _square)
 register_family("t_bad_batch", _square, run_batch=_bad_batch)
@@ -62,6 +75,36 @@ register_family("t_raises", _always_raises)
 register_family("t_flaky", _fails_once_per_process)
 register_family("t_sleeps", _sleeps)
 register_family("t_crashes", _exits_hard)
+register_family("t_stops_once", _stops_once)
+
+
+# A worker killed while sending its result leaves half a message in the
+# pool's result pipe.  This script's family writes such a half message
+# itself, then freezes so the watchdog kills it; the run must still end.
+TORN_SEND_SCRIPT = textwrap.dedent(
+    """
+    import os, signal, struct, sys, threading
+    from repro.errors import SweepWorkerHang
+    from repro.exp import SweepPoint, SweepRunner, register_family
+
+    def _torn_send(params, seed):
+        frame = sys._getframe()
+        while frame.f_code.co_name != "_process_worker":
+            frame = frame.f_back
+        pipe = frame.f_locals["result_queue"]._writer
+        os.write(pipe.fileno(), struct.pack("!i", 1 << 20) + b"partial")
+        os.kill(os.getpid(), signal.SIGSTOP)
+
+    register_family("t_torn_send", _torn_send)
+    before = set(threading.enumerate())
+    runner = SweepRunner(workers=2, hang_timeout=0.6, retries=0)
+    try:
+        runner.run([SweepPoint("t_torn_send", {}, 0)])
+    except SweepWorkerHang:
+        print("hang")
+    print(len(set(threading.enumerate()) - before))
+    """
+)
 
 
 def _grid(family="t_square", n=6, a=3):
@@ -169,6 +212,47 @@ class TestFailureHandling:
             SweepRunner(workers=-1)
         with pytest.raises(SweepError, match="retries"):
             SweepRunner(retries=-1)
+
+
+class TestPoolTeardown:
+    @pytest.mark.parametrize("case", ["healthy", "crash", "hang"])
+    def test_no_pool_thread_outlives_run(self, case, tmp_path):
+        """Every pool is joined, not abandoned: no thread the run started
+        is alive when it returns, whether it succeeds, names a crashed
+        worker or requeues a frozen one."""
+        before = set(threading.enumerate())
+        if case == "healthy":
+            SweepRunner(workers=2).run(_grid("t_square_solo", n=4))
+        elif case == "crash":
+            points = [
+                SweepPoint("t_square_solo", {"a": 2}, seed=0),
+                SweepPoint("t_crashes", {"a": 1}, seed=1),
+            ]
+            with pytest.raises(SweepWorkerCrash):
+                SweepRunner(workers=2).run(points)
+        else:
+            flag = str(tmp_path / "stopped.flag")
+            points = [SweepPoint("t_stops_once", {"flag": flag}, seed=s) for s in range(3)]
+            runner = SweepRunner(workers=2, hang_timeout=0.6, retries=1)
+            assert [r["value"] for r in runner.run(points)] == [0, 1, 2]
+            assert os.path.exists(flag)
+        leftover = set(threading.enumerate()) - before
+        assert not leftover, sorted(thread.name for thread in leftover)
+
+    def test_worker_killed_mid_send_does_not_block_teardown(self, tmp_path):
+        script = tmp_path / "torn_send.py"
+        script.write_text(TORN_SEND_SCRIPT, encoding="utf-8")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, str(script)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["hang", "0"]
 
 
 class TestExecuteTask:
