@@ -10,27 +10,32 @@ change moves a recorded line):
   under the engine's size cutoff, so these rungs time the sequential
   kernels; N=512 and N=1024 time the array kernels.
 
-- **end-to-end**: identical workload through both engines, best-of-two
-  wall clock each, reported as slots/second and a speedup ratio.  The
-  hard gate is >= 20x at N >= 512 (full scale; ``--smoke`` records the
-  ratio without gating) — the headroom ROADMAP item 5 needs for the
-  paper's N=4096 scale.
+- **end-to-end**: identical workload through both engines,
+  :data:`VECTORIZED_REPEATS` timed runs of the fused engine and
+  :data:`REFERENCE_REPEATS` of the reference loop per rung, alternating
+  engines so a slow stretch of the host falls on both, reported as the
+  median and quartiles of each engine's seconds, slots/second at the
+  medians and the speedup ratio of the medians.  The hard gate is
+  >= 20x at N >= 512 (full scale; ``--smoke`` records the ratio without
+  gating) — the headroom ROADMAP item 5 needs for the paper's N=4096
+  scale.
 - **per-kernel**: a profiled vectorized run (telemetry hub carrying only
   a :class:`repro.sim.telemetry.PhaseProfiler`) breaks the slot loop
   into ``inject`` (enqueue kernels), the forwarding sub-phases ``seq``
   (the sequential kernel on planes under the cutoff) / ``drain`` /
-  ``commit`` / ``repair`` (``forward`` keeps the residual glue and the
-  delivery ledger fold), and ``stats`` (occupancy and max-VOQ
-  bookkeeping), reported as ms/slot each — a regression names the
-  guilty kernel, not just "forwarding got slower".  A hub changes
+  ``commit`` / ``repair`` / ``replay`` (the last only while event
+  consumers are attached, so never here; ``forward`` keeps the residual
+  glue and the delivery ledger fold), and ``stats`` (occupancy and
+  max-VOQ bookkeeping), reported as ms/slot each — a regression names
+  the guilty kernel, not just "forwarding got slower".  A hub changes
   neither the drain tiers nor the slot spans, so the profiled run
   takes the same code path as the timed one: the per-phase ms/slot and
   the slots/s figure describe one path.
 
-On top of the absolute gate, every non-smoke speedup is compared against
-the checked-in ``benchmarks/kernel_baseline.json``: a >20% drop fails
-the run, so a kernel regression cannot land silently even while still
-clearing the absolute floor.  Cross-runner variance is what the
+On top of the absolute gate, every non-smoke median speedup is compared
+against the checked-in ``benchmarks/kernel_baseline.json``: a >20% drop
+fails the run, so a kernel regression cannot land silently even while
+still clearing the absolute floor.  Cross-runner variance is what the
 baseline-relative margin (and the recorded environment metadata)
 absorbs: the gate compares speedup *ratios*, not raw seconds.
 
@@ -40,6 +45,7 @@ a speed regression can never hide a correctness one.
 """
 
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -59,6 +65,9 @@ BASELINE_JSON = Path(__file__).resolve().parent / "kernel_baseline.json"
 SPEEDUP_FLOOR = 20.0
 #: Allowed drop vs the checked-in baseline speedup before CI fails.
 REGRESSION_MARGIN = 0.20
+#: Timed runs per rung of each engine; the gates read the medians.
+VECTORIZED_REPEATS = 5
+REFERENCE_REPEATS = 3
 
 NUM_CLIQUES = 8
 #: (num_nodes, slots) — saturated fabrics; slots shrink with N to keep
@@ -81,20 +90,32 @@ def _flows(num_nodes, slots):
     return workload.generate(slots, rng=1)
 
 
-def _timed_run(schedule, router, config, flows, slots, repeats=2):
-    """Best-of-*repeats* wall clock and the (identical) report."""
-    best, report = None, None
-    for _ in range(repeats):
-        sim = SlotSimulator(schedule, router, config, rng=2)
-        start = time.perf_counter()
-        rep = sim.run(flows, slots, measure_from=0)
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-        if report is None:
-            report = rep
-        else:
-            assert rep == report, "non-deterministic benchmark run"
-    return best, report
+def _timed_runs(schedule, router, flows, slots):
+    """Wall-clock seconds of each engine's timed runs and the report
+    every run must reproduce.  The engines alternate, so a slow stretch
+    of the host falls on both rather than on one engine's runs."""
+    repeats = {"reference": REFERENCE_REPEATS, "vectorized": VECTORIZED_REPEATS}
+    seconds = {engine: [] for engine in repeats}
+    report = None
+    for i in range(max(repeats.values())):
+        for engine, count in repeats.items():
+            if i >= count:
+                continue
+            sim = SlotSimulator(schedule, router, SimConfig(engine=engine), rng=2)
+            start = time.perf_counter()
+            rep = sim.run(flows, slots, measure_from=0)
+            seconds[engine].append(time.perf_counter() - start)
+            if report is None:
+                report = rep
+            else:
+                assert rep == report, f"{engine} run diverged from the first reference run"
+    return seconds, report
+
+
+def _spread(values):
+    """Median and quartiles of *values*."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
 def _phase_breakdown(schedule, router, flows, slots):
@@ -123,32 +144,30 @@ def test_kernel_throughput(report, smoke):
     for num_nodes, slots in scales:
         schedule, router = _fabric(num_nodes)
         flows = _flows(num_nodes, slots)
-        ref_s, ref_report = _timed_run(
-            schedule, router, SimConfig(engine="reference"), flows, slots, repeats=1
+        runs, sim_report = _timed_runs(schedule, router, flows, slots)
+        ref_s, vec_s = _spread(runs["reference"]), _spread(runs["vectorized"])
+        speedup = statistics.median(runs["reference"]) / statistics.median(
+            runs["vectorized"]
         )
-        vec_s, vec_report = _timed_run(
-            schedule, router, SimConfig(engine="vectorized"), flows, slots
-        )
-        assert vec_report == ref_report, "fused engine diverged from reference"
-        speedup = ref_s / vec_s
         phases = _phase_breakdown(schedule, router, flows, slots)
         results.append(
             {
                 "num_nodes": num_nodes,
                 "slots": slots,
-                "delivered_cells": ref_report.delivered_cells,
-                "reference_seconds": round(ref_s, 4),
-                "vectorized_seconds": round(vec_s, 4),
-                "reference_slots_per_s": round(slots / ref_s, 1),
-                "vectorized_slots_per_s": round(slots / vec_s, 1),
+                "delivered_cells": sim_report.delivered_cells,
+                "reference_seconds": ref_s,
+                "vectorized_seconds": vec_s,
+                "reference_slots_per_s": round(slots / ref_s["median"], 1),
+                "vectorized_slots_per_s": round(slots / vec_s["median"], 1),
                 "speedup": round(speedup, 2),
                 "phase_ms_per_slot": phases,
             }
         )
         gate = None if smoke or num_nodes < 512 else SPEEDUP_FLOOR
         lines.append(
-            f"N={num_nodes:>5}  reference {slots / ref_s:>7.1f} slots/s   "
-            f"fused {slots / vec_s:>8.1f} slots/s   "
+            f"N={num_nodes:>5}  reference {slots / ref_s['median']:>7.1f} slots/s   "
+            f"fused {slots / vec_s['median']:>8.1f} slots/s "
+            f"(IQR {slots / vec_s['q3']:.0f}-{slots / vec_s['q1']:.0f})   "
             f"speedup {speedup:>6.2f}x"
             + (f" (gate >= {gate:.0f}x)" if gate else "")
         )
@@ -162,13 +181,16 @@ def test_kernel_throughput(report, smoke):
             "smoke": smoke,
             "speedup_floor": None if smoke else SPEEDUP_FLOOR,
             "regression_margin": REGRESSION_MARGIN,
+            "vectorized_repeats": VECTORIZED_REPEATS,
+            "reference_repeats": REFERENCE_REPEATS,
         },
         "results": results,
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
 
     report(
-        "Fused slot kernels: end-to-end throughput"
+        "Fused slot kernels: end-to-end throughput, medians of "
+        f"{VECTORIZED_REPEATS} fused and {REFERENCE_REPEATS} reference runs"
         + (" (smoke)" if smoke else ""),
         lines
         + [
@@ -186,13 +208,14 @@ def test_kernel_throughput(report, smoke):
         key = str(entry["num_nodes"])
         if entry["num_nodes"] >= 512:
             assert entry["speedup"] >= SPEEDUP_FLOOR, (
-                f"N={key}: fused speedup {entry['speedup']}x under the "
-                f"{SPEEDUP_FLOOR}x floor"
+                f"N={key}: median fused speedup {entry['speedup']}x under "
+                f"the {SPEEDUP_FLOOR}x floor"
             )
         baseline = baselines.get(key)
         if baseline is not None:
             floor = baseline * (1.0 - REGRESSION_MARGIN)
             assert entry["speedup"] >= floor, (
-                f"N={key}: fused speedup {entry['speedup']}x regressed >20% "
-                f"below the checked-in baseline {baseline}x (floor {floor:.1f}x)"
+                f"N={key}: median fused speedup {entry['speedup']}x regressed "
+                f">20% below the checked-in baseline {baseline}x "
+                f"(floor {floor:.1f}x)"
             )

@@ -24,7 +24,7 @@ bit-identical across worker counts and cache temperature.
 The sim-running subcommands additionally accept ``--profile PATH``,
 which attaches a wall-clock phase profiler to every in-process
 simulation and dumps the aggregated inject / seq / drain / commit /
-repair / forward / stats timings as JSON — the same breakdown
+repair / replay / forward / stats timings as JSON — the same breakdown
 ``BENCH_kernel.json`` tracks, pointed at whatever workload the
 subcommand just ran.
 
@@ -144,10 +144,10 @@ def _add_profile_flag(p: argparse.ArgumentParser) -> None:
         default="",
         metavar="PATH",
         help="dump the wall-clock engine phase profile (inject / seq / "
-        "drain / commit / repair / forward / stats, per-phase seconds, laps "
-        "and share) of this invocation's simulations as JSON to PATH; "
-        "requires --workers 0 where sweeps apply, and cached points "
-        "contribute nothing (add --no-cache to profile a warm sweep)",
+        "drain / commit / repair / replay / forward / stats, per-phase "
+        "seconds, laps and share) of this invocation's simulations as JSON "
+        "to PATH; requires --workers 0 where sweeps apply, and cached "
+        "points contribute nothing (add --no-cache to profile a warm sweep)",
     )
 
 

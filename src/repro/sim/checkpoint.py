@@ -6,7 +6,7 @@ evolution explicit::
 
     {
       "magic":  "sorn-checkpoint",
-      "schema": 7,
+      "schema": 8,
       "sha256": "<hex digest of the canonical payload JSON>",
       "payload": { ... }
     }
@@ -64,7 +64,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = "sorn-checkpoint"
-CHECKPOINT_SCHEMA = 7
+CHECKPOINT_SCHEMA = 8
 
 
 # -- array codec ---------------------------------------------------------------

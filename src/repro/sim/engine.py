@@ -1,11 +1,11 @@
 """The slot-synchronous flow-level simulator.
 
 Each slot, every plane of the circuit schedule activates one matching;
-each active circuit (u, v) drains up to ``cells_per_circuit`` cells from
-u's VOQ toward v.  Every flow injects whole at its arrival slot, and each
-of its cells carries its own source route sampled from the router's
-oblivious path distribution (per-cell VLB).  Delivered cells feed
-flow-completion accounting.
+each active circuit (u, v) carries one cell from u's VOQ toward v — the
+slot the paper counts delta_m and throughput in.  Every flow injects
+whole at its arrival slot, and each of its cells carries its own source
+route sampled from the router's oblivious path distribution (per-cell
+VLB).  Delivered cells feed flow-completion accounting.
 
 The engine is deliberately simple and exact: no events, no approximations,
 one pass per slot.  It is the substrate for the Fig 2f "simulation of 128
@@ -331,10 +331,11 @@ class SimSession:
 class SimConfig:
     """Tunable knobs of the simulator.
 
+    A circuit carries one cell per slot and plane; that is the slot the
+    paper counts delta_m and throughput in, so capacity is no knob.
+
     Attributes
     ----------
-    cells_per_circuit:
-        Cells one circuit transmits per slot per plane (slot capacity).
     drain:
         After the arrival horizon, keep running (up to ``max_drain_slots``)
         until the network is empty.
@@ -352,7 +353,7 @@ class SimConfig:
     engine:
         ``"reference"`` runs the exact object-level loop in this module;
         ``"vectorized"`` runs the array fast path
-        (:class:`repro.sim.vectorized.VectorizedEngine`), which produces
+        (:class:`repro.sim.vectorized.VectorizedSession`), which produces
         identical results slot-for-slot (same RNG draws, same FIFO/lane
         order) at a fraction of the wall-clock cost.
     telemetry:
@@ -376,7 +377,6 @@ class SimConfig:
         for tests and fuzzing; off by default for speed.
     """
 
-    cells_per_circuit: int = 1
     drain: bool = False
     max_drain_slots: int = 100_000
     short_flow_threshold_cells: Optional[int] = None
@@ -395,7 +395,6 @@ class SimConfig:
                 f"telemetry must be a TelemetryHub or None, "
                 f"got {type(self.telemetry).__name__}"
             )
-        check_positive_int(self.cells_per_circuit, "cells_per_circuit")
         check_positive_int(self.max_drain_slots, "max_drain_slots")
         if self.short_flow_threshold_cells is not None:
             check_positive_int(
@@ -527,16 +526,9 @@ class SlotSimulator:
             raise SimulationError("measure_from must be within the horizon")
         flows = FlowTable.of(flows)
         if self.config.engine == "vectorized":
-            from .vectorized import VectorizedEngine
+            from .vectorized import VectorizedSession
 
-            engine = VectorizedEngine(
-                self.schedule,
-                self.router,
-                self.config,
-                self.rng,
-                timeline=self.timeline,
-            )
-            return engine.start(flows, duration_slots, measure_from)
+            return VectorizedSession(self, flows, duration_slots, measure_from)
         return ReferenceSession(self, flows, duration_slots, measure_from)
 
     def resume(
@@ -646,7 +638,7 @@ class ReferenceSession(SimSession):
         if config.check_invariants:
             from .invariants import InvariantChecker
 
-            checker = InvariantChecker(self.schedule, config, sim.timeline)
+            checker = InvariantChecker(self.schedule, sim.timeline)
         self._checker = checker
         hub = config.telemetry
         if hub is not None and hub.is_noop:
@@ -811,36 +803,34 @@ class ReferenceSession(SimSession):
                 if prof is not None:
                     lap = prof.lap("inject", lap)
 
-                # One matching per plane; each circuit drains its VOQ.
+                # One matching per plane; each circuit pops one cell.
                 for plane in range(schedule.num_planes):
                     matching = schedule.plane_matching(slot, plane)
                     if timeline is not None and timeline.affects(slot):
                         matching = timeline.mask_matching(matching, slot, plane)
                     for src, dst in matching.pairs():
-                        cells = network.transmit(src, dst, config.cells_per_circuit)
-                        if cells:
+                        cell = network.pop(src, dst)
+                        if cell is None:
+                            continue
+                        if checker is not None:
+                            checker.record_transmit(slot, plane, src, dst, 1)
+                        if rec_tx is not None:
+                            rec_tx(slot, plane, src, dst, 1)
+                        if cell.at_last_hop:
+                            hops = len(cell.path) - 1
+                            cell.flow.record_delivery(slot, hops)
+                            delivered_running += 1
+                            if slot >= measure_from:
+                                window_delivered += 1
                             if checker is not None:
-                                checker.record_transmit(
-                                    slot, plane, src, dst, len(cells)
+                                checker.record_delivery(
+                                    slot, cell.injected_slot, cell.path
                                 )
-                            if rec_tx is not None:
-                                rec_tx(slot, plane, src, dst, len(cells))
-                        for cell in cells:
-                            if cell.at_last_hop:
-                                hops = len(cell.path) - 1
-                                cell.flow.record_delivery(slot, hops)
-                                delivered_running += 1
-                                if slot >= measure_from:
-                                    window_delivered += 1
-                                if checker is not None:
-                                    checker.record_delivery(
-                                        slot, cell.injected_slot, cell.path
-                                    )
-                                if rec_del is not None:
-                                    rec_del(slot, cell.injected_slot, hops)
-                            else:
-                                cell.advance()
-                                network.enqueue(cell)
+                            if rec_del is not None:
+                                rec_del(slot, cell.injected_slot, hops)
+                        else:
+                            cell.advance()
+                            network.enqueue(cell)
                 if prof is not None:
                     lap = prof.lap("forward", lap)
 

@@ -10,8 +10,8 @@ from worst-case to expected-case via the queueing model in
 :mod:`repro.analysis.queueing`:
 
 - every virtual edge (u, v) the schedule provides opens once per
-  ``gap = 1 / fraction`` slots and carries ``fraction *
-  cells_per_circuit`` cells per slot of capacity;
+  ``gap = 1 / fraction`` slots and, at one cell per circuit-slot,
+  carries ``fraction`` cells per slot of capacity;
 - a cell crossing that edge waits ``expected_circuit_wait_slots(gap,
   rho)`` slots for its circuit, where ``rho`` is the edge utilization
   induced by the offered load under the router's exact path
@@ -71,7 +71,6 @@ __all__ = [
     "PairLatency",
     "FlowLevelReport",
     "FlowLevelModel",
-    "flow_level_report",
     "sample_flow_arrays",
 ]
 
@@ -229,8 +228,6 @@ class FlowLevelModel:
         Scalar intra-clique traffic fraction ``x`` for
         ``mode="symmetric"``.  When a matrix is supplied instead, the
         symmetric mode derives ``x = matrix.locality(layout)``.
-    cells_per_circuit:
-        Slot capacity of one circuit (matches ``SimConfig``).
     mode:
         ``"exact"``, ``"symmetric"`` or ``"auto"`` (see module
         docstring).
@@ -244,7 +241,6 @@ class FlowLevelModel:
         load: float,
         matrix: Optional[TrafficMatrix] = None,
         locality: Optional[float] = None,
-        cells_per_circuit: int = 1,
         mode: str = "auto",
     ):
         if load <= 0:
@@ -261,9 +257,6 @@ class FlowLevelModel:
         self.schedule = schedule
         self.router = router
         self.load = float(load)
-        self.cells_per_circuit = check_positive_int(
-            cells_per_circuit, "cells_per_circuit"
-        )
         self.num_nodes = schedule.num_nodes
 
         symmetric_ok = self._sorn_shaped()
@@ -316,7 +309,6 @@ class FlowLevelModel:
         size, nc = layout.clique_size, layout.num_cliques
         period = schedule.period
         x = self.locality
-        c = self.cells_per_circuit
         load = self.load
         # Per-edge bandwidth fractions (SornSchedule.edge_fractions
         # closed form, without materializing the O(N^2) dict).
@@ -340,7 +332,8 @@ class FlowLevelModel:
         if nc > 1:
             edge_load[_INTER] = load * (1.0 - x) / (nc - 1)
         self._gap = [1.0 / f if f > 0 else math.inf for f in frac]
-        self._cap = [f * c for f in frac]
+        # One cell per circuit-slot: capacity in cells/slot is the fraction.
+        self._cap = frac
         self._rho = [
             (edge_load[k] / self._cap[k]) if self._cap[k] > 0 else 0.0
             for k in (_INTRA, _INTER)
@@ -429,12 +422,12 @@ class FlowLevelModel:
             raise SimulationError(
                 "router uses a virtual link the schedule never provides"
             )
-        cap = frac * self.cells_per_circuit
+        # One cell per circuit-slot: capacity in cells/slot is the fraction.
         with np.errstate(divide="ignore", invalid="ignore"):
-            rho = np.where(cap > 0, loads / np.where(cap > 0, cap, 1.0), 0.0)
+            rho = np.where(frac > 0, loads / np.where(frac > 0, frac, 1.0), 0.0)
             gap = np.where(frac > 0, 1.0 / np.where(frac > 0, frac, 1.0), np.inf)
         self._gap_m = gap
-        self._cap_m = cap
+        self._cap_m = frac
         self._rho_m = rho
         worst = float(rho.max()) if rho.size else 0.0
         flat = int(np.argmax(rho)) if rho.size else 0
@@ -549,30 +542,6 @@ class FlowLevelModel:
             bottleneck=self.bottleneck,
             stable=self.stable,
         )
-
-
-def flow_level_report(
-    schedule: CircuitSchedule,
-    router: Router,
-    flows: FlowsLike,
-    *,
-    load: float,
-    matrix: Optional[TrafficMatrix] = None,
-    locality: Optional[float] = None,
-    cells_per_circuit: int = 1,
-    mode: str = "auto",
-) -> FlowLevelReport:
-    """One-shot convenience: build the model and evaluate *flows*."""
-    model = FlowLevelModel(
-        schedule,
-        router,
-        load=load,
-        matrix=matrix,
-        locality=locality,
-        cells_per_circuit=cells_per_circuit,
-        mode=mode,
-    )
-    return model.evaluate(flows)
 
 
 def sample_flow_arrays(

@@ -13,10 +13,9 @@ still obeys physics:
   no per-VOQ counter goes negative and the per-node backlogs sum to the
   running fabric total (the vectorized engine's per-neighbor counters
   and the reference engine's deque census alike).
-- **Circuit capacity** — no circuit transmits more than
-  ``cells_per_circuit`` cells in one plane activation, and every
-  transmission rides a circuit the (failure-masked) schedule actually
-  opened that slot.
+- **Circuit capacity** — no circuit transmits more than one cell in
+  one plane activation, and every transmission rides a circuit the
+  (failure-masked) schedule actually opened that slot.
 - **Earliest-feasible delivery (the delta_m bound)** — a delivered cell
   cannot arrive before the chain of circuits its source route needs has
   opened.  Folding :meth:`next feasible slot <_next_up_slot>` over the
@@ -52,22 +51,13 @@ class InvariantChecker:
     ----------
     schedule:
         The (healthy) circuit schedule the run uses.
-    config:
-        The run's :class:`repro.sim.engine.SimConfig` (for
-        ``cells_per_circuit``).
     timeline:
         The active :class:`repro.sim.failures.FailureTimeline`, if any —
         needed to validate transmissions against the *masked* schedule.
     """
 
-    def __init__(
-        self,
-        schedule: CircuitSchedule,
-        config,
-        timeline=None,
-    ):
+    def __init__(self, schedule: CircuitSchedule, timeline=None):
         self.schedule = schedule
-        self.config = config
         self.timeline = timeline
         self.checks_run = 0
         self._row_key: Optional[Tuple[int, int]] = None
@@ -124,10 +114,10 @@ class InvariantChecker:
     ) -> None:
         """Validate one circuit's transmissions this plane activation."""
         self.checks_run += 1
-        if count > self.config.cells_per_circuit:
+        if count > 1:
             self._fail(
                 f"slot {slot} plane {plane}: circuit {src}->{dst} transmitted "
-                f"{count} cells, capacity {self.config.cells_per_circuit}"
+                f"{count} cells, capacity 1"
             )
         row = self._effective_row(slot, plane)
         if row[src] != dst:

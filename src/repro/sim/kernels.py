@@ -19,16 +19,16 @@ batches:
   order, exactly what the reference engine's per-cell appends produce.
   The per-VOQ ``qlen`` update indexes *unique* keys (a by-product of
   the grouping sort), so it needs no duplicate-safe scatter.
-- :func:`walk_candidates` runs the per-plane drain optimistically: a
-  ``budget``-round candidate walk pops the head of the first nonempty
-  lane of every active circuit simultaneously, advancing through ``nxt``
-  — no mutation happens until the caller commits, so the walk doubles
-  as a dry run the engine can discard when a same-slot multi-hop
-  cascade (a later circuit of the same plane draining a cell forwarded
-  by an earlier one) makes simultaneous pops inexact.
+- :func:`walk_candidates` runs the per-plane drain optimistically: it
+  pops the head of the first nonempty lane of every active circuit
+  simultaneously (a circuit carries one cell per slot), advancing
+  through ``nxt`` — no mutation happens until the caller commits, so
+  the walk doubles as a dry run the engine can discard when a same-slot
+  multi-hop cascade (a later circuit of the same plane draining a cell
+  forwarded by an earlier one) makes simultaneous pops inexact.
 - :func:`commit_pops` applies a validated walk: heads scatter to the
-  post-walk cursors, emptied lanes reset their tails, and the drained
-  counts leave ``qlen`` — again via unique-key indexing.
+  post-walk cursors, emptied lanes reset their tails, and each popping
+  circuit's cell leaves ``qlen`` — again via unique-key indexing.
 
 The sequential kernels loop in Python over flat memoryviews of the same
 tables (a memoryview read returns a Python int in about half the time of
@@ -43,11 +43,12 @@ or under its size cutoff (``repro.sim.vectorized.SEQ_CUTOFF``):
 - :func:`enqueue_seq` splices a small batch onto the VOQ tails one cell
   at a time, as :func:`drain_plane_seq` does for a forwarded cell.
 
-All kernels are allocation-conscious: scratch buffers (candidate
-matrices, pop/delivery staging) are preallocated once per session and
-passed in; dtypes are int32 throughout the cell tables (cell ids, route
-rows and ranks, hop cursors) *and* the ``qlen`` counter — a single VOQ
-can never accumulate 2**31 cells before the cell tables exhaust memory.
+All kernels are allocation-conscious: scratch buffers (the walk's
+index buffer, the sequential drain's pop staging) are preallocated once
+per session and passed in; dtypes are int32 throughout the cell tables
+(cell ids, route rows and ranks, hop cursors) *and* the ``qlen``
+counter — a single VOQ can never accumulate 2**31 cells before the cell
+tables exhaust memory.
 Per-slot group sums that could overflow int32 in principle (``pcounts``
 in :func:`append_cells`) stay int64 before the in-place scatter.
 
@@ -55,7 +56,7 @@ Cell ids are **1-based** throughout, and a cell's id is its row in every
 per-cell table (``nxt``, ``rhop``, ``rfid``, ``rowlen``, and the route
 and rank rows): no table maps a cell to its route.  Row 0 is never a
 cell, so ``0`` is the universal empty sentinel for ``head``/``tail``
-cursors, ``nxt`` links, and candidate slots.
+cursors, ``nxt`` links, and candidates.
 """
 
 from __future__ import annotations
@@ -145,36 +146,26 @@ def walk_candidates(
     nxt: np.ndarray,
     keys: np.ndarray,
     num_lanes: int,
-    budget: int,
-    cand: np.ndarray,
     arange_buf: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Optimistic per-plane candidate walk (no mutation).
 
-    Fills ``cand[:budget, :C]`` with the cell ids each active circuit —
-    VOQ ``keys[c]`` — would pop per budget round (0 = none) assuming no
-    same-plane cascade.  Returns the post-walk per-lane head cursors
-    ``(L, C)`` and their flat ``head`` indices, for :func:`commit_pops`.
-    ``cand`` and ``arange_buf`` are preallocated scratch.
+    Returns the cell id each active circuit — VOQ ``keys[c]`` — would
+    pop (0 = none) assuming no same-plane cascade, plus the post-walk
+    per-lane head cursors ``(L, C)`` and their flat ``head`` indices,
+    for :func:`commit_pops`.  ``arange_buf`` is preallocated scratch.
     """
     num_circuits = keys.shape[0]
     lane_base = np.arange(num_lanes, dtype=np.int64) * (head.shape[0] // num_lanes)
     slots = np.add.outer(lane_base, keys)
     cur = head[slots]  # (L, C) gather — a copy, safe to advance
-    sub = cand[:budget, :num_circuits]
-    sub.fill(0)
+    lane_sel = (cur > 0).argmax(axis=0)
     ar = arange_buf[:num_circuits]
-    for rnd in range(budget):
-        nonempty = cur > 0
-        lane_sel = nonempty.argmax(axis=0)
-        live = nonempty[lane_sel, ar]
-        idx = np.flatnonzero(live)
-        if idx.size == 0:
-            break
-        picked = cur[lane_sel[idx], idx]
-        sub[rnd, idx] = picked
-        cur[lane_sel[idx], idx] = nxt[picked]
-    return cur, slots
+    # The first nonempty lane's head, or lane 0's 0 when all are empty.
+    cand = cur[lane_sel, ar]
+    idx = np.flatnonzero(cand)
+    cur[lane_sel[idx], idx] = nxt[cand[idx]]
+    return cand, cur, slots
 
 
 def commit_pops(
@@ -184,14 +175,15 @@ def commit_pops(
     keys: np.ndarray,
     slots: np.ndarray,
     cur: np.ndarray,
-    got: np.ndarray,
+    popped: np.ndarray,
 ) -> None:
     """Apply a validated candidate walk: scatter the advanced heads back
-    to their flat *slots*, reset tails of emptied lanes, and drain
-    ``got`` per VOQ from ``qlen`` (a plane's VOQ keys are unique)."""
+    to their flat *slots*, reset tails of emptied lanes, and take one
+    cell from ``qlen`` per circuit the boolean *popped* marks (a plane's
+    VOQ keys are unique)."""
     head[slots] = cur
     tail[slots[cur == 0]] = 0
-    qlen[keys] -= got
+    qlen[keys] -= popped
 
 
 def enqueue_seq(head, tail, qlen, nxt, cid0, keys, lanes, lo, hi, touched):
@@ -235,10 +227,9 @@ def drain_plane_seq(
     fwd_lane,
     krow,
     ranks_per_node,
-    budget,
     out_cids,
     out_del,
-    out_got,
+    out_src,
     touched,
 ):
     """Exact sequential drain of one plane over flat memoryviews.
@@ -249,16 +240,16 @@ def drain_plane_seq(
     row width *width*, and like every per-cell table indexed by cell id;
     the VOQ views index as in :func:`enqueue_seq`.
     Reference semantics verbatim: circuits in source order, strict lane
-    priority, up to *budget* pops per circuit, forwarded cells appended
-    immediately — so a later circuit of the same plane drains them (the
-    same-slot multi-hop cascade).  A circuit's ``qlen`` is read when the
-    scan reaches it, so a circuit that started the slot empty still
-    drains what an earlier circuit forwarded to it.
+    priority, one pop per circuit, forwarded cells appended immediately
+    — so a later circuit of the same plane drains them (the same-slot
+    multi-hop cascade).  A circuit's ``qlen`` is read when the scan
+    reaches it, so a circuit that started the slot empty still drains
+    what an earlier circuit forwarded to it.
 
     Records every popped cell id in pop order (``out_cids``), whether it
-    delivered (``out_del``), each popping circuit's count at its source
-    (``out_got[s]``; other entries are left as they were) and each
-    forward's VOQ key in *touched*; returns ``(popped, delivered)``.
+    delivered (``out_del``), the source of the circuit that popped it
+    (``out_src``) and each forward's VOQ key in *touched*; returns
+    ``(popped, delivered)``.
     """
     kk = ranks_per_node
     nk = len(qlen)
@@ -272,41 +263,36 @@ def drain_plane_seq(
         q = qlen[k]
         if q == 0:
             continue
-        # A forward leaves the circuit's far end, never s, so it cannot
-        # land in this VOQ: the pops are known up front and qlen drops
-        # once.
-        got = q if q < budget else budget
-        qlen[k] = q - got
-        out_got[s] = got
+        qlen[k] = q - 1
         t = k
-        for _ in range(got):
+        cid = head[t]
+        while cid == 0:  # strict lane priority: first nonempty lane
+            t += nk
             cid = head[t]
-            while cid == 0:  # strict lane priority: first nonempty lane
-                t += nk
-                cid = head[t]
-            nx = nxt[cid]
-            head[t] = nx
-            if nx == 0:
-                tail[t] = 0
-            out_cids[pos] = cid
-            h = rhop[cid] + 1
-            if h == rowlen[cid] - 1:
-                out_del[pos] = 1
-                ndel += 1
+        nx = nxt[cid]
+        head[t] = nx
+        if nx == 0:
+            tail[t] = 0
+        out_cids[pos] = cid
+        out_src[pos] = s
+        h = rhop[cid] + 1
+        if h == rowlen[cid] - 1:
+            out_del[pos] = 1
+            ndel += 1
+        else:
+            out_del[pos] = 0
+            rhop[cid] = h
+            b = cid * width + h
+            fk = routes[b] * kk + rranks[b]
+            ft = fwd_lane[rfid[cid]] * nk + fk
+            nxt[cid] = 0
+            told = tail[ft]
+            if told:
+                nxt[told] = cid
             else:
-                out_del[pos] = 0
-                rhop[cid] = h
-                b = cid * width + h
-                fk = routes[b] * kk + rranks[b]
-                ft = fwd_lane[rfid[cid]] * nk + fk
-                nxt[cid] = 0
-                told = tail[ft]
-                if told:
-                    nxt[told] = cid
-                else:
-                    head[ft] = cid
-                tail[ft] = cid
-                qlen[fk] += 1
-                append(fk)
-            pos += 1
+                head[ft] = cid
+            tail[ft] = cid
+            qlen[fk] += 1
+            append(fk)
+        pos += 1
     return pos, ndel

@@ -2,8 +2,8 @@
 
 This is the simulator-facing counterpart of the hardware model in
 :mod:`repro.hardware.node`: every node keeps one queue per next-hop
-neighbor (VOQ), circuits drain the matching VOQ when their slot comes up,
-and forwarded cells are re-enqueued at the downstream node.
+neighbor (VOQ), a circuit pops one cell from the matching VOQ when its
+slot comes up, and forwarded cells are re-enqueued at the downstream node.
 
 Each VOQ consists of strict-priority *lanes*.  The default two-lane
 policy serves transit cells (hop >= 1) before freshly injected cells, as
@@ -116,18 +116,17 @@ class SimNetwork:
         voq[lane].append(cell)
         self._occupancy += 1
 
-    def transmit(self, src: int, dst: int, budget: int) -> List[Cell]:
-        """Drain up to *budget* cells from src's VOQ toward dst, lane 0
-        first.  Returns the transmitted cells (cursor not yet advanced)."""
+    def pop(self, src: int, dst: int) -> Optional[Cell]:
+        """Pop the cell the circuit src -> dst carries this slot: the head
+        of src's VOQ toward dst, lane 0 first (cursor not yet advanced).
+        ``None`` when the VOQ is empty."""
         voq = self._voqs[src].get(dst)
-        if voq is None:
-            return []
-        out: List[Cell] = []
-        for queue in voq:
-            while budget > len(out) and queue:
-                out.append(queue.popleft())
-        self._occupancy -= len(out)
-        return out
+        if voq is not None:
+            for queue in voq:
+                if queue:
+                    self._occupancy -= 1
+                    return queue.popleft()
+        return None
 
     def queue_length(self, node: int, neighbor: int) -> int:
         """Cells queued at *node* toward *neighbor* (all lanes)."""

@@ -9,7 +9,8 @@ narrow events the :class:`repro.sim.invariants.InvariantChecker` uses
 (a :class:`repro.sim.tracing.TraceRecorder` is one of its collectors):
 
 - ``record_transmit(slot, plane, src, dst, count)`` — one call per
-  circuit that moved cells this plane activation;
+  circuit that carried a cell this plane activation (``count`` is 1: a
+  circuit carries one cell per slot);
 - ``record_delivery_hops(slot, injected_slot, hops)`` — one call per
   cell delivered to its destination;
 - ``sample(slot, network, delivered_cumulative)`` — once per slot, with
@@ -826,14 +827,15 @@ class PhaseProfiler(TelemetryCollector):
     drain out of ``forward`` by the path each plane took: ``seq`` (the
     sequential kernel, for a plane at or under the size cutoff),
     ``drain`` (candidate walk + cascade detection, for a larger plane),
-    ``commit`` (head/tail/qlen commit plus forwarded-cell appends) and
-    ``repair`` (cascade repair, or the sequential replay of a cascade
-    plane the walk abandoned), leaving ``forward`` as the residual glue
-    — so the phases still sum to wall time and a regression names the
-    guilty kernel.  ``seq`` and ``drain`` lap once per plane they
-    drain, so their lap counts are the planes on each path.  The
-    vectorized engine laps ``forward`` once per slot span, so its lap
-    count there is the number of spans.
+    ``commit`` (head/tail/qlen commit plus forwarded-cell appends),
+    ``repair`` (the in-place cascade repair) and ``replay`` (the
+    sequential replay of a cascade plane the walk abandoned, which
+    happens only while event consumers are attached), leaving
+    ``forward`` as the residual glue — so the phases still sum to wall
+    time and a regression names the guilty kernel.  ``seq`` and
+    ``drain`` lap once per plane they drain, so their lap counts are
+    the planes on each path.  The vectorized engine laps ``forward``
+    once per slot span, so its lap count there is the number of spans.
     Timings answer "where does the wall clock go" for
     engine-optimization work; they are *excluded* from the
     deterministic snapshot/JSONL/CSV streams because they are real
@@ -917,11 +919,10 @@ def standard_collectors(
 def circuit_class_capacity(schedule, layout: CliqueLayout) -> Tuple[int, int]:
     """(intra, inter) circuit-slots per schedule period, all planes.
 
-    One circuit-slot carries ``cells_per_circuit`` cells, so dividing a
-    run's measured per-class traversals by ``horizon / period x
-    class_capacity x cells_per_circuit`` yields per-class utilization —
-    the measured counterpart of the paper's q/(q+1) vs 1/(q+1)
-    provisioning split.
+    One circuit-slot carries one cell, so dividing a run's measured
+    per-class traversals by ``horizon / period x class_capacity`` yields
+    per-class utilization — the measured counterpart of the paper's
+    q/(q+1) vs 1/(q+1) provisioning split.
     """
     assign = layout.assignment()
     if assign.size != schedule.num_nodes:

@@ -51,11 +51,14 @@ everything, then forward" batch changes delivery timing.  The array
 path drains optimistically (:func:`repro.sim.kernels.walk_candidates`)
 and detects, *before committing*, whether any forwarded cell lands on a
 circuit drained later in the same plane.  Cascade-free planes — the
-overwhelming majority — commit in array code; cascade planes are either
-repaired in place (single-cell circuits with no event consumers: a tiny
-Python pass over exactly the affected circuits) or replayed through the
+overwhelming majority — commit in array code; cascade planes are
+repaired in place (a tiny Python pass over exactly the affected
+circuits) or, while event consumers are attached, replayed through the
 sequential kernel, which forwards in source order and so needs no
-cascade detection at all.  All paths are bit-exact.
+cascade detection at all.  A circuit carries one cell per slot, so the
+walk pops at most one cell per circuit and the events it re-emits are
+one transmit and at most one delivery per popping circuit.  All paths
+are bit-exact.
 
 **Exactness contract.**  Given the same (schedule, router, config, rng
 seed, workload), the vectorized engine reproduces the reference engine's
@@ -82,10 +85,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import CheckpointError
-from ..routing.base import Router
 from ..schedules.schedule import CircuitSchedule
-from ..traffic.workload import FlowsLike, FlowTable
-from .engine import SimSession
+from ..traffic.workload import FlowTable
+from .engine import SimSession, SlotSimulator
 from .kernels import (
     _EMPTY32,
     append_cells,
@@ -97,7 +99,7 @@ from .kernels import (
 from .metrics import SimReport
 from .network import LinkedVoqState
 
-__all__ = ["VectorizedEngine"]
+__all__ = ["VectorizedSession"]
 
 #: Most slots one iteration of the span loop runs (see
 #: ``VectorizedSession._advance``).
@@ -125,70 +127,24 @@ def _flat_view(arr: np.ndarray) -> memoryview:
     return memoryview(arr.reshape(-1))
 
 
-class VectorizedEngine:
-    """Array-based engine behind ``SimConfig(engine="vectorized")``.
-
-    Construct with the same (schedule, router, config, rng) quadruple as
-    :class:`repro.sim.engine.SlotSimulator`; :meth:`run` mirrors the
-    reference engine's semantics exactly (see the module docstring for
-    the equivalence argument).  Not instantiated directly in normal use —
-    ``SlotSimulator.run`` dispatches here based on the config.
-    """
-
-    def __init__(
-        self,
-        schedule: CircuitSchedule,
-        router: Router,
-        config,
-        rng: np.random.Generator,
-        timeline=None,
-    ):
-        self.schedule = schedule
-        self.router = router
-        self.config = config
-        self.rng = rng
-        #: Optional :class:`repro.sim.failures.FailureTimeline`.  Slots a
-        #: fault touches bypass the periodic active-circuit cache and are
-        #: masked per absolute slot, identically to the reference engine.
-        self.timeline = timeline
-
-    def start(
-        self,
-        flows: FlowsLike,
-        duration_slots: int,
-        measure_from: int = 0,
-    ) -> "VectorizedSession":
-        """Begin a resumable run (see :meth:`repro.sim.engine.
-        SlotSimulator.start`); the session's segmentation is exactly
-        equivalent to one monolithic :meth:`run`."""
-        return VectorizedSession(
-            self, FlowTable.of(flows), duration_slots, measure_from
-        )
-
-    def run(
-        self,
-        flows: FlowsLike,
-        duration_slots: int,
-        measure_from: int = 0,
-    ) -> SimReport:
-        """Run the workload; argument semantics match the reference
-        :meth:`repro.sim.engine.SlotSimulator.run` exactly."""
-        return self.start(flows, duration_slots, measure_from).finish()
-
-
 class VectorizedSession(SimSession):
     """The fused-kernel engine's resumable run state.
+
+    Built by :meth:`repro.sim.engine.SlotSimulator.start` for
+    ``SimConfig(engine="vectorized")``, from the simulator's schedule,
+    router, config, RNG and failure timeline; its results equal the
+    reference engine's slot for slot (module docstring).
 
     All cell state lives in flat tables on the session, one row per
     cell id (route row, hop ranks, route length, hop cursor, owning
     flow, intrusive ``nxt`` link), and all queue state in the array
     linked lists of :class:`repro.sim.network.LinkedVoqState`; the
     per-slot work is the kernel set in :mod:`repro.sim.kernels` plus a
-    handful of gathers.  The cell tables and the scratch buffers
-    (candidate matrix, sequential-drain staging) are allocated once
-    here, so the steady-state loop allocates only small result arrays;
-    the sequential kernels reach the tables through flat memoryviews
-    (:meth:`_bind_views`).  Pausing at a slot boundary is free;
+    handful of gathers.  The cell tables and the scratch buffers (the
+    walk's index buffer, the sequential drain's pop staging) are
+    allocated once here, so the steady-state loop allocates only small
+    result arrays; the sequential kernels reach the tables through flat
+    memoryviews (:meth:`_bind_views`).  Pausing at a slot boundary is free;
     presampled path blocks stay valid across schedule swaps because the
     *router* — the only RNG consumer — never changes mid-run.
 
@@ -197,28 +153,28 @@ class VectorizedSession(SimSession):
     (:func:`repro.sim.kernels.drain_plane_seq`).  A larger plane takes
     the optimistic candidate walk + commit, which handles the common
     cascade-free case in array code.  When a same-slot multi-hop
-    cascade is possible there, the engine either repairs the walk in
-    place (``cells_per_circuit == 1`` with no event consumers attached
-    — the cascade set is tiny, so the repair is a few-element Python
-    pass over exactly the affected circuits) or replays the whole plane
-    through the sequential kernel.  All paths are bit-exact.
+    cascade is possible there, the engine repairs the walk in place
+    (the cascade set is tiny, so the repair is a few-element Python
+    pass over exactly the affected circuits) or, while event consumers
+    are attached, replays the whole plane through the sequential
+    kernel.  All paths are bit-exact.
     """
 
     _engine_name = "vectorized"
 
     def __init__(
         self,
-        engine: VectorizedEngine,
+        sim: SlotSimulator,
         flows: FlowTable,
         duration_slots: int,
         measure_from: int,
     ):
-        config = engine.config
-        timeline = engine.timeline
+        config = sim.config
+        timeline = sim.timeline
         self.config = config
-        self.router = engine.router
-        self.rng = engine.rng
-        self.schedule = engine.schedule
+        self.router = sim.router
+        self.rng = sim.rng
+        self.schedule = sim.schedule
         self.duration_slots = duration_slots
         self.measure_from = measure_from
         self.horizon = duration_slots
@@ -230,7 +186,7 @@ class VectorizedSession(SimSession):
         if config.check_invariants:
             from .invariants import InvariantChecker
 
-            checker = InvariantChecker(self.schedule, config, timeline)
+            checker = InvariantChecker(self.schedule, timeline)
         self._checker = checker
         hub = config.telemetry
         if hub is not None and hub.is_noop:
@@ -252,10 +208,10 @@ class VectorizedSession(SimSession):
             hub.sample if hub is not None and hub.wants_samples else None
         )
         self._prof = hub.profiler if hub is not None else None
-        # Seconds already attributed to the seq/drain/commit/repair
-        # sub-phases this slot; _advance charges the residual (matching
-        # application, delivery accounting, the loop itself) to
-        # "forward" so the profile still sums to wall time.
+        # Seconds already attributed to the seq/drain/commit/repair/
+        # replay sub-phases this slot; _advance charges the residual
+        # (matching application, delivery accounting, the loop itself)
+        # to "forward" so the profile still sums to wall time.
         self._prof_attr = 0.0
         num_flows = len(flows)
         num_nodes = self.schedule.num_nodes
@@ -285,7 +241,6 @@ class VectorizedSession(SimSession):
         self._fresh_lane = fresh_lane
         self._fwd_lane = fwd_lane
 
-        self._budget = config.cells_per_circuit
         # Event consumers force the sequential replay of cascade planes
         # (the repair path does not emit) — see _drain_vec.
         self._emit = (
@@ -305,21 +260,20 @@ class VectorizedSession(SimSession):
         self._slot_pairs: List[np.ndarray] = []
         self._slot_keys: List[int] = []
 
-        # Preallocated kernel scratch: candidate matrix, walk index
-        # buffer, sequential-drain staging (cell ids, delivery flags,
-        # per-source counts).
-        budget = self._budget
-        self._cand = np.empty((budget, num_nodes), dtype=np.int32)
+        # Preallocated kernel scratch: the walk's index buffer and the
+        # sequential drain's staging, one entry per pop (cell id,
+        # delivery flag, popping source) — a plane pops at most one
+        # cell per circuit, so at most one per node.
         self._ar = np.arange(num_nodes)
-        self._out_cids = np.empty(num_nodes * budget, dtype=np.int32)
-        self._out_del = np.empty(num_nodes * budget, dtype=np.uint8)
-        self._out_got = np.zeros(num_nodes, dtype=np.int64)
+        self._out_cids = np.empty(num_nodes, dtype=np.int32)
+        self._out_del = np.empty(num_nodes, dtype=np.uint8)
+        self._out_src = np.empty(num_nodes, dtype=np.int32)
         self._blk_key = None
         self._circuits: List[Optional[tuple]] = []
 
         # The schedule's neighbors take the first (sorted) VOQ ranks.
         self.network = LinkedVoqState(num_nodes, num_lanes=num_lanes)
-        self._install_schedule(engine.schedule)
+        self._install_schedule(sim.schedule)
 
         # --- Path presampling -------------------------------------------
         # Every in-run flow injects its full size at its arrival slot, and
@@ -378,7 +332,7 @@ class VectorizedSession(SimSession):
         self._v_fwd_lane = _flat_view(self._fwd_lane)
         self._v_out_cids = _flat_view(self._out_cids)
         self._v_out_del = _flat_view(self._out_del)
-        self._v_out_got = _flat_view(self._out_got)
+        self._v_out_src = _flat_view(self._out_src)
         self._bind_views()
 
     def _bind_views(self) -> None:
@@ -615,7 +569,7 @@ class VectorizedSession(SimSession):
         """Drain one whole plane through the exact sequential kernel.
 
         Serves both small planes (``phase="seq"``) and the replay of a
-        cascade plane the array walk abandoned (``phase="repair"``); the
+        cascade plane the array walk abandoned (``phase="replay"``); the
         profiler bills the call to *phase*.  *circ* is the plane's
         ``(dst row, rank row, srcs, VOQ keys)``.  Returns the delivered
         cell ids in delivery order; events go through
@@ -624,9 +578,6 @@ class VectorizedSession(SimSession):
         """
         prof = self._prof
         t0 = perf_counter() if prof is not None else 0.0
-        emit = self._emit
-        if emit:
-            self._out_got.fill(0)
         npop, ndel = drain_plane_seq(
             self._v_head,
             self._v_tail,
@@ -641,18 +592,17 @@ class VectorizedSession(SimSession):
             self._v_fwd_lane,
             memoryview(circ[1]),
             self.network.ranks_per_node,
-            self._budget,
             self._v_out_cids,
             self._v_out_del,
-            self._v_out_got,
+            self._v_out_src,
             self._slot_keys,
         )
         if ndel:
             deliv = self._out_cids[:npop][self._out_del[:npop].view(bool)]
         else:
             deliv = _EMPTY32
-        if emit and npop:
-            srcs = circ[2]
+        if self._emit and npop:
+            srcs = self._out_src[:npop]
             self._emit_events(
                 slot,
                 plane,
@@ -660,7 +610,6 @@ class VectorizedSession(SimSession):
                 circ[0][srcs],
                 self._out_cids[:npop],
                 self._out_del[:npop].view(bool),
-                self._out_got[srcs],
             )
         if prof is not None:
             self._prof_add(phase, t0)
@@ -691,9 +640,10 @@ class VectorizedSession(SimSession):
         the circuit count.  Filtering cannot change cascade-free
         semantics (a circuit with an empty VOQ pops nothing and commits
         nothing); cascade detection still checks forwards against the
-        *full* rank row, and any hit re-runs the full circuit set —
-        a forwarded cell may land on, and be drained by, a circuit whose
-        VOQ started the slot empty.
+        *full* rank row, because a forwarded cell may land on, and be
+        drained by, a circuit whose VOQ started the slot empty — the
+        repair slots such a circuit into source order, the replay drains
+        the full circuit set.
         """
         srcs = circ[2]
         num_circuits = srcs.shape[0]
@@ -717,10 +667,9 @@ class VectorizedSession(SimSession):
         """Optimistic walk + commit over (a live subset of) one plane.
 
         ``srcs``/``keys`` are the circuits actually walked; *circ* holds
-        the plane's complete matching, needed whenever a cascade hit
-        forces a replay (sequential fallback or an unfiltered re-walk).
-        The walk itself never mutates, so re-running it with the full
-        set is safe.
+        the plane's complete matching, which the cascade test checks
+        forwards against and the sequential replay drains.  The walk
+        itself never mutates, so abandoning it for the replay is safe.
         """
         prof = self._prof
         t = perf_counter() if prof is not None else 0.0
@@ -732,18 +681,14 @@ class VectorizedSession(SimSession):
         rranks = self._rranks
         rowlen = self._rowlen
         rhop = self._rhop
-        budget = self._budget
         width = self.network.ranks_per_node
         num_lanes = self._num_lanes
         dst_row, krow, full_srcs = circ[0], circ[1], circ[2]
-        num_circuits = srcs.shape[0]
-        cur, slots = walk_candidates(
-            head, nxt, keys, num_lanes, budget, self._cand, self._ar
-        )
-        sub = self._cand[:budget, :num_circuits]
-        flat = sub.T.ravel()  # circuit-major: pop order of the plane
-        valid = flat > 0
-        popped = flat[valid]
+        # One candidate per walked circuit, in source order: the plane's
+        # pop order.
+        cand, cur, slots = walk_candidates(head, nxt, keys, num_lanes, self._ar)
+        valid = cand > 0
+        popped = cand[valid]
         if popped.size == 0:
             if prof is not None:
                 self._prof_add("drain", t)
@@ -761,17 +706,19 @@ class VectorizedSession(SimSession):
             if np.any(hit):
                 # A forwarded cell lands in a VOQ this same plane still
                 # (or already) drains: possible same-slot cascade.
-                if budget != 1 or self._emit:
+                # The repair does not emit events, so event consumers
+                # send the plane through the sequential replay.
+                if self._emit:
                     if prof is not None:
                         self._prof_add("drain", t)
-                    return self._drain_seq(slot, plane, circ, "repair")
-                # With budget == 1 the flat pop positions are circuit
-                # indices, so position comparisons are source-id
-                # comparisons and work identically on a filtered subset:
-                # a target circuit whose VOQ started the slot empty (so
-                # the live filter left it out of the walk) gets a
-                # half-offset key that slots it into source order
-                # between its walked neighbors.
+                    return self._drain_seq(slot, plane, circ, "replay")
+                # Pop positions are circuit indices, so position
+                # comparisons are source-id comparisons and work
+                # identically on a filtered subset: a target circuit
+                # whose VOQ started the slot empty (so the live filter
+                # left it out of the walk) gets a half-offset key that
+                # slots it into source order between its walked
+                # neighbors.
                 fpos = np.flatnonzero(valid)[fwm]
                 tpos = np.searchsorted(srcs, fu)
                 tkey = tpos.astype(np.float64)
@@ -786,11 +733,10 @@ class VectorizedSession(SimSession):
                     if prof is not None:
                         t = self._prof_add("drain", t)
                     extra = self._repair_cascades(
-                        srcs, krow, sub, cur, fw, fu, fr, fpos, tkey, real
+                        srcs, krow, cand, cur, fw, fu, fr, fpos, tkey, real
                     )
-                    flat = sub.T.ravel()
-                    valid = flat > 0
-                    popped = flat[valid]
+                    valid = cand > 0
+                    popped = cand[valid]
                     hops = rhop[popped]
                     delm = hops == rowlen[popped] - 2
                     fwm = ~delm
@@ -800,16 +746,16 @@ class VectorizedSession(SimSession):
                     fr = rranks[fw, fh]
                     if prof is not None:
                         t = self._prof_add("repair", t)
-        got = (sub > 0).sum(axis=0)
         if prof is not None and extra is None:
             t = self._prof_add("drain", t)
-        commit_pops(head, tail, qlen, keys, slots, cur, got)
+        commit_pops(head, tail, qlen, keys, slots, cur, valid)
         if fw.size:
             rhop[fw] = fh
         if extra is None:
-            if self._emit and popped.size:
+            if self._emit:
+                pop_srcs = srcs[valid]
                 self._emit_events(
-                    slot, plane, srcs, dst_row[srcs], popped, delm, got
+                    slot, plane, pop_srcs, dst_row[pop_srcs], popped, delm
                 )
             if fw.size:
                 self._slot_pairs.append(
@@ -881,9 +827,9 @@ class VectorizedSession(SimSession):
         return deliv_cids
 
     def _repair_cascades(
-        self, srcs, krow, sub, cur, fw, fu, fr, fpos, tkey, real
+        self, srcs, krow, cand, cur, fw, fu, fr, fpos, tkey, real
     ) -> dict:
-        """Exactly replay the cascade set of one plane (budget == 1).
+        """Exactly replay the cascade set of one plane.
 
         The optimistic walk is wrong only at circuits that *receive* a
         same-plane forward from an earlier circuit: the arriving cell can
@@ -946,7 +892,7 @@ class VectorizedSession(SimSession):
             q = entries[0][2]
             walked = pos.is_integer()
             j = int(pos) if walked else -1
-            snap_cid = int(sub[0, j]) if walked else 0
+            snap_cid = int(cand[j]) if walked else 0
             if snap_cid > 0:
                 snap_lane = 0
                 for lane in range(num_lanes):
@@ -978,7 +924,7 @@ class VectorizedSession(SimSession):
                 cancelled.add(snap_cid)
                 cur[:, j] = head[lanes + q]
             if walked:
-                sub[0, j] = 0
+                cand[j] = 0
             passthrough.add(cell)
             # Position after the committed first advance plus any chained
             # advances already recorded this pass — a cell can win several
@@ -1013,11 +959,13 @@ class VectorizedSession(SimSession):
 
     # -- event emission and flow accounting -----------------------------------
 
-    def _emit_events(self, slot, plane, srcs, dsts, popped, delm, got) -> None:
+    def _emit_events(self, slot, plane, srcs, dsts, popped, delm) -> None:
         """Re-emit the reference engine's per-circuit event stream from
-        the drain results: each circuit's transmit, then its deliveries
-        in pop order — the exact interleave the object loop hands the
-        invariant checker and the telemetry hub."""
+        the drain results.  Entry ``i`` is one pop, in pop order: circuit
+        ``srcs[i] -> dsts[i]`` carried cell ``popped[i]``, which
+        delivered where ``delm[i]``.  Each pop emits its circuit's
+        transmit, then the cell's delivery — the exact interleave the
+        object loop hands the invariant checker and the telemetry hub."""
         checker = self._checker
         rec_tx = self._rec_tx
         rec_del = self._rec_del
@@ -1025,30 +973,20 @@ class VectorizedSession(SimSession):
         rowlen = self._rowlen
         rfid = self._rfid
         arrival = self._arr_np
-        src_l = srcs.tolist()
-        dst_l = dsts.tolist()
-        pop_l = popped.tolist()
-        del_l = delm.tolist()
-        offset = 0
-        for i, count in enumerate(got.tolist()):
-            if not count:
-                continue
+        for src, dst, cid, delivered in zip(
+            srcs.tolist(), dsts.tolist(), popped.tolist(), delm.tolist()
+        ):
             if checker is not None:
-                checker.record_transmit(slot, plane, src_l[i], dst_l[i], count)
+                checker.record_transmit(slot, plane, src, dst, 1)
             if rec_tx is not None:
-                rec_tx(slot, plane, src_l[i], dst_l[i], count)
-            for p in range(offset, offset + count):
-                if del_l[p]:
-                    cid = pop_l[p]
-                    length = int(rowlen[cid])
-                    injected = int(arrival[rfid[cid]])
-                    if checker is not None:
-                        checker.record_delivery(
-                            slot, injected, routes[cid, :length]
-                        )
-                    if rec_del is not None:
-                        rec_del(slot, injected, length - 1)
-            offset += count
+                rec_tx(slot, plane, src, dst, 1)
+            if delivered:
+                length = int(rowlen[cid])
+                injected = int(arrival[rfid[cid]])
+                if checker is not None:
+                    checker.record_delivery(slot, injected, routes[cid, :length])
+                if rec_del is not None:
+                    rec_del(slot, injected, length - 1)
 
     def _account_deliveries_batch(self, cids: np.ndarray, slots: np.ndarray) -> None:
         """Fold a span's deliveries into the per-flow ledgers.
@@ -1259,9 +1197,9 @@ class VectorizedSession(SimSession):
                 self._account_deliveries_batch(cids, slots_arr)
             if prof is not None:
                 # The drain paths bill themselves to the seq/drain/
-                # commit/repair sub-phases; "forward" keeps the residual
-                # (matching lookup, delivery accounting, loop glue) so
-                # the summary still covers the whole span.
+                # commit/repair/replay sub-phases; "forward" keeps the
+                # residual (matching lookup, delivery accounting, loop
+                # glue) so the summary still covers the whole span.
                 prof.add("forward", forward_s + (perf_counter() - lap))
 
             slot = span_end

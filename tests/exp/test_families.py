@@ -74,9 +74,9 @@ def test_sorn_sim_engines_agree(monkeypatch):
     )
 
     def no_vectorized(*args, **kwargs):
-        raise AssertionError("a reference-engine sweep built VectorizedEngine")
+        raise AssertionError("a reference-engine sweep built VectorizedSession")
 
-    monkeypatch.setattr("repro.sim.vectorized.VectorizedEngine", no_vectorized)
+    monkeypatch.setattr("repro.sim.vectorized.VectorizedSession", no_vectorized)
     reference = dict(SORN_SIM_PARAMS, engine="reference")
     ref = SweepRunner(batch_seeds=True).run(
         [SweepPoint("sorn_sim", reference, s) for s in seeds]

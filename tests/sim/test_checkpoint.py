@@ -41,7 +41,7 @@ pytestmark = pytest.mark.durability
 ENGINES = ("reference", "vectorized")
 CONFIG_VARIANTS = [
     {},
-    {"cells_per_circuit": 2},
+    {"drain": True, "max_drain_slots": 30},
     {"drain": True, "classify_fct_threshold_cells": 2},
     {"short_flow_threshold_cells": 3},
 ]
@@ -288,7 +288,7 @@ class TestRejection:
     def test_config_mismatch_rejected(self, tmp_path):
         path = self._saved(tmp_path)
         with pytest.raises(CheckpointError, match="config"):
-            make_sim("vectorized", {"cells_per_circuit": 2}).resume(
+            make_sim("vectorized", {"max_drain_slots": 30}).resume(
                 path, self.flows
             )
 

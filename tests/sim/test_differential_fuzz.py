@@ -26,8 +26,10 @@ engines emitted the same events in different orders; an
 :class:`EventOrderDigest` in every instrumented hub hashes the event
 sequence itself, so the contract covers order too.  Lean
 examples attach *no* event consumers, which lets the vectorized
-engine's array walk repair cascade planes in place instead of replaying
-them — a tier instrumented runs can never reach.
+engine's array walk repair cascade planes in place — a tier
+instrumented runs can never reach; those replay every cascade plane
+through the sequential kernel instead, so the two halves together reach
+both cascade tiers.
 
 Each example also draws the vectorized engine's drain cutoff
 (:data:`repro.sim.vectorized.SEQ_CUTOFF`), patched for that example
@@ -274,12 +276,11 @@ def scenarios(draw):
             assume(False)
     # ``lean`` drops the invariant checker and telemetry entirely: with
     # no event consumers attached the array walk repairs cascade planes
-    # in place, which the fully-instrumented runs never reach.  Both
-    # halves of the config space must agree with the reference engine
-    # bit-for-bit.
+    # in place, where the fully-instrumented runs replay them through
+    # the sequential kernel.  Both halves of the config space must agree
+    # with the reference engine bit-for-bit.
     lean = draw(st.booleans())
     config = dict(
-        cells_per_circuit=draw(st.integers(1, 3)),
         drain=True,
         max_drain_slots=draw(st.sampled_from([50, 150, 300])),
         short_flow_threshold_cells=draw(st.one_of(st.none(), st.just(2))),

@@ -1,5 +1,5 @@
-"""Engine edge cases: capacities, idle slots, drain and the measurement
-window."""
+"""Engine edge cases: idle slots, drain, the measurement window and
+flow ids."""
 
 import pytest
 
@@ -8,34 +8,6 @@ from repro.routing import VlbRouter
 from repro.schedules import ExplicitSchedule, Matching, RoundRobinSchedule
 from repro.sim import SimConfig, SlotSimulator
 from repro.traffic import FlowSpec
-
-
-class TestCellsPerCircuit:
-    def test_larger_slots_drain_faster(self):
-        flows = [FlowSpec(0, 0, 3, 60, 0)]
-        fcts = {}
-        for cells in (1, 4):
-            sim = SlotSimulator(
-                RoundRobinSchedule(8),
-                VlbRouter(8),
-                SimConfig(drain=True, cells_per_circuit=cells),
-                rng=1,
-            )
-            fcts[cells] = sim.run(flows, 5).fct_slots[0]
-        assert fcts[4] < fcts[1]
-
-    def test_budget_respected_per_circuit(self):
-        """With capacity 2 and a 10-cell direct flow, delivery takes at
-        least 5 circuit openings."""
-        sim = SlotSimulator(
-            RoundRobinSchedule(8),
-            VlbRouter(8),
-            SimConfig(drain=True, cells_per_circuit=2),
-            rng=0,
-        )
-        report = sim.run([FlowSpec(0, 0, 1, 10, 0)], 3)
-        # 5 openings of the needed circuits, each 7 slots apart at worst.
-        assert report.fct_slots[0] >= 5
 
 
 class TestIdleSlots:

@@ -55,7 +55,7 @@ class TestCleanRuns:
 
     def test_checker_counts_checks(self):
         schedule = RoundRobinSchedule(6)
-        checker = InvariantChecker(schedule, SimConfig())
+        checker = InvariantChecker(schedule)
         row = schedule.plane_matching(0, 0).dst
         src = 0
         checker.record_transmit(0, 0, src, int(row[src]), 1)
@@ -63,15 +63,16 @@ class TestCleanRuns:
 
 
 class TestTransmitChecks:
-    def _checker(self, schedule=None, **kwargs):
+    def _checker(self, schedule=None):
         schedule = schedule or RoundRobinSchedule(6)
-        return schedule, InvariantChecker(schedule, SimConfig(**kwargs))
+        return schedule, InvariantChecker(schedule)
 
     def test_over_capacity(self):
-        schedule, checker = self._checker(cells_per_circuit=2)
+        """A circuit carries one cell per slot."""
+        schedule, checker = self._checker()
         row = schedule.plane_matching(0, 0).dst
-        with pytest.raises(InvariantViolation, match="capacity"):
-            checker.record_transmit(0, 0, 0, int(row[0]), 3)
+        with pytest.raises(InvariantViolation, match="capacity 1"):
+            checker.record_transmit(0, 0, 0, int(row[0]), 2)
 
     def test_circuit_not_in_schedule(self):
         schedule, checker = self._checker()
@@ -87,7 +88,7 @@ class TestTransmitChecks:
         row = schedule.plane_matching(0, 0).dst
         dst = int(row[0])
         tl = FailureTimeline.node_failure(dst)
-        checker = InvariantChecker(schedule, SimConfig(), tl)
+        checker = InvariantChecker(schedule, tl)
         with pytest.raises(InvariantViolation, match="connects"):
             checker.record_transmit(0, 0, 0, dst, 1)
 
@@ -95,13 +96,13 @@ class TestTransmitChecks:
 class TestDeliveryChecks:
     def test_delivery_before_injection(self):
         schedule = RoundRobinSchedule(6)
-        checker = InvariantChecker(schedule, SimConfig())
+        checker = InvariantChecker(schedule)
         with pytest.raises(InvariantViolation, match="before its injection"):
             checker.record_delivery(3, 5, (0, 1))
 
     def test_delivery_before_circuit_up(self):
         schedule = RoundRobinSchedule(6)
-        checker = InvariantChecker(schedule, SimConfig())
+        checker = InvariantChecker(schedule)
         up = schedule.circuit_slots(0, 1)
         first = int(up[0])
         # Deliver on the slot *before* the circuit 0->1 first opens.
@@ -113,7 +114,7 @@ class TestDeliveryChecks:
 
     def test_delivery_at_bound_accepted_multi_hop(self):
         schedule = RoundRobinSchedule(8)
-        checker = InvariantChecker(schedule, SimConfig())
+        checker = InvariantChecker(schedule)
         path = (0, 3, 6)
         earliest = 0
         for u, v in zip(path, path[1:]):
@@ -124,7 +125,7 @@ class TestDeliveryChecks:
 
     def test_never_open_circuit(self):
         schedule = RoundRobinSchedule(6)
-        checker = InvariantChecker(schedule, SimConfig())
+        checker = InvariantChecker(schedule)
         with pytest.raises(InvariantViolation, match="never opens"):
             checker.record_delivery(10, 0, (0, 0))
 
@@ -132,14 +133,14 @@ class TestDeliveryChecks:
 class TestConservationChecks:
     def test_reference_census_mismatch(self):
         schedule = RoundRobinSchedule(6)
-        checker = InvariantChecker(schedule, SimConfig())
+        checker = InvariantChecker(schedule)
         network = SimNetwork(6)
         with pytest.raises(InvariantViolation, match="conservation"):
             checker.end_slot(0, network, injected_total=1, delivered_total=0)
 
     def test_clean_end_slot(self):
         schedule = RoundRobinSchedule(6)
-        checker = InvariantChecker(schedule, SimConfig())
+        checker = InvariantChecker(schedule)
         checker.end_slot(0, SimNetwork(6), injected_total=0, delivered_total=0)
         checker.end_slot(1, LinkedVoqState(6), injected_total=4, delivered_total=4)
         # Queued cells whose per-VOQ counters agree with the fabric total
@@ -157,7 +158,7 @@ class TestConservationChecks:
 
     def test_array_negative_counter(self):
         schedule = RoundRobinSchedule(6)
-        checker = InvariantChecker(schedule, SimConfig())
+        checker = InvariantChecker(schedule)
         state = LinkedVoqState(6)
         # One cell queued at (0, 1), then drained and delivered from the
         # wrong VOQ — one at the same node, so the per-node backlogs
@@ -174,7 +175,7 @@ class TestConservationChecks:
 
     def test_array_counter_sum_mismatch(self):
         schedule = RoundRobinSchedule(6)
-        checker = InvariantChecker(schedule, SimConfig())
+        checker = InvariantChecker(schedule)
         state = LinkedVoqState(6)
         r01 = state.rank(0, 1)
         state.qlen[0, r01] = 2  # counters drift from the fabric total

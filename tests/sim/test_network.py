@@ -19,8 +19,8 @@ class TestEnqueueTransmit:
         a, b = make_cell([0, 1]), make_cell([0, 1, 2])
         net.enqueue(a)
         net.enqueue(b)
-        out = net.transmit(0, 1, 2)
-        assert out == [a, b]
+        assert net.pop(0, 1) is a
+        assert net.pop(0, 1) is b
 
     def test_transit_priority(self):
         """A transit cell enqueued after a fresh cell is served first."""
@@ -29,19 +29,25 @@ class TestEnqueueTransmit:
         transit = make_cell([3, 0, 1], hop=1)
         net.enqueue(fresh)
         net.enqueue(transit)
-        assert net.transmit(0, 1, 1) == [transit]
-        assert net.transmit(0, 1, 1) == [fresh]
+        assert net.pop(0, 1) is transit
+        assert net.pop(0, 1) is fresh
 
     def test_budget_respected(self):
+        """A circuit carries one cell per slot: a pop takes one cell."""
         net = SimNetwork(4)
         for _ in range(5):
             net.enqueue(make_cell([0, 1]))
-        assert len(net.transmit(0, 1, 3)) == 3
-        assert net.queue_length(0, 1) == 2
+        assert net.pop(0, 1) is not None
+        assert net.queue_length(0, 1) == 4
+        assert net.total_occupancy == 4
 
     def test_empty_queue_transmits_nothing(self):
         net = SimNetwork(4)
-        assert net.transmit(0, 1, 5) == []
+        assert net.pop(0, 1) is None
+        net.enqueue(make_cell([0, 1]))
+        net.pop(0, 1)
+        assert net.pop(0, 1) is None
+        assert net.total_occupancy == 0
 
     def test_path_out_of_range_rejected(self):
         net = SimNetwork(4)
@@ -59,7 +65,7 @@ class TestAccounting:
         net.enqueue(make_cell([0, 1]))
         net.enqueue(make_cell([2, 3]))
         assert net.total_occupancy == 2
-        net.transmit(0, 1, 1)
+        net.pop(0, 1)
         assert net.total_occupancy == 1
 
     def test_node_backlog(self):

@@ -47,7 +47,7 @@ class TestPriorityService:
         short = make_cell(2)
         network.enqueue(bulk)
         network.enqueue(short)
-        assert network.transmit(0, 1, 1) == [short]
+        assert network.pop(0, 1) is short
 
     def test_short_class_preempts_bulk_transit(self):
         """Strict class separation: even a fresh short cell beats a bulk
@@ -57,7 +57,7 @@ class TestPriorityService:
         bulk_transit = make_cell(10, hop=1)
         network.enqueue(short_fresh)
         network.enqueue(bulk_transit)
-        assert network.transmit(0, 1, 1) == [short_fresh]
+        assert network.pop(0, 1) is short_fresh
 
 
 class TestEndToEnd:

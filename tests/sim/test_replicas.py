@@ -101,7 +101,7 @@ def _independent_reports(
 #: engine's presample chunks instead.
 CONFIG_AXES = {
     "default": dict(),
-    "short_priority": dict(short_flow_threshold_cells=4, cells_per_circuit=2),
+    "short_priority": dict(short_flow_threshold_cells=4),
     "drain": dict(drain=True, max_drain_slots=400),
     "chunked": dict(chunk_cells=13),
     "chunked_drain": dict(chunk_cells=5, drain=True, max_drain_slots=400),
@@ -123,7 +123,7 @@ def test_replicas_match_independent_runs(axis, monkeypatch):
 
 
 def test_replicas_on_flat_orn():
-    config = SimConfig(cells_per_circuit=1, drain=True)
+    config = SimConfig(drain=True)
     replicas = _replica_reports(_flat_setup, config, SEEDS)
     assert replicas == _independent_reports(_flat_setup, config, SEEDS)
     assert any(r.delivered_cells > 0 for r in replicas)

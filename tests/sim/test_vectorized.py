@@ -11,7 +11,13 @@ from repro.analysis import optimal_q
 from repro.errors import SimulationError
 from repro.routing import SornRouter, VlbRouter
 from repro.schedules import RoundRobinSchedule, build_sorn_schedule
-from repro.sim import SimConfig, SlotSimulator, TelemetryHub, TraceRecorder
+from repro.sim import (
+    PhaseProfiler,
+    SimConfig,
+    SlotSimulator,
+    TelemetryHub,
+    TraceRecorder,
+)
 from repro.topology import CliqueLayout
 from repro.traffic import WEB_SEARCH, FlowSpec, Workload, clustered_matrix, uniform_matrix
 
@@ -24,7 +30,7 @@ def _combo_rr_vlb():
     return (
         RoundRobinSchedule(16, num_planes=2),
         VlbRouter(16),
-        dict(cells_per_circuit=1, drain=True),
+        dict(drain=True),
         16,
     )
 
@@ -48,9 +54,7 @@ def _sorn_combo(**cfg):
 COMBOS = {
     "rr-vlb-drain": _combo_rr_vlb,
     "sorn-default": _sorn_combo(),
-    "sorn-short-priority": _sorn_combo(
-        cells_per_circuit=2, short_flow_threshold_cells=8, drain=True
-    ),
+    "sorn-short-priority": _sorn_combo(short_flow_threshold_cells=8, drain=True),
     "sorn-drain": _sorn_combo(drain=True, max_drain_slots=400),
     # Presample chunks far smaller than the run: refills every few cells.
     "sorn-chunk13": _sorn_combo(chunk_cells=13),
@@ -197,28 +201,60 @@ class TestCascadeRepair:
     cutoff; these fabrics are below it, so the tests pin the cutoff to
     0 to keep every plane on the array walk."""
 
+    @staticmethod
+    def _saturated_vlb(**config):
+        """A saturated 32-node, 4-plane VLB run (load 1.3, 220 slots)."""
+        n = 32
+        workload = Workload(
+            uniform_matrix(n), WEB_SEARCH, load=1.3, cell_bytes=4096.0
+        )
+        flows = workload.generate(220, rng=np.random.default_rng(3))
+        sim = SlotSimulator(
+            RoundRobinSchedule(n, num_planes=4),
+            VlbRouter(n),
+            SimConfig(drain=True, **config),
+            rng=np.random.default_rng(4),
+        )
+        return sim.run(flows, 220, measure_from=40)
+
     def test_high_load_vlb_exercises_repair_tier(self, monkeypatch):
         """A saturated multi-plane VLB run with no event consumers must
         route cascade slots through the in-place repair tier (not the
         sequential fallback) and still match the reference engine
         bit-for-bit."""
         calls = _count_repairs(monkeypatch)
-        n = 32
-        workload = Workload(
-            uniform_matrix(n), WEB_SEARCH, load=1.3, cell_bytes=4096.0
-        )
-        flows = workload.generate(220, rng=np.random.default_rng(3))
-        reports = {}
-        for engine in ("reference", "vectorized"):
-            sim = SlotSimulator(
-                RoundRobinSchedule(n, num_planes=4),
-                VlbRouter(n),
-                SimConfig(engine=engine, cells_per_circuit=1, drain=True),
-                rng=np.random.default_rng(4),
-            )
-            reports[engine] = sim.run(flows, 220, measure_from=40)
+        reports = {
+            engine: self._saturated_vlb(engine=engine)
+            for engine in ("reference", "vectorized")
+        }
         assert reports["vectorized"] == reports["reference"]
         assert calls["repair"] > 0, "stress run never hit the cascade-repair tier"
+
+    def test_replay_and_repair_bill_separate_phases(self, monkeypatch):
+        """The profiler bills the sequential replay of a cascade plane
+        to ``replay`` and the in-place repair to ``repair``: with the
+        invariant checker attached (an event consumer) cascade planes
+        replay and never repair, without it they repair and never
+        replay."""
+        from repro.sim import vectorized as V
+
+        monkeypatch.setattr(V, "SEQ_CUTOFF", 0)
+        laps, reports = {}, {}
+        for checked in (True, False):
+            profiler = PhaseProfiler()
+            reports[checked] = self._saturated_vlb(
+                engine="vectorized",
+                check_invariants=checked,
+                telemetry=TelemetryHub([profiler]),
+            )
+            laps[checked] = {
+                phase: entry["laps"] for phase, entry in profiler.summary().items()
+            }
+        assert reports[True] == reports[False]
+        assert laps[True].get("replay", 0) > 0, laps[True]
+        assert "repair" not in laps[True], laps[True]
+        assert laps[False].get("repair", 0) > 0, laps[False]
+        assert "replay" not in laps[False], laps[False]
 
     def test_chained_cascade_wins_advance_correct_position(self, monkeypatch):
         """Regression: a cell that wins several chained cascade hops in
