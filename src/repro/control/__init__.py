@@ -10,17 +10,17 @@ schedule updates.  Each stage lives in its own module:
 - :mod:`clustering` — balanced clique assignment from a demand graph
 - :mod:`bvn` — Birkhoff-von-Neumann schedule synthesis from a target
   bandwidth matrix (the "Expressivity" machinery of section 5)
-- :mod:`planner` — drain-aware schedule-update planning
+- :mod:`planner` — the shared q* decision step, drain-aware update plans
 - :mod:`updates` — synchronized update execution against node state
 - :mod:`runtime` — the closed adaptation loop: epoch-segmented simulation
   driving estimate → plan → update, with health states, validation,
   retry/backoff and an oblivious fallback (chaos-tested)
 """
 
-from .estimator import DemandEstimator, LocalityEstimator
+from .estimator import DemandEstimator
 from .clustering import balanced_cliques, demand_clustering_score
 from .bvn import birkhoff_von_neumann, schedule_from_decomposition, sinkhorn_scale
-from .planner import UpdatePlan, plan_update
+from .planner import RetunePlan, UpdatePlan, plan_retune, plan_update
 from .weighted import weighted_sorn_schedule, lift_clique_matching
 from .placement import JobPlacement, PlacementReport, place_jobs
 from .updates import (
@@ -42,13 +42,14 @@ from .runtime import (
 
 __all__ = [
     "DemandEstimator",
-    "LocalityEstimator",
     "balanced_cliques",
     "demand_clustering_score",
     "birkhoff_von_neumann",
     "schedule_from_decomposition",
     "sinkhorn_scale",
+    "RetunePlan",
     "UpdatePlan",
+    "plan_retune",
     "plan_update",
     "weighted_sorn_schedule",
     "lift_clique_matching",

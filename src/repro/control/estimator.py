@@ -4,9 +4,11 @@ The paper's premise (section 3) is that *aggregated* traffic matrices —
 between cliques of hundreds of machines — are stable and predictable over
 hours, even though per-pair demand is bursty.  :class:`DemandEstimator`
 implements the standard mechanism for exploiting that: an exponentially
-weighted moving average over periodically observed matrices, with
-utilities for injecting estimation error (the paper claims guarantees hold
-"within a healthy estimation error margin"; bench A3 quantifies that).
+weighted moving average over periodically observed matrices, plus a
+multiplicative-noise helper.  Both adaptation loops read the locality off
+the estimate through :func:`~repro.control.planner.plan_retune`.  The
+estimation-error ablation A3 (``benchmarks/bench_estimation_error.py``)
+perturbs the locality itself and calls nothing here.
 """
 
 from __future__ import annotations
@@ -16,11 +18,10 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ControlPlaneError
-from ..topology.cliques import CliqueLayout
 from ..traffic.matrix import TrafficMatrix
 from ..util import check_fraction, ensure_rng, RngLike
 
-__all__ = ["DemandEstimator", "LocalityEstimator"]
+__all__ = ["DemandEstimator"]
 
 
 class DemandEstimator:
@@ -84,39 +85,3 @@ class DemandEstimator:
         """Forget all history."""
         self._state = None
         self._observations = 0
-
-
-class LocalityEstimator:
-    """Tracks the intra-clique locality ratio x under a layout.
-
-    A thin wrapper over :class:`DemandEstimator` producing the single
-    scalar the SORN design optimization consumes (``q* = 2/(1-x)``).
-    """
-
-    def __init__(self, layout: CliqueLayout, alpha: float = 0.3):
-        self.layout = layout
-        self._inner = DemandEstimator(layout.num_nodes, alpha=alpha)
-
-    @property
-    def observations(self) -> int:
-        return self._inner.observations
-
-    def observe(self, matrix: TrafficMatrix) -> None:
-        """Fold one observation."""
-        self._inner.observe(matrix)
-
-    def locality(self) -> float:
-        """Current estimate of x."""
-        return self._inner.estimate().locality(self.layout)
-
-    def locality_with_error(self, absolute_error: float, rng: RngLike = None) -> float:
-        """x perturbed by a uniform absolute error, clamped to [0, 1].
-
-        Used by the robustness ablation: how much throughput does SORN lose
-        when it optimizes q for x-hat instead of the true x?
-        """
-        if absolute_error < 0:
-            raise ControlPlaneError("absolute_error must be non-negative")
-        gen = ensure_rng(rng)
-        shift = absolute_error * (2.0 * gen.random() - 1.0)
-        return float(np.clip(self.locality() + shift, 0.0, 1.0))

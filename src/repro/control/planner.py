@@ -1,4 +1,8 @@
-"""Drain-aware planning of schedule updates.
+"""The control plane's decision step and drain-aware update planning.
+
+:func:`plan_retune` is the one estimate -> q* -> gain step that both the
+matrix-level :class:`~repro.core.adaptation.AdaptationLoop` and the
+simulated :class:`~repro.control.runtime.AdaptiveSimulation` take.
 
 The paper argues (section 5) that SORN updates are cheap because the
 design maintains a *fixed superset of neighbors* per node and only varies
@@ -6,21 +10,68 @@ bandwidth per neighbor: rebalancing q needs no new NIC queue state and no
 queue drains.  Changing the clique *layout*, by contrast, retires some
 neighbors (their queued cells strand until the new schedule serves them)
 and may introduce new ones.  :func:`plan_update` quantifies exactly that
-by diffing per-node schedule rows, producing an :class:`UpdatePlan` the
-adaptation loop uses to decide whether an update is worth its disruption.
+by diffing per-node schedule rows into an :class:`UpdatePlan`, which the
+runtime's drain-free gate checks and the matrix-level loop reports.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..analysis.throughput import optimal_q, sorn_throughput_bounds
 from ..errors import ControlPlaneError
 from ..schedules.schedule import CircuitSchedule
+from ..topology.cliques import CliqueLayout
+from ..traffic.matrix import TrafficMatrix
 
-__all__ = ["UpdatePlan", "plan_update"]
+__all__ = ["LOCALITY_CAP", "MAX_Q", "RetunePlan", "UpdatePlan", "plan_retune", "plan_update"]
+
+#: Ceiling on the locality estimate: q* = 2/(1-x) has a pole at x = 1.
+LOCALITY_CAP = 0.95
+#: Ceiling on q*: extreme estimates would leave almost no inter-clique slots.
+MAX_Q = 8.0
+
+
+@dataclasses.dataclass(frozen=True)
+class RetunePlan:
+    """One decision of :func:`plan_retune`: the capped locality x-hat
+    under the candidate layout, the capped ``q* = 2/(1 - x-hat)``, and
+    the worst-case throughputs the incumbent (0 when it is no SORN
+    schedule) and the candidate reach on the estimate."""
+
+    locality: float
+    q: float
+    current_throughput: float
+    predicted_throughput: float
+
+    @property
+    def gain(self) -> float:
+        """Relative predicted throughput gain (infinite over nothing)."""
+        if self.current_throughput == 0:
+            return float("inf")
+        return self.predicted_throughput / self.current_throughput - 1.0
+
+
+def plan_retune(
+    estimate: TrafficMatrix,
+    layout: CliqueLayout,
+    q: Optional[float],
+    candidate_layout: Optional[CliqueLayout] = None,
+) -> RetunePlan:
+    """Decide q* for a demand *estimate* against the incumbent SORN on
+    *layout* at *q*; *q* is None when the incumbent is no SORN schedule
+    (the runtime's oblivious fallback).  The candidate keeps *layout*
+    unless *candidate_layout* re-clusters.  Builds no schedule."""
+    current_x = min(estimate.locality(layout), LOCALITY_CAP)
+    x = current_x
+    if candidate_layout is not None and candidate_layout != layout:
+        x = min(estimate.locality(candidate_layout), LOCALITY_CAP)
+    q_star = min(optimal_q(x), MAX_Q)
+    current = 0.0 if q is None else sorn_throughput_bounds(q, current_x)
+    return RetunePlan(x, q_star, current, sorn_throughput_bounds(q_star, x))
 
 
 @dataclasses.dataclass(frozen=True)

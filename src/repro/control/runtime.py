@@ -7,9 +7,10 @@ the loop actually closes over a live simulation.
 (:meth:`repro.sim.engine.SlotSimulator.start`) in fixed-length epochs:
 at every epoch boundary it reads the *measured* demand of the segment
 just executed, folds it into a :class:`~repro.control.estimator.
-DemandEstimator`, re-derives the SORN oversubscription ratio
-``q* = 2 / (1 - x)`` for the estimated locality ``x``, gates the
-candidate through :func:`~repro.control.planner.plan_update` and an
+DemandEstimator`, derives ``q* = 2 / (1 - x)`` and its predicted gain
+with :func:`~repro.control.planner.plan_retune` (the matrix-level
+loop's decision step too), gates the candidate through
+:func:`~repro.control.planner.plan_update` and an
 :class:`~repro.control.updates.UpdateCampaign` dwell policy, and — when
 the predicted gain clears the hysteresis threshold — executes a
 synchronized update against the node fleet and swaps the schedule into
@@ -52,8 +53,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..analysis.throughput import optimal_q, sorn_throughput_bounds
-from ..errors import ControlPlaneError, ReproError
+from ..errors import ControlPlaneError
 from ..routing.base import Router
 from ..schedules.round_robin import RoundRobinSchedule
 from ..schedules.schedule import CircuitSchedule
@@ -66,7 +66,7 @@ from ..traffic.matrix import TrafficMatrix
 from ..traffic.workload import FlowsLike, FlowTable
 from ..util import check_fraction, check_positive_int, RngLike
 from .estimator import DemandEstimator
-from .planner import plan_update
+from .planner import RetunePlan, plan_retune, plan_update
 from .updates import UpdateCampaign
 
 __all__ = [
@@ -92,7 +92,9 @@ class ControllerState:
 
 @dataclasses.dataclass(frozen=True)
 class RuntimeConfig:
-    """Tunable knobs of the adaptation runtime.
+    """Tunable knobs of the adaptation runtime.  The caps on the
+    locality estimate and q* are the planner's constants
+    (:data:`~repro.control.planner.LOCALITY_CAP`, ``MAX_Q``).
 
     Attributes
     ----------
@@ -118,12 +120,6 @@ class RuntimeConfig:
     recover_after:
         Consecutive good epochs (while in FALLBACK) before the runtime
         re-derives a demand-aware schedule and returns to HEALTHY.
-    locality_cap:
-        Ceiling on the locality estimate fed to ``q* = 2/(1-x)`` (x = 1
-        is a pole).
-    max_q:
-        Ceiling on the derived oversubscription ratio (keeps extreme
-        locality estimates from synthesizing degenerate schedules).
     """
 
     epoch_slots: int
@@ -134,8 +130,6 @@ class RuntimeConfig:
     base_backoff_slots: int = 2
     fallback_after: int = 3
     recover_after: int = 2
-    locality_cap: float = 0.95
-    max_q: float = 8.0
 
     def __post_init__(self) -> None:
         check_positive_int(self.epoch_slots, "epoch_slots")
@@ -150,10 +144,6 @@ class RuntimeConfig:
         check_positive_int(self.base_backoff_slots, "base_backoff_slots")
         check_positive_int(self.fallback_after, "fallback_after")
         check_positive_int(self.recover_after, "recover_after")
-        if not 0.0 < self.locality_cap < 1.0:
-            raise ControlPlaneError("locality_cap must be in (0, 1)")
-        if self.max_q < 1.0:
-            raise ControlPlaneError("max_q must be >= 1")
 
 
 def validate_estimate(raw, num_nodes: int) -> TrafficMatrix:
@@ -312,19 +302,32 @@ class EpochReport:
 @dataclasses.dataclass(frozen=True)
 class AdaptiveReport:
     """Outcome of one adaptive run: the final simulation report plus the
-    full epoch history and controller counters."""
+    full epoch history, which the controller counters are read off."""
 
     report: SimReport
     epochs: Tuple[EpochReport, ...]
     final_state: str
-    updates_applied: int
-    fallback_engagements: int
-    recoveries: int
-    failed_epochs: int
 
     @property
     def delivered_cells(self) -> int:
         return self.report.delivered_cells
+
+    @property
+    def updates_applied(self) -> int:
+        updates = ("retuned", "fallback-engaged", "recovered")
+        return sum(e.action in updates for e in self.epochs)
+
+    @property
+    def fallback_engagements(self) -> int:
+        return sum(e.action == "fallback-engaged" for e in self.epochs)
+
+    @property
+    def recoveries(self) -> int:
+        return sum(e.action == "recovered" for e in self.epochs)
+
+    @property
+    def failed_epochs(self) -> int:
+        return sum(not e.succeeded for e in self.epochs)
 
     def state_sequence(self) -> List[str]:
         """Health state per epoch, in order."""
@@ -454,9 +457,6 @@ class AdaptiveSimulation:
         current_q: Optional[float] = self.initial_q
         consecutive_failures = 0
         recovery_streak = 0
-        fallback_engagements = 0
-        recoveries = 0
-        failed_epochs = 0
         epochs: List[EpochReport] = []
         epoch = 0
         prev_cp = session.checkpoint()
@@ -490,10 +490,9 @@ class AdaptiveSimulation:
                 session = self._preempt_restore(session, flows)
 
             out = _EpochOutcome()
-            candidate_q = self._control_step(epoch, observed, estimator, out)
+            retune = self._control_step(epoch, observed, estimator, current_q, out)
 
             if out.failure is not None:
-                failed_epochs += 1
                 consecutive_failures += 1
                 recovery_streak = 0
                 if state == ControllerState.FALLBACK:
@@ -503,7 +502,6 @@ class AdaptiveSimulation:
                     session.swap_schedule(self.fallback_schedule)
                     state = ControllerState.FALLBACK
                     current_q = None
-                    fallback_engagements += 1
                     action = "fallback-engaged"
                     reason = (
                         f"{consecutive_failures} consecutive failed epochs "
@@ -520,16 +518,15 @@ class AdaptiveSimulation:
                 if state == ControllerState.FALLBACK:
                     recovery_streak += 1
                     if recovery_streak >= rt.recover_after:
-                        candidate = self._build_candidate(candidate_q)
+                        candidate = self._build_candidate(retune.q)
                         campaign.force_update(epoch, candidate)
                         session.swap_schedule(candidate)
                         state = ControllerState.HEALTHY
-                        current_q = candidate_q
+                        current_q = retune.q
                         recovery_streak = 0
-                        recoveries += 1
                         action = "recovered"
                         reason = (
-                            f"re-derived q={candidate_q:.3g} after "
+                            f"re-derived q={retune.q:.3g} after "
                             f"{rt.recover_after} good epochs"
                         )
                     else:
@@ -541,7 +538,7 @@ class AdaptiveSimulation:
                 else:
                     state = ControllerState.HEALTHY
                     action, reason, applied_q = self._maybe_retune(
-                        epoch, candidate_q, current_q, out, campaign, session
+                        epoch, retune, current_q, campaign, session
                     )
                     if applied_q is not None:
                         current_q = applied_q
@@ -569,15 +566,8 @@ class AdaptiveSimulation:
             prev_cp = cp
             epoch += 1
 
-        report = session.finish()
         return AdaptiveReport(
-            report=report,
-            epochs=tuple(epochs),
-            final_state=state,
-            updates_applied=campaign.updates_applied,
-            fallback_engagements=fallback_engagements,
-            recoveries=recoveries,
-            failed_epochs=failed_epochs,
+            report=session.finish(), epochs=tuple(epochs), final_state=state
         )
 
     def _preempt_restore(self, session, flows: FlowTable):
@@ -615,9 +605,11 @@ class AdaptiveSimulation:
         epoch: int,
         observed: np.ndarray,
         estimator: DemandEstimator,
+        current_q: Optional[float],
         out: _EpochOutcome,
-    ) -> Optional[float]:
-        """One controller invocation; returns the candidate q (or None).
+    ) -> Optional[RetunePlan]:
+        """One controller invocation; returns the planner's decision
+        against the incumbent q (None in FALLBACK), or None on failure.
 
         Populates *out* with the failure reason, retry accounting and
         locality estimate.  Never raises for controller-level faults.
@@ -638,30 +630,28 @@ class AdaptiveSimulation:
             out.idle = True
             return None
         estimator.observe(matrix)
-        x = min(estimator.estimate().locality(self.layout), rt.locality_cap)
-        out.locality = x
+        retune = plan_retune(estimator.estimate(), self.layout, current_q)
+        out.locality = retune.locality
 
         deadline = rt.epoch_slots
         while True:
             attempt = out.attempts
             out.attempts += 1
-            try:
-                if self.chaos.planner_failure(epoch, attempt):
-                    raise ControlPlaneError("injected planner fault")
-                return min(optimal_q(x), rt.max_q)
-            except ReproError as exc:
-                if out.attempts > rt.max_planner_retries:
-                    out.failure = (
-                        f"planner failed after {out.attempts} attempts: {exc}"
-                    )
-                    return None
-                out.backoff += rt.base_backoff_slots * (2 ** attempt)
-                if out.backoff >= deadline:
-                    out.failure = (
-                        f"planner retry backoff ({out.backoff} slots) "
-                        f"exceeded the epoch deadline ({deadline} slots)"
-                    )
-                    return None
+            if not self.chaos.planner_failure(epoch, attempt):
+                return retune
+            if out.attempts > rt.max_planner_retries:
+                out.failure = (
+                    f"planner failed after {out.attempts} attempts: "
+                    "injected planner fault"
+                )
+                return None
+            out.backoff += rt.base_backoff_slots * (2 ** attempt)
+            if out.backoff >= deadline:
+                out.failure = (
+                    f"planner retry backoff ({out.backoff} slots) "
+                    f"exceeded the epoch deadline ({deadline} slots)"
+                )
+                return None
 
     def _build_candidate(self, q: float) -> CircuitSchedule:
         return build_sorn_schedule(
@@ -675,9 +665,8 @@ class AdaptiveSimulation:
     def _maybe_retune(
         self,
         epoch: int,
-        candidate_q: float,
+        retune: RetunePlan,
         current_q: Optional[float],
-        out: _EpochOutcome,
         campaign: UpdateCampaign,
         session,
     ) -> Tuple[str, str, Optional[float]]:
@@ -687,11 +676,7 @@ class AdaptiveSimulation:
         when the incumbent schedule is kept.
         """
         rt = self.runtime
-        x = out.locality
-        assert x is not None and current_q is not None
-        incumbent = sorn_throughput_bounds(current_q, x)
-        predicted = sorn_throughput_bounds(candidate_q, x)
-        gain = predicted / incumbent - 1.0 if incumbent > 0 else float("inf")
+        gain, candidate_q = retune.gain, retune.q
         if gain <= rt.gain_threshold:
             return (
                 "kept",
@@ -717,7 +702,8 @@ class AdaptiveSimulation:
         return (
             "retuned",
             f"q {current_q:.3g} -> {candidate_q:.3g} for locality "
-            f"{x:.3f} (predicted gain {gain:+.3f}; {plan.summary()})",
+            f"{retune.locality:.3f} (predicted gain {gain:+.3f}; "
+            f"{plan.summary()})",
             candidate_q,
         )
 

@@ -5,7 +5,9 @@ One control-plane cycle:
 1. **Observe** an aggregated traffic matrix (from schedulers / placement).
 2. **Estimate** demand via EWMA smoothing.
 3. **Cluster** nodes into cliques maximizing captured (intra) demand.
-4. **Optimize** the oversubscription q for the estimated locality.
+4. **Optimize** the oversubscription q for the estimated locality
+   (:func:`repro.control.planner.plan_retune`, which the simulated
+   runtime takes every epoch too).
 5. **Plan** the schedule update and apply it only if the predicted
    throughput gain clears a hysteresis threshold (operators rate-limit
    reconfiguration; frequent churn costs more than mis-tuned q).
@@ -20,12 +22,12 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional
 
-from ..analysis.throughput import sorn_throughput_bounds
 from ..control.clustering import balanced_cliques
 from ..control.estimator import DemandEstimator
-from ..control.planner import UpdatePlan
+from ..control.planner import RetunePlan, UpdatePlan, plan_retune
 from ..errors import ControlPlaneError
 from ..traffic.matrix import TrafficMatrix
+from .design import SornDesign
 from .sorn import Sorn
 
 __all__ = ["AdaptationDecision", "AdaptationLoop"]
@@ -43,12 +45,13 @@ class AdaptationDecision:
         Human-readable justification (gain below threshold, layout change,
         q retune, ...).
     estimated_locality:
-        x under the *candidate* layout for the current demand estimate.
+        x under the *candidate* layout for the current demand estimate,
+        capped at :data:`~repro.control.planner.LOCALITY_CAP`.
     predicted_throughput / current_throughput:
         Worst-case throughput of candidate vs. incumbent on the estimate.
     update_plan:
-        Schedule diff when a candidate was evaluated (None on the first
-        cycle bootstrap).
+        Schedule diff of the applied update; None when the predicted
+        gain did not clear the threshold (no candidate is built then).
     """
 
     applied: bool
@@ -58,16 +61,17 @@ class AdaptationDecision:
     current_throughput: float
     update_plan: Optional[UpdatePlan]
 
-    @property
-    def predicted_gain(self) -> float:
-        """Relative throughput improvement the candidate offered."""
-        if self.current_throughput == 0:
-            return float("inf")
-        return self.predicted_throughput / self.current_throughput - 1.0
+    #: Relative throughput improvement the candidate offered.
+    predicted_gain = RetunePlan.gain
 
 
 class AdaptationLoop:
     """Stateful periodic adapter around a :class:`Sorn` deployment.
+
+    Each :meth:`step` decides with the planner's capped step
+    (:func:`~repro.control.planner.plan_retune`) and builds the candidate
+    deployment and its update plan only when the gain clears the
+    threshold.
 
     Parameters
     ----------
@@ -98,60 +102,40 @@ class AdaptationLoop:
         self.recluster = bool(recluster)
         self.decisions: List[AdaptationDecision] = []
 
-    def _candidate(self) -> Sorn:
-        """Best deployment for the current demand estimate."""
-        estimate = self.estimator.estimate()
-        nc = self.deployment.design.num_cliques
-        if self.recluster:
-            layout = balanced_cliques(estimate, nc)
-        else:
-            layout = self.deployment.layout
-        # Cap the locality estimate: x -> 1 has no finite optimal q.
-        x = min(estimate.locality(layout), 0.99)
-        return self.deployment.reconfigured(locality=x, layout=layout)
-
     def step(self, observed: TrafficMatrix) -> AdaptationDecision:
         """Run one adaptation cycle on a newly observed matrix."""
         self.estimator.observe(observed)
         estimate = self.estimator.estimate()
-        candidate = self._candidate()
-
-        # The incumbent's *actual* worst-case throughput under the new
-        # estimate: its fixed q evaluated at the measured locality.
-        current_x = min(estimate.locality(self.deployment.layout), 0.99)
-        current_throughput = sorn_throughput_bounds(
-            self.deployment.design.q, current_x
+        incumbent = self.deployment
+        nc = incumbent.design.num_cliques
+        layout = (
+            balanced_cliques(estimate, nc) if self.recluster else incumbent.layout
         )
-        predicted = candidate.design.throughput
-        plan = self.deployment.update_plan(candidate)
-
-        gain = (
-            float("inf")
-            if current_throughput == 0
-            else predicted / current_throughput - 1.0
+        retune = plan_retune(
+            estimate, incumbent.layout, incumbent.design.q, candidate_layout=layout
         )
+        gain = retune.gain
+        plan: Optional[UpdatePlan] = None
         if gain > self.gain_threshold:
-            self.deployment = candidate
-            decision = AdaptationDecision(
-                applied=True,
-                reason=(
-                    f"predicted gain {gain:.1%} exceeds threshold "
-                    f"{self.gain_threshold:.1%} ({plan.summary()})"
-                ),
-                estimated_locality=candidate.design.locality,
-                predicted_throughput=predicted,
-                current_throughput=current_throughput,
-                update_plan=plan,
+            design = SornDesign(
+                incumbent.design.num_nodes, nc, retune.q, retune.locality
+            )
+            self.deployment = Sorn(design, layout=layout, timing=incumbent.timing)
+            plan = incumbent.update_plan(self.deployment)
+            reason = (
+                f"predicted gain {gain:.1%} exceeds threshold "
+                f"{self.gain_threshold:.1%} ({plan.summary()})"
             )
         else:
-            decision = AdaptationDecision(
-                applied=False,
-                reason=f"predicted gain {gain:.1%} below threshold",
-                estimated_locality=candidate.design.locality,
-                predicted_throughput=predicted,
-                current_throughput=current_throughput,
-                update_plan=plan,
-            )
+            reason = f"predicted gain {gain:.1%} below threshold"
+        decision = AdaptationDecision(
+            applied=plan is not None,
+            reason=reason,
+            estimated_locality=retune.locality,
+            predicted_throughput=retune.predicted_throughput,
+            current_throughput=retune.current_throughput,
+            update_plan=plan,
+        )
         self.decisions.append(decision)
         return decision
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.control import DemandEstimator, LocalityEstimator
+from repro.control import DemandEstimator
 from repro.errors import ControlPlaneError
 from repro.topology import CliqueLayout
 from repro.traffic import clustered_matrix, uniform_matrix
@@ -73,24 +73,11 @@ class TestDemandEstimator:
 
 
 class TestLocalityEstimator:
+    """The locality x both adaptation loops read off the EWMA estimate."""
+
     def test_tracks_locality(self):
         layout = CliqueLayout.equal(16, 4)
-        est = LocalityEstimator(layout, alpha=1.0)
+        est = DemandEstimator(16, alpha=1.0)
         est.observe(clustered_matrix(layout, 0.56))
-        assert est.locality() == pytest.approx(0.56)
+        assert est.estimate().locality(layout) == pytest.approx(0.56)
         assert est.observations == 1
-
-    def test_error_injection_clamped(self, rng):
-        layout = CliqueLayout.equal(16, 4)
-        est = LocalityEstimator(layout)
-        est.observe(clustered_matrix(layout, 0.99))
-        for _ in range(50):
-            x = est.locality_with_error(0.5, rng)
-            assert 0.0 <= x <= 1.0
-
-    def test_error_negative_rejected(self, rng):
-        layout = CliqueLayout.equal(16, 4)
-        est = LocalityEstimator(layout)
-        est.observe(clustered_matrix(layout, 0.5))
-        with pytest.raises(ControlPlaneError):
-            est.locality_with_error(-1, rng)

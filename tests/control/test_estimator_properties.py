@@ -1,11 +1,11 @@
-"""Hypothesis property tests for the demand/locality estimators.
+"""Hypothesis property tests for the demand estimator.
 
-The closed-loop runtime trusts three estimator properties without
-checking them at run time: the EWMA converges to a stationary demand,
-the error-injection helpers are deterministic under a fixed seed (so
-robustness benchmarks are reproducible), and injected noise is actually
-bounded by the advertised magnitude.  This module pins each one down as
-a property over randomized matrices, localities and seeds.
+The adaptation loops trust three estimator properties without checking
+them at run time: the EWMA (and the locality read off it) converges to a
+stationary demand, the noise helper is deterministic under a fixed seed
+(so robustness experiments are reproducible), and injected noise is
+actually bounded by the advertised magnitude.  This module pins each one
+down as a property over randomized matrices, localities and seeds.
 """
 
 import os
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.control import DemandEstimator, LocalityEstimator
+from repro.control import DemandEstimator
 from repro.topology import CliqueLayout
 from repro.traffic import TrafficMatrix, clustered_matrix
 
@@ -110,13 +110,14 @@ class TestEwmaConvergence:
     ):
         layout = CliqueLayout.equal(12, 3)
         matrix = clustered_matrix(layout, x_true)
-        est = LocalityEstimator(layout, alpha=alpha)
+        est = DemandEstimator(12, alpha=alpha)
         for _ in range(repeats):
             est.observe(matrix)
         # The clustered matrix realizes x_true exactly, and a stationary
         # EWMA input is a fixed point — locality must match it.
-        assert est.locality() == pytest.approx(matrix.locality(layout))
-        assert est.locality() == pytest.approx(x_true, abs=0.02)
+        x = est.estimate().locality(layout)
+        assert x == pytest.approx(matrix.locality(layout))
+        assert x == pytest.approx(x_true, abs=0.02)
 
 
 class TestErrorInjectionDeterminism:
@@ -133,21 +134,6 @@ class TestErrorInjectionDeterminism:
         first = est.estimate_with_noise(relative_error, rng=seed)
         second = est.estimate_with_noise(relative_error, rng=seed)
         np.testing.assert_array_equal(first.rates, second.rates)
-
-    @given(
-        x=st.floats(0.1, 0.9),
-        absolute_error=st.floats(0.0, 0.5),
-        seed=st.integers(0, 2**31 - 1),
-    )
-    def test_locality_error_deterministic_under_fixed_seed(
-        self, x, absolute_error, seed
-    ):
-        layout = CliqueLayout.equal(8, 2)
-        est = LocalityEstimator(layout)
-        est.observe(clustered_matrix(layout, x))
-        assert est.locality_with_error(
-            absolute_error, rng=seed
-        ) == est.locality_with_error(absolute_error, rng=seed)
 
 
 class TestErrorInjectionBounds:
@@ -170,20 +156,6 @@ class TestErrorInjectionBounds:
         assert (noisy >= lo - 1e-9).all()
         assert (noisy <= hi + 1e-9).all()
         assert (np.diagonal(noisy) == 0.0).all()
-
-    @given(
-        x=st.floats(0.0, 1.0),
-        absolute_error=st.floats(0.0, 0.5),
-        seed=st.integers(0, 2**31 - 1),
-    )
-    def test_locality_error_bounded_and_clamped(self, x, absolute_error, seed):
-        layout = CliqueLayout.equal(8, 4)
-        est = LocalityEstimator(layout)
-        est.observe(clustered_matrix(layout, x))
-        true_x = est.locality()
-        noisy = est.locality_with_error(absolute_error, rng=seed)
-        assert 0.0 <= noisy <= 1.0
-        assert abs(noisy - true_x) <= absolute_error + 1e-12
 
     @given(matrix=demand_matrices(5), seed=st.integers(0, 2**31 - 1))
     def test_zero_error_is_identity(self, matrix, seed):

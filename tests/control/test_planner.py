@@ -1,11 +1,15 @@
-"""Update planning: drain-freedom and bandwidth-shift accounting."""
+"""The decision step and update planning: capped q* and predicted gain,
+drain-freedom and bandwidth-shift accounting."""
 
 import pytest
 
-from repro.control import plan_update
+from repro.analysis import optimal_q, sorn_throughput, sorn_throughput_bounds
+from repro.control import plan_retune, plan_update
+from repro.control.planner import LOCALITY_CAP, MAX_Q
 from repro.errors import ControlPlaneError
 from repro.schedules import RoundRobinSchedule, build_sorn_schedule
 from repro.topology import CliqueLayout
+from repro.traffic import clustered_matrix
 
 
 class TestPlanUpdate:
@@ -63,3 +67,41 @@ class TestPlanUpdate:
     def test_summary_mentions_drain_state(self):
         schedule = build_sorn_schedule(8, 2, q=2)
         assert "drain-free" in plan_update(schedule, schedule).summary()
+
+
+class TestPlanRetune:
+    """The one estimate -> q* -> gain step both adaptation loops take."""
+
+    def test_closed_forms_below_the_caps(self):
+        layout = CliqueLayout.equal(16, 4)
+        retune = plan_retune(clustered_matrix(layout, 0.56), layout, 2.0)
+        assert retune.locality == pytest.approx(0.56)
+        assert retune.q == pytest.approx(optimal_q(0.56))
+        assert retune.current_throughput == pytest.approx(
+            sorn_throughput_bounds(2.0, 0.56)
+        )
+        assert retune.predicted_throughput == pytest.approx(sorn_throughput(0.56))
+
+    def test_caps(self):
+        layout = CliqueLayout.equal(16, 4)
+        all_intra = plan_retune(clustered_matrix(layout, 1.0), layout, 2.0)
+        assert all_intra.locality == LOCALITY_CAP
+        assert all_intra.q == MAX_Q
+        # x = 0.9 asks for q* = 20.
+        assert plan_retune(clustered_matrix(layout, 0.9), layout, 2.0).q == MAX_Q
+
+    def test_no_sorn_incumbent_leaves_nothing_to_beat(self):
+        layout = CliqueLayout.equal(16, 4)
+        retune = plan_retune(clustered_matrix(layout, 0.56), layout, None)
+        assert retune.current_throughput == 0.0
+        assert retune.gain == float("inf")
+
+    def test_candidate_layout_scores_the_candidate_only(self):
+        incumbent = CliqueLayout.equal(16, 4)
+        truth = CliqueLayout.random_equal(16, 4, rng=5)
+        estimate = clustered_matrix(truth, 0.9)
+        retune = plan_retune(estimate, incumbent, 2.0, candidate_layout=truth)
+        assert retune.locality == pytest.approx(0.9)
+        assert retune.current_throughput == pytest.approx(
+            sorn_throughput_bounds(2.0, estimate.locality(incumbent))
+        )

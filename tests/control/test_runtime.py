@@ -18,7 +18,7 @@ from repro.control import (
 from repro.errors import ControlPlaneError
 from repro.routing import SornRouter
 from repro.schedules import RoundRobinSchedule, build_sorn_schedule
-from repro.sim import EpochTransitionCollector, SimConfig, TelemetryHub
+from repro.sim import EpochTransitionCollector, SimConfig, SimSession, TelemetryHub
 from repro.traffic import FlowSpec
 
 N, CLIQUES = 12, 3
@@ -73,8 +73,6 @@ class TestRuntimeConfig:
             {"epoch_slots": 10, "base_backoff_slots": 0},
             {"epoch_slots": 10, "fallback_after": 0},
             {"epoch_slots": 10, "recover_after": 0},
-            {"epoch_slots": 10, "locality_cap": 1.0},
-            {"epoch_slots": 10, "max_q": 0.5},
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):
@@ -261,6 +259,26 @@ class TestStateMachine:
         assert seq[recovered.epoch] == ControllerState.HEALTHY
         assert result.recoveries == 1
         assert result.epochs[recovered.epoch].q is not None
+
+    def test_update_counters_match_schedule_swaps(self, monkeypatch):
+        """The report's counters, read off the epoch history, agree with
+        the schedule swaps the runtime pushed into the session."""
+        swaps = []
+        swap = SimSession.swap_schedule
+
+        def counting_swap(session, schedule):
+            swaps.append(schedule)
+            swap(session, schedule)
+
+        monkeypatch.setattr(SimSession, "swap_schedule", counting_swap)
+        rt = RuntimeConfig(epoch_slots=40, fallback_after=1, recover_after=2)
+        chaos = ScriptedChaos(outage_epochs={0})
+        result = make_adaptive(runtime=rt, chaos=chaos).run(make_flows(), 280)
+        assert result.updates_applied == len(swaps)
+        fallbacks = sum(isinstance(s, RoundRobinSchedule) for s in swaps)
+        assert result.fallback_engagements == fallbacks == 1
+        assert result.recoveries == 1
+        assert result.failed_epochs == 1
 
     def test_estimate_corruption_degrades_not_raises(self):
         chaos = ScriptedChaos(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.control.planner import LOCALITY_CAP, MAX_Q
 from repro.core import AdaptationLoop, Sorn
 from repro.errors import ControlPlaneError
 from repro.topology import CliqueLayout
@@ -59,6 +60,23 @@ class TestStep:
         decision = loop.step(clustered_matrix(loop.deployment.layout, 0.6))
         assert not decision.applied
         assert "below threshold" in decision.reason
+        assert decision.update_plan is None  # no candidate was built
+
+    def test_q_star_capped_at_max_q(self):
+        """x = 0.9 asks for q* = 2/(1-x) = 20; the loop deploys the
+        planner's cap, as the simulated runtime does."""
+        loop = AdaptationLoop(Sorn.optimal(16, 4, 0.2), recluster=False)
+        decision = loop.step(clustered_matrix(loop.deployment.layout, 0.9))
+        assert decision.applied
+        assert loop.deployment.design.q == MAX_Q
+        assert loop.deployment.design.locality == pytest.approx(0.9)
+
+    def test_all_intra_estimate_capped(self):
+        loop = make_loop(x0=0.2, recluster=False)
+        decision = loop.step(clustered_matrix(loop.deployment.layout, 1.0))
+        assert decision.estimated_locality == LOCALITY_CAP
+        assert loop.deployment.design.locality == LOCALITY_CAP
+        assert loop.deployment.design.q == MAX_Q
 
     def test_decisions_recorded(self):
         loop = make_loop(recluster=False)

@@ -280,6 +280,58 @@ def frontier_actual():
     return _frontier_cache["points"]
 
 
+FIG_ADAPTIVE_CONFIG = {
+    "nodes": 12,
+    "cliques": 3,
+    "epochs": 12,
+    "epoch_slots": 40,
+    "phases": "0.3,0.7,0.9",
+    "load": 0.5,
+    "initial_q": 1.0,
+    "seed": 7,
+    "runs": {
+        "benign": {
+            "dwell": 1,
+            "fallback_after": 3,
+            "outages": "",
+            "corrupt": "",
+            "planner_fail": "",
+        },
+        "chaos": {
+            "dwell": 2,
+            "fallback_after": 3,
+            "outages": "3,4,5",
+            "corrupt": "1:nan",
+            "planner_fail": "9",
+        },
+    },
+}
+
+
+def fig_adaptive_actual(engine):
+    """The closed adaptation loop's epoch history under locality drift:
+    one benign run and one chaos run (outages, a corrupt estimate, a
+    failed planner) — between them every controller action, a planner
+    failure that still records its locality, and the q* cap.  Both
+    engines must reproduce the same golden."""
+    from repro.exp import get_family
+
+    cfg = FIG_ADAPTIVE_CONFIG
+    family = get_family("fig_adaptive")
+    base = {
+        k: cfg[k]
+        for k in ("nodes", "cliques", "epochs", "epoch_slots", "phases", "load", "initial_q")
+    }
+    runs = {
+        name: family.run(
+            dict(base, **knobs, engine=engine, timeline="", check=False),
+            cfg["seed"],
+        )
+        for name, knobs in cfg["runs"].items()
+    }
+    return {"config": cfg, "runs": runs}
+
+
 # ---------------------------------------------------------------------------
 # The golden tests
 # ---------------------------------------------------------------------------
@@ -303,6 +355,14 @@ class TestGoldenFigures:
         oblivious, semi-oblivious, and demand-aware — pinned at small N
         with a fixed-seed vectorized simulation."""
         check_against_golden(request, "frontier_points.json", frontier_actual())
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_fig_adaptive_epochs_golden(self, request, engine):
+        """Every epoch's health state, action, reason, locality and q of
+        the closed adaptation loop, pinned for both slot engines."""
+        check_against_golden(
+            request, "fig_adaptive_epochs.json", fig_adaptive_actual(engine)
+        )
 
     def test_frontier_sorn_sits_between_extremes(self):
         """The paper's thesis on the measured frontier: SORN lands
