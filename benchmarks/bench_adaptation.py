@@ -3,7 +3,9 @@
 Drives the control loop through a workload whose structure shifts (service
 mix drifts, then clusters migrate), and verifies the semi-oblivious
 promises: q-only retunes are drain-free, reclustering recovers planted
-structure, and hysteresis prevents churn under stable demand.
+structure, and hysteresis prevents churn under stable demand.  An
+update's disruption is its plan's retired (node, neighbor) pairs: the
+queues that lose every slot.
 """
 
 import pytest
@@ -31,11 +33,11 @@ def run_scenario():
     )
     records = []
     for epoch, matrix in enumerate(phases):
+        layout = loop.deployment.layout
         decision = loop.step(matrix)
-        record = None
         if decision.applied:
-            record = campaign.maybe_apply(epoch, loop.deployment.schedule)
-        records.append((epoch, decision, record))
+            campaign.maybe_apply(epoch, loop.deployment.schedule)
+        records.append((epoch, decision, loop.deployment.layout != layout))
     return loop, campaign, records, shuffled
 
 
@@ -44,13 +46,14 @@ def test_adaptation_scenario(benchmark, report):
         run_scenario, rounds=1, iterations=1
     )
     lines = []
-    for epoch, decision, record in records:
-        stranded = record.stranded_cells if record else "-"
+    for epoch, decision, _ in records:
+        plan = decision.update_plan
+        retired = len(plan.retired_neighbor_pairs) if plan else "-"
         lines.append(
             f"epoch {epoch}: applied={decision.applied!s:<5} "
             f"x={decision.estimated_locality:.2f} "
             f"thpt {decision.current_throughput:.2%} -> "
-            f"{decision.predicted_throughput:.2%} stranded={stranded}"
+            f"{decision.predicted_throughput:.2%} retired={retired}"
         )
     report("A5: adaptation under shifting workload", lines)
 
@@ -68,6 +71,15 @@ def test_adaptation_scenario(benchmark, report):
     # Phase 3 (cluster migration): reclustering recovers the shuffle.
     final_groups = {frozenset(g) for g in loop.deployment.layout.groups()}
     assert final_groups == {frozenset(g) for g in shuffled.groups()}
+
+    # Only the one re-clustering update disrupts queues: it retires
+    # neighbor pairs, while every q-only update retires none.
+    applied = [(d.update_plan, relayout) for _, d, relayout in records if d.applied]
+    reclustered = [plan for plan, relayout in applied if relayout]
+    assert len(reclustered) == 1
+    assert not reclustered[0].is_drain_free
+    assert len(reclustered[0].retired_neighbor_pairs) == 184
+    assert all(plan.is_drain_free for plan, relayout in applied if not relayout)
 
     # The loop settled near the true locality with a finite update count.
     assert loop.deployment.design.locality == pytest.approx(0.8, abs=0.1)

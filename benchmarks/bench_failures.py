@@ -15,7 +15,7 @@ from repro.analysis import (
     sorn_sync_domain_size,
 )
 from repro.exp import factory
-from repro.sim import FailedNodeSchedule, SimConfig, SlotSimulator, split_casualties
+from repro.sim import FailureTimeline, SimConfig, SlotSimulator, split_casualties
 from repro.traffic import FlowSizeDistribution, Workload
 
 N = 24
@@ -52,19 +52,22 @@ def empirical_blast():
     # Simulated on their own, the bystanders are flows 0..n-1.
     bystanders = [dataclasses.replace(f, flow_id=i) for i, f in enumerate(bystanders)]
     config = SimConfig(drain=True, max_drain_slots=300)
+    # Node 0 is down for the whole run: from slot 0, never healed.
+    failure = FailureTimeline.node_failure(0)
 
     flat = SlotSimulator(
-        FailedNodeSchedule(factory.round_robin_schedule(n), [0]),
+        factory.round_robin_schedule(n),
         factory.vlb_router(n),
         config,
         rng=5,
+        timeline=failure,
     ).run(bystanders, 600)
-    schedule = factory.sorn_schedule(n, nc, 2)
     sorn = SlotSimulator(
-        FailedNodeSchedule(schedule, [0]),
+        factory.sorn_schedule(n, nc, 2),
         factory.sorn_router(n, nc),
         config,
         rng=5,
+        timeline=failure,
     ).run(bystanders, 600)
     return flat.completion_ratio, sorn.completion_ratio
 

@@ -5,7 +5,8 @@ Simulates a datacenter whose workload shifts through three regimes —
 a steady web/cache/Hadoop mix, a locality surge (batch jobs co-locating),
 and a service migration that moves whole clusters — and shows the control
 plane observing aggregated matrices, re-clustering, re-tuning q, and
-pushing drain-aware schedule updates to node NIC state.
+pushing schedule updates whose disruption its update plan counts: the
+(node, neighbor) pairs that lose every slot.
 
 Run:  python examples/adaptive_datacenter.py
 """
@@ -46,19 +47,19 @@ def main():
     phases, migrated = workload_phases(rng)
     print(f"Initial deployment: {loop.deployment!r}\n")
     print(f"{'epoch':>5} {'regime':<15} {'x-hat':>6} {'thpt now':>9} "
-          f"{'thpt new':>9} {'applied':>8} {'stranded':>9}")
+          f"{'thpt new':>9} {'applied':>8} {'retired':>9}")
 
     for epoch, (regime, matrix) in enumerate(phases):
         decision = loop.step(matrix)
-        stranded = "-"
+        retired = "-"
         if decision.applied:
             record = campaign.maybe_apply(epoch, loop.deployment.schedule)
             if record is not None:
-                stranded = str(record.stranded_cells)
+                retired = str(len(decision.update_plan.retired_neighbor_pairs))
         print(f"{epoch:>5} {regime:<15} {decision.estimated_locality:>6.2f} "
               f"{decision.current_throughput:>9.2%} "
               f"{decision.predicted_throughput:>9.2%} "
-              f"{str(decision.applied):>8} {stranded:>9}")
+              f"{str(decision.applied):>8} {retired:>9}")
 
     print(f"\nFinal deployment: {loop.deployment!r}")
     final_groups = {frozenset(g) for g in loop.deployment.layout.groups()}

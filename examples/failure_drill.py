@@ -19,7 +19,7 @@ from repro.analysis import (
 from repro.routing import SornRouter, VlbRouter
 from repro.schedules import RoundRobinSchedule, build_sorn_schedule
 from repro.sim import (
-    FailedNodeSchedule,
+    FailureTimeline,
     SimConfig,
     SlotSimulator,
     TelemetryHub,
@@ -62,8 +62,8 @@ def main():
         tracer = TraceRecorder(stride=20)
         config = SimConfig(drain=True, max_drain_slots=300,
                            telemetry=TelemetryHub([tracer]))
-        sim = SlotSimulator(FailedNodeSchedule(schedule, [FAILED]), router,
-                            config, rng=5)
+        sim = SlotSimulator(schedule, router, config, rng=5,
+                            timeline=FailureTimeline.node_failure(FAILED))
         report = sim.run(bystanders, 600)
         stuck = report.total_flows - report.completed_flows
         print(f"  {name:<9} bystander completion {report.completion_ratio:6.1%} "

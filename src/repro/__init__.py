@@ -17,7 +17,7 @@ Quickstart::
 
 Subpackage map (bottom-up):
 
-- :mod:`repro.hardware`  — timing, AWGR, OCS layer, node NIC state
+- :mod:`repro.hardware`  — timing, AWGR, OCS layer
 - :mod:`repro.schedules` — matchings and circuit-schedule families
 - :mod:`repro.topology`  — clique layouts, virtual topologies, metrics
 - :mod:`repro.routing`   — oblivious routing schemes

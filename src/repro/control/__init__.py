@@ -6,12 +6,13 @@ new circuit schedule: estimate aggregated demand, group nodes into cliques,
 choose the oversubscription ratio, synthesize matchings, and push per-node
 schedule updates.  Each stage lives in its own module:
 
-- :mod:`estimator` — EWMA demand estimation with error injection
+- :mod:`estimator` — EWMA demand estimation
 - :mod:`clustering` — balanced clique assignment from a demand graph
 - :mod:`bvn` — Birkhoff-von-Neumann schedule synthesis from a target
   bandwidth matrix (the "Expressivity" machinery of section 5)
 - :mod:`planner` — the shared q* decision step, drain-aware update plans
-- :mod:`updates` — synchronized update execution against node state
+- :mod:`updates` — the dwell clock of synchronized updates and the
+  mixed-state transient they avoid
 - :mod:`runtime` — the closed adaptation loop: epoch-segmented simulation
   driving estimate → plan → update, with health states, validation,
   retry/backoff and an oblivious fallback (chaos-tested)
@@ -23,12 +24,7 @@ from .bvn import birkhoff_von_neumann, schedule_from_decomposition, sinkhorn_sca
 from .planner import RetunePlan, UpdatePlan, plan_retune, plan_update
 from .weighted import weighted_sorn_schedule, lift_clique_matching
 from .placement import JobPlacement, PlacementReport, place_jobs
-from .updates import (
-    UpdateCampaign,
-    apply_synchronized_update,
-    build_node_states,
-    mixed_state_collision_fraction,
-)
+from .updates import UpdateCampaign, mixed_state_collision_fraction
 from .runtime import (
     AdaptiveReport,
     AdaptiveSimulation,
@@ -57,8 +53,6 @@ __all__ = [
     "PlacementReport",
     "place_jobs",
     "UpdateCampaign",
-    "apply_synchronized_update",
-    "build_node_states",
     "mixed_state_collision_fraction",
     "AdaptiveReport",
     "AdaptiveSimulation",

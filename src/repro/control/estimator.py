@@ -4,11 +4,11 @@ The paper's premise (section 3) is that *aggregated* traffic matrices —
 between cliques of hundreds of machines — are stable and predictable over
 hours, even though per-pair demand is bursty.  :class:`DemandEstimator`
 implements the standard mechanism for exploiting that: an exponentially
-weighted moving average over periodically observed matrices, plus a
-multiplicative-noise helper.  Both adaptation loops read the locality off
-the estimate through :func:`~repro.control.planner.plan_retune`.  The
-estimation-error ablation A3 (``benchmarks/bench_estimation_error.py``)
-perturbs the locality itself and calls nothing here.
+weighted moving average over periodically observed matrices.  Both
+adaptation loops read the locality off the estimate through
+:func:`~repro.control.planner.plan_retune`.  The estimation-error
+ablation A3 (``benchmarks/bench_estimation_error.py``) perturbs the
+locality itself and calls nothing here.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import ControlPlaneError
 from ..traffic.matrix import TrafficMatrix
-from ..util import check_fraction, ensure_rng, RngLike
+from ..util import check_fraction
 
 __all__ = ["DemandEstimator"]
 
@@ -68,18 +68,6 @@ class DemandEstimator:
         if self._state is None:
             raise ControlPlaneError("no observations yet")
         return TrafficMatrix(self._state)
-
-    def estimate_with_noise(self, relative_error: float, rng: RngLike = None) -> TrafficMatrix:
-        """Estimate perturbed by multiplicative noise of the given relative
-        magnitude — models measurement/prediction error end to end."""
-        base = self.estimate().rates
-        if relative_error < 0:
-            raise ControlPlaneError("relative_error must be non-negative")
-        gen = ensure_rng(rng)
-        noise = 1.0 + relative_error * (2.0 * gen.random(base.shape) - 1.0)
-        perturbed = np.clip(base * noise, 0.0, None)
-        np.fill_diagonal(perturbed, 0.0)
-        return TrafficMatrix(perturbed)
 
     def reset(self) -> None:
         """Forget all history."""

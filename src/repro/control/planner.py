@@ -10,8 +10,10 @@ bandwidth per neighbor: rebalancing q needs no new NIC queue state and no
 queue drains.  Changing the clique *layout*, by contrast, retires some
 neighbors (their queued cells strand until the new schedule serves them)
 and may introduce new ones.  :func:`plan_update` quantifies exactly that
-by diffing per-node schedule rows into an :class:`UpdatePlan`, which the
-runtime's drain-free gate checks and the matrix-level loop reports.
+by diffing per-node schedule rows into an :class:`UpdatePlan`, the
+repository's one per-node update model: the runtime's drain-free gate
+checks it, the matrix-level loop reports it, and A5 reads its retired
+pairs as an update's disruption.
 """
 
 from __future__ import annotations

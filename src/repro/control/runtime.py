@@ -12,9 +12,9 @@ with :func:`~repro.control.planner.plan_retune` (the matrix-level
 loop's decision step too), gates the candidate through
 :func:`~repro.control.planner.plan_update` and an
 :class:`~repro.control.updates.UpdateCampaign` dwell policy, and — when
-the predicted gain clears the hysteresis threshold — executes a
-synchronized update against the node fleet and swaps the schedule into
-the running session (VOQ contents and in-flight cells carried across).
+the predicted gain clears the hysteresis threshold — records the update
+on the campaign's dwell clock and swaps the schedule into the running
+session (VOQ contents and in-flight cells carried across).
 
 Demand-aware designs live or die by how they behave when the demand
 signal is wrong or late, so the loop is wrapped in explicit robustness

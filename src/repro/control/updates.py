@@ -1,15 +1,19 @@
-"""Executing synchronized schedule updates against node state.
+"""Synchronized schedule updates: the dwell clock and the mixed-state
+transient.
 
 The deployment model (paper section 5): a logically centralized control
 plane pushes new per-node schedule tables and all nodes switch at an
 agreed epoch boundary — feasible within seconds with an Orion-style SDN
 control plane, ample for updates happening every minutes-to-hours.
 
-:func:`apply_synchronized_update` performs the switch against a fleet of
-:class:`~repro.hardware.node.NodeState` objects and aggregates their
-per-node reports; :class:`UpdateCampaign` manages a history of updates and
-enforces a minimum dwell time between them (rate-limiting reconfiguration,
-as operators do).
+:class:`UpdateCampaign` keeps the installed schedule and the history of
+applied updates and enforces a minimum dwell time between them
+(rate-limiting reconfiguration, as operators do).  What an update does to
+each node's schedule table and queues is the
+:class:`~repro.control.planner.UpdatePlan` of
+:func:`~repro.control.planner.plan_update`, which callers already hold
+when they apply it; :func:`mixed_state_collision_fraction` measures why
+the switch-over is synchronized at all.
 """
 
 from __future__ import annotations
@@ -18,43 +22,13 @@ import dataclasses
 from typing import Dict, List, Optional, Sequence
 
 from ..errors import ControlPlaneError
-from ..hardware.node import NodeState, ScheduleUpdateReport
 from ..schedules.schedule import CircuitSchedule
 
 __all__ = [
-    "apply_synchronized_update",
     "UpdateCampaign",
     "CampaignRecord",
     "mixed_state_collision_fraction",
 ]
-
-
-def build_node_states(schedule: CircuitSchedule) -> List[NodeState]:
-    """Instantiate per-node NIC state for every node of a schedule."""
-    return [
-        NodeState(node, schedule.cached_node_row(node))
-        for node in range(schedule.num_nodes)
-    ]
-
-
-def apply_synchronized_update(
-    nodes: Sequence[NodeState], new_schedule: CircuitSchedule
-) -> Dict[int, ScheduleUpdateReport]:
-    """Atomically install *new_schedule*'s rows on every node.
-
-    Returns the per-node reports; raises if the fleet size disagrees with
-    the schedule (a malformed campaign must not partially apply).
-    """
-    if len(nodes) != new_schedule.num_nodes:
-        raise ControlPlaneError(
-            f"fleet has {len(nodes)} nodes, schedule covers "
-            f"{new_schedule.num_nodes}"
-        )
-    rows = [new_schedule.cached_node_row(node.node_id) for node in nodes]
-    reports: Dict[int, ScheduleUpdateReport] = {}
-    for node, row in zip(nodes, rows):
-        reports[node.node_id] = node.apply_schedule_update(row)
-    return reports
 
 
 def mixed_state_collision_fraction(
@@ -107,24 +81,21 @@ def mixed_state_collision_fraction(
 
 @dataclasses.dataclass(frozen=True)
 class CampaignRecord:
-    """One executed update: when, and how disruptive it was."""
+    """One executed update: the epoch it was installed at.  Its
+    disruption is the :class:`~repro.control.planner.UpdatePlan` of the
+    transition, which the caller plans before applying."""
 
     epoch: int
-    stranded_cells: int
-    nodes_with_new_state: int
-
-    @property
-    def was_clean(self) -> bool:
-        return self.stranded_cells == 0 and self.nodes_with_new_state == 0
 
 
 class UpdateCampaign:
-    """Stateful update executor with a minimum dwell between updates.
+    """The dwell clock of synchronized updates: the installed schedule,
+    the history of applied updates and a minimum dwell between them.
 
     Parameters
     ----------
     schedule:
-        Initial schedule; node state is instantiated from it.
+        The initially installed schedule.
     min_dwell_epochs:
         Updates requested sooner than this after the previous one are
         rejected (returns None), modeling operator rate limits.
@@ -133,11 +104,9 @@ class UpdateCampaign:
     def __init__(self, schedule: CircuitSchedule, min_dwell_epochs: int = 1):
         if min_dwell_epochs < 1:
             raise ControlPlaneError("min_dwell_epochs must be >= 1")
-        self.nodes = build_node_states(schedule)
         self.min_dwell_epochs = int(min_dwell_epochs)
         self.current_schedule = schedule
         self.history: List[CampaignRecord] = []
-        self._last_epoch: Optional[int] = None
         self._last_requested: Optional[int] = None
 
     def _check_epoch(self, epoch: int) -> int:
@@ -157,17 +126,9 @@ class UpdateCampaign:
         return epoch
 
     def _apply(self, epoch: int, new_schedule: CircuitSchedule) -> CampaignRecord:
-        reports = apply_synchronized_update(self.nodes, new_schedule)
-        record = CampaignRecord(
-            epoch=epoch,
-            stranded_cells=sum(r.stranded_cells for r in reports.values()),
-            nodes_with_new_state=sum(
-                1 for r in reports.values() if not r.preserves_neighbor_superset
-            ),
-        )
+        record = CampaignRecord(epoch)
         self.history.append(record)
         self.current_schedule = new_schedule
-        self._last_epoch = epoch
         return record
 
     def maybe_apply(
@@ -183,10 +144,7 @@ class UpdateCampaign:
         non-monotonic epochs.
         """
         epoch = self._check_epoch(epoch)
-        if (
-            self._last_epoch is not None
-            and epoch - self._last_epoch < self.min_dwell_epochs
-        ):
+        if self.history and epoch - self.history[-1].epoch < self.min_dwell_epochs:
             return None
         return self._apply(epoch, new_schedule)
 
@@ -202,4 +160,5 @@ class UpdateCampaign:
 
     @property
     def updates_applied(self) -> int:
+        """How many updates were installed."""
         return len(self.history)

@@ -104,10 +104,6 @@ class SornDesign:
         """Share of node bandwidth on inter-clique links: 1/(q+1)."""
         return 1.0 / (self.q + 1.0)
 
-    def with_locality(self, locality: float) -> "SornDesign":
-        """Same structure re-optimized (q) for a new locality estimate."""
-        return SornDesign.optimal(self.num_nodes, self.num_cliques, locality)
-
     def with_cliques(self, num_cliques: int) -> "SornDesign":
         """Same parameters at a different clique count."""
         return dataclasses.replace(self, num_cliques=num_cliques)
@@ -141,6 +137,9 @@ class SornDesign:
 
         timing = timing or TABLE1_TIMING
         x = check_fraction(locality, "locality")
+        # Design-time only: 0.99 keeps q* = 2/(1-x) off its pole at x = 1.
+        # It is no control decision, so not the planner's LOCALITY_CAP,
+        # which would change the answer for every x above 0.95.
         q = optimal_q(min(x, 0.99))
         if candidates is None:
             candidates = [

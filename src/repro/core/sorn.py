@@ -115,29 +115,6 @@ class Sorn:
 
     # -- reconfiguration -----------------------------------------------------------
 
-    def reconfigured(
-        self,
-        locality: Optional[float] = None,
-        layout: Optional[CliqueLayout] = None,
-        num_cliques: Optional[int] = None,
-    ) -> "Sorn":
-        """A new deployment with updated locality / layout / clique count.
-
-        Unspecified aspects carry over; q is re-optimized whenever a new
-        locality is given.
-        """
-        new_locality = self.design.locality if locality is None else locality
-        if layout is not None:
-            nc = layout.num_cliques
-        elif num_cliques is not None:
-            nc = num_cliques
-            layout = None
-        else:
-            nc = self.design.num_cliques
-            layout = self.layout
-        design = SornDesign.optimal(self.design.num_nodes, nc, new_locality)
-        return Sorn(design, layout=layout, timing=self.timing)
-
     def update_plan(self, target: "Sorn") -> UpdatePlan:
         """Disruption analysis for migrating this deployment to *target*."""
         return plan_update(self.schedule, target.schedule)

@@ -7,8 +7,9 @@ each node's uplink to an AWGR port and equips nodes with fast-tunable
 lasers; by choosing its transmit wavelength per time slot, each node selects
 which matching it participates in.  The full set of circuits available to
 the network is therefore a family of rotation matchings indexed by
-wavelength, and the circuit *schedule* lives entirely in node state (see
-:mod:`repro.hardware.node`).
+wavelength, and the circuit *schedule* lives entirely in node state (each
+node's row of it is
+:meth:`repro.schedules.schedule.CircuitSchedule.node_row`).
 
 The paper's Figure 2(a-b) shows an 8-node setup offering matchings m1..m5;
 :func:`example_figure2_awgr` reconstructs that scale of setup.

@@ -86,9 +86,10 @@ class CircuitSchedule(abc.ABC):
     def node_row(self, src: int) -> np.ndarray:
         """One node's slot -> neighbor table over a period (base plane).
 
-        This is the row a control plane programs into the node's NIC state
-        (:class:`repro.hardware.node.NodeState`): one bank column gathered
-        by the base plane's index.
+        This is the schedule table a control plane programs into the
+        node's NIC (Fig 2c), and the row
+        :func:`repro.control.planner.plan_update` diffs: one bank column
+        gathered by the base plane's index.
         """
         if not 0 <= src < self._num_nodes:
             raise ScheduleError(f"node {src} out of range [0, {self._num_nodes})")

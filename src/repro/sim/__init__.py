@@ -48,12 +48,7 @@ from .flowlevel import (
     PairLatency,
     sample_flow_arrays,
 )
-from .failures import (
-    FailedNodeSchedule,
-    FailureEvent,
-    FailureTimeline,
-    split_casualties,
-)
+from .failures import FailureEvent, FailureTimeline, split_casualties
 from .invariants import InvariantChecker
 from .telemetry import (
     EpochTransitionCollector,
@@ -98,7 +93,6 @@ __all__ = [
     "FlowLevelReport",
     "PairLatency",
     "sample_flow_arrays",
-    "FailedNodeSchedule",
     "FailureEvent",
     "FailureTimeline",
     "InvariantChecker",

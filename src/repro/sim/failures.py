@@ -1,14 +1,11 @@
 """Failure injection for the slot simulator (section 6 blast radius).
 
-Two failure models of increasing generality:
-
-- :class:`FailedNodeSchedule` masks a *static* set of failed nodes out of
-  every slot of a schedule — the whole-run scenario the original blast
-  radius experiment used.
-- :class:`FailureTimeline` scripts *dynamic* faults: per-node, per-link
-  and per-plane failures that start and heal at configurable slots.  Both
-  simulator engines (reference and vectorized) apply the same timeline to
-  the same slots, so failure runs stay differentially testable.
+:class:`FailureTimeline` scripts faults: per-node, per-link and per-plane
+failures that start and heal at configurable slots.  A static whole-run
+node failure, the scenario of the blast-radius experiment (A8), is
+``FailureTimeline.node_failure(v)``: active from slot 0, never healed.
+Both simulator engines (reference and vectorized) apply the same timeline
+to the same slots, so failure runs stay differentially testable.
 
 A failed node stops transmitting and receiving: every circuit touching it
 is masked out of the schedule.  Because routing stays oblivious (nodes do
@@ -36,7 +33,6 @@ from ..schedules.schedule import CircuitSchedule
 from ..traffic.workload import FlowSpec, FlowsLike
 
 __all__ = [
-    "FailedNodeSchedule",
     "FailureEvent",
     "FailureTimeline",
     "split_casualties",
@@ -353,50 +349,6 @@ class FailureTimeline:
         if masked is matching.dst:
             return matching
         return Matching(masked)
-
-
-class FailedNodeSchedule(CircuitSchedule):
-    """A schedule with all circuits of some failed nodes masked out.
-
-    The static whole-run special case of :class:`FailureTimeline`; kept as
-    a schedule wrapper so analyses that expect a periodic
-    :class:`CircuitSchedule` (edge fractions, wait times) work on the
-    degraded fabric directly.
-    """
-
-    def __init__(self, inner: CircuitSchedule, failed_nodes: Iterable[int]):
-        failed = frozenset(int(v) for v in failed_nodes)
-        if not failed:
-            raise SimulationError("no failed nodes given; use the schedule directly")
-        bad = [v for v in failed if not 0 <= v < inner.num_nodes]
-        if bad:
-            raise SimulationError(f"failed nodes out of range: {bad}")
-        if len(failed) >= inner.num_nodes - 1:
-            raise SimulationError("cannot fail all but one node")
-        super().__init__(inner.num_nodes, inner.period, inner.num_planes)
-        self.inner = inner
-        self.failed: FrozenSet[int] = failed
-        # Frozen boolean lookup built once; the per-slot mask is then two
-        # vectorized index operations instead of rebuilding a Python list
-        # of failed ids per slot per plane.
-        is_failed = np.zeros(inner.num_nodes, dtype=bool)
-        is_failed[list(failed)] = True
-        is_failed.setflags(write=False)
-        self._is_failed = is_failed
-
-    def _mask(self, matching: Matching) -> Matching:
-        dst = matching.dst.copy()
-        live = dst >= 0
-        dead_dst = np.zeros_like(live)
-        dead_dst[live] = self._is_failed[dst[live]]
-        dst[dead_dst | self._is_failed] = -1
-        return Matching(dst)
-
-    def matching(self, slot: int) -> Matching:
-        return self._mask(self.inner.matching(slot))
-
-    def plane_matching(self, slot: int, plane: int = 0) -> Matching:
-        return self._mask(self.inner.plane_matching(slot, plane))
 
 
 def split_casualties(

@@ -1,9 +1,12 @@
 """Simulated network state: per-node, per-neighbor virtual output queues.
 
-This is the simulator-facing counterpart of the hardware model in
-:mod:`repro.hardware.node`: every node keeps one queue per next-hop
-neighbor (VOQ), a circuit pops one cell from the matching VOQ when its
-slot comes up, and forwarded cells are re-enqueued at the downstream node.
+This is the NIC queue state of the paper's Figure 2c: every node keeps
+one queue per next-hop neighbor (VOQ), a circuit pops one cell from the
+matching VOQ when its slot comes up, and forwarded cells are re-enqueued
+at the downstream node.  The queues survive a schedule swap
+(:meth:`repro.sim.engine.SimSession.swap_schedule`); which of them an
+update leaves without service is
+:func:`repro.control.planner.plan_update`'s retired pairs.
 
 Each VOQ consists of strict-priority *lanes*.  The default two-lane
 policy serves transit cells (hop >= 1) before freshly injected cells, as

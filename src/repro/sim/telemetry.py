@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import csv
 import json
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -288,11 +288,6 @@ class TelemetryHub:
         """One cell delivered after *hops* circuit traversals."""
         for collector in self._delivery:
             collector.on_delivery(slot, injected_slot, hops)
-
-    def record_delivery(self, slot: int, injected_slot: int, path: Sequence[int]) -> None:
-        """Path-carrying variant of :meth:`record_delivery_hops` (the
-        invariant-checker seam signature); hops = ``len(path) - 1``."""
-        self.record_delivery_hops(slot, injected_slot, len(path) - 1)
 
     def record_epoch(
         self,

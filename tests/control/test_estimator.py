@@ -52,25 +52,6 @@ class TestDemandEstimator:
         with pytest.raises(ControlPlaneError):
             est.estimate()
 
-    def test_noise_injection_bounded(self, rng):
-        est = DemandEstimator(8)
-        est.observe(uniform_matrix(8))
-        noisy = est.estimate_with_noise(0.2, rng)
-        ratio = noisy.rates[uniform_matrix(8).rates > 0] / (1 / 7)
-        assert ratio.min() >= 0.8 - 1e-9
-        assert ratio.max() <= 1.2 + 1e-9
-
-    def test_noise_zero_is_identity(self, rng):
-        est = DemandEstimator(8)
-        est.observe(uniform_matrix(8))
-        assert est.estimate_with_noise(0.0, rng) == est.estimate()
-
-    def test_negative_noise_rejected(self, rng):
-        est = DemandEstimator(8)
-        est.observe(uniform_matrix(8))
-        with pytest.raises(ControlPlaneError):
-            est.estimate_with_noise(-0.1, rng)
-
 
 class TestLocalityEstimator:
     """The locality x both adaptation loops read off the EWMA estimate."""

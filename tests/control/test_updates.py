@@ -1,51 +1,12 @@
-"""Synchronized update execution against node state fleets."""
+"""Synchronized updates: the campaign's dwell clock and the mixed-state
+transient."""
 
 import pytest
 
-from repro.control import UpdateCampaign, apply_synchronized_update, build_node_states
+from repro.control import UpdateCampaign, plan_update
 from repro.errors import ControlPlaneError
-from repro.schedules import build_sorn_schedule
-
-
-class TestApplySynchronizedUpdate:
-    def test_installs_rows_everywhere(self):
-        old = build_sorn_schedule(8, 2, q=1)
-        new = build_sorn_schedule(8, 2, q=3)
-        nodes = build_node_states(old)
-        reports = apply_synchronized_update(nodes, new)
-        assert len(reports) == 8
-        for node in nodes:
-            assert node.period == new.period
-            assert (node.schedule_row == new.cached_node_row(node.node_id)).all()
-
-    def test_q_retune_reports_clean(self):
-        old = build_sorn_schedule(8, 2, q=1)
-        new = build_sorn_schedule(8, 2, q=3)
-        nodes = build_node_states(old)
-        for report in apply_synchronized_update(nodes, new).values():
-            assert report.is_drain_free
-            assert report.preserves_neighbor_superset
-
-    def test_fleet_size_mismatch(self):
-        nodes = build_node_states(build_sorn_schedule(8, 2, q=1))
-        with pytest.raises(ControlPlaneError):
-            apply_synchronized_update(nodes, build_sorn_schedule(10, 2, q=1))
-
-    def test_queued_traffic_counted_when_stranded(self):
-        from repro.topology import CliqueLayout
-
-        old = build_sorn_schedule(8, 2, q=2)
-        shuffled = CliqueLayout.random_equal(8, 2, rng=3)
-        new = build_sorn_schedule(8, 2, q=2, layout=shuffled)
-        nodes = build_node_states(old)
-        victim = nodes[0]
-        retired = set(victim.active_neighbors()) - set(
-            int(v) for v in new.cached_node_row(0) if v >= 0
-        )
-        if retired:
-            victim.enqueue(next(iter(retired)), "cell")
-            reports = apply_synchronized_update(nodes, new)
-            assert reports[0].stranded_cells == 1
+from repro.schedules import CircuitSchedule, build_sorn_schedule
+from repro.topology import CliqueLayout
 
 
 class TestMixedStateCollisions:
@@ -115,9 +76,39 @@ class TestUpdateCampaign:
         assert campaign.updates_applied == 2
 
     def test_history_records_cleanliness(self):
-        campaign = UpdateCampaign(build_sorn_schedule(8, 2, q=1))
-        record = campaign.maybe_apply(0, build_sorn_schedule(8, 2, q=4))
-        assert record.was_clean
+        """The history records each applied update's epoch; how clean a
+        q-retune is, is its plan's business."""
+        old = build_sorn_schedule(8, 2, q=1)
+        new = build_sorn_schedule(8, 2, q=4)
+        campaign = UpdateCampaign(old)
+        record = campaign.maybe_apply(3, new)
+        assert campaign.history == [record] and record.epoch == 3
+        plan = plan_update(old, new)
+        assert plan.is_drain_free and plan.preserves_neighbor_superset
+
+    def test_updates_read_no_node_rows(self, monkeypatch):
+        """The campaign is a dwell clock: neither its construction nor a
+        q-retune nor a re-clustering update reads a single node's row
+        (per-node disruption is ``plan_update``'s)."""
+        initial = build_sorn_schedule(8, 2, q=1)
+        retuned = build_sorn_schedule(8, 2, q=3)
+        reclustered = build_sorn_schedule(
+            8, 2, q=3, layout=CliqueLayout.random_equal(8, 2, rng=3)
+        )
+        calls = []
+        node_row = CircuitSchedule.node_row
+
+        def counting(self, src):
+            calls.append(src)
+            return node_row(self, src)
+
+        monkeypatch.setattr(CircuitSchedule, "node_row", counting)
+        campaign = UpdateCampaign(initial)
+        assert campaign.maybe_apply(0, retuned) is not None
+        assert campaign.force_update(1, reclustered) is not None
+        assert campaign.current_schedule is reclustered
+        assert campaign.updates_applied == 2
+        assert calls == []
 
     def test_current_schedule_tracked(self):
         initial = build_sorn_schedule(8, 2, q=1)

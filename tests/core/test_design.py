@@ -55,11 +55,6 @@ class TestDerivedQuantities:
         assert low_q.throughput < optimal.throughput
         assert not low_q.is_q_optimal
 
-    def test_with_locality_reoptimizes(self):
-        design = SornDesign.optimal(16, 4, 0.2).with_locality(0.8)
-        assert design.q == pytest.approx(10.0)
-        assert design.is_q_optimal
-
     def test_with_cliques(self):
         design = SornDesign.optimal(16, 4, 0.5).with_cliques(2)
         assert design.num_cliques == 2

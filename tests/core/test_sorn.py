@@ -60,29 +60,15 @@ class TestEvaluation:
 
 
 class TestReconfiguration:
-    def test_reconfigured_locality_retunes_q(self, sorn32):
-        updated = sorn32.reconfigured(locality=0.8)
-        assert updated.design.q == pytest.approx(10.0)
-        assert updated.layout == sorn32.layout
-
-    def test_reconfigured_clique_count(self, sorn32):
-        updated = sorn32.reconfigured(num_cliques=2)
-        assert updated.design.num_cliques == 2
-        assert updated.layout.num_cliques == 2
-
-    def test_reconfigured_layout(self, sorn32):
-        layout = CliqueLayout.random_equal(32, 4, rng=9)
-        updated = sorn32.reconfigured(layout=layout)
-        assert updated.layout == layout
-
     def test_update_plan_q_only_drain_free(self, sorn32):
-        plan = sorn32.update_plan(sorn32.reconfigured(locality=0.9))
+        target = Sorn.optimal(32, 4, 0.9, layout=sorn32.layout)
+        plan = sorn32.update_plan(target)
         assert plan.is_drain_free
         assert plan.preserves_neighbor_superset
 
     def test_update_plan_layout_change_disruptive(self, sorn32):
         layout = CliqueLayout.random_equal(32, 4, rng=9)
-        plan = sorn32.update_plan(sorn32.reconfigured(layout=layout))
+        plan = sorn32.update_plan(Sorn.optimal(32, 4, 0.56, layout=layout))
         assert not plan.preserves_neighbor_superset
 
     def test_repr_mentions_design(self, sorn32):

@@ -60,7 +60,7 @@ class TestControlToDataPlane:
     def test_wavelength_compilation_of_adapted_schedule(self):
         """Adapted schedules stay expressible on a full-band AWGR."""
         sorn = Sorn.optimal(16, 4, 0.3)
-        adapted = sorn.reconfigured(locality=0.8)
+        adapted = Sorn.optimal(16, 4, 0.8, layout=sorn.layout)
         program = adapted.wavelength_program(Awgr(16, 15))
         assert program.band_required() <= 15
 
@@ -84,16 +84,18 @@ class TestControlToDataPlane:
         assert report.delivery_ratio > 0.95
 
     def test_update_campaign_with_adaptation_loop(self):
-        """Adaptation decisions executed as node-state campaigns remain
-        drain-free when only q changes."""
+        """Adaptation decisions executed through an update campaign
+        remain drain-free when only q changes."""
         loop = AdaptationLoop(Sorn.optimal(16, 4, 0.3), recluster=False)
         campaign = UpdateCampaign(loop.deployment.schedule)
         layout = loop.deployment.layout
         for epoch, x in enumerate([0.5, 0.8]):
             decision = loop.step(clustered_matrix(layout, x))
-            if decision.applied:
-                record = campaign.maybe_apply(epoch, loop.deployment.schedule)
-                assert record is not None and record.was_clean
+            assert decision.applied
+            assert campaign.maybe_apply(epoch, loop.deployment.schedule) is not None
+            plan = decision.update_plan
+            assert plan.is_drain_free and plan.preserves_neighbor_superset
+        assert campaign.updates_applied == 2
 
 
 class TestPerformanceComparisons:

@@ -1,4 +1,4 @@
-"""Failure injection: masked schedules, failure timelines, blast radius."""
+"""Failure injection: failure timelines, casualties, blast radius."""
 
 import dataclasses
 
@@ -11,7 +11,6 @@ from repro.errors import SimulationError
 from repro.routing import SornRouter, VlbRouter
 from repro.schedules import RoundRobinSchedule, build_sorn_schedule
 from repro.sim import (
-    FailedNodeSchedule,
     FailureEvent,
     FailureTimeline,
     SimConfig,
@@ -21,75 +20,82 @@ from repro.sim import (
 from repro.traffic import FlowSizeDistribution, FlowSpec, Workload, uniform_matrix
 
 
+def _failed(*nodes):
+    """Whole-run failures of *nodes*: a static failed-node schedule is the
+    healthy schedule run under this timeline."""
+    timeline = FailureTimeline()
+    for v in nodes:
+        timeline = timeline.merged(FailureTimeline.node_failure(v))
+    return timeline
+
+
 class TestFailedNodeSchedule:
     def test_failed_node_never_connected(self):
-        schedule = FailedNodeSchedule(RoundRobinSchedule(8), [3])
+        schedule = RoundRobinSchedule(8)
+        tl = _failed(3)
         for slot in range(schedule.period):
-            m = schedule.matching(slot)
+            m = tl.mask_matching(schedule.matching(slot), slot, 0)
             assert m.destination(3) == -1
             assert m.source(3) == -1
 
     def test_other_circuits_survive(self):
-        schedule = FailedNodeSchedule(RoundRobinSchedule(8), [3])
         healthy = RoundRobinSchedule(8)
-        for slot in range(schedule.period):
-            masked = schedule.matching(slot)
+        tl = _failed(3)
+        for slot in range(healthy.period):
             original = healthy.matching(slot)
+            masked = tl.mask_matching(original, slot, 0)
             for src, dst in original.pairs():
                 if 3 not in (src, dst):
                     assert masked.destination(src) == dst
 
     def test_multiple_failures(self):
-        schedule = FailedNodeSchedule(RoundRobinSchedule(8), [1, 5])
+        schedule = RoundRobinSchedule(8)
+        bank, index = schedule.compiled()
+        tl = _failed(1, 5)
         for slot in range(3):
-            m = schedule.matching(slot)
-            assert m.destination(1) == -1 and m.destination(5) == -1
-
-    def test_rejects_empty_failure_set(self):
-        with pytest.raises(SimulationError):
-            FailedNodeSchedule(RoundRobinSchedule(8), [])
+            row = tl.mask_dst_row(bank[index[slot, 0]], slot, 0)
+            assert row[1] == -1 and row[5] == -1
+            assert 1 not in row and 5 not in row
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(SimulationError):
-            FailedNodeSchedule(RoundRobinSchedule(8), [9])
-
-    def test_rejects_total_failure(self):
-        with pytest.raises(SimulationError):
-            FailedNodeSchedule(RoundRobinSchedule(3), [0, 1])
+        for node in (8, 9):
+            with pytest.raises(SimulationError):
+                _failed(node).bind(RoundRobinSchedule(8))
 
     def test_plane_matching_masked(self):
-        schedule = FailedNodeSchedule(RoundRobinSchedule(9, num_planes=3), [2])
-        assert schedule.plane_matching(0, 2).destination(2) == -1
+        schedule = RoundRobinSchedule(9, num_planes=3)
+        masked = _failed(2).mask_matching(schedule.plane_matching(0, 2), 0, 2)
+        assert masked.destination(2) == -1
 
     def test_multi_plane_masks_agree(self):
-        """Regression: the combined ``matching`` view must equal the union
-        of the per-plane masked views at every slot, for every plane count
-        (the mask is applied per-matching, so the two entry points can
-        drift if the mask ever depends on mutable per-call state)."""
-        def expect_masked(raw):
-            return [
-                -1 if {src, raw.destination(src)} & {1, 7} else raw.destination(src)
-                for src in range(12)
-            ]
-
+        """Regression: the reference engine's ``Matching`` mask and the
+        vectorized engine's dense-row mask cut the same circuits on every
+        plane, for every plane count (the two entry points can drift if
+        the mask ever depends on mutable per-call state)."""
+        tl = _failed(1, 7)
         for planes in (1, 2, 3):
-            inner = RoundRobinSchedule(12, num_planes=planes)
-            schedule = FailedNodeSchedule(inner, [1, 7])
+            schedule = RoundRobinSchedule(12, num_planes=planes)
+            bank, index = schedule.compiled()
             for slot in range(schedule.period):
-                combined = schedule.matching(slot)
-                assert list(combined.dst) == expect_masked(inner.matching(slot))
                 for plane in range(planes):
-                    masked = schedule.plane_matching(slot, plane)
-                    raw = inner.plane_matching(slot, plane)
-                    assert list(masked.dst) == expect_masked(raw)
-                assert combined.destination(1) == -1
-                assert combined.destination(7) == -1
+                    masked = tl.mask_matching(
+                        schedule.plane_matching(slot, plane), slot, plane
+                    )
+                    row = tl.mask_dst_row(bank[index[slot, plane]], slot, plane)
+                    assert np.array_equal(masked.dst, row)
+                    assert masked.destination(1) == -1
+                    assert masked.destination(7) == -1
 
     def test_mask_does_not_mutate_inner(self):
         inner = RoundRobinSchedule(8)
+        bank, index = inner.compiled()
         before = inner.matching(0).dst.copy()
-        FailedNodeSchedule(inner, [3]).matching(0)
+        bank_before = bank.copy()
+        tl = _failed(3)
+        tl.mask_matching(inner.matching(0), 0, 0)
+        tl.mask_dst_row(bank[index[0, 0]], 0, 0)
         assert np.array_equal(inner.matching(0).dst, before)
+        assert np.array_equal(inner.compiled()[0], bank_before)
 
 
 class TestSplitCasualties:
@@ -248,18 +254,25 @@ class TestFailureTimeline:
         FailureTimeline.parse("node:7,link:0-7,plane:1").bind(schedule)
 
     def test_node_mask_matches_failed_node_schedule(self):
-        """A whole-run node failure must mask exactly like the static
-        schedule wrapper on every slot and plane."""
-        inner = RoundRobinSchedule(10, num_planes=2)
-        static = FailedNodeSchedule(inner, [4])
-        tl = FailureTimeline.node_failure(4)
-        for slot in range(inner.period):
-            for plane in range(2):
-                raw = inner.plane_matching(slot, plane)
-                masked = tl.mask_matching(raw, slot, plane)
-                assert np.array_equal(
-                    masked.dst, static.plane_matching(slot, plane).dst
-                )
+        """Whole-run failures of nodes 1 and 7 mask exactly the circuits
+        touching them, on every slot and plane of every plane count, and
+        leave the schedule's own matchings untouched."""
+        def expect_masked(raw):
+            return [
+                -1 if {src, raw.destination(src)} & {1, 7} else raw.destination(src)
+                for src in range(12)
+            ]
+
+        tl = FailureTimeline.node_failure(1).merged(FailureTimeline.node_failure(7))
+        for planes in (1, 2, 3):
+            inner = RoundRobinSchedule(12, num_planes=planes)
+            for slot in range(inner.period):
+                for plane in range(planes):
+                    raw = inner.plane_matching(slot, plane)
+                    before = raw.dst.copy()
+                    masked = tl.mask_matching(raw, slot, plane)
+                    assert list(masked.dst) == expect_masked(raw)
+                    assert np.array_equal(raw.dst, before)
 
     def test_link_mask_kills_both_directions(self):
         inner = RoundRobinSchedule(6)
@@ -370,11 +383,16 @@ class TestTimelineSimulation:
 
 class TestBlastRadiusSimulation:
     def _run(self, schedule, router, flows, slots=600):
+        """Run *flows* with node 0 down for the whole run."""
         # A bystander list keeps the ids of the run it was split from;
         # on its own it runs as rows 0..n-1.
         flows = [dataclasses.replace(f, flow_id=i) for i, f in enumerate(flows)]
         sim = SlotSimulator(
-            schedule, router, SimConfig(drain=True, max_drain_slots=300), rng=5
+            schedule,
+            router,
+            SimConfig(drain=True, max_drain_slots=300),
+            rng=5,
+            timeline=FailureTimeline.node_failure(0),
         )
         return sim.run(flows, slots)
 
@@ -385,8 +403,7 @@ class TestBlastRadiusSimulation:
         wl = Workload(uniform_matrix(n), FlowSizeDistribution.fixed(3000), load=0.2)
         flows = wl.generate(600, rng=8)
         _, bystanders = split_casualties(flows, [0])
-        schedule = FailedNodeSchedule(RoundRobinSchedule(n), [0])
-        report = self._run(schedule, VlbRouter(n), bystanders)
+        report = self._run(RoundRobinSchedule(n), VlbRouter(n), bystanders)
         assert report.completion_ratio < 1.0  # collateral damage exists
 
     def test_sorn_remote_cliques_unharmed(self):
@@ -394,15 +411,14 @@ class TestBlastRadiusSimulation:
         failed node nor relay via its position complete untouched."""
         n, nc = 16, 4
         schedule = build_sorn_schedule(n, nc, q=2)
-        failed = 0  # clique 0
-        masked = FailedNodeSchedule(schedule, [failed])
         router = SornRouter(schedule.layout)
-        # Intra flows of clique 2 (nodes 8..11): never touch node 0.
+        # Intra flows of clique 2 (nodes 8..11): never touch the failed
+        # node 0 of clique 0.
         flows = [
             FlowSpec(i, 8 + (i % 4), 8 + ((i + 1) % 4), 4, i)
             for i in range(20)
         ]
-        report = self._run(masked, router, flows)
+        report = self._run(schedule, router, flows)
         assert report.completion_ratio == 1.0
 
     def test_sorn_collateral_smaller_than_flat_under_locality(self):
@@ -424,14 +440,9 @@ class TestBlastRadiusSimulation:
         flows = wl.generate(500, rng=9)
         _, bystanders = split_casualties(flows, [0])
 
-        flat = self._run(
-            FailedNodeSchedule(RoundRobinSchedule(n), [0]),
-            VlbRouter(n),
-            bystanders,
-        )
-        sorn_schedule = build_sorn_schedule(n, nc, q=2, layout=layout)
+        flat = self._run(RoundRobinSchedule(n), VlbRouter(n), bystanders)
         sorn = self._run(
-            FailedNodeSchedule(sorn_schedule, [0]),
+            build_sorn_schedule(n, nc, q=2, layout=layout),
             SornRouter(layout),
             bystanders,
         )

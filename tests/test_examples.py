@@ -4,7 +4,8 @@ Examples are the first code a reader runs, so they must keep working as
 the library evolves; each one is executed end-to-end here (tiny sizes
 where the script accepts them) and must exit 0.  The whole module is
 ``slow``-marked — it belongs to the weekly CI lane, deselect locally
-with ``-m "not slow"``.
+with ``-m "not slow"``; the PR-time ``chaos`` job also runs the
+``adaptive_datacenter`` and ``failure_drill`` cases.
 """
 
 import os
