@@ -11,8 +11,8 @@ queue drains.  Changing the clique *layout*, by contrast, retires some
 neighbors (their queued cells strand until the new schedule serves them)
 and may introduce new ones.  :func:`plan_update` quantifies exactly that
 by diffing per-node schedule rows into an :class:`UpdatePlan`, the
-repository's one per-node update model: the runtime's drain-free gate
-checks it, the matrix-level loop reports it, and A5 reads its retired
+repository's one per-node update model: the runtime's neighbor-superset
+gate checks it, the matrix-level loop reports it, and A5 reads its retired
 pairs as an update's disruption.
 """
 

@@ -670,7 +670,7 @@ class AdaptiveSimulation:
         campaign: UpdateCampaign,
         session,
     ) -> Tuple[str, str, Optional[float]]:
-        """Hysteresis + dwell + drain-free gating of a healthy retune.
+        """Hysteresis + dwell + neighbor-superset gating of a healthy retune.
 
         Returns ``(action, reason, applied_q)`` with ``applied_q`` None
         when the incumbent schedule is kept.
@@ -684,20 +684,27 @@ class AdaptiveSimulation:
                 f"{rt.gain_threshold:+.3f}",
                 None,
             )
-        candidate = self._build_candidate(candidate_q)
-        plan = plan_update(campaign.current_schedule, candidate)
-        if not plan.preserves_neighbor_superset:
-            # Fixed-layout q-retunes never trip this; it guards against
-            # a candidate that would need new NIC queue state mid-run.
-            return ("kept", f"candidate not drain-free: {plan.summary()}", None)
-        record = campaign.maybe_apply(epoch, candidate)
-        if record is None:
+        # The dwell clock first: a held epoch builds no candidate and
+        # plans no update it would throw away.
+        if campaign.in_dwell(epoch):
             return (
                 "held",
                 f"dwell window ({rt.min_dwell_epochs} epochs) rate-limited "
                 f"a q={candidate_q:.3g} retune",
                 None,
             )
+        candidate = self._build_candidate(candidate_q)
+        plan = plan_update(campaign.current_schedule, candidate)
+        if not plan.preserves_neighbor_superset:
+            # Fixed-layout q-retunes never trip this; it guards against
+            # a candidate that would need new NIC queue state mid-run.
+            return (
+                "kept",
+                f"candidate adds {len(plan.new_neighbor_pairs)} neighbor "
+                f"pairs: {plan.summary()}",
+                None,
+            )
+        campaign.maybe_apply(epoch, candidate)
         session.swap_schedule(candidate)
         return (
             "retuned",

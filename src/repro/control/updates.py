@@ -144,9 +144,16 @@ class UpdateCampaign:
         non-monotonic epochs.
         """
         epoch = self._check_epoch(epoch)
-        if self.history and epoch - self.history[-1].epoch < self.min_dwell_epochs:
+        if self.in_dwell(epoch):
             return None
         return self._apply(epoch, new_schedule)
+
+    def in_dwell(self, epoch: int) -> bool:
+        """Whether an update at *epoch* falls inside the dwell window of
+        the previous one, so :meth:`maybe_apply` would return None.
+        Read-only: it records no request, so a caller can ask before it
+        builds the schedule it would apply."""
+        return bool(self.history) and epoch - self.history[-1].epoch < self.min_dwell_epochs
 
     def force_update(self, epoch: int, new_schedule: CircuitSchedule) -> CampaignRecord:
         """Apply an update at *epoch* regardless of the dwell window.

@@ -38,17 +38,20 @@ or under its size cutoff (``repro.sim.vectorized.SEQ_CUTOFF``):
 
 - :func:`drain_plane_seq` drains one plane with the reference drain
   semantics verbatim — circuits in source order, lane priority,
-  immediate forwarding, same-plane cascades.  It also replays the
-  cascade planes the optimistic walk cannot commit.
+  immediate forwarding, same-plane cascades — walking the plane's
+  ``(src, VOQ key)`` pairs, a Python list the engine builds once per
+  bank row, and writing delivered cell ids straight into the span's
+  delivery buffer.  It also replays the cascade planes the optimistic
+  walk cannot commit.
 - :func:`enqueue_seq` splices a small batch onto the VOQ tails one cell
   at a time, as :func:`drain_plane_seq` does for a forwarded cell.
 
 All kernels are allocation-conscious: scratch buffers (the walk's
-index buffer, the sequential drain's pop staging) are preallocated once
-per session and passed in; dtypes are int32 throughout the cell tables
-(cell ids, route rows and ranks, hop cursors) *and* the ``qlen``
-counter — a single VOQ can never accumulate 2**31 cells before the cell
-tables exhaust memory.
+index buffer, the span delivery buffer both drains write) are
+preallocated per session and passed in; dtypes are int32 throughout
+the cell tables (cell ids, route rows and ranks, hop cursors) *and*
+the ``qlen`` counter — a single VOQ can never accumulate 2**31 cells
+before the cell tables exhaust memory.
 Per-slot group sums that could overflow int32 in principle (``pcounts``
 in :func:`append_cells`) stay int64 before the in-place scatter.
 
@@ -73,7 +76,6 @@ __all__ = [
     "drain_plane_seq",
 ]
 
-_EMPTY32 = np.empty(0, dtype=np.int32)
 _EMPTY64 = np.empty(0, dtype=np.int64)
 
 
@@ -225,20 +227,21 @@ def drain_plane_seq(
     width,
     rowlen,
     fwd_lane,
-    krow,
+    pairs,
     ranks_per_node,
-    out_cids,
-    out_del,
-    out_src,
+    delivered,
+    dpos,
     touched,
+    events,
 ):
     """Exact sequential drain of one plane over flat memoryviews.
 
-    *krow* is the plane's rank row (``krow[s]`` is the rank at source
-    ``s`` of the node it transmits to, ``-1`` when idle); ``routes`` and
-    ``rranks`` are the route table and its per-hop ranks, flattened with
-    row width *width*, and like every per-cell table indexed by cell id;
-    the VOQ views index as in :func:`enqueue_seq`.
+    *pairs* yields the plane's circuits in source order as ``(src, VOQ
+    key)``, the key of the queue at ``src`` toward the node it transmits
+    to; ``routes`` and ``rranks`` are the route table and its per-hop
+    ranks, flattened with row width *width*, and like every per-cell
+    table indexed by cell id; the VOQ views index as in
+    :func:`enqueue_seq`.
     Reference semantics verbatim: circuits in source order, strict lane
     priority, one pop per circuit, forwarded cells appended immediately
     — so a later circuit of the same plane drains them (the same-slot
@@ -246,20 +249,16 @@ def drain_plane_seq(
     reaches it, so a circuit that started the slot empty still drains
     what an earlier circuit forwarded to it.
 
-    Records every popped cell id in pop order (``out_cids``), whether it
-    delivered (``out_del``), the source of the circuit that popped it
-    (``out_src``) and each forward's VOQ key in *touched*; returns
-    ``(popped, delivered)``.
+    Writes every delivered cell id, in delivery order, to *delivered*
+    from position *dpos* on and returns the position one past the last;
+    appends each forward's VOQ key to *touched*.  When *events* is a
+    list (event consumers are attached), appends one ``(src, cell id,
+    delivered)`` record per pop, in pop order; ``None`` skips them.
     """
     kk = ranks_per_node
     nk = len(qlen)
     append = touched.append
-    pos = 0
-    ndel = 0
-    for s, r in enumerate(krow):
-        if r < 0:
-            continue
-        k = s * kk + r
+    for s, k in pairs:
         q = qlen[k]
         if q == 0:
             continue
@@ -273,26 +272,26 @@ def drain_plane_seq(
         head[t] = nx
         if nx == 0:
             tail[t] = 0
-        out_cids[pos] = cid
-        out_src[pos] = s
         h = rhop[cid] + 1
         if h == rowlen[cid] - 1:
-            out_del[pos] = 1
-            ndel += 1
+            delivered[dpos] = cid
+            dpos += 1
+            if events is not None:
+                events.append((s, cid, True))
+            continue
+        rhop[cid] = h
+        b = cid * width + h
+        fk = routes[b] * kk + rranks[b]
+        ft = fwd_lane[rfid[cid]] * nk + fk
+        nxt[cid] = 0
+        told = tail[ft]
+        if told:
+            nxt[told] = cid
         else:
-            out_del[pos] = 0
-            rhop[cid] = h
-            b = cid * width + h
-            fk = routes[b] * kk + rranks[b]
-            ft = fwd_lane[rfid[cid]] * nk + fk
-            nxt[cid] = 0
-            told = tail[ft]
-            if told:
-                nxt[told] = cid
-            else:
-                head[ft] = cid
-            tail[ft] = cid
-            qlen[fk] += 1
-            append(fk)
-        pos += 1
-    return pos, ndel
+            head[ft] = cid
+        tail[ft] = cid
+        qlen[fk] += 1
+        append(fk)
+        if events is not None:
+            events.append((s, cid, False))
+    return dpos

@@ -42,7 +42,12 @@ sequential kernels (:func:`repro.sim.kernels.drain_plane_seq`,
 :func:`repro.sim.kernels.enqueue_seq`), which work on Python ints
 through memoryviews of the flat tables: their cost is per cell, where
 the array kernels pay dozens of NumPy calls per plane and batch however
-little these hold.  Large ones take the array kernels.
+little these hold.  Large ones take the array kernels.  A bank row
+small enough on its circuit count carries its circuits as a Python list
+of ``(src, VOQ key)`` pairs, built once per schedule install, so the
+slot loop drains such a plane with one kernel call and no NumPy call;
+every drain writes its delivered cell ids into one span delivery
+buffer, which the span's ledger fold reads whole.
 
 The delicate part of the array drain: the reference semantics allow a
 cell forwarded by one circuit to be drained by a *later* circuit of the
@@ -89,7 +94,6 @@ from ..schedules.schedule import CircuitSchedule
 from ..traffic.workload import FlowTable
 from .engine import SimSession, SlotSimulator
 from .kernels import (
-    _EMPTY32,
     append_cells,
     commit_pops,
     drain_plane_seq,
@@ -108,11 +112,14 @@ SPAN_CAP = 64
 #: Size cutoff between the scalar and the array kernels.  A plane whose
 #: live circuits (nonempty VOQ pairs) plus a quarter of its circuits (the
 #: row the scalar kernel scans) come to at most this drains through
-#: :func:`repro.sim.kernels.drain_plane_seq`, and an enqueue batch of at
+#: :func:`repro.sim.kernels.drain_plane_seq` — every slot, without a live
+#: count, when its circuits alone pass — and an enqueue batch of at
 #: most this many cells goes through :func:`repro.sim.kernels.
 #: enqueue_seq`; larger ones take the array walk and
-#: :func:`repro.sim.kernels.append_cells`.  Both sides are exact, so the
-#: cutoff moves only speed; DESIGN.md records the crossover it comes from.
+#: :func:`repro.sim.kernels.append_cells`.  Read at run time: when a
+#: bank row's circuit record is built (once per row and install), per
+#: larger plane and per batch.  Both sides are exact, so the cutoff
+#: moves only speed; DESIGN.md records the crossover it comes from.
 SEQ_CUTOFF = 192
 
 #: Most cells one presample chunk holds (see
@@ -141,23 +148,28 @@ class VectorizedSession(SimSession):
     linked lists of :class:`repro.sim.network.LinkedVoqState`; the
     per-slot work is the kernel set in :mod:`repro.sim.kernels` plus a
     handful of gathers.  The cell tables and the scratch buffers (the
-    walk's index buffer, the sequential drain's pop staging) are
-    allocated once here, so the steady-state loop allocates only small
-    result arrays; the sequential kernels reach the tables through flat
-    memoryviews (:meth:`_bind_views`).  Pausing at a slot boundary is free;
+    walk's index buffer, the span delivery buffer) are allocated once
+    here — the delivery buffer grows only on a swap to more planes — so
+    the steady-state loop allocates only small result arrays; the
+    sequential kernels reach the tables through flat memoryviews
+    (:meth:`_bind_views`).  Pausing at a slot boundary is free;
     presampled path blocks stay valid across schedule swaps because the
     *router* — the only RNG consumer — never changes mid-run.
 
-    Drain strategy per plane (:meth:`_drain_plane`): a plane at or
-    under :data:`SEQ_CUTOFF` drains through the sequential kernel
-    (:func:`repro.sim.kernels.drain_plane_seq`).  A larger plane takes
-    the optimistic candidate walk + commit, which handles the common
-    cascade-free case in array code.  When a same-slot multi-hop
-    cascade is possible there, the engine repairs the walk in place
-    (the cascade set is tiny, so the repair is a few-element Python
-    pass over exactly the affected circuits) or, while event consumers
-    are attached, replays the whole plane through the sequential
-    kernel.  All paths are bit-exact.
+    Drain strategy per plane: each bank row's circuit record
+    (:meth:`_plane_circuits`) decides on the row's circuit count.  A
+    row whose circuits plus a quarter come to at most
+    :data:`SEQ_CUTOFF` drains whole through the sequential kernel
+    (:func:`repro.sim.kernels.drain_plane_seq`), called straight from
+    the slot loop.  A larger row goes through :meth:`_drain_plane`,
+    which selects by its live circuits: the sequential kernel again
+    when few are live, else the optimistic candidate walk + commit,
+    which handles the common cascade-free case in array code.  When a
+    same-slot multi-hop cascade is possible there, the engine repairs
+    the walk in place (the cascade set is tiny, so the repair is a
+    few-element Python pass over exactly the affected circuits) or,
+    while event consumers are attached, replays the whole plane through
+    the sequential kernel.  All paths are bit-exact.
     """
 
     _engine_name = "vectorized"
@@ -260,20 +272,14 @@ class VectorizedSession(SimSession):
         self._slot_pairs: List[np.ndarray] = []
         self._slot_keys: List[int] = []
 
-        # Preallocated kernel scratch: the walk's index buffer and the
-        # sequential drain's staging, one entry per pop (cell id,
-        # delivery flag, popping source) — a plane pops at most one
-        # cell per circuit, so at most one per node.
+        # Preallocated kernel scratch: the walk's index buffer, and the
+        # span delivery buffer both drains write the span's delivered
+        # cell ids into (sized by _install_schedule).
         self._ar = np.arange(num_nodes)
-        self._out_cids = np.empty(num_nodes, dtype=np.int32)
-        self._out_del = np.empty(num_nodes, dtype=np.uint8)
-        self._out_src = np.empty(num_nodes, dtype=np.int32)
+        self._dbuf = np.empty(0, dtype=np.int32)
+        self._v_dbuf = memoryview(self._dbuf)
         self._blk_key = None
         self._circuits: List[Optional[tuple]] = []
-
-        # The schedule's neighbors take the first (sorted) VOQ ranks.
-        self.network = LinkedVoqState(num_nodes, num_lanes=num_lanes)
-        self._install_schedule(sim.schedule)
 
         # --- Path presampling -------------------------------------------
         # Every in-run flow injects its full size at its arrival slot, and
@@ -304,6 +310,10 @@ class VectorizedSession(SimSession):
         self._blk_lane = None
         self._cursor = 0
 
+        # The schedule's neighbors take the first (sorted) VOQ ranks.
+        self.network = LinkedVoqState(num_nodes, num_lanes=num_lanes)
+        self._install_schedule(sim.schedule)
+
         # --- Cell tables ------------------------------------------------
         # A cell's 1-based id is its row in every per-cell table; row 0 is
         # never read, so 0 is the empty sentinel of every head/tail/nxt
@@ -330,9 +340,6 @@ class VectorizedSession(SimSession):
         self._v_rranks = _flat_view(self._rranks)
         self._v_rowlen = _flat_view(self._rowlen)
         self._v_fwd_lane = _flat_view(self._fwd_lane)
-        self._v_out_cids = _flat_view(self._out_cids)
-        self._v_out_del = _flat_view(self._out_del)
-        self._v_out_src = _flat_view(self._out_src)
         self._bind_views()
 
     def _bind_views(self) -> None:
@@ -398,15 +405,27 @@ class VectorizedSession(SimSession):
         # paths are schedule-independent and survive untouched — ranks
         # only grow, so a swap to new neighbors only adds ranks.
         self.schedule = new_schedule
-        bank, self._index = new_schedule.compiled()
+        bank, index = new_schedule.compiled()
         self._bank = bank
+        # The (slot, plane) -> bank row index, read by the slot loop as
+        # Python ints (row * planes + plane) through a flat view: no
+        # NumPy scalar per plane, and nothing built per install however
+        # long the period.
+        self._index = memoryview(np.ascontiguousarray(index).reshape(-1))
         # Per bank row: the rank at each source of the node it transmits
         # to (-1 = idle), so a plane's VOQs are u * K + kcol[m, u].
         self._kcol = self._hop_ranks(
             np.broadcast_to(np.arange(self.num_nodes), bank.shape), bank
         )
-        # Per bank row, on first use: (row, rank row, srcs, VOQ keys).
+        # Per bank row, on first use: its circuit record (_plane_circuits).
         self._circuits[:] = [None] * len(bank)
+        # A span delivers at most one cell per circuit, plane and slot,
+        # and no more than the run's cells; a swap to more planes grows
+        # the buffer (spans never cross a swap).
+        size = min(SPAN_CAP * new_schedule.num_planes * self.num_nodes, self._blk_total)
+        if self._dbuf.shape[0] < size:
+            self._dbuf = np.empty(size, dtype=np.int32)
+            self._v_dbuf = memoryview(self._dbuf)
 
     def _session_rng(self):
         return self.rng
@@ -565,20 +584,72 @@ class VectorizedSession(SimSession):
         self._prof_attr += dt
         return now
 
-    def _drain_seq(self, slot: int, plane: int, circ: tuple, phase: str) -> np.ndarray:
-        """Drain one whole plane through the exact sequential kernel.
+    def _plane_circuits(self, dst_row: np.ndarray, krow: np.ndarray) -> tuple:
+        """A plane's circuit record ``(pairs, dst row, rank row, active
+        srcs, their VOQ keys)``.
 
-        Serves both small planes (``phase="seq"``) and the replay of a
-        cascade plane the array walk abandoned (``phase="replay"``); the
-        profiler bills the call to *phase*.  *circ* is the plane's
-        ``(dst row, rank row, srcs, VOQ keys)``.  Returns the delivered
-        cell ids in delivery order; events go through
-        :meth:`_emit_events` from the kernel's staging, as they do for
-        the array walk.
+        The record decides the plane's drain on its circuit count alone:
+        a plane whose circuits plus a quarter of them (the share of the
+        row the sequential kernel scans) come to at most
+        :data:`SEQ_CUTOFF` — read here, when the record is built — can
+        never outgrow the sequential kernel, whatever its live count, so
+        it carries ``pairs``, its active ``(src, VOQ key)`` pairs in
+        source order as a Python list, and the slot loop hands them to
+        :func:`repro.sim.kernels.drain_plane_seq` directly.  Larger
+        planes carry ``pairs=None`` and go through :meth:`_drain_plane`.
         """
+        srcs = np.flatnonzero(krow >= 0)
+        keys = srcs * self.network.ranks_per_node + krow[srcs]
+        srcs.setflags(write=False)
+        keys.setflags(write=False)
+        num_circuits = srcs.shape[0]
+        pairs = None
+        if num_circuits + (num_circuits >> 2) <= SEQ_CUTOFF:
+            pairs = list(zip(srcs.tolist(), keys.tolist()))
+        return pairs, dst_row, krow, srcs, keys
+
+    def _drain_plane(self, slot: int, plane: int, circ: tuple, dpos: int) -> int:
+        """Drain one plane too large to be sequential on its circuit
+        count; writes its delivered cell ids, in exact delivery
+        (circuit-major pop) order, to the span delivery buffer from
+        *dpos* on and returns the position one past the last.
+
+        Selects by the plane's size now: its live circuits (those whose
+        VOQ is nonempty) plus a quarter of all its circuits, which the
+        sequential kernel scans.  Up to :data:`SEQ_CUTOFF`, the
+        sequential kernel over the whole row — its cost is per cell and
+        per circuit, where the array walk pays a fixed cost in NumPy
+        calls.  Above it, the array walk over only the live circuits —
+        a paper-scale plane matches N circuits but usually only part of
+        them have queued cells, and every per-circuit gather/scatter in
+        the walk and commit scales with the circuit count.  Filtering
+        cannot change cascade-free semantics (a circuit with an empty
+        VOQ pops nothing and commits nothing); cascade detection still
+        checks forwards against the *full* rank row, because a forwarded
+        cell may land on, and be drained by, a circuit whose VOQ started
+        the slot empty — the repair slots such a circuit into source
+        order, and the replay (while event consumers are attached)
+        drains the full circuit set through the sequential kernel, here.
+        """
+        _, dst_row, _, srcs, keys = circ
+        num_circuits = srcs.shape[0]
+        live = self._qlen[keys] > 0
+        nlive = int(np.count_nonzero(live))
+        if nlive == 0:
+            return dpos
+        phase = "seq"
+        if nlive + (num_circuits >> 2) > SEQ_CUTOFF:
+            if nlive < num_circuits:
+                end = self._drain_vec(slot, plane, circ, srcs[live], keys[live], dpos)
+            else:
+                end = self._drain_vec(slot, plane, circ, srcs, keys, dpos)
+            if end is not None:
+                return end
+            phase = "replay"
         prof = self._prof
         t0 = perf_counter() if prof is not None else 0.0
-        npop, ndel = drain_plane_seq(
+        events = [] if self._emit else None
+        dpos = drain_plane_seq(
             self._v_head,
             self._v_tail,
             self._v_qlen,
@@ -590,86 +661,32 @@ class VectorizedSession(SimSession):
             self._routes.shape[1],
             self._v_rowlen,
             self._v_fwd_lane,
-            memoryview(circ[1]),
+            zip(srcs.tolist(), keys.tolist()),
             self.network.ranks_per_node,
-            self._v_out_cids,
-            self._v_out_del,
-            self._v_out_src,
+            self._v_dbuf,
+            dpos,
             self._slot_keys,
+            events,
         )
-        if ndel:
-            deliv = self._out_cids[:npop][self._out_del[:npop].view(bool)]
-        else:
-            deliv = _EMPTY32
-        if self._emit and npop:
-            srcs = self._out_src[:npop]
-            self._emit_events(
-                slot,
-                plane,
-                srcs,
-                circ[0][srcs],
-                self._out_cids[:npop],
-                self._out_del[:npop].view(bool),
-            )
+        if events:
+            self._emit_events(slot, plane, dst_row, events)
         if prof is not None:
             self._prof_add(phase, t0)
-        return deliv
+        return dpos
 
-    def _plane_circuits(self, dst_row: np.ndarray, krow: np.ndarray) -> tuple:
-        """A plane's ``(dst row, rank row, active srcs, their VOQ keys)``."""
-        srcs = np.flatnonzero(krow >= 0)
-        keys = srcs * self.network.ranks_per_node + krow[srcs]
-        srcs.setflags(write=False)
-        keys.setflags(write=False)
-        return dst_row, krow, srcs, keys
-
-    def _drain_plane(self, slot: int, plane: int, circ: tuple) -> np.ndarray:
-        """Drain one plane's active circuits; returns the delivered cell
-        ids in exact delivery (circuit-major pop) order.
-
-        Dispatch layer, by the plane's size: its live circuits (those
-        whose VOQ is nonempty) plus a quarter of all its circuits,
-        which the sequential kernel scans.  Up to :data:`SEQ_CUTOFF`,
-        the sequential kernel — its cost is per cell and per circuit,
-        where the array walk pays a fixed cost in NumPy calls; a plane
-        that stays under the cutoff even with every circuit live needs
-        no count at all.  Above it, the array walk over only the
-        live circuits — a paper-scale plane matches N circuits but
-        usually only part of them have queued cells, and every
-        per-circuit gather/scatter in the walk and commit scales with
-        the circuit count.  Filtering cannot change cascade-free
-        semantics (a circuit with an empty VOQ pops nothing and commits
-        nothing); cascade detection still checks forwards against the
-        *full* rank row, because a forwarded cell may land on, and be
-        drained by, a circuit whose VOQ started the slot empty — the
-        repair slots such a circuit into source order, the replay drains
-        the full circuit set.
-        """
-        srcs = circ[2]
-        num_circuits = srcs.shape[0]
-        if num_circuits == 0:
-            return _EMPTY32
-        scan = num_circuits >> 2
-        if num_circuits + scan <= SEQ_CUTOFF:
-            return self._drain_seq(slot, plane, circ, "seq")
-        keys = circ[3]
-        live = self._qlen[keys] > 0
-        nlive = int(np.count_nonzero(live))
-        if nlive == 0:
-            return _EMPTY32
-        if nlive + scan <= SEQ_CUTOFF:
-            return self._drain_seq(slot, plane, circ, "seq")
-        if nlive == num_circuits:
-            return self._drain_vec(slot, plane, circ, srcs, keys)
-        return self._drain_vec(slot, plane, circ, srcs[live], keys[live])
-
-    def _drain_vec(self, slot: int, plane: int, circ: tuple, srcs, keys) -> np.ndarray:
+    def _drain_vec(
+        self, slot: int, plane: int, circ: tuple, srcs, keys, dpos: int
+    ) -> Optional[int]:
         """Optimistic walk + commit over (a live subset of) one plane.
 
         ``srcs``/``keys`` are the circuits actually walked; *circ* holds
         the plane's complete matching, which the cascade test checks
-        forwards against and the sequential replay drains.  The walk
-        itself never mutates, so abandoning it for the replay is safe.
+        forwards against.  Writes the delivered cell ids to the span
+        delivery buffer from *dpos* on and returns the position one past
+        the last — or ``None``, having mutated nothing, when event
+        consumers need a cascade plane replayed (:meth:`_drain_plane`
+        does that): the walk itself never mutates, so abandoning it is
+        safe.
         """
         prof = self._prof
         t = perf_counter() if prof is not None else 0.0
@@ -683,7 +700,7 @@ class VectorizedSession(SimSession):
         rhop = self._rhop
         width = self.network.ranks_per_node
         num_lanes = self._num_lanes
-        dst_row, krow, full_srcs = circ[0], circ[1], circ[2]
+        _, dst_row, krow, full_srcs, _ = circ
         # One candidate per walked circuit, in source order: the plane's
         # pop order.
         cand, cur, slots = walk_candidates(head, nxt, keys, num_lanes, self._ar)
@@ -692,7 +709,7 @@ class VectorizedSession(SimSession):
         if popped.size == 0:
             if prof is not None:
                 self._prof_add("drain", t)
-            return _EMPTY32
+            return dpos
         hops = rhop[popped]
         delm = hops == rowlen[popped] - 2
         fwm = ~delm
@@ -711,7 +728,7 @@ class VectorizedSession(SimSession):
                 if self._emit:
                     if prof is not None:
                         self._prof_add("drain", t)
-                    return self._drain_seq(slot, plane, circ, "replay")
+                    return None
                 # Pop positions are circuit indices, so position
                 # comparisons are source-id comparisons and work
                 # identically on a filtered subset: a target circuit
@@ -753,9 +770,11 @@ class VectorizedSession(SimSession):
             rhop[fw] = fh
         if extra is None:
             if self._emit:
-                pop_srcs = srcs[valid]
                 self._emit_events(
-                    slot, plane, pop_srcs, dst_row[pop_srcs], popped, delm
+                    slot,
+                    plane,
+                    dst_row,
+                    zip(srcs[valid].tolist(), popped.tolist(), delm.tolist()),
                 )
             if fw.size:
                 self._slot_pairs.append(
@@ -770,9 +789,12 @@ class VectorizedSession(SimSession):
                         num_lanes,
                     )
                 )
+            deliv = popped[delm]
+            end = dpos + deliv.shape[0]
+            self._dbuf[dpos:end] = deliv
             if prof is not None:
                 self._prof_add("commit", t)
-            return popped[delm]
+            return end
         # Merge the repair results: passthrough cells skip the append
         # (they were popped again by their target circuit), their extra
         # hop advances apply on top, and extra appends/deliveries splice
@@ -822,9 +844,11 @@ class VectorizedSession(SimSession):
                 kind="stable",
             )
             deliv_cids = np.concatenate([deliv_cids, d_cid])[order]
+        end = dpos + deliv_cids.shape[0]
+        self._dbuf[dpos:end] = deliv_cids
         if prof is not None:
             self._prof_add("commit", t)
-        return deliv_cids
+        return end
 
     def _repair_cascades(
         self, srcs, krow, cand, cur, fw, fu, fr, fpos, tkey, real
@@ -959,13 +983,14 @@ class VectorizedSession(SimSession):
 
     # -- event emission and flow accounting -----------------------------------
 
-    def _emit_events(self, slot, plane, srcs, dsts, popped, delm) -> None:
+    def _emit_events(self, slot, plane, dst_row, pops) -> None:
         """Re-emit the reference engine's per-circuit event stream from
-        the drain results.  Entry ``i`` is one pop, in pop order: circuit
-        ``srcs[i] -> dsts[i]`` carried cell ``popped[i]``, which
-        delivered where ``delm[i]``.  Each pop emits its circuit's
-        transmit, then the cell's delivery — the exact interleave the
-        object loop hands the invariant checker and the telemetry hub."""
+        the drain results.  *pops* yields one ``(src, cell id,
+        delivered)`` record per pop, in pop order: circuit ``src ->
+        dst_row[src]`` carried the cell, which delivered where
+        ``delivered``.  Each pop emits its circuit's transmit, then the
+        cell's delivery — the exact interleave the object loop hands the
+        invariant checker and the telemetry hub."""
         checker = self._checker
         rec_tx = self._rec_tx
         rec_del = self._rec_del
@@ -973,9 +998,9 @@ class VectorizedSession(SimSession):
         rowlen = self._rowlen
         rfid = self._rfid
         arrival = self._arr_np
-        for src, dst, cid, delivered in zip(
-            srcs.tolist(), dsts.tolist(), popped.tolist(), delm.tolist()
-        ):
+        dsts = dst_row.tolist()
+        for src, cid, delivered in pops:
+            dst = dsts[src]
             if checker is not None:
                 checker.record_transmit(slot, plane, src, dst, 1)
             if rec_tx is not None:
@@ -988,15 +1013,19 @@ class VectorizedSession(SimSession):
                 if rec_del is not None:
                     rec_del(slot, injected, length - 1)
 
-    def _account_deliveries_batch(self, cids: np.ndarray, slots: np.ndarray) -> None:
+    def _account_deliveries_batch(
+        self, cids: np.ndarray, first_slot: int, slot_ends: List[int]
+    ) -> None:
         """Fold a span's deliveries into the per-flow ledgers.
 
-        *cids* are the span's delivered cell ids in delivery order and
-        *slots* the slot of each delivery.  Counts and hop totals are
+        *cids* are the span's delivered cell ids in delivery order, and
+        ``slot_ends[i]`` is how many of them slot ``first_slot + i`` and
+        the slots before it delivered.  Counts and hop totals are
         additive, and a flow's completion slot is the slot of the
         delivery that made its count reach its size — located here as
         the k-th of the flow's in-span deliveries (the stable sort by
-        flow preserves delivery order, which is slot-ascending).
+        flow preserves delivery order), whose position in *cids* falls
+        in one slot's share.
         """
         fids = self._rfid[cids]
         hops = self._rowlen[cids].astype(np.int64) - 1
@@ -1011,7 +1040,10 @@ class VectorizedSession(SimSession):
             order = np.argsort(fids, kind="stable")
             starts = np.searchsorted(fids[order], uniq[compm])
             kth = self._fsizes[uniq[compm]] - old[compm] - 1
-            self._fcompletion[uniq[compm]] = slots[order][starts + kth]
+            pos = order[starts + kth]
+            self._fcompletion[uniq[compm]] = first_slot + np.searchsorted(
+                slot_ends, pos, side="right"
+            )
 
     # -- the slot loop ---------------------------------------------------------
 
@@ -1028,6 +1060,12 @@ class VectorizedSession(SimSession):
         horizon/drain decision once.  Nothing else ends a span: the body
         masks faults and refills presample chunks per slot, and every
         observer reads per-slot state only.
+
+        Every drain writes its delivered cell ids to one span delivery
+        buffer, so the span's deliveries are a prefix of it, in delivery
+        order.  A plane whose circuit record carries ``pairs`` (see
+        :meth:`_plane_circuits`) costs one kernel call and no NumPy
+        call; every other plane goes through :meth:`_drain_plane`.
         """
         if self._done:
             return
@@ -1036,6 +1074,7 @@ class VectorizedSession(SimSession):
         checker = self._checker
         rec_sample = self._rec_sample
         prof = self._prof
+        emit = self._emit
         duration_slots = self.duration_slots
         measure_from = self.measure_from
         network = self.network
@@ -1057,6 +1096,20 @@ class VectorizedSession(SimSession):
         injected_running = self._injected
         cursor = self._cursor
         slot = self.slot
+        # The sequential kernels' arguments.  The VOQ views and the rank
+        # width change only when a presample refill widens the VOQ rows,
+        # so they are re-read after each refill; the rest never change.
+        v_head, v_tail, v_qlen = self._v_head, self._v_tail, self._v_qlen
+        ranks_per_node = network.ranks_per_node
+        v_nxt = self._v_nxt
+        v_rhop = self._v_rhop
+        v_rfid = self._v_rfid
+        v_routes = self._v_routes
+        v_rranks = self._v_rranks
+        route_width = self._routes.shape[1]
+        v_rowlen = self._v_rowlen
+        v_fwd_lane = self._v_fwd_lane
+        v_dbuf = self._v_dbuf
 
         while stop is None or slot < stop:
             if slot < duration_slots:
@@ -1065,9 +1118,10 @@ class VectorizedSession(SimSession):
                     span_end = stop
             else:
                 span_end = slot + 1
-            # Each delivering drain's slot and cell ids, in delivery order.
-            dslots: List[int] = []
-            dcids: List[np.ndarray] = []
+            # The span's deliveries fill the delivery buffer up to dpos;
+            # slot_ends[i] is dpos at the end of the span's i-th slot.
+            dpos = 0
+            slot_ends: List[int] = []
             forward_s = 0.0
             for s in range(slot, span_end):
                 if prof is not None:
@@ -1076,22 +1130,23 @@ class VectorizedSession(SimSession):
                     # The slot's arrival batch is the next slice of the
                     # presampled stream.  A batch that crosses a chunk
                     # boundary appends in pieces — FIFO order, credits
-                    # and touched VOQs are unaffected by the split.  A
-                    # refill may widen the VOQ rows, so the views are
-                    # read per piece.
+                    # and touched VOQs are unaffected by the split.
                     end = slot_end[s]
                     while end > cursor:
                         if cursor >= self._blk_hi:
                             self._refill_block_chunk()
+                            v_head, v_tail = self._v_head, self._v_tail
+                            v_qlen = self._v_qlen
+                            ranks_per_node = network.ranks_per_node
                         stop_at = min(end, self._blk_hi)
                         b = cursor - self._blk_base
                         e = stop_at - self._blk_base
                         if e - b <= SEQ_CUTOFF:
                             enqueue_seq(
-                                self._v_head,
-                                self._v_tail,
-                                self._v_qlen,
-                                self._v_nxt,
+                                v_head,
+                                v_tail,
+                                v_qlen,
+                                v_nxt,
                                 self._blk_base + 1,
                                 self._v_blk_key,
                                 self._v_blk_lane,
@@ -1124,10 +1179,11 @@ class VectorizedSession(SimSession):
                 # source-order drain with immediate forwarding (module
                 # docstring), so same-plane cascades behave exactly as
                 # in the reference engine.
-                row = s % period
+                slot_start = dpos
+                row = (s % period) * num_planes
                 faulted = timeline is not None and timeline.affects(s)
                 for plane in range(num_planes):
-                    m = index[row, plane]
+                    m = index[row + plane]
                     if faulted:
                         # Masked slots bypass the bank-row memo: mask the
                         # bank row for this absolute slot exactly as the
@@ -1142,14 +1198,45 @@ class VectorizedSession(SimSession):
                             circ = circuits[m] = self._plane_circuits(
                                 bank[m], kcol[m]
                             )
-                    deliv = self._drain_plane(s, plane, circ)
-                    if deliv.size:
-                        network.debit(deliv.size)
-                        delivered_running += deliv.size
-                        if s >= measure_from:
-                            window_delivered += deliv.size
-                        dslots.append(s)
-                        dcids.append(deliv)
+                    pairs = circ[0]
+                    if pairs is None:
+                        dpos = self._drain_plane(s, plane, circ, dpos)
+                        continue
+                    if not pairs:
+                        continue
+                    if prof is not None:
+                        t0 = perf_counter()
+                    events = [] if emit else None
+                    dpos = drain_plane_seq(
+                        v_head,
+                        v_tail,
+                        v_qlen,
+                        v_nxt,
+                        v_rhop,
+                        v_rfid,
+                        v_routes,
+                        v_rranks,
+                        route_width,
+                        v_rowlen,
+                        v_fwd_lane,
+                        pairs,
+                        ranks_per_node,
+                        v_dbuf,
+                        dpos,
+                        slot_keys,
+                        events,
+                    )
+                    if events:
+                        self._emit_events(s, plane, circ[1], events)
+                    if prof is not None:
+                        self._prof_add("seq", t0)
+                got = dpos - slot_start
+                if got:
+                    network.debit(got)
+                    delivered_running += got
+                    if s >= measure_from:
+                        window_delivered += got
+                slot_ends.append(dpos)
                 if prof is not None:
                     now = perf_counter()
                     forward_s += (now - lap) - self._prof_attr
@@ -1173,7 +1260,7 @@ class VectorizedSession(SimSession):
                             max_voq = voq_now
                     slot_pairs.clear()
                 if slot_keys:
-                    voq_now = max(map(self._v_qlen.__getitem__, slot_keys))
+                    voq_now = max(map(v_qlen.__getitem__, slot_keys))
                     if voq_now > max_voq:
                         max_voq = voq_now
                     slot_keys.clear()
@@ -1184,17 +1271,8 @@ class VectorizedSession(SimSession):
 
             if prof is not None:
                 lap = perf_counter()
-            if dcids:
-                if len(dcids) == 1:
-                    cids = dcids[0]
-                    slots_arr = np.full(cids.size, dslots[0], dtype=np.int64)
-                else:
-                    cids = np.concatenate(dcids)
-                    slots_arr = np.repeat(
-                        np.asarray(dslots, dtype=np.int64),
-                        [c.size for c in dcids],
-                    )
-                self._account_deliveries_batch(cids, slots_arr)
+            if dpos:
+                self._account_deliveries_batch(self._dbuf[:dpos], slot, slot_ends)
             if prof is not None:
                 # The drain paths bill themselves to the seq/drain/
                 # commit/repair/replay sub-phases; "forward" keeps the

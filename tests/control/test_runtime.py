@@ -11,8 +11,11 @@ import pytest
 from repro.control import (
     AdaptiveSimulation,
     ControllerState,
+    RetunePlan,
     RuntimeConfig,
     ScriptedChaos,
+    UpdateCampaign,
+    plan_update,
     validate_estimate,
 )
 from repro.errors import ControlPlaneError
@@ -222,6 +225,51 @@ class TestBenignLoop:
         assert any(e.action == "held" for e in result.epochs)
         held = next(e for e in result.epochs if e.action == "held")
         assert "dwell" in held.reason
+
+    def test_held_epoch_builds_no_candidate(self, monkeypatch):
+        """The dwell clock is asked first: with a dwell of 2 and no gain
+        threshold, the epochs between retunes are held, and only the
+        retunes build a candidate schedule (and plan its update)."""
+        calls = []
+        build = AdaptiveSimulation._build_candidate
+
+        def counting(self, q):
+            calls.append(q)
+            return build(self, q)
+
+        monkeypatch.setattr(AdaptiveSimulation, "_build_candidate", counting)
+        rt = RuntimeConfig(epoch_slots=40, min_dwell_epochs=2, gain_threshold=0.0)
+        result = make_adaptive(runtime=rt).run(make_flows(), 240)
+        actions = [e.action for e in result.epochs]
+        assert actions.count("held") >= 1
+        assert len(calls) == actions.count("retuned") == result.updates_applied
+
+    def test_candidate_adding_neighbor_pairs_is_kept_out(self):
+        """A candidate that would need queues toward new neighbors — a
+        SORN schedule on another clique layout — is kept out, with a
+        reason naming the new pairs, and the session is not swapped."""
+        sim = make_adaptive(runtime=RuntimeConfig(epoch_slots=40, gain_threshold=0.0))
+        other = build_sorn_schedule(N, 4, q=2.0)
+        plan = plan_update(sim.initial_schedule, other)
+        assert plan.new_neighbor_pairs
+        sim._build_candidate = lambda q: other
+        swaps = []
+
+        class Session:
+            def swap_schedule(self, schedule):
+                swaps.append(schedule)
+
+        campaign = UpdateCampaign(sim.initial_schedule)
+        retune = RetunePlan(0.5, 2.0, 0.4, 0.5)
+        action, reason, applied = sim._maybe_retune(0, retune, 1.0, campaign, Session())
+        assert (action, applied) == ("kept", None)
+        assert reason == (
+            f"candidate adds {len(plan.new_neighbor_pairs)} neighbor pairs: "
+            f"{plan.summary()}"
+        )
+        assert "drain-free:" not in reason
+        assert swaps == []
+        assert campaign.updates_applied == 0
 
 
 class TestStateMachine:

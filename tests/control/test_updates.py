@@ -75,6 +75,18 @@ class TestUpdateCampaign:
         assert campaign.maybe_apply(5, build_sorn_schedule(8, 2, q=3)) is not None
         assert campaign.updates_applied == 2
 
+    def test_in_dwell_is_read_only(self):
+        """``in_dwell`` answers what ``maybe_apply`` would do without
+        recording a request: asking about an epoch does not stop a
+        later ``maybe_apply`` at that same epoch."""
+        campaign = UpdateCampaign(build_sorn_schedule(8, 2, q=1), min_dwell_epochs=3)
+        assert not campaign.in_dwell(0)
+        assert campaign.maybe_apply(0, build_sorn_schedule(8, 2, q=2)) is not None
+        assert campaign.in_dwell(2)
+        assert not campaign.in_dwell(3)
+        assert campaign.maybe_apply(3, build_sorn_schedule(8, 2, q=3)) is not None
+        assert campaign.updates_applied == 2
+
     def test_history_records_cleanliness(self):
         """The history records each applied update's epoch; how clean a
         q-retune is, is its plan's business."""

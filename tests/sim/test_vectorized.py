@@ -286,76 +286,78 @@ class TestCascadeRepair:
 
 
 class TestDrainSelector:
-    """A plane's drain kernel follows from its size alone — live
-    circuits plus a quarter of its circuits, against
-    ``vectorized.SEQ_CUTOFF`` — and both kernels reproduce the
-    reference engine."""
+    """A plane's drain kernel follows from its size alone, against
+    ``vectorized.SEQ_CUTOFF``: a bank row whose circuits plus a quarter
+    of them fit the cutoff is drained whole by the sequential kernel in
+    every slot, and a larger row by its live circuits plus that quarter
+    — and both kernels reproduce the reference engine.  The choice is
+    read off the ``PhaseProfiler``, which laps ``seq`` once per plane
+    the sequential kernel drains and ``drain`` once per walked plane."""
 
     N = 16
+    PLANES = 2
+    SLOTS = 200
 
-    def _run_logged(self, monkeypatch, cutoff):
-        """Run a loaded 16-node fabric at *cutoff*; returns the report
-        and, per plane drained, ``(slot, plane, size, kernel)``."""
-        from repro.sim import vectorized as V
-
-        log = []
-        cls = V.VectorizedSession
-        plane_fn, seq_fn, vec_fn = cls._drain_plane, cls._drain_seq, cls._drain_vec
-
-        def drain_plane(self, slot, plane, circ):
-            dst_row, srcs = circ[0], circ[2]
-            live = sum(
-                self.network.queue_length(u, v) > 0
-                for u, v in zip(srcs.tolist(), dst_row[srcs].tolist())
-            )
-            log.append([slot, plane, live + (srcs.shape[0] >> 2), None])
-            return plane_fn(self, slot, plane, circ)
-
-        def drain_seq(self, slot, plane, circ, phase):
-            if log[-1][3] is None:
-                log[-1][3] = phase
-            return seq_fn(self, slot, plane, circ, phase)
-
-        def drain_vec(self, *args):
-            log[-1][3] = "walk"
-            return vec_fn(self, *args)
-
-        monkeypatch.setattr(V, "SEQ_CUTOFF", cutoff)
-        monkeypatch.setattr(cls, "_drain_plane", drain_plane)
-        monkeypatch.setattr(cls, "_drain_seq", drain_seq)
-        monkeypatch.setattr(cls, "_drain_vec", drain_vec)
-        report = self._run("vectorized")
-        monkeypatch.undo()
-        return report, log
-
-    def _run(self, engine):
-        flows = _uniform_flows(self.N, 5, duration=200, load=1.5)
+    def _run(self, engine, telemetry=None):
+        flows = _uniform_flows(self.N, 5, duration=self.SLOTS, load=1.5)
         sim = SlotSimulator(
-            RoundRobinSchedule(self.N, num_planes=2),
+            RoundRobinSchedule(self.N, num_planes=self.PLANES),
             VlbRouter(self.N),
-            SimConfig(engine=engine, drain=True),
+            SimConfig(engine=engine, drain=True, telemetry=telemetry),
             rng=np.random.default_rng(6),
         )
-        return sim.run(flows, 200, measure_from=40)
+        return sim.run(flows, self.SLOTS, measure_from=40)
+
+    def _laps(self, monkeypatch, cutoff):
+        """Run the fabric at *cutoff*; returns the report, the slots it
+        ran and the ``seq`` and ``drain`` lap counts."""
+        from repro.sim import vectorized as V
+
+        monkeypatch.setattr(V, "SEQ_CUTOFF", cutoff)
+        profiler = PhaseProfiler()
+        report = self._run("vectorized", TelemetryHub([profiler]))
+        monkeypatch.undo()
+        summary = profiler.summary()
+        seq, walk = (
+            summary[phase]["laps"] if phase in summary else 0
+            for phase in ("seq", "drain")
+        )
+        return report, report.duration_slots, seq, walk
+
+    def test_whole_rows_drain_sequentially_every_slot(self, monkeypatch):
+        """Every round-robin plane matches all 16 nodes: at cutoff 20
+        (16 circuits plus 4) each row is sequential on its count, so
+        every plane of every slot, live or idle, takes one ``seq`` lap
+        and none is walked.  At 19 the rows fall back to the live count,
+        which skips the planes with no live circuit."""
+        reference = self._run("reference")
+        whole, slots, seq, walk = self._laps(monkeypatch, 20)
+        assert whole == reference
+        assert (seq, walk) == (slots * self.PLANES, 0)
+        counted, slots_19, seq_19, walk_19 = self._laps(monkeypatch, 19)
+        assert counted == reference
+        assert slots_19 == slots
+        assert 0 < seq_19 + walk_19 < slots * self.PLANES
 
     def test_plane_at_cutoff_goes_sequential_and_above_to_walk(self, monkeypatch):
-        """With the cutoff at 8, every plane of size <= 8 takes the
-        sequential kernel and every larger one the walk; a plane of size
-        exactly 8 goes sequential, and the same plane (same state: the
-        runs are bit-exact) takes the walk once the cutoff is 7."""
+        """Below the whole-row cutoff a plane's size is its live
+        circuits plus 4.  The runs are bit-exact, so every plane has the
+        same live count at every cutoff: the same planes drain at 7 and
+        8, and the planes of size exactly 8 (4 live circuits) go
+        sequential at 8 and to the walk at 7."""
         reference = self._run("reference")
-        at, log = self._run_logged(monkeypatch, 8)
+        at, slots, seq_8, walk_8 = self._laps(monkeypatch, 8)
         assert at == reference
-        drained = [entry for entry in log if entry[3] is not None]
-        assert {entry[3] for entry in drained} >= {"seq", "walk"}
-        for slot, plane, size, kernel in drained:
-            assert (kernel == "seq") == (size <= 8), (slot, plane, size, kernel)
-        boundary = {(e[0], e[1]) for e in drained if e[2] == 8}
-        assert boundary, "no plane landed exactly on the cutoff"
-        below, log_below = self._run_logged(monkeypatch, 7)
+        assert seq_8 > 0 and walk_8 > 0
+        below, _, seq_7, walk_7 = self._laps(monkeypatch, 7)
         assert below == reference
-        kernels = {(e[0], e[1]): e[3] for e in log_below}
-        assert {kernels[key] for key in boundary} == {"walk"}
+        assert seq_7 + walk_7 == seq_8 + walk_8 < slots * self.PLANES
+        moved = seq_8 - seq_7
+        assert moved > 0, "no plane landed exactly on the cutoff"
+        assert walk_7 - walk_8 == moved
+        # Cutoff 4 admits only planes of size 4: none has live circuits.
+        _, _, seq_4, walk_4 = self._laps(monkeypatch, 4)
+        assert (seq_4, walk_4) == (0, seq_8 + walk_8)
 
     @pytest.mark.parametrize("combo", sorted(COMBOS), ids=sorted(COMBOS))
     def test_combos_on_the_array_walk(self, combo, monkeypatch):
